@@ -21,7 +21,15 @@ from .automata import Wfa
 from .kernels import radd, rmul, vdot
 from .linalg import RMatrix, RVector
 from .rational import Rational
-from .rwkv_gadgets import PAD, RouterTable, window_key
+from .rwkv_gadgets import (
+    PAD,
+    BlockMemo,
+    RouterTable,
+    imm_forward,
+    no_completions,
+    wfa_completions,
+    wfa_forward,
+)
 
 _ZERO = Rational(0)
 _ONE = Rational(1)
@@ -73,7 +81,7 @@ def h_matrix(step: HStep, d: int | None = None) -> RMatrix:
 
 def apply_h_row(r: RVector, step: HStep) -> RVector:
     """Row action r (I - beta k k^T) = r - beta (r . k) k^T in O(d)."""
-    if step.is_identity:
+    if step.beta.num == 0:
         return r
     sn, sd = vdot(r.nums, r.dens, step.k.nums, step.k.dens)
     if sn == 0:
@@ -339,10 +347,13 @@ class DnetWfaNet:
     """Tracks alpha . M[w_1..w_t] . omega with symmetric steps only.
 
     Arithmetic dimension 2n+1 (main, scratch, temp). Block length is the
-    program length m = 8n^2+5n+1; the router key is (t mod 2m, last 2m
-    tokens) and blocks stream with a one-block delay. The row state starts
-    as [alpha | 0 | 0], written by one additive update on the first token
-    (the first factor of the padding block clears an already-zero scratch
+    program length m = 8n^2+5n+1 and blocks stream with a one-block delay.
+    The router, specified by the key (t mod 2m, last 2m tokens), gives
+    position tau of a block the previous block's program step tau and a
+    completion vector; the forward pass streams the same entries block by
+    block, compiling each block's program once. The row state starts as
+    [alpha | 0 | 0], written by one additive update on the first token (the
+    first factor of the padding block clears an already-zero scratch
     coordinate, so the uniform stream is unaffected).
     """
 
@@ -350,21 +361,27 @@ class DnetWfaNet:
         self.wfa = wfa
         self.n = wfa.n_states
         self.m = 8 * self.n * self.n + 5 * self.n + 1
+        self.block_len = self.m
         self.dim = 2 * self.n + 1
         self.initial_row = wfa.alpha.concat(RVector.zeros(self.n + 1))
-        self._programs = {}
+        self._programs = BlockMemo(self._compile_block)
         self.router = RouterTable(2 * self.m, self._entry)
 
+    def _compile_block(self, block) -> ApplyMatrixProgram:
+        prod = RMatrix.identity(self.n)
+        for sym in block:
+            if sym is not PAD:
+                prod = prod @ self.wfa.matrix(sym)
+        return apply_matrix_program(prod)
+
     def block_program(self, block) -> ApplyMatrixProgram:
-        prog = self._programs.get(block)
-        if prog is None:
-            prod = RMatrix.identity(self.n)
-            for sym in block:
-                if sym is not PAD:
-                    prod = prod @ self.wfa.matrix(sym)
-            prog = apply_matrix_program(prod)
-            self._programs[block] = prog
-        return prog
+        return self._programs(tuple(block))
+
+    def block_steps(self, prev_block, index) -> tuple:
+        return self.block_program(prev_block).steps
+
+    def block_completions(self, block, steps):
+        return wfa_completions(self.wfa, block, steps, apply_h_col, self.n + 1)
 
     def _entry(self, key) -> DnetRouterEntry:
         residue, recent = key
@@ -389,14 +406,7 @@ def build_dnet_wfa(wfa: Wfa) -> DnetWfaNet:
 
 def dnet_wfa_forward(net: DnetWfaNet, word) -> list:
     """Scalar outputs at every position 1..|word|."""
-    tokens = list(word)
-    row = net.initial_row
-    out = []
-    for t in range(1, len(tokens) + 1):
-        entry = net.router.query_at(t, tokens)
-        row = apply_h_row(row, entry.factor)
-        out.append(row.dot(entry.completion))
-    return out
+    return wfa_forward(net, word, apply_h_row)
 
 
 # ---------------------------------------------------------------------------
@@ -415,16 +425,20 @@ class DnetImmNet:
     dimension of 19 (main 9, scratch 9, temp 1). Matrices are grouped into
     superblocks of 78 (702 tokens); each full superblock's block-diagonal
     product is factored into 694 steps padded with 8 identity steps, and
-    superblocks stream with a one-superblock delay. The final, possibly
-    partial, superblock is applied only inside the nine completion
-    readouts at the last position.
+    superblocks stream with a one-superblock delay. The router key is
+    (t mod 1404, last 1404 tokens); the forward pass compiles each
+    superblock's program once, at the next superblock's boundary. The
+    final, possibly partial, superblock is applied only inside the nine
+    completion readouts at the last position.
     """
+
+    block_len = SUPERBLOCK_TOKENS
 
     def __init__(self):
         vec_i3 = RVector([1, 0, 0, 0, 1, 0, 0, 0, 1])
         self.dim = 19
         self.initial_row = vec_i3.concat(RVector.zeros(10))
-        self._programs = {}
+        self._programs = BlockMemo(self._compile_superblock)
         self.router = RouterTable(2 * SUPERBLOCK_TOKENS, self._entry)
 
     @staticmethod
@@ -439,41 +453,52 @@ class DnetImmNet:
                     out.dens[k] = a.dens[src]
         return out
 
-    def _matrices_from(self, tokens_oldest_first) -> list:
-        mats = []
-        for base in range(0, len(tokens_oldest_first), 9):
-            chunk = tokens_oldest_first[base : base + 9]
-            vals = [
-                _ONE if tok is PAD and k % 4 == 0 else
-                _ZERO if tok is PAD else
-                (tok if isinstance(tok, Rational) else Rational(tok))
-                for k, tok in enumerate(chunk)
-            ]
-            mats.append(RMatrix([vals[0:3], vals[3:6], vals[6:9]]))
-        return mats
+    @staticmethod
+    def _matrices_from(tokens_oldest_first) -> list:
+        """3x3 matrices of nine tokens each; a PAD matrix is the identity."""
+        nums = []
+        dens = []
+        for k, tok in enumerate(tokens_oldest_first):
+            if tok is PAD:
+                nums.append(1 if k % 9 % 4 == 0 else 0)
+                dens.append(1)
+            elif isinstance(tok, Rational):
+                nums.append(tok.num)
+                dens.append(tok.den)
+            else:
+                nums.append(int(tok))
+                dens.append(1)
+        return [
+            RMatrix._raw(3, 3, nums[base : base + 9], dens[base : base + 9])
+            for base in range(0, len(nums), 9)
+        ]
 
     def superblock_product(self, mats) -> RMatrix:
-        prod = RMatrix.identity(9)
+        """Block-diagonal embedding of the product of 3x3 matrices; since
+        embed3(A) @ embed3(B) == embed3(A @ B), it multiplies 3x3 matrices
+        and embeds once."""
+        prod = RMatrix.identity(3)
         for a in mats:
-            prod = prod @ self._embed3(a)
-        return prod
+            prod = prod @ a
+        return self._embed3(prod)
 
-    def superblock_program(self, block_tokens) -> list:
+    def _compile_superblock(self, block_tokens) -> tuple:
+        if all(tok is PAD for tok in block_tokens):
+            return tuple(identity_hstep(self.dim) for _ in range(SUPERBLOCK_TOKENS))
+        prod = self.superblock_product(self._matrices_from(block_tokens))
+        prog = apply_matrix_program(prod)
+        return prog.steps + tuple(
+            identity_hstep(self.dim) for _ in range(IDENTITY_PAD_STEPS)
+        )
+
+    def superblock_program(self, block_tokens) -> tuple:
         """Padded 702-step program for one full superblock's product."""
-        steps = self._programs.get(block_tokens)
-        if steps is None:
-            if all(tok is PAD for tok in block_tokens):
-                steps = tuple(
-                    identity_hstep(self.dim) for _ in range(SUPERBLOCK_TOKENS)
-                )
-            else:
-                prod = self.superblock_product(self._matrices_from(block_tokens))
-                prog = apply_matrix_program(prod)
-                steps = prog.steps + tuple(
-                    identity_hstep(self.dim) for _ in range(IDENTITY_PAD_STEPS)
-                )
-            self._programs[block_tokens] = steps
-        return steps
+        return self._programs(tuple(block_tokens))
+
+    def block_steps(self, prev_block, index) -> tuple:
+        return self.superblock_program(prev_block)
+
+    block_completions = staticmethod(no_completions)
 
     def _entry(self, key) -> DnetRouterEntry:
         residue, recent = key
@@ -511,12 +536,4 @@ def build_dnet_imm() -> DnetImmNet:
 
 def dnet_imm_forward(net: DnetImmNet, stream) -> list:
     """Nine row-major entries of the product of the streamed matrices."""
-    tokens = [tok if isinstance(tok, Rational) else Rational(tok) for tok in stream]
-    if not tokens or len(tokens) % 9 != 0:
-        raise ValueError("stream length must be a positive multiple of 9")
-    row = net.initial_row
-    for t in range(1, len(tokens) + 1):
-        entry = net.router.query_at(t, tokens)
-        row = apply_h_row(row, entry.factor)
-    key = window_key(len(tokens), tokens, net.router.window)
-    return [row.dot(u) for u in net.final_readouts(key)]
+    return imm_forward(net, stream, apply_h_row)

@@ -12,11 +12,17 @@ block at readout time.
 Two networks are provided: one that tracks any weighted finite automaton's
 prefix values, and one that accumulates a product of streamed 3x3 matrices
 in an 18-coordinate state by ping-ponging between two halves.
+
+The router is specified as a finite-window function (``window_key`` and
+``RouterTable``); the forward passes compute the same entries block by
+block with ``stream_entries``, so their work per token does not grow with
+the window and their memory does not grow with the stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .automata import Wfa
 from .kernels import rmul, vdot
@@ -40,7 +46,7 @@ class OverwriteSpec:
     def __post_init__(self):
         if not (0 <= self.dst < len(self.c)):
             raise ValueError("dst out of range")
-        if self.c[self.dst] != _ZERO:
+        if self.c.nums[self.dst] != 0:
             raise ValueError("coefficient at dst must be zero")
 
     @property
@@ -163,8 +169,111 @@ class RouterTable:
 @dataclass(frozen=True)
 class RwkvRouterEntry:
     factor: OverwriteSpec
-    params: RwkvStep
     completion: RVector | None
+
+    @property
+    def params(self) -> RwkvStep:
+        """Head parameters realizing ``factor``, built on demand."""
+        return rwkv_params_for_overwrite(self.factor)
+
+
+class BlockMemo:
+    """Compiled steps of the most recently requested block only.
+
+    Every position of a block (and the final readout) asks for the same
+    block, so one remembered compile serves them all, and memory stays
+    bounded in stream length. Blocks are compared by tuple equality, which
+    for the same token objects costs no hashing.
+    """
+
+    def __init__(self, compile_fn):
+        self._compile = compile_fn
+        self._block = None
+        self._steps = None
+
+    def __len__(self):
+        return 0 if self._steps is None else 1
+
+    def __call__(self, block: tuple):
+        if self._steps is None or block != self._block:
+            self._steps = self._compile(block)
+            self._block = block
+        return self._steps
+
+
+def stream_entries(net, tokens):
+    """Yield the router entry ``(factor, completion)`` at positions
+    1..len(tokens), equal to ``net.router.query_at(t, tokens)`` but built
+    block by block, with no window key and no router cache.
+
+    At each block boundary the steps of the previous block (the PAD block
+    before the first) are fetched once with ``net.block_steps(prev, index)``;
+    position tau of the block then takes step tau, and the completion comes
+    from ``net.block_completions(block, steps)`` on the current block's
+    tokens. Only the current block's steps are held.
+    """
+    m = net.block_len
+    prev = (PAD,) * m
+    for index, start in enumerate(range(0, len(tokens), m)):
+        block = tuple(tokens[start : start + m])
+        steps = net.block_steps(prev, index)
+        yield from zip(steps[: len(block)], net.block_completions(block, steps))
+        prev = block
+
+
+def no_completions(block, steps):
+    """Completions of a net that reads out only at the final position."""
+    return repeat(None, len(block))
+
+
+def wfa_completions(wfa: Wfa, block, steps, apply_col, scratch: int):
+    """Completion vector at each position tau of the current ``block``: the
+    block's product so far applied to omega, padded with ``scratch`` zeros,
+    then the previous block's remaining steps tau+1..m as column actions
+    (last first). The product is kept incrementally, one matrix product
+    per token. Unknown symbols, PAD included, raise ``ValueError``."""
+    prefix = RMatrix.identity(wfa.n_states)
+    zeros = RVector.zeros(scratch)
+    for tau, sym in enumerate(block, start=1):
+        prefix = prefix @ wfa.matrix(sym)
+        u = prefix.apply_col(wfa.omega).concat(zeros)
+        for i in range(len(steps) - 1, tau - 1, -1):
+            u = apply_col(u, steps[i])
+        yield u
+
+
+def wfa_forward(net, word, apply_row) -> list:
+    """Scalar outputs at every position of a streamed automaton-tracking net."""
+    row = net.initial_row
+    out = []
+    for factor, completion in stream_entries(net, list(word)):
+        row = apply_row(row, factor)
+        out.append(row.dot(completion))
+    return out
+
+
+def imm_tokens(stream) -> list:
+    """The tokens of a matrix stream, checked: ``ValueError`` on a token
+    that is not an int or a Rational, or on a length that is not a positive
+    multiple of 9."""
+    tokens = stream if isinstance(stream, (list, tuple)) else list(stream)
+    for tok in tokens:
+        if not isinstance(tok, (int, Rational)):
+            raise ValueError(f"matrix token must be an int or a Rational, not {tok!r}")
+    if not tokens or len(tokens) % 9 != 0:
+        raise ValueError("stream length must be a positive multiple of 9")
+    return tokens
+
+
+def imm_forward(net, stream, apply_row) -> list:
+    """Nine row-major product entries from a streamed 3x3-product net: the
+    streamed steps, then the completion readouts at the final position."""
+    tokens = imm_tokens(stream)
+    row = net.initial_row
+    for factor, _ in stream_entries(net, tokens):
+        row = apply_row(row, factor)
+    key = window_key(len(tokens), tokens, net.router.window)
+    return [row.dot(u) for u in net.final_readouts(key)]
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +285,10 @@ class RwkvWfaNet:
 
     Arithmetic dimension 2n (main half plus scratch). Blocks of m = 2n
     symbols are factored into 2n overwrites and streamed with a one-block
-    delay; the router key is (t mod 2m, last 2m tokens). The state row
+    delay. The router, specified by the key (t mod 2m, last 2m tokens),
+    gives position tau of a block the previous block's overwrite tau and a
+    completion vector that finishes the pending block at readout; the
+    forward pass streams the same entries block by block. The state row
     starts as [alpha | alpha], written by a single additive update on the
     first token (the first padding-block factor fixes the same value, so
     applying it there is a no-op).
@@ -186,21 +298,27 @@ class RwkvWfaNet:
         self.wfa = wfa
         self.n = wfa.n_states
         self.m = 2 * self.n
+        self.block_len = self.m
         self.dim = 2 * self.n
         self.initial_row = wfa.alpha.concat(wfa.alpha)
-        self._factors = {}
+        self._factors = BlockMemo(self._factor_block)
         self.router = RouterTable(2 * self.m, self._entry)
 
+    def _factor_block(self, block) -> list:
+        prod = RMatrix.identity(self.n)
+        for sym in block:
+            if sym is not PAD:
+                prod = prod @ self.wfa.matrix(sym)
+        return factor_apply_matrix(prod)
+
     def block_factors(self, block) -> list:
-        specs = self._factors.get(block)
-        if specs is None:
-            prod = RMatrix.identity(self.n)
-            for sym in block:
-                if sym is not PAD:
-                    prod = prod @ self.wfa.matrix(sym)
-            specs = factor_apply_matrix(prod)
-            self._factors[block] = specs
-        return specs
+        return self._factors(tuple(block))
+
+    def block_steps(self, prev_block, index) -> list:
+        return self.block_factors(prev_block)
+
+    def block_completions(self, block, steps):
+        return wfa_completions(self.wfa, block, steps, apply_overwrite_col, self.n)
 
     def _entry(self, key) -> RwkvRouterEntry:
         residue, recent = key
@@ -220,9 +338,7 @@ class RwkvWfaNet:
         u = v.concat(RVector.zeros(self.n))
         for i in range(len(factors) - 1, tau - 1, -1):
             u = apply_overwrite_col(u, factors[i])
-        return RwkvRouterEntry(
-            factor=spec, params=rwkv_params_for_overwrite(spec), completion=u
-        )
+        return RwkvRouterEntry(factor=spec, completion=u)
 
 
 def build_rwkv_wfa(wfa: Wfa) -> RwkvWfaNet:
@@ -231,14 +347,7 @@ def build_rwkv_wfa(wfa: Wfa) -> RwkvWfaNet:
 
 def rwkv_wfa_forward(net: RwkvWfaNet, word) -> list:
     """Scalar outputs at every position 1..|word|."""
-    tokens = list(word)
-    row = net.initial_row
-    out = []
-    for t in range(1, len(tokens) + 1):
-        entry = net.router.query_at(t, tokens)
-        row = apply_overwrite_row(row, entry.factor)
-        out.append(row.dot(entry.completion))
-    return out
+    return wfa_forward(net, word, apply_overwrite_row)
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +362,14 @@ class RwkvImmNet:
     compute (active half) . B(A^(L-1)) into the inactive half, where B is
     the block-diagonal embedding of the previous block's matrix and padding
     acts as the identity matrix. The halves alternate with block parity.
-    Outputs exist only at the final position, where nine completion
-    readouts fold in the final block's matrix.
+    The router key is (t mod 18, last 18 tokens); the forward pass builds
+    each block's nine overwrites once at the block boundary. Outputs exist
+    only at the final position, where nine completion readouts fold in the
+    final block's matrix.
     """
 
     WINDOW = 18
+    block_len = 9
 
     def __init__(self):
         vec_i3 = RVector([1, 0, 0, 0, 1, 0, 0, 0, 1])
@@ -274,23 +386,33 @@ class RwkvImmNet:
         ]
         return [vals[0:3], vals[3:6], vals[6:9]]
 
+    def block_program(self, prev_block, parity: int) -> list:
+        """The nine overwrites of a block: step 3i+j writes entry (i, j) of
+        (active half) . A_prev into the inactive half."""
+        a_prev = self._matrix_from(prev_block)
+        specs = []
+        for i in range(3):
+            for j in range(3):
+                c = RVector.zeros(18)
+                for k in range(3):
+                    val = a_prev[k][j]
+                    c.nums[9 * parity + 3 * i + k] = val.num
+                    c.dens[9 * parity + 3 * i + k] = val.den
+                specs.append(OverwriteSpec(dst=9 * (1 - parity) + 3 * i + j, c=c))
+        return specs
+
+    def block_steps(self, prev_block, index) -> list:
+        return self.block_program(prev_block, index % 2)
+
+    block_completions = staticmethod(no_completions)
+
     def _entry(self, key) -> RwkvRouterEntry:
         residue, recent = key
         tau = ((residue - 1) % 9) + 1
         parity = 0 if residue <= 9 else 1
         prev_block = [recent[back] for back in range(tau + 8, tau - 1, -1)]
-        a_prev = self._matrix_from(prev_block)
-        i, j = divmod(tau - 1, 3)
-        dst = 9 * (1 - parity) + 3 * i + j
-        c = RVector.zeros(18)
-        for k in range(3):
-            val = a_prev[k][j]
-            c.nums[9 * parity + 3 * i + k] = val.num
-            c.dens[9 * parity + 3 * i + k] = val.den
-        spec = OverwriteSpec(dst=dst, c=c)
-        return RwkvRouterEntry(
-            factor=spec, params=rwkv_params_for_overwrite(spec), completion=None
-        )
+        spec = self.block_program(prev_block, parity)[tau - 1]
+        return RwkvRouterEntry(factor=spec, completion=None)
 
     def final_readouts(self, key) -> list:
         """Nine completion vectors at the last position, row-major."""
@@ -318,12 +440,4 @@ def build_rwkv_imm() -> RwkvImmNet:
 
 def rwkv_imm_forward(net: RwkvImmNet, stream) -> list:
     """Nine row-major entries of the product of the streamed matrices."""
-    tokens = [tok if isinstance(tok, Rational) else Rational(tok) for tok in stream]
-    if not tokens or len(tokens) % 9 != 0:
-        raise ValueError("stream length must be a positive multiple of 9")
-    row = net.initial_row
-    for t in range(1, len(tokens) + 1):
-        entry = net.router.query_at(t, tokens)
-        row = apply_overwrite_row(row, entry.factor)
-    key = window_key(len(tokens), tokens, net.WINDOW)
-    return [row.dot(u) for u in net.final_readouts(key)]
+    return imm_forward(net, stream, apply_overwrite_row)

@@ -351,6 +351,26 @@ def test_superblock_constants():
     assert sum(1 for s in steps[-8:] if s.is_identity) == 8
 
 
+def test_superblock_product_equals_9x9_product():
+    # the 3x3 product embedded once equals the product of the embeddings,
+    # with PAD chunks standing for identity matrices
+    from exactrnn.delta_gadgets import DnetImmNet
+    from exactrnn.rwkv_gadgets import PAD
+
+    rng = random.Random(16)
+    net = build_dnet_imm()
+    for _ in range(5):
+        tokens = []
+        for _ in range(rng.randint(0, 12)):
+            tokens += [PAD] * 9 if rng.random() < 0.3 else [rng.choice(VALS) for _ in range(9)]
+        mats = DnetImmNet._matrices_from(tokens)
+        want = RMatrix.identity(9)
+        for a in mats:
+            want = want @ DnetImmNet._embed3(a)
+        assert net.superblock_product(mats) == want
+    assert DnetImmNet._matrices_from([PAD] * 9) == [RMatrix.identity(3)]
+
+
 def test_dnet_imm_single_identity_matrix():
     stream = [1, 0, 0, 0, 1, 0, 0, 0, 1]
     assert dnet_imm_forward(build_dnet_imm(), stream) == [Rational(e) for e in IDENTITY3]

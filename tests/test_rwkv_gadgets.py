@@ -341,6 +341,18 @@ def test_forward_state_equals_head_parameter_transitions():
         assert fast == dense
 
 
+def test_router_entry_params_built_from_factor():
+    # head parameters are derived on demand, not stored in the entry
+    from dataclasses import fields
+
+    rng = random.Random(16)
+    a = random_wfa(rng, 2, 2)
+    word = [rng.choice(a.alphabet) for _ in range(7)]
+    entry = build_rwkv_wfa(a).router.query_at(len(word), word)
+    assert [f.name for f in fields(entry)] == ["factor", "completion"]
+    assert entry.params == rwkv_params_for_overwrite(entry.factor)
+
+
 from hypothesis import given, settings, strategies as st
 
 

@@ -1,0 +1,165 @@
+"""The streamed forward passes against the finite-window router spec.
+
+``stream_entries`` builds each block's steps once and never forms a window
+key; ``net.router.query_at(t, tokens)`` is the specification it must match
+at every position. Also checked here: memory that does not grow with the
+stream, and clean ``ValueError``s on tokens the nets cannot read.
+"""
+
+import random
+import tracemalloc
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from exactrnn.delta_gadgets import (
+    SUPERBLOCK_TOKENS,
+    build_dnet_imm,
+    build_dnet_wfa,
+    dnet_imm_forward,
+    dnet_wfa_forward,
+)
+from exactrnn.problems import IDENTITY3, mat3_mul
+from exactrnn.rational import Rational
+from exactrnn.rwkv_gadgets import (
+    PAD,
+    build_rwkv_imm,
+    build_rwkv_wfa,
+    rwkv_imm_forward,
+    rwkv_wfa_forward,
+    stream_entries,
+)
+from exactrnn.verify import random_wfa
+
+
+def assert_stream_equals_spec(build, tokens):
+    """Every streamed entry equals the spec entry at its position; the
+    streamed net's router cache stays empty."""
+    streamed_net = build()
+    spec_net = build()
+    streamed = list(stream_entries(streamed_net, tokens))
+    assert len(streamed) == len(tokens)
+    for t, (factor, completion) in enumerate(streamed, start=1):
+        entry = spec_net.router.query_at(t, tokens)
+        assert factor == entry.factor, f"factor differs at position {t}"
+        assert completion == entry.completion, f"completion differs at position {t}"
+    assert streamed_net.router._cache == {}
+
+
+def wfa_word(n_states, blocks, cut, seed, block_len):
+    """A word of ``blocks`` full blocks plus ``cut`` (mod block length)
+    tokens, so it may end mid-block."""
+    rng = random.Random(seed)
+    wfa = random_wfa(rng, n_states, rng.randint(1, 3))
+    length = blocks * block_len(n_states) + cut % block_len(n_states)
+    return wfa, [rng.choice(wfa.alphabet) for _ in range(length)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 4), st.integers(0, 10**6), st.integers())
+@example(n_states=2, blocks=3, cut=1, seed=0)
+def test_rwkv_wfa_stream_equals_router_spec(n_states, blocks, cut, seed):
+    wfa, word = wfa_word(n_states, blocks, cut, seed, lambda n: 2 * n)
+    assert_stream_equals_spec(lambda: build_rwkv_wfa(wfa), word)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 2), st.integers(0, 3), st.integers(0, 10**6), st.integers())
+@example(n_states=1, blocks=3, cut=5, seed=0)
+def test_dnet_wfa_stream_equals_router_spec(n_states, blocks, cut, seed):
+    wfa, word = wfa_word(n_states, blocks, cut, seed, lambda n: 8 * n * n + 5 * n + 1)
+    assert_stream_equals_spec(lambda: build_dnet_wfa(wfa), word)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 60), st.integers())
+@example(length=31, seed=0)
+def test_rwkv_imm_stream_equals_router_spec(length, seed):
+    rng = random.Random(seed)
+    stream = [rng.choice((-1, 0, 1)) for _ in range(length)]
+    assert_stream_equals_spec(build_rwkv_imm, stream)
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(0, 2), st.integers(0, SUPERBLOCK_TOKENS - 1), st.integers())
+@example(superblocks=2, cut=9 * 40 + 4, seed=0)
+def test_dnet_imm_stream_equals_router_spec(superblocks, cut, seed):
+    rng = random.Random(seed)
+    length = superblocks * SUPERBLOCK_TOKENS + cut
+    stream = [rng.choice((-1, 0, 1)) for _ in range(length)]
+    assert_stream_equals_spec(build_dnet_imm, stream)
+
+
+def test_first_block_streams_the_pad_program():
+    net = build_dnet_imm()
+    pad_steps = net.superblock_program((PAD,) * SUPERBLOCK_TOKENS)
+    factors = [f for f, _ in stream_entries(build_dnet_imm(), [1] * 18)]
+    assert factors == list(pad_steps[:18])
+    assert all(f.is_identity for f in factors)
+
+
+# --- bounded memory -----------------------------------------------------------
+
+
+def imm_oracle(stream):
+    p = IDENTITY3
+    for base in range(0, len(stream), 9):
+        p = mat3_mul(p, tuple(stream[base : base + 9]))
+    return [Rational(e) for e in p]
+
+
+def program_cache_size(net):
+    return len(vars(net).get("_programs", ()))
+
+
+@pytest.mark.parametrize("build, forward", [
+    (build_dnet_imm, dnet_imm_forward),
+    (build_rwkv_imm, rwkv_imm_forward),
+], ids=["dnet", "rwkv"])
+def test_imm_forward_memory_bounded_in_stream_length(build, forward):
+    rng = random.Random(21)
+    cache_sizes = []
+    peaks = []
+    for superblocks in (2, 20):
+        stream = [rng.choice((-1, 0, 1)) for _ in range(SUPERBLOCK_TOKENS * superblocks)]
+        net = build()
+        tracemalloc.start()
+        try:
+            got = forward(net, stream)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert got == imm_oracle(stream)
+        assert net.router._cache == {}
+        cache_sizes.append(program_cache_size(net))
+    assert cache_sizes[1] <= cache_sizes[0]
+    # ten times the stream, yet the forward's peak allocation does not grow
+    # with it: a per-token cache or even a copy of the 14040-token list
+    # (about 110 KB) would break this bound
+    assert peaks[1] < 1.5 * peaks[0] + 32 * 1024
+
+
+# --- bad tokens ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("build, forward", [
+    (build_dnet_wfa, dnet_wfa_forward),
+    (build_rwkv_wfa, rwkv_wfa_forward),
+], ids=["dnet", "rwkv"])
+def test_wfa_forward_rejects_pad_symbol(build, forward):
+    wfa = random_wfa(random.Random(5), 2, 2)
+    sym = wfa.alphabet[0]
+    with pytest.raises(ValueError, match="unknown symbol None"):
+        forward(build(wfa), [sym, PAD, sym])
+
+
+@pytest.mark.parametrize("bad", [None, "1", 1.0], ids=["none", "str", "float"])
+@pytest.mark.parametrize("build, forward", [
+    (build_dnet_imm, dnet_imm_forward),
+    (build_rwkv_imm, rwkv_imm_forward),
+], ids=["dnet", "rwkv"])
+def test_imm_forward_rejects_non_numeric_token(build, forward, bad):
+    stream = [1, 0, 0, 0, 1, 0, 0, 0, 1] * 2
+    stream[12] = bad
+    with pytest.raises(ValueError, match="matrix token"):
+        forward(build(), stream)
