@@ -20,6 +20,14 @@ def _default_seed() -> int:
     return int(os.environ.get("EXACTRNN_SEED", "0"))
 
 
+def _parse_sizes(text: str) -> list:
+    """Comma-separated sizes, each at least 1."""
+    sizes = [int(v) for v in text.split(",")]
+    if any(n < 1 for n in sizes):
+        raise ValueError(f"--n-list sizes must be >= 1, got {text}")
+    return sizes
+
+
 def _parse_range(text: str):
     lo, _, hi = text.partition(",")
     return int(lo), int(hi or lo)
@@ -137,7 +145,7 @@ def cmd_gen(args) -> int:
         kwargs["clip"] = args.clip
         kwargs["balanced"] = args.balanced
     lines = generate_dataset(args.task, args.count, args.size_range, seed, **kwargs)
-    _write_atomic(args.out, "\n".join(lines) + "\n")
+    _write_atomic(args.out, "".join(line + "\n" for line in lines))
     print(f"wrote {args.count} {args.task} instances to {args.out} (seed={seed})")
     return 0
 
@@ -155,7 +163,7 @@ def cmd_report_depth(args) -> int:
         _, stats = lrnn_run_scan(steps)
         rows.append(f"{len(steps)},{stats.depth},{max(len(steps) - 1, 0)}")
     else:
-        for n in [int(v) for v in args.n_list.split(",")]:
+        for n in _parse_sizes(args.n_list):
             rng = rng_for(seed, "report-depth", n)
             steps = [random_linstep(rng, args.dim) for _ in range(n)]
             _, stats = lrnn_run_scan(steps)
@@ -195,7 +203,7 @@ def precision_points(task: str, sizes, seed: int):
 
 def cmd_report_precision(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    sizes = [int(v) for v in args.n_list.split(",")]
+    sizes = _parse_sizes(args.n_list)
     rows = ["n,max_value_bits"]
     for n, bits in precision_points(args.task, sizes, seed):
         rows.append(f"{n},{bits}")

@@ -5,10 +5,11 @@ Products of these steps realize coordinate scaling (k one-hot), unit
 transvections (three steps), scaled adds through a temp register (eight
 steps), and finally an explicit program of 8n^2+5n+1 steps that applies an
 arbitrary n x n matrix to a row vector using n scratch coordinates and one
-temp coordinate. Streaming such programs through a finite-window router
-yields networks for weighted-automaton tracking and iterated 3x3 matrix
-products, mirroring the coordinate-overwrite networks but with symmetric
-steps only. Two router primitives are also constructed explicitly: a
+temp coordinate. Streamed through the block-delay router of
+``rwkv_gadgets`` (``BlockNet``), such programs drive the same
+automaton-tracking network as the coordinate overwrites do (``WfaNet``)
+and an iterated 3x3 product network (``DnetImmNet``), with symmetric steps
+only. Two router primitives are also constructed explicitly: a
 cyclic position counter driven by two alternating steps, and an exact
 token buffer that overwrites one matrix column per step.
 """
@@ -24,10 +25,10 @@ from .rational import Rational
 from .rwkv_gadgets import (
     PAD,
     BlockMemo,
-    RouterTable,
+    BlockNet,
+    WfaNet,
     imm_forward,
-    no_completions,
-    wfa_completions,
+    imm_matrices,
     wfa_forward,
 )
 
@@ -337,74 +338,15 @@ def column_buffer(sigma_count: int, slots: int) -> TokenBuffer:
 # Weighted-automaton tracking network
 
 
-@dataclass(frozen=True)
-class DnetRouterEntry:
-    factor: HStep
-    completion: RVector | None
+def build_dnet_wfa(wfa: Wfa) -> WfaNet:
+    """Automaton-tracking net over symmetric steps: dimension 2n+1 (main,
+    scratch, temp), blocks of the program length 8n^2+5n+1."""
+    n = wfa.n_states
+    m = 8 * n * n + 5 * n + 1
+    return WfaNet(wfa, lambda p: apply_matrix_program(p).steps, apply_h_col, n + 1, m)
 
 
-class DnetWfaNet:
-    """Tracks alpha . M[w_1..w_t] . omega with symmetric steps only.
-
-    Arithmetic dimension 2n+1 (main, scratch, temp). Block length is the
-    program length m = 8n^2+5n+1 and blocks stream with a one-block delay.
-    The router, specified by the key (t mod 2m, last 2m tokens), gives
-    position tau of a block the previous block's program step tau and a
-    completion vector; the forward pass streams the same entries block by
-    block, compiling each block's program once. The row state starts as
-    [alpha | 0 | 0], written by one additive update on the first token (the
-    first factor of the padding block clears an already-zero scratch
-    coordinate, so the uniform stream is unaffected).
-    """
-
-    def __init__(self, wfa: Wfa):
-        self.wfa = wfa
-        self.n = wfa.n_states
-        self.m = 8 * self.n * self.n + 5 * self.n + 1
-        self.block_len = self.m
-        self.dim = 2 * self.n + 1
-        self.initial_row = wfa.alpha.concat(RVector.zeros(self.n + 1))
-        self._programs = BlockMemo(self._compile_block)
-        self.router = RouterTable(2 * self.m, self._entry)
-
-    def _compile_block(self, block) -> ApplyMatrixProgram:
-        prod = RMatrix.identity(self.n)
-        for sym in block:
-            if sym is not PAD:
-                prod = prod @ self.wfa.matrix(sym)
-        return apply_matrix_program(prod)
-
-    def block_program(self, block) -> ApplyMatrixProgram:
-        return self._programs(tuple(block))
-
-    def block_steps(self, prev_block, index) -> tuple:
-        return self.block_program(prev_block).steps
-
-    def block_completions(self, block, steps):
-        return wfa_completions(self.wfa, block, steps, apply_h_col, self.n + 1)
-
-    def _entry(self, key) -> DnetRouterEntry:
-        residue, recent = key
-        m = self.m
-        tau = ((residue - 1) % m) + 1
-        block = tuple(recent[back] for back in range(tau + m - 1, tau - 1, -1))
-        prog = self.block_program(block)
-        v = self.wfa.omega
-        for back in range(tau):
-            sym = recent[back]
-            if sym is not PAD:
-                v = self.wfa.matrix(sym).apply_col(v)
-        u = v.concat(RVector.zeros(self.n + 1))
-        for i in range(len(prog.steps) - 1, tau - 1, -1):
-            u = apply_h_col(u, prog.steps[i])
-        return DnetRouterEntry(factor=prog.steps[tau - 1], completion=u)
-
-
-def build_dnet_wfa(wfa: Wfa) -> DnetWfaNet:
-    return DnetWfaNet(wfa)
-
-
-def dnet_wfa_forward(net: DnetWfaNet, word) -> list:
+def dnet_wfa_forward(net: WfaNet, word) -> list:
     """Scalar outputs at every position 1..|word|."""
     return wfa_forward(net, word, apply_h_row)
 
@@ -418,7 +360,7 @@ _ARITH_STEPS = 8 * 81 + 5 * 9 + 1  # 694, program length for n = 9
 IDENTITY_PAD_STEPS = SUPERBLOCK_TOKENS - _ARITH_STEPS  # 8
 
 
-class DnetImmNet:
+class DnetImmNet(BlockNet):
     """Iterated 3x3 products with symmetric steps.
 
     The 9-dimensional vectorized product state lives in an arithmetic
@@ -432,14 +374,12 @@ class DnetImmNet:
     completion readouts at the last position.
     """
 
-    block_len = SUPERBLOCK_TOKENS
-
     def __init__(self):
+        super().__init__(SUPERBLOCK_TOKENS)
         vec_i3 = RVector([1, 0, 0, 0, 1, 0, 0, 0, 1])
         self.dim = 19
         self.initial_row = vec_i3.concat(RVector.zeros(10))
         self._programs = BlockMemo(self._compile_superblock)
-        self.router = RouterTable(2 * SUPERBLOCK_TOKENS, self._entry)
 
     @staticmethod
     def _embed3(a: RMatrix) -> RMatrix:
@@ -453,26 +393,6 @@ class DnetImmNet:
                     out.dens[k] = a.dens[src]
         return out
 
-    @staticmethod
-    def _matrices_from(tokens_oldest_first) -> list:
-        """3x3 matrices of nine tokens each; a PAD matrix is the identity."""
-        nums = []
-        dens = []
-        for k, tok in enumerate(tokens_oldest_first):
-            if tok is PAD:
-                nums.append(1 if k % 9 % 4 == 0 else 0)
-                dens.append(1)
-            elif isinstance(tok, Rational):
-                nums.append(tok.num)
-                dens.append(tok.den)
-            else:
-                nums.append(int(tok))
-                dens.append(1)
-        return [
-            RMatrix._raw(3, 3, nums[base : base + 9], dens[base : base + 9])
-            for base in range(0, len(nums), 9)
-        ]
-
     def superblock_product(self, mats) -> RMatrix:
         """Block-diagonal embedding of the product of 3x3 matrices; since
         embed3(A) @ embed3(B) == embed3(A @ B), it multiplies 3x3 matrices
@@ -485,7 +405,7 @@ class DnetImmNet:
     def _compile_superblock(self, block_tokens) -> tuple:
         if all(tok is PAD for tok in block_tokens):
             return tuple(identity_hstep(self.dim) for _ in range(SUPERBLOCK_TOKENS))
-        prod = self.superblock_product(self._matrices_from(block_tokens))
+        prod = self.superblock_product(imm_matrices(block_tokens))
         prog = apply_matrix_program(prod)
         return prog.steps + tuple(
             identity_hstep(self.dim) for _ in range(IDENTITY_PAD_STEPS)
@@ -498,17 +418,6 @@ class DnetImmNet:
     def block_steps(self, prev_block, index) -> tuple:
         return self.superblock_program(prev_block)
 
-    block_completions = staticmethod(no_completions)
-
-    def _entry(self, key) -> DnetRouterEntry:
-        residue, recent = key
-        tau = ((residue - 1) % SUPERBLOCK_TOKENS) + 1
-        block = tuple(
-            recent[back] for back in range(tau + SUPERBLOCK_TOKENS - 1, tau - 1, -1)
-        )
-        steps = self.superblock_program(block)
-        return DnetRouterEntry(factor=steps[tau - 1], completion=None)
-
     def final_readouts(self, key) -> list:
         """Nine completion vectors at the final position, row-major order."""
         residue, recent = key
@@ -520,7 +429,7 @@ class DnetImmNet:
         )
         steps = self.superblock_program(prev_block)
         partial = [recent[back] for back in range(tau - 1, -1, -1)]
-        pi_final = self.superblock_product(self._matrices_from(partial))
+        pi_final = self.superblock_product(imm_matrices(partial))
         outs = []
         for j in range(9):
             u = pi_final.col(j).concat(RVector.zeros(10))

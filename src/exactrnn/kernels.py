@@ -1,26 +1,157 @@
-"""Backend selection for the rational kernels.
+"""Rational kernels, in pure Python.
 
-Prefers the compiled extension, falls back to the pure-Python twin. Set
-``EXACTRNN_PURE=1`` to force the fallback (used by the benchmark and by
-tests that assert backend parity).
+All bulk arithmetic in the package funnels through this module. Vectors
+and matrices are passed as parallel lists of Python ints: ``nums[i] / dens[i]``, matrices flat row-major.
+Every function returns canonical entries: gcd(|num|, den) = 1 and den > 0,
+with zero represented as 0/1.
 """
 
-import os
+from math import gcd
 
-if os.environ.get("EXACTRNN_PURE"):
-    from . import _ratcore_py as _impl
-else:
-    try:
-        from . import _ratcore_c as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _ratcore_py as _impl
+BACKEND = "python"
 
-BACKEND = _impl.BACKEND
-rnorm = _impl.rnorm
-radd = _impl.radd
-rmul = _impl.rmul
-vdot = _impl.vdot
-vec_mat = _impl.vec_mat
-mat_vec = _impl.mat_vec
-mat_mul = _impl.mat_mul
-sparse_affine = _impl.sparse_affine
+
+def rnorm(n, d):
+    """Canonicalize a single num/den pair."""
+    if n == 0:
+        return 0, 1
+    if d < 0:
+        n, d = -n, -d
+    if d == 1:
+        return n, d
+    g = gcd(n, d)
+    if g > 1:
+        return n // g, d // g
+    return n, d
+
+
+def radd(an, ad, bn, bd):
+    if ad == 1 and bd == 1:
+        return an + bn, 1
+    return rnorm(an * bd + bn * ad, ad * bd)
+
+
+def rmul(an, ad, bn, bd):
+    if ad == 1 and bd == 1:
+        return an * bn, 1
+    return rnorm(an * bn, ad * bd)
+
+
+def vdot(an, ad, bn, bd):
+    """Dot product of two rational vectors given as parallel int lists."""
+    sn, sd = 0, 1
+    for i in range(len(an)):
+        p = an[i] * bn[i]
+        if p == 0:
+            continue
+        q = ad[i] * bd[i]
+        if q == 1:
+            if sd == 1:
+                sn += p
+            else:
+                sn += p * sd
+        else:
+            if sd == 1:
+                sn = sn * q + p
+            else:
+                sn = sn * q + p * sd
+            sd *= q
+    return rnorm(sn, sd)
+
+
+def vec_mat(xn, xd, mn, md, rows, cols):
+    """Row vector (len rows) times flat row-major matrix (rows x cols)."""
+    outn = [0] * cols
+    outd = [1] * cols
+    for j in range(cols):
+        sn, sd = 0, 1
+        k = j
+        for i in range(rows):
+            p = xn[i] * mn[k]
+            if p != 0:
+                q = xd[i] * md[k]
+                if q == 1:
+                    sn = sn + p if sd == 1 else sn + p * sd
+                else:
+                    sn = sn * q + (p if sd == 1 else p * sd)
+                    sd *= q
+            k += cols
+        outn[j], outd[j] = rnorm(sn, sd)
+    return outn, outd
+
+
+def mat_vec(mn, md, rows, cols, xn, xd):
+    """Flat row-major matrix (rows x cols) times column vector (len cols)."""
+    outn = [0] * rows
+    outd = [1] * rows
+    k = 0
+    for i in range(rows):
+        sn, sd = 0, 1
+        for j in range(cols):
+            p = mn[k] * xn[j]
+            if p != 0:
+                q = md[k] * xd[j]
+                if q == 1:
+                    sn = sn + p if sd == 1 else sn + p * sd
+                else:
+                    sn = sn * q + (p if sd == 1 else p * sd)
+                    sd *= q
+            k += 1
+        outn[i], outd[i] = rnorm(sn, sd)
+    return outn, outd
+
+
+def mat_mul(an, ad, ar, ac, bn, bd, bc):
+    """Product of flat row-major matrices (ar x ac) @ (ac x bc)."""
+    outn = [0] * (ar * bc)
+    outd = [1] * (ar * bc)
+    for i in range(ar):
+        arow = i * ac
+        orow = i * bc
+        for j in range(bc):
+            sn, sd = 0, 1
+            k = j
+            for t in range(ac):
+                p = an[arow + t] * bn[k]
+                if p != 0:
+                    q = ad[arow + t] * bd[k]
+                    if q == 1:
+                        sn = sn + p if sd == 1 else sn + p * sd
+                    else:
+                        sn = sn * q + (p if sd == 1 else p * sd)
+                        sd *= q
+                k += bc
+            outn[orow + j], outd[orow + j] = rnorm(sn, sd)
+    return outn, outd
+
+
+def sparse_affine(idx, wn, wd, bn, bd, xn, xd, do_relu):
+    """Sparse affine map followed by an optional ReLU.
+
+    ``idx[i]`` lists the input coordinates feeding output ``i``; ``wn[i]`` /
+    ``wd[i]`` are the matching weights and ``bn[i]/bd[i]`` the bias.
+    """
+    m = len(idx)
+    outn = [0] * m
+    outd = [1] * m
+    for i in range(m):
+        cols = idx[i]
+        rown = wn[i]
+        rowd = wd[i]
+        sn = bn[i]
+        sd = bd[i]
+        for t in range(len(cols)):
+            c = cols[t]
+            p = rown[t] * xn[c]
+            if p == 0:
+                continue
+            q = rowd[t] * xd[c]
+            if q == 1:
+                sn = sn + p if sd == 1 else sn + p * sd
+            else:
+                sn = sn * q + (p if sd == 1 else p * sd)
+                sd *= q
+        if do_relu and sn < 0:
+            continue
+        outn[i], outd[i] = rnorm(sn, sd)
+    return outn, outd

@@ -335,7 +335,10 @@ def gen_imm_z(
         inst = ImmZInstance(T=T, matrices=mats, clip=clip)
         if want_label is None or imm_z_oracle(inst) == want_label:
             return inst
-    raise RuntimeError("rejection sampling failed to hit the requested label")
+    raise ValueError(
+        f"no imm-z instance with label {want_label} in {max_tries} draws"
+        f" with T in {lo}..{hi}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +388,8 @@ def record_to_line(record: dict) -> str:
 
 def generate_dataset(task: str, count: int, size_range, seed: int, **kwargs) -> list:
     """Produce ``count`` JSONL lines for one task, deterministically."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, not {count}")
     lines = []
     for idx in range(count):
         rng = rng_for(seed, task, idx)

@@ -9,14 +9,15 @@ input symbols is factored offline into per-token overwrites applied with a
 one-block delay, and a per-position completion vector finishes the pending
 block at readout time.
 
-Two networks are provided: one that tracks any weighted finite automaton's
-prefix values, and one that accumulates a product of streamed 3x3 matrices
-in an 18-coordinate state by ping-ponging between two halves.
-
-The router is specified as a finite-window function (``window_key`` and
-``RouterTable``); the forward passes compute the same entries block by
-block with ``stream_entries``, so their work per token does not grow with
-the window and their memory does not grow with the stream.
+The block-streaming recipe is written once here for both step families
+(these overwrites and the symmetric steps of ``delta_gadgets``): a
+``BlockNet`` specifies its router as a finite-window function
+(``window_key`` and ``RouterTable``), and the forward passes compute the
+same entries block by block with ``stream_entries``, so their work per
+token does not grow with the window and their memory does not grow with
+the stream. ``WfaNet`` tracks any weighted finite automaton's prefix values
+with either family; ``RwkvImmNet`` accumulates a product of streamed 3x3
+matrices in an 18-coordinate state by ping-ponging between two halves.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .rational import Rational
 
 PAD = None  # pre-sequence padding pseudo-symbol
 
-_ZERO = Rational(0)
 _ONE = Rational(1)
 
 
@@ -167,13 +167,16 @@ class RouterTable:
 
 
 @dataclass(frozen=True)
-class RwkvRouterEntry:
-    factor: OverwriteSpec
+class RouterEntry:
+    """The step a position applies (an ``OverwriteSpec`` or a symmetric
+    ``HStep``) and its completion vector, if the net reads out there."""
+
+    factor: object
     completion: RVector | None
 
     @property
     def params(self) -> RwkvStep:
-        """Head parameters realizing ``factor``, built on demand."""
+        """Head parameters realizing an overwrite ``factor``, built on demand."""
         return rwkv_params_for_overwrite(self.factor)
 
 
@@ -201,6 +204,42 @@ class BlockMemo:
         return self._steps
 
 
+class BlockNet:
+    """A net that streams each block's steps with a one-block delay.
+
+    Position tau of a block (blocks of ``block_len`` tokens) applies step
+    tau of ``block_steps(prev, index)``, the steps compiled from the
+    previous block (the PAD block before the first); ``index`` is the
+    current block's 0-based index, which the router spec knows only mod 2.
+    The router spec is written here once, keyed by (t mod 2 block_len,
+    last 2 block_len tokens). Nets that read out at every position give
+    completions twice, computed independently: ``block_completions`` for
+    the stream and ``spec_completion`` for the router spec.
+    """
+
+    def __init__(self, block_len: int):
+        self.block_len = block_len
+        self.router = RouterTable(2 * block_len, self._entry)
+
+    def block_completions(self, block, steps):
+        """Completions at the positions of the current ``block``; none for
+        a net that reads out only at the final position."""
+        return repeat(None, len(block))
+
+    def spec_completion(self, recent, tau, steps):
+        return None
+
+    def _entry(self, key) -> RouterEntry:
+        residue, recent = key
+        m = self.block_len
+        tau = ((residue - 1) % m) + 1
+        index = (residue - 1) // m
+        # previous completed block, oldest symbol first
+        prev_block = tuple(recent[back] for back in range(tau + m - 1, tau - 1, -1))
+        steps = self.block_steps(prev_block, index)
+        return RouterEntry(steps[tau - 1], self.spec_completion(recent, tau, steps))
+
+
 def stream_entries(net, tokens):
     """Yield the router entry ``(factor, completion)`` at positions
     1..len(tokens), equal to ``net.router.query_at(t, tokens)`` but built
@@ -219,27 +258,6 @@ def stream_entries(net, tokens):
         steps = net.block_steps(prev, index)
         yield from zip(steps[: len(block)], net.block_completions(block, steps))
         prev = block
-
-
-def no_completions(block, steps):
-    """Completions of a net that reads out only at the final position."""
-    return repeat(None, len(block))
-
-
-def wfa_completions(wfa: Wfa, block, steps, apply_col, scratch: int):
-    """Completion vector at each position tau of the current ``block``: the
-    block's product so far applied to omega, padded with ``scratch`` zeros,
-    then the previous block's remaining steps tau+1..m as column actions
-    (last first). The product is kept incrementally, one matrix product
-    per token. Unknown symbols, PAD included, raise ``ValueError``."""
-    prefix = RMatrix.identity(wfa.n_states)
-    zeros = RVector.zeros(scratch)
-    for tau, sym in enumerate(block, start=1):
-        prefix = prefix @ wfa.matrix(sym)
-        u = prefix.apply_col(wfa.omega).concat(zeros)
-        for i in range(len(steps) - 1, tau - 1, -1):
-            u = apply_col(u, steps[i])
-        yield u
 
 
 def wfa_forward(net, word, apply_row) -> list:
@@ -265,6 +283,27 @@ def imm_tokens(stream) -> list:
     return tokens
 
 
+def imm_matrices(tokens_oldest_first) -> list:
+    """3x3 matrices of nine row-major tokens each; a PAD matrix is the
+    identity."""
+    nums = []
+    dens = []
+    for k, tok in enumerate(tokens_oldest_first):
+        if tok is PAD:
+            nums.append(1 if k % 9 % 4 == 0 else 0)
+            dens.append(1)
+        elif isinstance(tok, Rational):
+            nums.append(tok.num)
+            dens.append(tok.den)
+        else:
+            nums.append(int(tok))
+            dens.append(1)
+    return [
+        RMatrix._raw(3, 3, nums[base : base + 9], dens[base : base + 9])
+        for base in range(0, len(nums), 9)
+    ]
+
+
 def imm_forward(net, stream, apply_row) -> list:
     """Nine row-major product entries from a streamed 3x3-product net: the
     streamed steps, then the completion readouts at the final position."""
@@ -280,72 +319,76 @@ def imm_forward(net, stream, apply_row) -> list:
 # Weighted-automaton tracking network
 
 
-class RwkvWfaNet:
-    """Tracks alpha . M[w_1..w_t] . omega at every position.
+class WfaNet(BlockNet):
+    """Tracks alpha . M[w_1..w_t] . omega at every position, over either
+    step family.
 
-    Arithmetic dimension 2n (main half plus scratch). Blocks of m = 2n
-    symbols are factored into 2n overwrites and streamed with a one-block
-    delay. The router, specified by the key (t mod 2m, last 2m tokens),
-    gives position tau of a block the previous block's overwrite tau and a
-    completion vector that finishes the pending block at readout; the
-    forward pass streams the same entries block by block. The state row
-    starts as [alpha | alpha], written by a single additive update on the
-    first token (the first padding-block factor fixes the same value, so
-    applying it there is a no-op).
+    The row [main | scratch] starts as [alpha | 0]; the PAD block's program
+    writes the scratch half before reading it. ``program`` compiles block
+    L-1's product P into per-token steps mapping [x | s] to [xP | xP] (a
+    temp coordinate, if any, ends at zero), streamed through block L. The
+    completion at position tau is the current block's product so far
+    applied to omega, zero-padded, then block L-1's remaining steps as
+    column actions (``apply_col``).
+
+    ``build_rwkv_wfa``: coordinate overwrites, 2n steps, scratch width n.
+    ``build_dnet_wfa``: symmetric steps, 8n^2+5n+1 steps, scratch width
+    n+1 (the scratch half and a temp coordinate).
     """
 
-    def __init__(self, wfa: Wfa):
+    def __init__(self, wfa: Wfa, program, apply_col, scratch: int, block_len: int):
+        super().__init__(block_len)
         self.wfa = wfa
         self.n = wfa.n_states
-        self.m = 2 * self.n
-        self.block_len = self.m
-        self.dim = 2 * self.n
-        self.initial_row = wfa.alpha.concat(wfa.alpha)
-        self._factors = BlockMemo(self._factor_block)
-        self.router = RouterTable(2 * self.m, self._entry)
+        self.m = block_len
+        self.dim = self.n + scratch
+        self._zeros = RVector.zeros(scratch)
+        self.initial_row = wfa.alpha.concat(self._zeros)
+        self._program = program
+        self._apply_col = apply_col
+        self._programs = BlockMemo(self._compile_block)
 
-    def _factor_block(self, block) -> list:
+    def _compile_block(self, block) -> list:
         prod = RMatrix.identity(self.n)
         for sym in block:
             if sym is not PAD:
                 prod = prod @ self.wfa.matrix(sym)
-        return factor_apply_matrix(prod)
-
-    def block_factors(self, block) -> list:
-        return self._factors(tuple(block))
+        return self._program(prod)
 
     def block_steps(self, prev_block, index) -> list:
-        return self.block_factors(prev_block)
+        return self._programs(tuple(prev_block))
 
     def block_completions(self, block, steps):
-        return wfa_completions(self.wfa, block, steps, apply_overwrite_col, self.n)
+        """The block's product is kept incrementally, one matrix product per
+        token. Unknown symbols, PAD included, raise ``ValueError``."""
+        prefix = RMatrix.identity(self.n)
+        for tau, sym in enumerate(block, start=1):
+            prefix = prefix @ self.wfa.matrix(sym)
+            u = prefix.apply_col(self.wfa.omega).concat(self._zeros)
+            for i in range(len(steps) - 1, tau - 1, -1):
+                u = self._apply_col(u, steps[i])
+            yield u
 
-    def _entry(self, key) -> RwkvRouterEntry:
-        residue, recent = key
-        m = self.m
-        tau = ((residue - 1) % m) + 1
-        # previous completed block, oldest symbol first
-        block = tuple(recent[back] for back in range(tau + m - 1, tau - 1, -1))
-        factors = self.block_factors(block)
-        spec = factors[tau - 1]
-        # completion: remaining block factors applied to the in-progress
-        # block product acting on the final weights
+    def spec_completion(self, recent, tau, steps):
+        """The same completion from the window: tau matrix-vector products
+        on omega, newest symbol first, then the remaining column steps."""
         v = self.wfa.omega
         for back in range(tau):
             sym = recent[back]
             if sym is not PAD:
                 v = self.wfa.matrix(sym).apply_col(v)
-        u = v.concat(RVector.zeros(self.n))
-        for i in range(len(factors) - 1, tau - 1, -1):
-            u = apply_overwrite_col(u, factors[i])
-        return RwkvRouterEntry(factor=spec, completion=u)
+        u = v.concat(self._zeros)
+        for i in range(len(steps) - 1, tau - 1, -1):
+            u = self._apply_col(u, steps[i])
+        return u
 
 
-def build_rwkv_wfa(wfa: Wfa) -> RwkvWfaNet:
-    return RwkvWfaNet(wfa)
+def build_rwkv_wfa(wfa: Wfa) -> WfaNet:
+    n = wfa.n_states
+    return WfaNet(wfa, factor_apply_matrix, apply_overwrite_col, n, 2 * n)
 
 
-def rwkv_wfa_forward(net: RwkvWfaNet, word) -> list:
+def rwkv_wfa_forward(net: WfaNet, word) -> list:
     """Scalar outputs at every position 1..|word|."""
     return wfa_forward(net, word, apply_overwrite_row)
 
@@ -354,7 +397,7 @@ def rwkv_wfa_forward(net: RwkvWfaNet, word) -> list:
 # Iterated 3x3 product network
 
 
-class RwkvImmNet:
+class RwkvImmNet(BlockNet):
     """Accumulates the running product of streamed 3x3 matrices.
 
     State is 18 coordinates: two 9-coordinate halves holding row-major
@@ -368,70 +411,35 @@ class RwkvImmNet:
     final block's matrix.
     """
 
-    WINDOW = 18
-    block_len = 9
-
     def __init__(self):
+        super().__init__(9)
         vec_i3 = RVector([1, 0, 0, 0, 1, 0, 0, 0, 1])
         self.initial_row = vec_i3.concat(RVector.zeros(9))
-        self.router = RouterTable(self.WINDOW, self._entry)
 
-    @staticmethod
-    def _matrix_from(tokens_oldest_first) -> list:
-        vals = [
-            _ONE if tok is PAD and (k % 4 == 0) else
-            _ZERO if tok is PAD else
-            (tok if isinstance(tok, Rational) else Rational(tok))
-            for k, tok in enumerate(tokens_oldest_first)
-        ]
-        return [vals[0:3], vals[3:6], vals[6:9]]
-
-    def block_program(self, prev_block, parity: int) -> list:
-        """The nine overwrites of a block: step 3i+j writes entry (i, j) of
-        (active half) . A_prev into the inactive half."""
-        a_prev = self._matrix_from(prev_block)
+    def block_steps(self, prev_block, index) -> list:
+        """The nine overwrites of block ``index``: step 3i+j writes entry
+        (i, j) of (half index mod 2) . A_prev into the other half."""
+        (a_prev,) = imm_matrices(prev_block)
+        parity = index % 2
         specs = []
         for i in range(3):
             for j in range(3):
                 c = RVector.zeros(18)
                 for k in range(3):
-                    val = a_prev[k][j]
-                    c.nums[9 * parity + 3 * i + k] = val.num
-                    c.dens[9 * parity + 3 * i + k] = val.den
+                    c.nums[9 * parity + 3 * i + k] = a_prev.nums[3 * k + j]
+                    c.dens[9 * parity + 3 * i + k] = a_prev.dens[3 * k + j]
                 specs.append(OverwriteSpec(dst=9 * (1 - parity) + 3 * i + j, c=c))
         return specs
 
-    def block_steps(self, prev_block, index) -> list:
-        return self.block_program(prev_block, index % 2)
-
-    block_completions = staticmethod(no_completions)
-
-    def _entry(self, key) -> RwkvRouterEntry:
-        residue, recent = key
-        tau = ((residue - 1) % 9) + 1
-        parity = 0 if residue <= 9 else 1
-        prev_block = [recent[back] for back in range(tau + 8, tau - 1, -1)]
-        spec = self.block_program(prev_block, parity)[tau - 1]
-        return RwkvRouterEntry(factor=spec, completion=None)
-
     def final_readouts(self, key) -> list:
-        """Nine completion vectors at the last position, row-major."""
+        """Nine completion vectors at the last position, row-major: the
+        coefficient vectors of the overwrites that the next block would
+        stream, which fold the final block's matrix in."""
         residue, recent = key
         if ((residue - 1) % 9) + 1 != 9:
             raise ValueError("final readout only at a block boundary")
-        parity = 0 if residue <= 9 else 1
-        dest_half = 1 - parity
-        a_last = self._matrix_from([recent[back] for back in range(8, -1, -1)])
-        outs = []
-        for i in range(3):
-            for j in range(3):
-                u = RVector.zeros(18)
-                for k in range(3):
-                    val = a_last[k][j]
-                    u.nums[9 * dest_half + 3 * i + k] = val.num
-                    u.dens[9 * dest_half + 3 * i + k] = val.den
-                outs.append(u)
-        return outs
+        last = tuple(recent[back] for back in range(8, -1, -1))
+        return [spec.c for spec in self.block_steps(last, (residue - 1) // 9 + 1)]
 
 
 def build_rwkv_imm() -> RwkvImmNet:

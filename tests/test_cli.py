@@ -159,3 +159,42 @@ def test_gen_imm_z_bare_clip_flag(tmp_path):
     ]) == 0
     recs = [json.loads(line) for line in out.read_text().splitlines()]
     assert all(rec["meta"]["clip"] == 2**63 - 1 for rec in recs)
+
+
+def test_gen_imm_z_unreachable_label_is_usage_error(capsys, tmp_path):
+    # with T = 0 every product is the identity, so label 1 never occurs
+    out = tmp_path / "z.jsonl"
+    code = run_cli([
+        "gen", "imm-z", "--count", "2", "--range", "0,0", "--balanced",
+        "--seed", "1", "--out", str(out),
+    ])
+    assert code == 2
+    assert "label 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_negative_count_is_usage_error(capsys, tmp_path):
+    out = tmp_path / "conn.jsonl"
+    code = run_cli([
+        "gen", "conn", "--count", "-1", "--range", "2,5", "--out", str(out),
+    ])
+    assert code == 2
+    assert "count" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_zero_count_writes_empty_file(tmp_path):
+    out = tmp_path / "conn.jsonl"
+    assert run_cli([
+        "gen", "conn", "--count", "0", "--range", "2,5", "--out", str(out),
+    ]) == 0
+    assert out.read_bytes() == b""
+
+
+@pytest.mark.parametrize("kind", ["depth", "precision"])
+@pytest.mark.parametrize("sizes", ["0", "-3", "4,0"])
+def test_report_rejects_non_positive_sizes(capsys, kind, sizes):
+    assert run_cli(["report", kind, "--n-list", sizes]) == 2
+    captured = capsys.readouterr()
+    assert "--n-list" in captured.err
+    assert captured.out == ""

@@ -355,7 +355,7 @@ def test_superblock_product_equals_9x9_product():
     # the 3x3 product embedded once equals the product of the embeddings,
     # with PAD chunks standing for identity matrices
     from exactrnn.delta_gadgets import DnetImmNet
-    from exactrnn.rwkv_gadgets import PAD
+    from exactrnn.rwkv_gadgets import PAD, imm_matrices
 
     rng = random.Random(16)
     net = build_dnet_imm()
@@ -363,12 +363,12 @@ def test_superblock_product_equals_9x9_product():
         tokens = []
         for _ in range(rng.randint(0, 12)):
             tokens += [PAD] * 9 if rng.random() < 0.3 else [rng.choice(VALS) for _ in range(9)]
-        mats = DnetImmNet._matrices_from(tokens)
+        mats = imm_matrices(tokens)
         want = RMatrix.identity(9)
         for a in mats:
             want = want @ DnetImmNet._embed3(a)
         assert net.superblock_product(mats) == want
-    assert DnetImmNet._matrices_from([PAD] * 9) == [RMatrix.identity(3)]
+    assert imm_matrices([PAD] * 9) == [RMatrix.identity(3)]
 
 
 def test_dnet_imm_single_identity_matrix():

@@ -1,27 +1,14 @@
-"""Backend parity: the compiled kernels must agree with the pure twin
-bit for bit on random inputs (and the package must work on either)."""
+"""The rational kernels: canonical outputs and the ReLU clamp."""
 
 import random
 
-import pytest
-
 from exactrnn import kernels
-from exactrnn import _ratcore_py as pure
-
-try:
-    from exactrnn import _ratcore_c as compiled
-except ImportError:  # pragma: no cover
-    compiled = None
-
-needs_compiled = pytest.mark.skipif(
-    compiled is None, reason="compiled backend not built"
-)
 
 
 def rand_rat_list(rng, n):
     nums = [rng.randint(-50, 50) for _ in range(n)]
     dens = [rng.randint(1, 20) for _ in range(n)]
-    canon = [pure.rnorm(a, b) for a, b in zip(nums, dens)]
+    canon = [kernels.rnorm(a, b) for a, b in zip(nums, dens)]
     return [c[0] for c in canon], [c[1] for c in canon]
 
 
@@ -31,77 +18,11 @@ def test_norm_basic():
     assert kernels.rnorm(3, -6) == (-1, 2)
 
 
-@needs_compiled
-def test_scalar_parity():
-    rng = random.Random(0)
-    for _ in range(300):
-        a, b = rng.randint(-99, 99), rng.randint(1, 99)
-        c, d = rng.randint(-99, 99), rng.randint(1, 99)
-        assert pure.radd(a, b, c, d) == compiled.radd(a, b, c, d)
-        assert pure.rmul(a, b, c, d) == compiled.rmul(a, b, c, d)
-        assert pure.rnorm(a, b) == compiled.rnorm(a, b)
-
-
-@needs_compiled
-def test_vector_parity():
-    rng = random.Random(1)
-    for _ in range(50):
-        n = rng.randint(1, 8)
-        an, ad = rand_rat_list(rng, n)
-        bn, bd = rand_rat_list(rng, n)
-        assert pure.vdot(an, ad, bn, bd) == compiled.vdot(an, ad, bn, bd)
-
-
-@needs_compiled
-def test_matrix_parity():
-    rng = random.Random(2)
-    for _ in range(30):
-        r, k, c = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
-        an, ad = rand_rat_list(rng, r * k)
-        bn, bd = rand_rat_list(rng, k * c)
-        xn, xd = rand_rat_list(rng, r)
-        yn, yd = rand_rat_list(rng, c)
-        assert pure.mat_mul(an, ad, r, k, bn, bd, c) == compiled.mat_mul(
-            an, ad, r, k, bn, bd, c
-        )
-        assert pure.vec_mat(xn, xd, an, ad, r, k) == compiled.vec_mat(
-            xn, xd, an, ad, r, k
-        )
-        assert pure.mat_vec(bn, bd, k, c, yn, yd) == compiled.mat_vec(
-            bn, bd, k, c, yn, yd
-        )
-
-
-@needs_compiled
-def test_sparse_affine_parity():
-    rng = random.Random(3)
-    for _ in range(40):
-        in_dim = rng.randint(1, 6)
-        out_dim = rng.randint(1, 6)
-        idx, wn, wd = [], [], []
-        for _ in range(out_dim):
-            cols = sorted(rng.sample(range(in_dim), rng.randint(0, in_dim)))
-            weights = rand_rat_list(rng, len(cols))
-            idx.append(tuple(cols))
-            wn.append(tuple(weights[0]))
-            wd.append(tuple(weights[1]))
-        bn, bd = rand_rat_list(rng, out_dim)
-        xn, xd = rand_rat_list(rng, in_dim)
-        for relu in (False, True):
-            got_pure = pure.sparse_affine(
-                tuple(idx), tuple(wn), tuple(wd), tuple(bn), tuple(bd), xn, xd, relu
-            )
-            got_comp = compiled.sparse_affine(
-                tuple(idx), tuple(wn), tuple(wd), tuple(bn), tuple(bd), xn, xd, relu
-            )
-            assert got_pure == got_comp
-
-
 def test_sparse_affine_relu_clamps():
     idx = ((0,),)
     wn = ((1,),)
     wd = ((1,),)
-    out = pure.sparse_affine(idx, wn, wd, (0,), (1,), [-5], [1], True)
+    out = kernels.sparse_affine(idx, wn, wd, (0,), (1,), [-5], [1], True)
     assert out == ([0], [1])
 
 

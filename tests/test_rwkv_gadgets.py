@@ -223,7 +223,7 @@ def test_block_factor_invariant():
         prod = RMatrix.identity(net.n)
         for sym in block:
             prod = prod @ a.matrices[sym]
-        specs = net.block_factors(block)
+        specs = net.block_steps(block, 0)
         x = rand_vec(rng, net.n)
         s = rand_vec(rng, net.n)
         out = apply_specs(x.concat(s), specs)
