@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("task", choices=["conn", "imm-mod", "imm-z"])
     gen.add_argument("--count", type=int, required=True)
     gen.add_argument("--range", dest="size_range", type=_parse_range, required=True,
-                     help="instance size range 'lo,hi'")
+                     help="instance size range 'lo,hi' with 1 <= lo <= hi")
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--out", required=True)
     gen.add_argument("--p", type=float, default=0.5, help="bucket probability (conn)")

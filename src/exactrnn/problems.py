@@ -167,6 +167,15 @@ def reduce_to_sorted(n: int, edges, s: int, t: int) -> SortedDetConnInstance:
     )
 
 
+def _size_bounds(size_range) -> tuple:
+    """The ``(lo, hi)`` of a generator's size range; ``ValueError`` unless
+    1 <= lo <= hi."""
+    lo, hi = size_range
+    if not 1 <= lo <= hi:
+        raise ValueError(f"size range must satisfy 1 <= lo <= hi, got {lo},{hi}")
+    return lo, hi
+
+
 def gen_conn(n_range, p: float, label: bool, rng: random.Random) -> SortedDetConnInstance:
     """Two-bucket chain instance with the requested connectivity label.
 
@@ -178,9 +187,8 @@ def gen_conn(n_range, p: float, label: bool, rng: random.Random) -> SortedDetCon
     """
     if not (0.0 < p < 1.0):
         raise ValueError("p must be in (0, 1)")
-    lo, hi = n_range
-    size = rng.randint(lo, hi)
-    v = max(2, size + 1)  # vertices 1..v; query is 1 -> v
+    lo, hi = _size_bounds(n_range)
+    v = rng.randint(lo, hi) + 1  # vertices 1..v; query is 1 -> v
     bucket = [False] * (v + 1)
     bucket[1] = True
     bucket[v] = label
@@ -301,7 +309,7 @@ def gen_imm_mod(T_range, m: int, q_k: int, rng: random.Random) -> ImmModInstance
         raise ValueError("modulus must be prime")
     if not (0 <= q_k <= 8):
         raise ValueError("q_k must index a 3x3 entry (0..8)")
-    lo, hi = T_range
+    lo, hi = _size_bounds(T_range)
     T = rng.randint(lo, hi)
     mats = []
     while len(mats) < T:
@@ -325,7 +333,7 @@ def gen_imm_z(
     is computed from the exact integer product unless a clip cap is set.
     Pass ``want_label`` to rejection-sample a balanced split.
     """
-    lo, hi = T_range
+    lo, hi = _size_bounds(T_range)
     for _ in range(max_tries):
         T = rng.randint(lo, hi)
         mats = tuple(

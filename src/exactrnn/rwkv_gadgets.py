@@ -27,7 +27,7 @@ from itertools import repeat
 
 from .automata import Wfa
 from .kernels import rmul, vdot
-from .linalg import RMatrix, RVector
+from .linalg import RMatrix, RVector, row_apply
 from .lrnn import RwkvStep
 from .rational import Rational
 
@@ -327,13 +327,20 @@ class WfaNet(BlockNet):
     writes the scratch half before reading it. ``program`` compiles block
     L-1's product P into per-token steps mapping [x | s] to [xP | xP] (a
     temp coordinate, if any, ends at zero), streamed through block L. The
-    completion at position tau is the current block's product so far
-    applied to omega, zero-padded, then block L-1's remaining steps as
-    column actions (``apply_col``).
+    completion at position tau is T_tau [v | 0]: v is the current block's
+    product so far applied to omega, and T_tau = steps[tau] ... steps[m-1]
+    is block L-1's remaining steps as column actions (``apply_col``).
+    Since [v | 0] is zero past coordinate n, only the first n columns of
+    T_tau matter. A net whose blocks are longer than 2n (m > 2n) builds
+    those columns once per block, backwards, in n (m-1) column steps.
+    Otherwise it replays the m - tau remaining steps at every position,
+    m (m-1)/2 column steps per full block: no more than n (m-1) when
+    m <= 2n, fewer on a short final block, and no matrices to build.
 
-    ``build_rwkv_wfa``: coordinate overwrites, 2n steps, scratch width n.
+    ``build_rwkv_wfa``: coordinate overwrites, 2n steps, scratch width n;
+    m = 2n, so it replays.
     ``build_dnet_wfa``: symmetric steps, 8n^2+5n+1 steps, scratch width
-    n+1 (the scratch half and a temp coordinate).
+    n+1 (the scratch half and a temp coordinate); it builds suffix columns.
     """
 
     def __init__(self, wfa: Wfa, program, apply_col, scratch: int, block_len: int):
@@ -360,14 +367,40 @@ class WfaNet(BlockNet):
 
     def block_completions(self, block, steps):
         """The block's product is kept incrementally, one matrix product per
-        token. Unknown symbols, PAD included, raise ``ValueError``."""
+        token, then finished by T_tau: from per-block suffix columns if
+        m > 2n, else by replaying the remaining column steps (the cheaper
+        of the two, see the class docstring). Unknown symbols, PAD
+        included, raise ``ValueError``."""
+        m = len(steps)
+        # n (m-1) column steps per block for the suffix, m (m-1)/2 to replay
+        suffix = self._suffix_columns(steps) if m > 2 * self.n else None
         prefix = RMatrix.identity(self.n)
         for tau, sym in enumerate(block, start=1):
             prefix = prefix @ self.wfa.matrix(sym)
-            u = prefix.apply_col(self.wfa.omega).concat(self._zeros)
-            for i in range(len(steps) - 1, tau - 1, -1):
-                u = self._apply_col(u, steps[i])
-            yield u
+            v = prefix.apply_col(self.wfa.omega)
+            if suffix is not None:
+                yield row_apply(v, suffix[tau])
+            else:
+                u = v.concat(self._zeros)
+                for i in range(m - 1, tau - 1, -1):
+                    u = self._apply_col(u, steps[i])
+                yield u
+
+    def _suffix_columns(self, steps) -> list:
+        """At index tau = 1..m, the n x dim matrix whose row j is T_tau e_j,
+        built backwards from T_m = I with T_(tau-1) e_j =
+        apply_col(T_tau e_j, steps[tau-1]): n (m-1) column steps per block
+        (Yang et al. 2024, the delta rule's backward suffix products)."""
+        m, n = len(steps), self.n
+        cols = [RVector.basis(j, self.dim) for j in range(n)]
+        suffix = [None] * (m + 1)
+        for tau in range(m, 0, -1):
+            if tau < m:
+                cols = [self._apply_col(c, steps[tau]) for c in cols]
+            suffix[tau] = RMatrix._raw(
+                n, self.dim, [x for c in cols for x in c.nums], [x for c in cols for x in c.dens]
+            )
+        return suffix
 
     def spec_completion(self, recent, tau, steps):
         """The same completion from the window: tau matrix-vector products

@@ -162,14 +162,26 @@ def test_gen_imm_z_bare_clip_flag(tmp_path):
 
 
 def test_gen_imm_z_unreachable_label_is_usage_error(capsys, tmp_path):
-    # with T = 0 every product is the identity, so label 1 never occurs
+    # clipping at 0 zeroes every product entry, so label 0 never occurs
     out = tmp_path / "z.jsonl"
     code = run_cli([
-        "gen", "imm-z", "--count", "2", "--range", "0,0", "--balanced",
-        "--seed", "1", "--out", str(out),
+        "gen", "imm-z", "--count", "2", "--range", "1,1", "--balanced",
+        "--clip", "0", "--seed", "1", "--out", str(out),
     ])
     assert code == 2
-    assert "label 1" in capsys.readouterr().err
+    assert "label 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("size_range", ["0,0", "5,3"])
+@pytest.mark.parametrize("task", ["conn", "imm-mod", "imm-z"])
+def test_gen_rejects_bad_size_range(capsys, tmp_path, task, size_range):
+    out = tmp_path / "out.jsonl"
+    code = run_cli([
+        "gen", task, "--count", "2", f"--range={size_range}", "--out", str(out),
+    ])
+    assert code == 2
+    assert "size range" in capsys.readouterr().err
     assert not out.exists()
 
 

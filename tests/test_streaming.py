@@ -2,8 +2,9 @@
 
 ``stream_entries`` builds each block's steps once and never forms a window
 key; ``net.router.query_at(t, tokens)`` is the specification it must match
-at every position. Also checked here: memory that does not grow with the
-stream, and clean ``ValueError``s on tokens the nets cannot read.
+at every position. Also checked here: the column steps an automaton net's
+completions cost per block, memory that does not grow with the stream, and
+clean ``ValueError``s on tokens the nets cannot read.
 """
 
 import random
@@ -14,6 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from exactrnn.delta_gadgets import (
     SUPERBLOCK_TOKENS,
+    apply_h_col,
+    apply_matrix_program,
     build_dnet_imm,
     build_dnet_wfa,
     dnet_imm_forward,
@@ -23,8 +26,11 @@ from exactrnn.problems import IDENTITY3, mat3_mul
 from exactrnn.rational import Rational
 from exactrnn.rwkv_gadgets import (
     PAD,
+    WfaNet,
+    apply_overwrite_col,
     build_rwkv_imm,
     build_rwkv_wfa,
+    factor_apply_matrix,
     rwkv_imm_forward,
     rwkv_wfa_forward,
     stream_entries,
@@ -66,6 +72,8 @@ def test_rwkv_wfa_stream_equals_router_spec(n_states, blocks, cut, seed):
 @settings(max_examples=10, deadline=None)
 @given(st.integers(1, 2), st.integers(0, 3), st.integers(0, 10**6), st.integers())
 @example(n_states=1, blocks=3, cut=5, seed=0)
+@example(n_states=3, blocks=2, cut=0, seed=0)
+@example(n_states=3, blocks=1, cut=41, seed=1)
 def test_dnet_wfa_stream_equals_router_spec(n_states, blocks, cut, seed):
     wfa, word = wfa_word(n_states, blocks, cut, seed, lambda n: 8 * n * n + 5 * n + 1)
     assert_stream_equals_spec(lambda: build_dnet_wfa(wfa), word)
@@ -96,6 +104,46 @@ def test_first_block_streams_the_pad_program():
     factors = [f for f, _ in stream_entries(build_dnet_imm(), [1] * 18)]
     assert factors == list(pad_steps[:18])
     assert all(f.is_identity for f in factors)
+
+
+# --- completion work ----------------------------------------------------------
+
+
+def completion_column_steps(program, apply_col, scratch, block_len, extra=0):
+    """Column steps spent streaming two full blocks and ``extra`` tokens of
+    a two-state automaton through ``WfaNet(wfa, program, apply_col,
+    scratch, block_len)``."""
+    calls = []
+
+    def counted(u, step):
+        calls.append(None)
+        return apply_col(u, step)
+
+    rng = random.Random(8)
+    wfa = random_wfa(rng, 2, 2)
+    net = WfaNet(wfa, program, counted, scratch, block_len)
+    word = [rng.choice(wfa.alphabet) for _ in range(2 * block_len + extra)]
+    assert len(list(stream_entries(net, word))) == len(word)
+    return len(calls)
+
+
+def test_dnet_wfa_completions_build_suffix_columns_once_per_block():
+    n, m = 2, 43
+    steps = completion_column_steps(
+        lambda p: apply_matrix_program(p).steps, apply_h_col, n + 1, m
+    )
+    # n (m-1) per block; replaying the remaining steps would take m (m-1)/2
+    assert steps <= 2 * n * (m - 1)
+
+
+def test_rwkv_wfa_completions_replay_remaining_steps():
+    n, m = 2, 4
+    steps = completion_column_steps(factor_apply_matrix, apply_overwrite_col, n, m)
+    # m = 2n: on a full block suffix columns cost n (m-1) = m (m-1)/2 too
+    assert steps == 2 * m * (m - 1) // 2
+    # a one-token block tells the two apart: m-1 to replay, n (m-1) to build
+    steps = completion_column_steps(factor_apply_matrix, apply_overwrite_col, n, m, 1)
+    assert steps == 2 * m * (m - 1) // 2 + m - 1
 
 
 # --- bounded memory -----------------------------------------------------------
