@@ -125,33 +125,36 @@ def mat_mul(an, ad, ar, ac, bn, bd, bc):
     return outn, outd
 
 
-def sparse_affine(idx, wn, wd, bn, bd, xn, xd, do_relu):
-    """Sparse affine map followed by an optional ReLU.
+def sparse_affine(ops, xn, xd):
+    """Run a straight-line affine/ReLU program over one register file.
 
-    ``idx[i]`` lists the input coordinates feeding output ``i``; ``wn[i]`` /
-    ``wd[i]`` are the matching weights and ``bn[i]/bd[i]`` the bias.
+    The register file holds the input ``xn``/``xd`` followed by one
+    register per op. Op ``t``, ``(terms, bn, bd, relu)``, writes register
+    ``len(xn) + t``: ``bn/bd`` plus ``wn/wd * r[c]`` for each ``(c, wn, wd)``
+    in ``terms``, clamped at 0 when ``relu`` is set. A term may read any
+    earlier register. Returns the whole register file.
     """
-    m = len(idx)
-    outn = [0] * m
-    outd = [1] * m
-    for i in range(m):
-        cols = idx[i]
-        rown = wn[i]
-        rowd = wd[i]
-        sn = bn[i]
-        sd = bd[i]
-        for t in range(len(cols)):
-            c = cols[t]
-            p = rown[t] * xn[c]
+    rn = list(xn) + [0] * len(ops)
+    rd = list(xd) + [1] * len(ops)
+    k = len(xn)
+    for terms, sn, sd, relu in ops:
+        for c, a, b in terms:
+            p = a * rn[c]
             if p == 0:
                 continue
-            q = rowd[t] * xd[c]
+            q = b * rd[c]
             if q == 1:
                 sn = sn + p if sd == 1 else sn + p * sd
             else:
                 sn = sn * q + (p if sd == 1 else p * sd)
                 sd *= q
-        if do_relu and sn < 0:
-            continue
-        outn[i], outd[i] = rnorm(sn, sd)
-    return outn, outd
+        # zero (and a ReLU's clamped negative) is already there as 0/1
+        if sn > 0 or sn < 0 and not relu:
+            if sd == 1:
+                rn[k] = sn
+            else:
+                g = gcd(sn, sd)
+                rn[k] = sn // g
+                rd[k] = sd // g
+        k += 1
+    return rn, rd

@@ -398,6 +398,7 @@ def generate_dataset(task: str, count: int, size_range, seed: int, **kwargs) -> 
     """Produce ``count`` JSONL lines for one task, deterministically."""
     if count < 0:
         raise ValueError(f"count must be >= 0, not {count}")
+    _size_bounds(size_range)
     lines = []
     for idx in range(count):
         rng = rng_for(seed, task, idx)

@@ -172,12 +172,6 @@ def value_bits(q: Rational) -> int:
     return abs(q.num).bit_length() + q.den.bit_length()
 
 
-def raw_value_bits(num: int, den: int) -> int:
-    if num == 0:
-        return 1
-    return (num if num > 0 else -num).bit_length() + den.bit_length()
-
-
 def precision_of(values) -> PrecisionReport:
     """Measure an iterable of Rationals."""
     mx = 0

@@ -18,16 +18,26 @@ mirror whose achievable values keep a fixed gap around every decision
 threshold (top bit and emptiness), so the branch logic is exact at any
 depth. All stack quantities are bounded by constants, so branch selection
 uses constant-bound gating.
+
+About half the rows of these nets only carry a value forward, so a
+``ReluMlp`` runs as a straight-line program over one flat register file in
+which such a copy row reuses its source's register whenever that leaves
+every value unchanged: its layer has no ReLU, or a sign analysis proves the
+source non-negative. ``MlpRnn.state_nonneg`` extends the analysis across
+time steps as a greatest fixpoint. Outputs and the ``PrecisionReport``
+equal those of layer-by-layer evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from . import kernels
 from .automata import CounterMachine, StackMachine, _all_masks
 from .linalg import RMatrix, RVector
-from .rational import PrecisionReport, Rational, raw_value_bits
+from .rational import PrecisionReport, Rational
 
 _ZERO = Rational(0)
 _ONE = Rational(1)
@@ -44,12 +54,95 @@ class Layer:
     relu: bool
 
 
+class _Program(NamedTuple):
+    """A ``ReluMlp`` compiled for one input-sign assumption.
+
+    ``ops`` are ``kernels.sparse_affine`` ops, one per row that does real
+    work; the input fills registers ``0 .. in_dim - 1`` and op ``t`` writes
+    register ``in_dim + t``. ``out`` names the register of each output
+    coordinate, ``observed`` pairs every register that stands for some
+    layer output with the number of layer outputs it stands for, and
+    ``out_nonneg`` holds the output coordinates proven non-negative.
+    """
+
+    in_dim: int
+    ops: tuple
+    out: tuple
+    observed: tuple
+    out_nonneg: frozenset
+
+
+def _compile(layers, nonneg) -> _Program:
+    """Lower ``layers`` to a straight-line register program, assuming the
+    input coordinates in ``nonneg`` are non-negative (see ``ReluMlp``)."""
+    in_dim = layers[0].weights.cols
+    where = list(range(in_dim))
+    signs = [i in nonneg for i in range(in_dim)]
+    counts = [0] * in_dim
+    ops = []
+    for layer in layers:
+        w, bias, relu = layer.weights, layer.bias, layer.relu
+        rows = []
+        for i in range(w.rows):
+            base = i * w.cols
+            terms = [
+                (where[j], w.nums[base + j], w.dens[base + j])
+                for j in range(w.cols)
+                if w.nums[base + j] != 0
+            ]
+            bn, bd = bias.nums[i], bias.dens[i]
+            if (
+                len(terms) == 1
+                and terms[0][1:] == (1, 1)
+                and bn == 0
+                and (not relu or signs[terms[0][0]])
+            ):
+                reg = terms[0][0]
+            else:
+                reg = len(signs)
+                ops.append((tuple(terms), bn, bd, relu))
+                signs.append(
+                    relu or (bn >= 0 and all(a > 0 and signs[c] for c, a, _ in terms))
+                )
+                counts.append(0)
+            counts[reg] += 1
+            rows.append(reg)
+        where = rows
+    return _Program(
+        in_dim=in_dim,
+        ops=tuple(ops),
+        out=tuple(where),
+        observed=tuple((r, k) for r, k in enumerate(counts) if k),
+        out_nonneg=frozenset(i for i, r in enumerate(where) if signs[r]),
+    )
+
+
+_NO_SIGNS = frozenset()
+
+
 class ReluMlp:
-    """Feedforward stack of affine layers with ReLU on marked layers."""
+    """Feedforward stack of affine layers with ReLU on marked layers.
+
+    Evaluation runs a straight-line program over one flat register file,
+    compiled once per set of input coordinates the caller guarantees to be
+    non-negative (``nonneg``, a frozenset; empty unless given). The input
+    fills the first registers. A copy row (one weight 1, bias 0) reuses its
+    source's register when its layer has no ReLU or its source is known to
+    be non-negative, since ReLU is then the identity; every other row
+    appends one register computed by ``kernels.sparse_affine``. A register
+    is known non-negative when it is in ``nonneg``, holds a ReLU output, or
+    holds a no-ReLU row with a non-negative bias and positive weights on
+    non-negative registers. ``MlpRnn.update_nonneg`` gives the assumption
+    that holds at every step of a recurrence.
+
+    Outputs equal those of layer-by-layer evaluation, and the observed
+    registers, each counted once per layer output it stands for, are that
+    evaluation's layer outputs.
+    """
 
     def __init__(self, layers):
         self.layers = list(layers)
-        self._sparse = None
+        self._programs = {}
 
     @property
     def in_dim(self) -> int:
@@ -59,42 +152,31 @@ class ReluMlp:
     def out_dim(self) -> int:
         return self.layers[-1].weights.rows
 
-    def _compiled(self):
-        if self._sparse is None:
-            compiled = []
-            for layer in self.layers:
-                w = layer.weights
-                idx, wn, wd = [], [], []
-                for i in range(w.rows):
-                    cols, nums, dens = [], [], []
-                    base = i * w.cols
-                    for j in range(w.cols):
-                        if w.nums[base + j] != 0:
-                            cols.append(j)
-                            nums.append(w.nums[base + j])
-                            dens.append(w.dens[base + j])
-                    idx.append(tuple(cols))
-                    wn.append(tuple(nums))
-                    wd.append(tuple(dens))
-                compiled.append(
-                    (
-                        tuple(idx),
-                        tuple(wn),
-                        tuple(wd),
-                        tuple(layer.bias.nums),
-                        tuple(layer.bias.dens),
-                        layer.relu,
-                    )
-                )
-            self._sparse = compiled
-        return self._sparse
+    def program(self, nonneg=_NO_SIGNS) -> _Program:
+        """The compiled program for inputs non-negative on ``nonneg``."""
+        prog = self._programs.get(nonneg)
+        if prog is None:
+            prog = self._programs[nonneg] = _compile(self.layers, nonneg)
+        return prog
 
-    def eval_raw(self, nums, dens, observe=None):
-        for idx, wn, wd, bn, bd, relu in self._compiled():
-            nums, dens = kernels.sparse_affine(idx, wn, wd, bn, bd, nums, dens, relu)
-            if observe is not None:
-                observe(nums, dens)
-        return nums, dens
+    def eval_raw(self, nums, dens, observe=None, nonneg=_NO_SIGNS):
+        """Evaluate on a raw num/den input.
+
+        ``nonneg`` holds input coordinates the caller guarantees to be
+        non-negative. ``observe(nums, dens, observed)``, when given, is
+        called once with the register file and the program's ``observed``
+        (register, layer-output count) pairs.
+        """
+        prog = self.program(nonneg)
+        if not len(nums) == len(dens) == prog.in_dim:
+            raise ValueError(
+                f"input has {len(nums)} nums and {len(dens)} dens;"
+                f" the network takes {prog.in_dim}"
+            )
+        rn, rd = kernels.sparse_affine(prog.ops, nums, dens)
+        if observe is not None:
+            observe(rn, rd, prog.observed)
+        return [rn[r] for r in prog.out], [rd[r] for r in prog.out]
 
     def __call__(self, x: RVector) -> RVector:
         nums, dens = self.eval_raw(x.nums, x.dens)
@@ -209,12 +291,13 @@ def gadget_select(n_branches: int, bound: int = 8) -> ReluMlp:
 # Recurrent wrapper
 
 
-@dataclass
+@dataclass(frozen=True)
 class MlpRnn:
     """State recurrence h_t = update([h_{t-1} | onehot(x_t)]).
 
     ``decode`` (attached by the compilers) maps a hidden state back to the
-    simulated machine's configuration.
+    simulated machine's configuration. Frozen, because ``state_nonneg`` is
+    derived from ``update`` and ``h0`` once.
     """
 
     state_dim: int
@@ -223,6 +306,28 @@ class MlpRnn:
     h0: RVector
     acceptor: ReluMlp
     decode: object = None
+
+    @cached_property
+    def state_nonneg(self) -> frozenset:
+        """State coordinates non-negative at every step.
+
+        The greatest set S of coordinates that are non-negative in ``h0``
+        and that the update's sign analysis proves non-negative at its
+        output when S and the token one-hot are non-negative at its input;
+        by induction on t, every h_t is non-negative on S.
+        """
+        tokens = frozenset(range(self.state_dim, self.update.in_dim))
+        s = frozenset(i for i in range(self.state_dim) if self.h0.nums[i] >= 0)
+        while True:
+            kept = s & _compile(self.update.layers, s | tokens).out_nonneg
+            if kept == s:
+                return s
+            s = kept
+
+    @cached_property
+    def update_nonneg(self) -> frozenset:
+        """Update input coordinates non-negative at every step."""
+        return self.state_nonneg | frozenset(range(self.state_dim, self.update.in_dim))
 
 
 @dataclass
@@ -238,21 +343,24 @@ def run_mlp_rnn(rnn: MlpRnn, tokens, track_precision: bool = True) -> MlpRunResu
     max_bits = 0
     total_bits = 0
 
-    def observe(nums, dens):
+    def observe(nums, dens, observed):
         nonlocal max_bits, total_bits
-        for n, d in zip(nums, dens):
-            b = raw_value_bits(n, d)
-            total_bits += b
+        for r, k in observed:
+            n = nums[r]  # value_bits, inlined
+            b = (n if n > 0 else -n).bit_length() + dens[r].bit_length() if n else 1
+            total_bits += b * k
             if b > max_bits:
                 max_bits = b
 
+    n_tokens = len(rnn.token_index)
+    if not len(rnn.h0) == rnn.state_dim == rnn.update.in_dim - n_tokens:
+        raise ValueError("state/input dimension mismatch")
     watcher = observe if track_precision else None
     if track_precision:
-        observe(rnn.h0.nums, rnn.h0.dens)
+        observe(rnn.h0.nums, rnn.h0.dens, tuple((i, 1) for i in range(rnn.state_dim)))
+    update, update_nonneg = rnn.update, rnn.update_nonneg
     nums, dens = list(rnn.h0.nums), list(rnn.h0.dens)
-    in_dim = rnn.update.in_dim
-    n_tokens = len(rnn.token_index)
-    states = [RVector._raw(list(nums), list(dens))]
+    states = [RVector._raw(nums, dens)]
     for tok in tokens:
         try:
             hot = rnn.token_index[tok]
@@ -261,11 +369,9 @@ def run_mlp_rnn(rnn: MlpRnn, tokens, track_precision: bool = True) -> MlpRunResu
         xn = nums + [0] * n_tokens
         xd = dens + [1] * n_tokens
         xn[rnn.state_dim + hot] = 1
-        if len(xn) != in_dim:
-            raise ValueError("state/input dimension mismatch")
-        nums, dens = rnn.update.eval_raw(xn, xd, observe=watcher)
-        states.append(RVector._raw(list(nums), list(dens)))
-    on, od = rnn.acceptor.eval_raw(nums, dens, observe=watcher)
+        nums, dens = update.eval_raw(xn, xd, observe=watcher, nonneg=update_nonneg)
+        states.append(RVector._raw(nums, dens))
+    on, od = rnn.acceptor.eval_raw(nums, dens, observe=watcher, nonneg=rnn.state_nonneg)
     accept = on[0] > 0
     report = PrecisionReport(max_bits, total_bits) if track_precision else None
     return MlpRunResult(accept=accept, states=states, precision=report)

@@ -185,6 +185,17 @@ def test_gen_rejects_bad_size_range(capsys, tmp_path, task, size_range):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("task", ["conn", "imm-mod", "imm-z"])
+def test_gen_zero_count_still_checks_size_range(capsys, tmp_path, task):
+    out = tmp_path / "out.jsonl"
+    code = run_cli([
+        "gen", task, "--count", "0", "--range=0,0", "--out", str(out),
+    ])
+    assert code == 2
+    assert "size range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_negative_count_is_usage_error(capsys, tmp_path):
     out = tmp_path / "conn.jsonl"
     code = run_cli([

@@ -19,11 +19,10 @@ def test_norm_basic():
 
 
 def test_sparse_affine_relu_clamps():
-    idx = ((0,),)
-    wn = ((1,),)
-    wd = ((1,),)
-    out = kernels.sparse_affine(idx, wn, wd, (0,), (1,), [-5], [1], True)
-    assert out == ([0], [1])
+    # one ReLU op copying register 0 into register 1
+    ops = ((((0, 1, 1),), 0, 1, True),)
+    out = kernels.sparse_affine(ops, [-5], [1])
+    assert out == ([-5, 0], [1, 1])
 
 
 def test_outputs_always_canonical():

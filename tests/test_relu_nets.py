@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exactrnn.automata import (
     CounterMachine,
@@ -11,15 +12,18 @@ from exactrnn.automata import (
     sm_run,
     _all_masks,
 )
-from exactrnn.linalg import RVector
+from exactrnn.linalg import RMatrix, RVector
 from exactrnn.problems import (
     SortedDetConnInstance,
     conn_oracle,
     encode_conn_unary,
     random_sorted_instance,
 )
-from exactrnn.rational import Rational
+from exactrnn.rational import Rational, precision_of
 from exactrnn.relu_nets import (
+    Layer,
+    MlpRnn,
+    ReluMlp,
     cm_to_mlp_rnn,
     gadget_eq_zero,
     gadget_lut,
@@ -290,9 +294,6 @@ def test_padding_token_is_noop():
 
 
 def test_zero_acceptor_rejects():
-    from exactrnn.relu_nets import Layer, MlpRnn, ReluMlp
-    from exactrnn.linalg import RMatrix
-
     base = cm_to_mlp_rnn(constant_machine(("+0",)))
     zero_acceptor = ReluMlp(
         [Layer(RMatrix.zeros(1, base.state_dim), RVector.zeros(1), relu=False)]
@@ -307,3 +308,164 @@ def test_zero_acceptor_rejects():
     )
     res = run_mlp_rnn(rnn, ["x"] * 3)
     assert not res.accept
+
+
+# --- register programs against a layer-by-layer reference -----------------------
+
+
+def reference_layers(mlp, x):
+    """Layer-by-layer evaluation in Rational arithmetic; returns the output
+    and every layer output in order."""
+    values = []
+    for layer in mlp.layers:
+        w = layer.weights
+        y = []
+        for i in range(w.rows):
+            acc = layer.bias[i]
+            for j in range(w.cols):
+                acc = acc + w[i, j] * x[j]
+            y.append(Rational(0) if layer.relu and acc < Rational(0) else acc)
+        values += y
+        x = y
+    return x, values
+
+
+def reference_run(rnn, tokens):
+    h = list(rnn.h0)
+    values = list(h)
+    states = [h]
+    n_tokens = len(rnn.token_index)
+    for tok in tokens:
+        hot = [Rational(int(i == rnn.token_index[tok])) for i in range(n_tokens)]
+        h, vals = reference_layers(rnn.update, h + hot)
+        values += vals
+        states.append(h)
+    out, vals = reference_layers(rnn.acceptor, h)
+    values += vals
+    return out[0] > Rational(0), states, precision_of(values)
+
+
+def program_values(mlp, x):
+    """Output and observed values of ``mlp.eval_raw``, each observed value
+    repeated once per layer output it stands for."""
+    seen = []
+
+    def observe(nums, dens, observed):
+        for r, k in observed:
+            seen.extend([Rational(nums[r], dens[r])] * k)
+
+    nums, dens = mlp.eval_raw(x.nums, x.dens, observe)
+    return [Rational(n, d) for n, d in zip(nums, dens)], seen
+
+
+def _value_key(q):
+    return (q.num, q.den)
+
+
+_SMALL = st.builds(Rational, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+
+
+@st.composite
+def relu_mlps(draw):
+    """1-4 layers with mixed ReLU flags; copy rows (ReLU copies of values of
+    either sign among them) mixed with general sparse rows."""
+    in_dim = dim = draw(st.integers(1, 4))
+    layers = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows, bias = [], []
+        for _ in range(draw(st.integers(1, 5))):
+            row = [Rational(0)] * dim
+            if draw(st.booleans()):
+                row[draw(st.integers(0, dim - 1))] = Rational(1)
+                bias.append(Rational(0))
+            else:
+                for j, w in draw(st.lists(st.tuples(st.integers(0, dim - 1), _SMALL), max_size=3)):
+                    row[j] = w
+                bias.append(draw(_SMALL))
+            rows.append(row)
+        layers.append(Layer(RMatrix(rows), RVector(bias), relu=draw(st.booleans())))
+        dim = len(rows)
+    x = RVector(draw(st.lists(_SMALL, min_size=in_dim, max_size=in_dim)))
+    return ReluMlp(layers), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(relu_mlps())
+def test_program_matches_layer_by_layer_reference(case):
+    mlp, x = case
+    want, want_values = reference_layers(mlp, x)
+    got, got_values = program_values(mlp, x)
+    assert got == want
+    assert list(mlp(x)) == want
+    assert sorted(got_values, key=_value_key) == sorted(want_values, key=_value_key)
+    assert precision_of(got_values) == precision_of(want_values)
+
+
+def _negative_state_rnn():
+    """State (x, r): tokens d and i move x by -1 and +1, so x goes negative;
+    a ReLU copy row reads x, and r = relu(x) of the previous step."""
+    # L1 (ReLU) over [x, r, d, i]: x+ (a copy row of x), x-, d, i
+    l1 = Layer(
+        RMatrix([[1, 0, 0, 0], [-1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+        RVector.zeros(4),
+        relu=True,
+    )
+    # L2 (no ReLU): x' = x+ - x- - d + i, r' = x+
+    l2 = Layer(RMatrix([[1, -1, -1, 1], [1, 0, 0, 0]]), RVector.zeros(2), relu=False)
+    acceptor = ReluMlp([Layer(RMatrix([[1, 1]]), RVector([Rational(-1, 2)]), relu=False)])
+    return MlpRnn(
+        state_dim=2,
+        token_index={"d": 0, "i": 1},
+        update=ReluMlp([l1, l2]),
+        h0=RVector.zeros(2),
+        acceptor=acceptor,
+    )
+
+
+@pytest.mark.parametrize("word", ["ddidd", "iddddiiiiii", "dddddi"])
+def test_negative_state_through_relu_copy_matches_reference(word):
+    rnn = _negative_state_rnn()
+    assert rnn.state_nonneg == frozenset({1})
+    accept, states, report = reference_run(rnn, word)
+    assert any(h[0] < Rational(0) for h in states)
+    res = run_mlp_rnn(rnn, word)
+    assert res.accept == accept
+    assert [list(h) for h in res.states] == states
+    assert res.precision == report
+
+
+@pytest.mark.parametrize("fam", ["cm", "sm"])
+def test_machine_nets_match_reference_precision(fam):
+    rng = random.Random(8)
+    if fam == "cm":
+        rnn = cm_to_mlp_rnn(build_conn_counter_machine())
+        tokens = encode_conn_unary(random_sorted_instance(rng, max_n=6, max_edges=3))
+    else:
+        rnn = sm_to_mlp_rnn(scripted_stack_machine(2, STACK_OP_PAIRS))
+        tokens = [rng.choice(STACK_OP_PAIRS) for _ in range(12)]
+    accept, states, report = reference_run(rnn, tokens)
+    res = run_mlp_rnn(rnn, tokens)
+    assert res.accept == accept
+    assert [list(h) for h in res.states] == states
+    assert res.precision == report
+
+
+def test_copy_rows_are_not_computed():
+    """Rows computed per token by the compiled update programs (107 and 142
+    layer rows, about half of them identity copies)."""
+    cm = cm_to_mlp_rnn(build_conn_counter_machine())
+    sm = sm_to_mlp_rnn(scripted_stack_machine(2, STACK_OP_PAIRS))
+    assert sum(layer.weights.rows for layer in cm.update.layers) == 107
+    assert sum(layer.weights.rows for layer in sm.update.layers) == 142
+    assert len(cm.update.program(cm.update_nonneg).ops) <= 53
+    assert len(sm.update.program(sm.update_nonneg).ops) <= 69
+
+
+@pytest.mark.parametrize("g", [gadget_eq_zero(), gadget_select(2)], ids=["eq_zero", "select2"])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_wrong_input_length_is_rejected(g, delta):
+    dim = g.in_dim
+    with pytest.raises(ValueError, match="takes"):
+        g(RVector([1] * (dim + delta)))
+    with pytest.raises(ValueError, match="takes"):
+        g.eval_raw([1] * dim, [1] * (dim + delta))
