@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--q-k", dest="q_k", type=int, default=0,
                      help="queried entry index (imm-mod)")
     gen.add_argument("--clip", type=int, nargs="?", const=2**63 - 1, default=None,
-                     help="saturate products at this magnitude (imm-z); "
+                     help="saturate products at this magnitude, >= 1 (imm-z); "
                           "bare --clip uses 2^63 - 1")
     gen.add_argument("--balanced", action="store_true",
                      help="alternate labels by rejection (imm-z)")

@@ -13,6 +13,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 # ---------------------------------------------------------------------------
 # Seeding: every stream of randomness is derived from one 64-bit seed by
@@ -229,19 +230,21 @@ def random_sorted_instance(
 IDENTITY3 = (1, 0, 0, 0, 1, 0, 0, 0, 1)
 
 
-def mat3_mul(a, b, mod: int | None = None, clip: int | None = None):
-    out = [0] * 9
-    for i in range(3):
-        for j in range(3):
-            acc = 0
-            for k in range(3):
-                acc += a[3 * i + k] * b[3 * k + j]
-            if mod is not None:
-                acc %= mod
-            elif clip is not None:
-                acc = max(-clip, min(clip, acc))
-            out[3 * i + j] = acc
-    return tuple(out)
+def mat3_mul(a, b):
+    """Plain 3x3 product of two row-major 9-tuples."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    return (
+        a0 * b0 + a1 * b3 + a2 * b6,
+        a0 * b1 + a1 * b4 + a2 * b7,
+        a0 * b2 + a1 * b5 + a2 * b8,
+        a3 * b0 + a4 * b3 + a5 * b6,
+        a3 * b1 + a4 * b4 + a5 * b7,
+        a3 * b2 + a4 * b5 + a5 * b8,
+        a6 * b0 + a7 * b3 + a8 * b6,
+        a6 * b1 + a7 * b4 + a8 * b7,
+        a6 * b2 + a7 * b5 + a8 * b8,
+    )
 
 
 def mat3_det_mod(a, m: int) -> int:
@@ -272,7 +275,7 @@ class ImmModInstance:
     matrices: tuple
 
     def tokens(self) -> list:
-        return [e for mat in self.matrices for e in mat]
+        return list(chain.from_iterable(self.matrices))
 
 
 @dataclass(frozen=True)
@@ -281,26 +284,64 @@ class ImmZInstance:
     matrices: tuple
     clip: int | None = None
 
+    def __post_init__(self):
+        if self.clip is not None and self.clip < 1:
+            raise ValueError(f"clip must be >= 1, got {self.clip}")
+
     def tokens(self) -> list:
-        return [e for mat in self.matrices for e in mat]
+        return list(chain.from_iterable(self.matrices))
 
 
 def imm_mod_oracle(inst: ImmModInstance) -> list:
-    """Per-step targets: entry q_k of the running product mod m."""
-    p = IDENTITY3
+    """Per-step targets: entry q_k of the running product mod m.
+
+    Entry q_k lies in row r = q_k // 3, and row r of (P M) mod m is
+    (row_r(P) M) mod m, so only that row is carried, starting from row r of
+    the identity: 9 multiplies per matrix instead of 27.
+    """
+    mod = inst.m
+    r, j = divmod(inst.q_k, 3)
+    a, b, c = IDENTITY3[3 * r : 3 * r + 3]
     out = []
-    for mat in inst.matrices:
-        p = mat3_mul(p, mat, mod=inst.m)
-        out.append(p[inst.q_k])
+    append = out.append
+    for m0, m1, m2, m3, m4, m5, m6, m7, m8 in inst.matrices:
+        row = (
+            (a * m0 + b * m3 + c * m6) % mod,
+            (a * m1 + b * m4 + c * m7) % mod,
+            (a * m2 + b * m5 + c * m8) % mod,
+        )
+        append(row[j])
+        a, b, c = row
     return out
 
 
 def imm_z_oracle(inst: ImmZInstance) -> int:
-    """Label 1 iff the (0,0) entry of the full product is exactly zero."""
-    p = IDENTITY3
-    for mat in inst.matrices:
-        p = mat3_mul(p, mat, clip=inst.clip)
-    return 1 if p[0] == 0 else 0
+    """Label 1 iff the (0,0) entry of the full product is exactly zero.
+
+    Only row 0 of the running product is carried: row 0 of P M is
+    row_0(P) M, and with a clip cap row 0 of clip(P M) is
+    clip(row_0(P) M), so 9 multiplies per matrix give the same entry as
+    the full 27.
+    """
+    a, b, c = 1, 0, 0
+    hi = inst.clip
+    if hi is None:
+        for m0, m1, m2, m3, m4, m5, m6, m7, m8 in inst.matrices:
+            a, b, c = (
+                a * m0 + b * m3 + c * m6,
+                a * m1 + b * m4 + c * m7,
+                a * m2 + b * m5 + c * m8,
+            )
+    else:
+        lo = -hi
+        for m0, m1, m2, m3, m4, m5, m6, m7, m8 in inst.matrices:
+            x = a * m0 + b * m3 + c * m6
+            y = a * m1 + b * m4 + c * m7
+            z = a * m2 + b * m5 + c * m8
+            a = lo if x < lo else hi if x > hi else x
+            b = lo if y < lo else hi if y > hi else y
+            c = lo if z < lo else hi if z > hi else z
+    return 1 if a == 0 else 0
 
 
 def gen_imm_mod(T_range, m: int, q_k: int, rng: random.Random) -> ImmModInstance:
@@ -311,15 +352,24 @@ def gen_imm_mod(T_range, m: int, q_k: int, rng: random.Random) -> ImmModInstance
         raise ValueError("q_k must index a 3x3 entry (0..8)")
     lo, hi = _size_bounds(T_range)
     T = rng.randint(lo, hi)
+    # one rng.choice per entry, in row-major order: batching the draws
+    # would change the random stream and so the seeded bytes
+    choice = rng.choice
+    e = (-1, 0, 1)
     mats = []
     while len(mats) < T:
-        cand = tuple(rng.choice((-1, 0, 1)) for _ in range(9))
+        cand = (
+            choice(e), choice(e), choice(e),
+            choice(e), choice(e), choice(e),
+            choice(e), choice(e), choice(e),
+        )
         if mat3_det_mod(cand, m) != 0:
             mats.append(cand)
     return ImmModInstance(T=T, m=m, q_k=q_k, matrices=tuple(mats))
 
 
 ENTRY_WEIGHTS = (45, 10, 45)  # sampling weights for entries -1, 0, 1
+_ENTRY_CUM_WEIGHTS = tuple(accumulate(ENTRY_WEIGHTS))
 
 
 def gen_imm_z(
@@ -331,15 +381,18 @@ def gen_imm_z(
 ) -> ImmZInstance:
     """Matrices with entries -1/0/1 drawn with weights 45/10/45; the label
     is computed from the exact integer product unless a clip cap is set.
-    Pass ``want_label`` to rejection-sample a balanced split.
+    Pass ``want_label`` (0 or 1) to rejection-sample a balanced split.
+
+    Each try draws all 9T entries with one ``rng.choices`` call; it takes
+    one ``random()`` per entry, the same stream as one call per entry.
     """
+    if want_label not in (None, 0, 1):
+        raise ValueError(f"want_label must be None, 0 or 1, got {want_label!r}")
     lo, hi = _size_bounds(T_range)
     for _ in range(max_tries):
         T = rng.randint(lo, hi)
-        mats = tuple(
-            tuple(rng.choices((-1, 0, 1), weights=ENTRY_WEIGHTS)[0] for _ in range(9))
-            for _ in range(T)
-        )
+        flat = rng.choices((-1, 0, 1), cum_weights=_ENTRY_CUM_WEIGHTS, k=9 * T)
+        mats = tuple(zip(*[iter(flat)] * 9))  # consecutive 9-tuples
         inst = ImmZInstance(T=T, matrices=mats, clip=clip)
         if want_label is None or imm_z_oracle(inst) == want_label:
             return inst

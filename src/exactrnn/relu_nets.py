@@ -574,12 +574,13 @@ def cm_to_mlp_rnn(m: CounterMachine, reset_bound: int | None = None) -> MlpRnn:
     h0.nums[qi[m.start]] = 1
 
     def decode(h: RVector):
-        hot = [i for i in range(nq) if h.nums[i] != 0]
-        if len(hot) != 1 or h[hot[0]] != _ONE:
+        nums, dens = h.nums, h.dens
+        hot = [i for i in range(nq) if nums[i] != 0]
+        if len(hot) != 1 or nums[hot[0]] != 1 or dens[hot[0]] != 1:
             raise AssertionError("state block is not one-hot")
-        counters = tuple(
-            int(h[nq + i].num) - int(h[nq + k + i].num) for i in range(k)
-        )
+        if any(dens[j] != 1 for j in range(nq, nq + 2 * k)):
+            raise AssertionError("counter part is not an integer")
+        counters = tuple(nums[nq + i] - nums[nq + k + i] for i in range(k))
         return states[hot[0]], counters
 
     return MlpRnn(
@@ -760,8 +761,9 @@ def sm_to_mlp_rnn(m: StackMachine) -> MlpRnn:
         h0.nums[nq + i] = 1  # halving encodings start at the empty value 1
 
     def decode(h: RVector):
-        hot = [i for i in range(nq) if h.nums[i] != 0]
-        if len(hot) != 1 or h[hot[0]] != _ONE:
+        nums, dens = h.nums, h.dens
+        hot = [i for i in range(nq) if nums[i] != 0]
+        if len(hot) != 1 or nums[hot[0]] != 1 or dens[hot[0]] != 1:
             raise AssertionError("state block is not one-hot")
         stacks = tuple(h[nq + i] for i in range(k))
         return states[hot[0]], stacks

@@ -56,3 +56,26 @@ def wfa_path_sum(wfa, word) -> Fraction:
             weight *= mats[sym][path[step]][path[step + 1]]
         total += weight * omega[path[-1]]
     return total
+
+
+def imm_running_products(matrices, mod=None, clip=None) -> list:
+    """Every running product of a list of row-major 3x3 matrices, as full
+    3x3 nested lists, each reduced ``% mod`` or clamped to [-clip, clip]
+    entry by entry after each multiplication."""
+    p = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+    out = []
+    for mat in matrices:
+        nxt = [[0] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(3):
+                acc = 0
+                for k in range(3):
+                    acc += p[i][k] * mat[3 * k + j]
+                if mod is not None:
+                    acc %= mod
+                elif clip is not None:
+                    acc = max(-clip, min(clip, acc))
+                nxt[i][j] = acc
+        p = nxt
+        out.append(p)
+    return out

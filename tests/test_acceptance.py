@@ -292,6 +292,15 @@ def test_criterion_12_hankel_demo():
     _report(12, "identity subblock has full rank for k = 1..32", start, 5)
 
 
+# SHA-256 of each seed-113 dataset below, joined by newlines; any change to
+# a generator's random stream or record encoding changes these.
+SEED_113_DIGESTS = {
+    "conn": "8507eb187de27dd47eebf91cf9f7d3f953932e2d9aed7cfdf330403c0fe93fce",
+    "imm-mod": "a349a45e5601bdc41a3087f878e649a27b8501c6c2c6f88e4e6d2b97a6910204",
+    "imm-z": "cc5a8a61734e1b7c55ab5f49cdc505d6033c0ef12d2a5b0165745564fac9b49f",
+}
+
+
 def test_criterion_13_generator_determinism_and_labels():
     start = time.time()
     specs = {
@@ -306,6 +315,7 @@ def test_criterion_13_generator_determinism_and_labels():
         digest1 = hashlib.sha256("\n".join(lines1).encode()).hexdigest()
         digest2 = hashlib.sha256("\n".join(lines2).encode()).hexdigest()
         assert digest1 == digest2, f"{task} generation is not byte-deterministic"
+        assert digest1 == SEED_113_DIGESTS[task], f"{task} bytes changed at seed 113"
         if task == "conn":
             positives = sum(json.loads(line)["label"] for line in lines1)
             assert abs(positives / len(lines1) - 0.5) < 0.01

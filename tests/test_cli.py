@@ -161,15 +161,31 @@ def test_gen_imm_z_bare_clip_flag(tmp_path):
     assert all(rec["meta"]["clip"] == 2**63 - 1 for rec in recs)
 
 
-def test_gen_imm_z_unreachable_label_is_usage_error(capsys, tmp_path):
-    # clipping at 0 zeroes every product entry, so label 0 never occurs
+def test_gen_imm_z_unreachable_label_is_usage_error(capsys, monkeypatch, tmp_path):
+    # every valid parameter choice reaches both labels, so an oracle that
+    # always answers 1 stands in for an unreachable label 0
+    from exactrnn import problems
+
+    monkeypatch.setattr(problems, "imm_z_oracle", lambda inst: 1)
     out = tmp_path / "z.jsonl"
     code = run_cli([
         "gen", "imm-z", "--count", "2", "--range", "1,1", "--balanced",
-        "--clip", "0", "--seed", "1", "--out", str(out),
+        "--seed", "1", "--out", str(out),
     ])
     assert code == 2
     assert "label 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("clip", ["0", "-1"])
+def test_gen_imm_z_rejects_clip_below_one(capsys, tmp_path, clip):
+    out = tmp_path / "z.jsonl"
+    code = run_cli([
+        "gen", "imm-z", "--count", "2", "--range", "1,3",
+        f"--clip={clip}", "--seed", "1", "--out", str(out),
+    ])
+    assert code == 2
+    assert "clip must be >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 

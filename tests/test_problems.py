@@ -1,7 +1,9 @@
+import hashlib
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exactrnn.problems import (
     ImmModInstance,
@@ -25,6 +27,8 @@ from exactrnn.problems import (
     rng_for,
     split_seed,
 )
+
+from oracles import imm_running_products
 
 
 # --- connectivity oracle and encoding --------------------------------------------
@@ -229,6 +233,62 @@ def test_imm_z_clip_agrees_when_small():
         assert imm_z_oracle(inst) == imm_z_oracle(clipped)
 
 
+_IMM_ENTRIES = st.one_of(st.integers(-1, 1), st.integers(-9, 9), st.integers(-10**6, 10**6))
+_IMM_MATRICES = st.lists(st.tuples(*[_IMM_ENTRIES] * 9), max_size=30)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mats=_IMM_MATRICES, m=st.sampled_from([2, 3, 5, 7]), q_k=st.integers(0, 8))
+def test_imm_mod_oracle_matches_full_product(mats, m, q_k):
+    inst = ImmModInstance(T=len(mats), m=m, q_k=q_k, matrices=tuple(mats))
+    want = [p[q_k // 3][q_k % 3] for p in imm_running_products(mats, mod=m)]
+    assert imm_mod_oracle(inst) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(mats=_IMM_MATRICES, clip=st.sampled_from([None, 1, 2, 3]))
+def test_imm_z_oracle_matches_full_product(mats, clip):
+    inst = ImmZInstance(T=len(mats), matrices=tuple(mats), clip=clip)
+    prods = imm_running_products(mats, clip=clip)
+    entry = prods[-1][0][0] if prods else 1
+    assert imm_z_oracle(inst) == (1 if entry == 0 else 0)
+
+
+def test_imm_z_small_clip_bites():
+    # row 0 runs (1, 1, 0) -> (2, 1, 0), which clip 1 caps to (1, 1, 0);
+    # the last factor reads row[0] - row[1], so only clip 1 makes (0,0) zero
+    a = (1, 1, 0, 0, 1, 0, 0, 0, 1)
+    b = (1, 1, 0, 1, 0, 0, 0, 0, 1)
+    c = (1, 0, 0, -1, 0, 0, 0, 0, 0)
+    mats = (a, b, c)
+    assert imm_z_oracle(ImmZInstance(T=3, matrices=mats)) == 0
+    assert imm_z_oracle(ImmZInstance(T=3, matrices=mats, clip=1)) == 1
+    assert imm_z_oracle(ImmZInstance(T=3, matrices=mats, clip=2)) == 0
+    assert imm_running_products(mats, clip=1)[-1][0][0] == 0
+
+
+@pytest.mark.parametrize("clip", [0, -1, -(2**63)])
+def test_imm_z_rejects_clip_below_one(clip):
+    with pytest.raises(ValueError, match="clip"):
+        ImmZInstance(T=1, matrices=((0,) * 9,), clip=clip)
+    with pytest.raises(ValueError, match="clip"):
+        gen_imm_z((1, 3), random.Random(0), clip=clip)
+
+
+@pytest.mark.parametrize("want", [2, -1, "1", 0.5])
+def test_gen_imm_z_rejects_bad_want_label(want):
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="want_label"):
+        gen_imm_z((1, 3), rng, want_label=want)
+    assert rng.getstate() == state  # rejected before any draw
+
+
+def test_gen_imm_z_unreachable_label_raises():
+    with pytest.raises(ValueError, match="no imm-z instance with label 1 in 0 draws"):
+        gen_imm_z((1, 3), random.Random(0), want_label=1, max_tries=0)
+
+
 def test_imm_z_balanced_labels():
     rng = random.Random(12)
     for want in (0, 1):
@@ -274,6 +334,23 @@ def test_generate_dataset_records_match_oracles():
         rec = json.loads(line)
         inst = decode_conn_unary(rec["tokens"])
         assert int(conn_oracle(inst)) == rec["label"]
+
+
+@pytest.mark.parametrize(
+    "task, kwargs, digest",
+    [
+        ("imm-z", {"balanced": True},
+         "dcd491151c1e88e7fe2a70d584ae8ca4da7de0af9fac9e0c5f37c2b92fb0b222"),
+        ("imm-z", {"clip": 3, "balanced": True},
+         "50ee5947d4a5f74a877ccee4955befb00a7256c5c646a2abb297ead6b7ff4f91"),
+        ("imm-mod", {"m": 7, "q_k": 5},
+         "6bc8477863d4daa10082e044bac5f94a10da90872e4b48832cb153074383ef4f"),
+    ],
+    ids=["imm-z-balanced", "imm-z-clip3-balanced", "imm-mod-m7-q5"],
+)
+def test_generate_dataset_bytes_pinned(task, kwargs, digest):
+    lines = generate_dataset(task, 300, (1, 30), seed=113, **kwargs)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
 def test_rng_for_isolated_streams():

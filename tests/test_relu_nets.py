@@ -140,6 +140,32 @@ def test_cm_rnn_counts():
     assert rnn.decode(res.states[-1]) == ("q", (5, -5))
 
 
+def test_cm_rnn_decode_rejects_non_integer_counter():
+    rnn = cm_to_mlp_rnn(constant_machine(("+1", "-1")))
+    h = run_mlp_rnn(rnn, ["x"] * 3).states[-1]
+    assert rnn.decode(h) == ("q", (3, -3))
+    nq = 1  # one control state, then the two parts of each counter
+    for j in range(nq, nq + 4):
+        bad = RVector._raw(list(h.nums), list(h.dens))
+        bad.nums[j], bad.dens[j] = 2 * bad.nums[j] + 1, 2
+        with pytest.raises(AssertionError, match="not an integer"):
+            rnn.decode(bad)
+
+
+@pytest.mark.parametrize("compile_net", ["cm", "sm"])
+def test_rnn_decode_rejects_fractional_one_hot(compile_net):
+    if compile_net == "cm":
+        rnn = cm_to_mlp_rnn(constant_machine(("+1",)))
+    else:
+        rnn = sm_to_mlp_rnn(scripted_stack_machine(1, (("push0",), ("pop",))))
+    h = RVector._raw(list(rnn.h0.nums), list(rnn.h0.dens))
+    rnn.decode(h)
+    hot = h.nums.index(1)
+    h.dens[hot] = 2  # 1/2 where the one-hot block needs 1
+    with pytest.raises(AssertionError, match="one-hot"):
+        rnn.decode(h)
+
+
 def test_cm_rnn_conn_instances():
     machine = build_conn_counter_machine()
     rnn = cm_to_mlp_rnn(machine)
