@@ -16,10 +16,11 @@ token buffer that overwrites one matrix column per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .automata import Wfa
-from .kernels import radd, rmul, vdot
+from .kernels import nonzeros, radd, rmul, sdot
 from .linalg import RMatrix, RVector
 from .rational import Rational
 from .rwkv_gadgets import (
@@ -41,10 +42,21 @@ _THIRD = Rational(1, 3)
 
 @dataclass(frozen=True)
 class HStep:
-    """Multiplicative step I - beta k k^T; beta is unrestricted."""
+    """Multiplicative step I - beta k k^T; beta is unrestricted.
+
+    ``support`` holds the nonzero entries of k as ``(index, num, den)``;
+    the step actions read only those. It is derived from k at
+    construction unless a builder that already knows it passes it in, and
+    it takes no part in equality.
+    """
 
     beta: Rational
     k: RVector
+    support: tuple = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.support is None:
+            object.__setattr__(self, "support", nonzeros(self.k.nums, self.k.dens))
 
     @property
     def dim(self) -> int:
@@ -52,7 +64,7 @@ class HStep:
 
     @property
     def is_identity(self) -> bool:
-        return self.beta == _ZERO or all(n == 0 for n in self.k.nums)
+        return self.beta == _ZERO or not self.support
 
 
 def identity_hstep(d: int) -> HStep:
@@ -81,20 +93,23 @@ def h_matrix(step: HStep, d: int | None = None) -> RMatrix:
 
 
 def apply_h_row(r: RVector, step: HStep) -> RVector:
-    """Row action r (I - beta k k^T) = r - beta (r . k) k^T in O(d)."""
-    if step.beta.num == 0:
+    """Row action r (I - beta k k^T) = r - beta (r . k) k^T, reading and
+    writing only the support of k. ``ValueError`` if the lengths differ."""
+    if len(r.nums) != len(step.k.nums):
+        raise ValueError(f"vector length {len(r.nums)} != step dimension {step.dim}")
+    beta = step.beta
+    if beta.num == 0:
         return r
-    sn, sd = vdot(r.nums, r.dens, step.k.nums, step.k.dens)
+    support = step.support
+    sn, sd = sdot(support, r.nums, r.dens)
     if sn == 0:
         return r
-    fn, fd = rmul(step.beta.num, step.beta.den, sn, sd)
+    fn, fd = rmul(beta.num, beta.den, sn, sd)
     nums = list(r.nums)
     dens = list(r.dens)
-    for i in range(step.dim):
-        kn = step.k.nums[i]
-        if kn != 0:
-            pn, pd = rmul(fn, fd, kn, step.k.dens[i])
-            nums[i], dens[i] = radd(nums[i], dens[i], -pn, pd)
+    for i, kn, kd in support:
+        pn, pd = rmul(fn, fd, kn, kd)
+        nums[i], dens[i] = radd(nums[i], dens[i], -pn, pd)
     return RVector._raw(nums, dens)
 
 
@@ -168,9 +183,28 @@ class ApplyMatrixProgram:
 
 
 def apply_matrix_program(p: RMatrix) -> ApplyMatrixProgram:
+    """The program for P: the shared skeleton for P's size with the n^2
+    steps coordinate_scale(tmp, P[i, j]) filled in, one per scaled add."""
     if p.rows != p.cols:
         raise ValueError("matrix must be square")
     n = p.rows
+    skeleton, bounds = _program_skeleton(n)
+    steps = list(skeleton)
+    tmp_scale = skeleton[n]  # coordinate_scale(tmp, 0): its k is e_tmp
+    e_tmp, support = tmp_scale.k, tmp_scale.support
+    slot = bounds[0] + 3  # step 3 of each scaled add scales tmp
+    for j in range(n):
+        for i in range(n):
+            steps[slot] = HStep(_ONE - p[i, j], e_tmp, support)
+            slot += 8
+    return ApplyMatrixProgram(n=n, steps=tuple(steps), phase_bounds=bounds)
+
+
+@lru_cache(maxsize=8)
+def _program_skeleton(n: int) -> tuple:
+    """(steps, phase bounds) of the size-n program with zero in place of
+    every P[i, j]. All other steps are independent of P, so programs share
+    them; steps are immutable values."""
     d = 2 * n + 1
     tmp = 2 * n
     steps = []
@@ -180,7 +214,7 @@ def apply_matrix_program(p: RMatrix) -> ApplyMatrixProgram:
     b1 = len(steps)
     for j in range(n):
         for i in range(n):
-            steps += scaled_add(i, n + j, tmp, p[i, j], d)
+            steps += scaled_add(i, n + j, tmp, _ZERO, d)
     b2 = len(steps)
     for i in range(n):
         steps.append(coordinate_scale(i, _ZERO, d))
@@ -191,7 +225,7 @@ def apply_matrix_program(p: RMatrix) -> ApplyMatrixProgram:
     expected = 8 * n * n + 5 * n + 1
     if b4 != expected:
         raise AssertionError(f"program length {b4} != {expected}")
-    return ApplyMatrixProgram(n=n, steps=tuple(steps), phase_bounds=(b1, b2, b3, b4))
+    return tuple(steps), (b1, b2, b3, b4)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +413,8 @@ class DnetImmNet(BlockNet):
         vec_i3 = RVector([1, 0, 0, 0, 1, 0, 0, 0, 1])
         self.dim = 19
         self.initial_row = vec_i3.concat(RVector.zeros(10))
+        # one identity step serves every pad position and the PAD superblock
+        self._pad_program = (identity_hstep(self.dim),) * SUPERBLOCK_TOKENS
         self._programs = BlockMemo(self._compile_superblock)
 
     @staticmethod
@@ -404,12 +440,10 @@ class DnetImmNet(BlockNet):
 
     def _compile_superblock(self, block_tokens) -> tuple:
         if all(tok is PAD for tok in block_tokens):
-            return tuple(identity_hstep(self.dim) for _ in range(SUPERBLOCK_TOKENS))
+            return self._pad_program
         prod = self.superblock_product(imm_matrices(block_tokens))
         prog = apply_matrix_program(prod)
-        return prog.steps + tuple(
-            identity_hstep(self.dim) for _ in range(IDENTITY_PAD_STEPS)
-        )
+        return prog.steps + self._pad_program[:IDENTITY_PAD_STEPS]
 
     def superblock_program(self, block_tokens) -> tuple:
         """Padded 702-step program for one full superblock's product."""
@@ -418,18 +452,16 @@ class DnetImmNet(BlockNet):
     def block_steps(self, prev_block, index) -> tuple:
         return self.superblock_program(prev_block)
 
-    def final_readouts(self, key) -> list:
-        """Nine completion vectors at the final position, row-major order."""
-        residue, recent = key
-        tau = ((residue - 1) % SUPERBLOCK_TOKENS) + 1
+    def final_readouts(self, prev_block, block, index) -> list:
+        """Nine completion vectors after the final superblock ``block``
+        (oldest token first, possibly partial), row-major order: its
+        product's columns, finished by the remaining steps of
+        ``prev_block``'s program. ``index`` is unused here."""
+        tau = len(block)
         if tau % 9 != 0:
             raise ValueError("final readout only at a matrix boundary")
-        prev_block = tuple(
-            recent[back] for back in range(tau + SUPERBLOCK_TOKENS - 1, tau - 1, -1)
-        )
         steps = self.superblock_program(prev_block)
-        partial = [recent[back] for back in range(tau - 1, -1, -1)]
-        pi_final = self.superblock_product(imm_matrices(partial))
+        pi_final = self.superblock_product(imm_matrices(block))
         outs = []
         for j in range(9):
             u = pi_final.col(j).concat(RVector.zeros(10))

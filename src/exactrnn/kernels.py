@@ -59,6 +59,36 @@ def vdot(an, ad, bn, bd):
     return rnorm(sn, sd)
 
 
+def nonzeros(nums, dens) -> tuple:
+    """Support of a rational vector: ``(index, num, den)`` for each nonzero
+    entry, in index order."""
+    return tuple((i, n, dens[i]) for i, n in enumerate(nums) if n != 0)
+
+
+def sdot(support, xn, xd):
+    """Dot product of a vector given as parallel int lists with a sparse
+    vector given by its support (see ``nonzeros``); only the support's
+    indices are read."""
+    sn, sd = 0, 1
+    for i, bn, bd in support:
+        p = xn[i] * bn
+        if p == 0:
+            continue
+        q = xd[i] * bd
+        if q == 1:
+            if sd == 1:
+                sn += p
+            else:
+                sn += p * sd
+        else:
+            if sd == 1:
+                sn = sn * q + p
+            else:
+                sn = sn * q + p * sd
+            sd *= q
+    return rnorm(sn, sd)
+
+
 def vec_mat(xn, xd, mn, md, rows, cols):
     """Row vector (len rows) times flat row-major matrix (rows x cols)."""
     outn = [0] * cols

@@ -22,11 +22,11 @@ matrices in an 18-coordinate state by ping-ponging between two halves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 
 from .automata import Wfa
-from .kernels import rmul, vdot
+from .kernels import nonzeros, radd, rmul, sdot
 from .linalg import RMatrix, RVector, row_apply
 from .lrnn import RwkvStep
 from .rational import Rational
@@ -38,16 +38,25 @@ _ONE = Rational(1)
 
 @dataclass(frozen=True)
 class OverwriteSpec:
-    """Overwrite coordinate ``dst`` with <row, c>; requires c[dst] = 0."""
+    """Overwrite coordinate ``dst`` with <row, c>; requires c[dst] = 0.
+
+    ``support`` holds the nonzero entries of c as ``(index, num, den)``;
+    the step actions read only those. It is derived from c at
+    construction unless a builder that already knows it passes it in, and
+    it takes no part in equality.
+    """
 
     dst: int
     c: RVector
+    support: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if not (0 <= self.dst < len(self.c)):
+        if not (0 <= self.dst < len(self.c.nums)):
             raise ValueError("dst out of range")
         if self.c.nums[self.dst] != 0:
             raise ValueError("coefficient at dst must be zero")
+        if self.support is None:
+            object.__setattr__(self, "support", nonzeros(self.c.nums, self.c.dens))
 
     @property
     def dim(self) -> int:
@@ -65,29 +74,33 @@ def overwrite_matrix(spec: OverwriteSpec) -> RMatrix:
     return m
 
 
+def _check_dim(r: RVector, spec: OverwriteSpec):
+    if len(r.nums) != len(spec.c.nums):
+        raise ValueError(f"vector length {len(r.nums)} != step dimension {spec.dim}")
+
+
 def apply_overwrite_row(r: RVector, spec: OverwriteSpec) -> RVector:
-    """Row action of U(dst; c) in O(d)."""
+    """Row action of U(dst; c), reading only the support of c.
+    ``ValueError`` if the lengths differ."""
+    _check_dim(r, spec)
     nums = list(r.nums)
     dens = list(r.dens)
-    n, d = vdot(r.nums, r.dens, spec.c.nums, spec.c.dens)
-    nums[spec.dst] = n
-    dens[spec.dst] = d
+    nums[spec.dst], dens[spec.dst] = sdot(spec.support, r.nums, r.dens)
     return RVector._raw(nums, dens)
 
 
 def apply_overwrite_col(u: RVector, spec: OverwriteSpec) -> RVector:
-    """Column action of U(dst; c) in O(d): u + u[dst] * (c - e_dst)."""
+    """Column action of U(dst; c): u + u[dst] * (c - e_dst), writing only
+    the support of c and dst. ``ValueError`` if the lengths differ."""
+    _check_dim(u, spec)
     un, ud = u.nums[spec.dst], u.dens[spec.dst]
     nums = list(u.nums)
     dens = list(u.dens)
     if un == 0:
         return RVector._raw(nums, dens)
-    for i in range(spec.dim):
-        cn = spec.c.nums[i]
-        if cn != 0:
-            pn, pd = rmul(un, ud, cn, spec.c.dens[i])
-            q = Rational._make(nums[i], dens[i]) + Rational._make(pn, pd)
-            nums[i], dens[i] = q.num, q.den
+    for i, cn, cd in spec.support:
+        pn, pd = rmul(un, ud, cn, cd)
+        nums[i], dens[i] = radd(nums[i], dens[i], pn, pd)
     nums[spec.dst] = 0
     dens[spec.dst] = 1
     return RVector._raw(nums, dens)
@@ -306,13 +319,17 @@ def imm_matrices(tokens_oldest_first) -> list:
 
 def imm_forward(net, stream, apply_row) -> list:
     """Nine row-major product entries from a streamed 3x3-product net: the
-    streamed steps, then the completion readouts at the final position."""
+    streamed steps, then the completion readouts at the final position,
+    from the final block, the block before it and the final block's index."""
     tokens = imm_tokens(stream)
     row = net.initial_row
     for factor, _ in stream_entries(net, tokens):
         row = apply_row(row, factor)
-    key = window_key(len(tokens), tokens, net.router.window)
-    return [row.dot(u) for u in net.final_readouts(key)]
+    m = net.block_len
+    start = (len(tokens) - 1) // m * m
+    prev = tuple(tokens[start - m : start]) if start else (PAD,) * m
+    readouts = net.final_readouts(prev, tuple(tokens[start:]), start // m)
+    return [row.dot(u) for u in readouts]
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +371,18 @@ class WfaNet(BlockNet):
         self._program = program
         self._apply_col = apply_col
         self._programs = BlockMemo(self._compile_block)
+        # (block, product) of the last block streamed to its end
+        self._product = None
 
     def _compile_block(self, block) -> list:
-        prod = RMatrix.identity(self.n)
-        for sym in block:
-            if sym is not PAD:
-                prod = prod @ self.wfa.matrix(sym)
+        held, self._product = self._product, None
+        if held is not None and held[0] == block:
+            prod = held[1]
+        else:
+            prod = RMatrix.identity(self.n)
+            for sym in block:
+                if sym is not PAD:
+                    prod = prod @ self.wfa.matrix(sym)
         return self._program(prod)
 
     def block_steps(self, prev_block, index) -> list:
@@ -369,14 +392,18 @@ class WfaNet(BlockNet):
         """The block's product is kept incrementally, one matrix product per
         token, then finished by T_tau: from per-block suffix columns if
         m > 2n, else by replaying the remaining column steps (the cheaper
-        of the two, see the class docstring). Unknown symbols, PAD
-        included, raise ``ValueError``."""
+        of the two, see the class docstring). A full block's product is
+        held for the next block's compile; it is recorded before the last
+        yield, since a consumer need not resume the generator after it.
+        Unknown symbols, PAD included, raise ``ValueError``."""
         m = len(steps)
         # n (m-1) column steps per block for the suffix, m (m-1)/2 to replay
         suffix = self._suffix_columns(steps) if m > 2 * self.n else None
         prefix = RMatrix.identity(self.n)
         for tau, sym in enumerate(block, start=1):
             prefix = prefix @ self.wfa.matrix(sym)
+            if tau == m:
+                self._product = (block, prefix)
             v = prefix.apply_col(self.wfa.omega)
             if suffix is not None:
                 yield row_apply(v, suffix[tau])
@@ -451,28 +478,39 @@ class RwkvImmNet(BlockNet):
 
     def block_steps(self, prev_block, index) -> list:
         """The nine overwrites of block ``index``: step 3i+j writes entry
-        (i, j) of (half index mod 2) . A_prev into the other half."""
+        (i, j) of (half index mod 2) . A_prev into the other half. Each
+        coefficient vector holds column j of A_prev, at most three
+        nonzeros, so its support is built with it."""
         (a_prev,) = imm_matrices(prev_block)
-        parity = index % 2
+        an, ad = a_prev.nums, a_prev.dens
+        src = 9 * (index % 2)
+        dst = 9 - src
+        # nonzeros of column j of A_prev as (row k, num, den)
+        cols = [
+            [(k, an[3 * k + j], ad[3 * k + j]) for k in range(3) if an[3 * k + j] != 0]
+            for j in range(3)
+        ]
         specs = []
         for i in range(3):
+            base = src + 3 * i
             for j in range(3):
-                c = RVector.zeros(18)
-                for k in range(3):
-                    c.nums[9 * parity + 3 * i + k] = a_prev.nums[3 * k + j]
-                    c.dens[9 * parity + 3 * i + k] = a_prev.dens[3 * k + j]
-                specs.append(OverwriteSpec(dst=9 * (1 - parity) + 3 * i + j, c=c))
+                nums = [0] * 18
+                dens = [1] * 18
+                support = tuple([(base + k, n, d) for k, n, d in cols[j]])
+                for at, n, d in support:
+                    nums[at] = n
+                    dens[at] = d
+                specs.append(OverwriteSpec(dst + 3 * i + j, RVector._raw(nums, dens), support))
         return specs
 
-    def final_readouts(self, key) -> list:
-        """Nine completion vectors at the last position, row-major: the
-        coefficient vectors of the overwrites that the next block would
-        stream, which fold the final block's matrix in."""
-        residue, recent = key
-        if ((residue - 1) % 9) + 1 != 9:
+    def final_readouts(self, prev_block, block, index) -> list:
+        """Nine completion vectors after the final block ``block`` (block
+        ``index``), row-major: the coefficient vectors of the overwrites
+        that the next block would stream, which fold the final block's
+        matrix in. ``prev_block`` is unused here."""
+        if len(block) != 9:
             raise ValueError("final readout only at a block boundary")
-        last = tuple(recent[back] for back in range(8, -1, -1))
-        return [spec.c for spec in self.block_steps(last, (residue - 1) // 9 + 1)]
+        return [spec.c for spec in self.block_steps(block, index + 1)]
 
 
 def build_rwkv_imm() -> RwkvImmNet:

@@ -39,6 +39,11 @@ def frac_vec_mat(x, m) -> list:
     return [sum((x[i] * m[i][j] for i in range(len(x))), Fraction(0)) for j in range(cols)]
 
 
+def support_of(vec) -> tuple:
+    """Nonzero entries of a vector as (index, num, den), read entry by entry."""
+    return tuple((i, x.num, x.den) for i, x in enumerate(vec) if x != 0)
+
+
 def frac_dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
@@ -79,3 +84,43 @@ def imm_running_products(matrices, mod=None, clip=None) -> list:
         p = nxt
         out.append(p)
     return out
+
+
+def matrix_program_steps(p) -> list:
+    """Every step ``(beta, k)`` of the matrix-application program for the
+    n x n Fraction matrix ``p`` (nested lists), in dimension 2n+1, written
+    out from its four phases with nothing shared between programs: clear
+    scratch and temp; for each column j and row i, add P[i, j] times main
+    coordinate i into scratch coordinate j through the temp (eight steps);
+    clear main; copy scratch back over main."""
+    n = len(p)
+    d = 2 * n + 1
+    tmp = 2 * n
+
+    def vec(entries):
+        k = [Fraction(0)] * d
+        for i, x in entries.items():
+            k[i] = Fraction(x)
+        return k
+
+    def scale(j, s):
+        return (1 - Fraction(s), vec({j: 1}))
+
+    def transvection(src, dst):
+        return [
+            (Fraction(2), vec({src: 1, dst: 1})),
+            (Fraction(1, 2), vec({src: 1})),
+            (Fraction(1, 3), vec({src: 1, dst: 2})),
+        ]
+
+    steps = [scale(n + j, 0) for j in range(n)] + [scale(tmp, 0)]
+    for j in range(n):
+        for i in range(n):
+            steps += transvection(i, tmp)
+            steps.append(scale(tmp, p[i][j]))
+            steps += transvection(tmp, n + j)
+            steps.append(scale(tmp, 0))
+    steps += [scale(i, 0) for i in range(n)]
+    for j in range(n):
+        steps += transvection(n + j, j)
+    return steps

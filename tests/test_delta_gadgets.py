@@ -27,7 +27,10 @@ from exactrnn.delta_gadgets import (
 from exactrnn.linalg import RMatrix, RVector, row_apply
 from exactrnn.problems import IDENTITY3, mat3_mul
 from exactrnn.rational import Rational
+from exactrnn.rwkv_gadgets import stream_entries
 from exactrnn.verify import random_wfa
+
+from oracles import mat_to_frac, matrix_program_steps, support_of, to_frac, vec_to_frac
 
 VALS = [Rational(-1), Rational(-1, 2), Rational(0), Rational(1, 2), Rational(1), Rational(3)]
 
@@ -207,6 +210,48 @@ def test_program_phases():
     assert prog.phase_bounds == (n + 1, n + 1 + 8 * n * n, n + 1 + 8 * n * n + n, len(prog))
     assert prog.phase_of(0) == 1
     assert prog.phase_of(len(prog) - 1) == 4
+
+
+def rand_rational_matrix(rng, n):
+    return RMatrix(
+        [[Rational(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+    )
+
+
+def as_fractions(steps):
+    return [(to_frac(s.beta), vec_to_frac(s.k)) for s in steps]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9])
+def test_program_steps_carry_their_support(n):
+    p = rand_rational_matrix(random.Random(40 + n), n)
+    for step in apply_matrix_program(p).steps:
+        assert step.support == support_of(step.k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9])
+def test_shared_skeleton_programs_equal_unshared_reference(n):
+    rng = random.Random(50 + n)
+    p1, p2 = rand_rational_matrix(rng, n), rand_rational_matrix(rng, n)
+    first = apply_matrix_program(p1)
+    want_first = matrix_program_steps(mat_to_frac(p1))
+    assert as_fractions(first.steps) == want_first
+    second = apply_matrix_program(p2)
+    assert as_fractions(second.steps) == matrix_program_steps(mat_to_frac(p2))
+    # programs share their matrix-independent steps; the second build must
+    # not have changed the first
+    assert as_fractions(first.steps) == want_first
+
+
+@pytest.mark.parametrize("step", [
+    HStep(Rational(2), RVector([1, 0, 1])),
+    identity_hstep(3),
+], ids=["reflection", "identity"])
+@pytest.mark.parametrize("action", [apply_h_row, apply_h_col], ids=["row", "col"])
+def test_h_step_actions_reject_dimension_mismatch(action, step):
+    for r in (RVector([1, 2]), RVector([1, 2, 3, 4])):
+        with pytest.raises(ValueError, match="step dimension 3"):
+            action(r, step)
 
 
 # --- cyclic counter --------------------------------------------------------------
@@ -451,6 +496,23 @@ def test_forward_state_equals_head_parameter_transitions():
         )
         dense = row_apply(dense, deltanet_transition(head).A)
         assert fast == dense
+
+
+def test_dnet_imm_stream_state_equals_head_parameter_transitions():
+    # one superblock (the PAD program) plus all but the last matrix of a
+    # second one (the first superblock's program): the support-only row
+    # action equals right-multiplying by the dense head transition
+    from exactrnn.lrnn import DeltaNetStep, deltanet_transition
+
+    rng = random.Random(18)
+    tokens = [rng.choice((-1, 0, 1)) for _ in range(2 * SUPERBLOCK_TOKENS - 9)]
+    net = build_dnet_imm()
+    fast = dense = net.initial_row
+    for t, (factor, _) in enumerate(stream_entries(net, tokens), start=1):
+        fast = apply_h_row(fast, factor)
+        head = DeltaNetStep(beta=factor.beta, k=factor.k, v=RVector.zeros(net.dim))
+        dense = row_apply(dense, deltanet_transition(head).A)
+        assert fast == dense, f"state differs at position {t}"
 
 
 from hypothesis import given, settings, strategies as st

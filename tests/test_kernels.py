@@ -35,3 +35,16 @@ def test_outputs_always_canonical():
         bn, bd = rand_rat_list(rng, n)
         num, den = kernels.vdot(an, ad, bn, bd)
         assert den > 0 and (num == 0 and den == 1 or gcd(abs(num), den) == 1)
+
+
+def test_sparse_dot_equals_dense_dot():
+    rng = random.Random(5)
+    for _ in range(50):
+        n = rng.randint(1, 8)
+        an, ad = rand_rat_list(rng, n)
+        bn, bd = rand_rat_list(rng, n)
+        for i in rng.sample(range(n), rng.randint(0, n)):
+            bn[i], bd[i] = 0, 1
+        support = kernels.nonzeros(bn, bd)
+        assert [i for i, _, _ in support] == [i for i in range(n) if bn[i] != 0]
+        assert kernels.sdot(support, an, ad) == kernels.vdot(an, ad, bn, bd)

@@ -22,6 +22,8 @@ from exactrnn.rwkv_gadgets import (
 )
 from exactrnn.verify import random_wfa
 
+from oracles import support_of
+
 VALS = [Rational(-1), Rational(-1, 2), Rational(0), Rational(1, 2), Rational(1)]
 
 
@@ -72,6 +74,17 @@ def test_overwrite_column_action_matches_matrix():
         spec = OverwriteSpec(dst=dst, c=rand_vec(rng, d, zero_at=dst))
         u = rand_vec(rng, d)
         assert apply_overwrite_col(u, spec) == overwrite_matrix(spec).apply_col(u)
+
+
+@pytest.mark.parametrize("action", [apply_overwrite_row, apply_overwrite_col],
+                         ids=["row", "col"])
+def test_overwrite_actions_reject_dimension_mismatch(action):
+    # on a shorter row a dot product over c's support would index past it,
+    # and a dense one would drop the c[2] term without a word
+    spec = OverwriteSpec(dst=1, c=RVector([5, 0, 7]))
+    for r in (RVector([1, 2]), RVector([1, 2, 3, 4]), RVector([0, 2, 0, 4])):
+        with pytest.raises(ValueError, match="step dimension 3"):
+            action(r, spec)
 
 
 # --- head parameters -----------------------------------------------------------
@@ -299,6 +312,19 @@ def test_imm_coefficients_only_touch_active_half():
         assert spec.dst not in active
         support = [i for i in range(18) if spec.c.nums[i] != 0]
         assert all(i in active for i in support)
+
+
+def test_factor_and_imm_steps_carry_their_support():
+    rng = random.Random(41)
+    for n in (1, 2, 3):
+        p = RMatrix([[rng.choice(VALS) for _ in range(n)] for _ in range(n)])
+        for spec in factor_apply_matrix(p):
+            assert spec.support == support_of(spec.c)
+    net = build_rwkv_imm()
+    for index in range(2):
+        block = tuple(rng.choice((-1, 0, 1, Rational(2, 3))) for _ in range(9))
+        for spec in net.block_steps(block, index):
+            assert spec.support == support_of(spec.c)
 
 
 def test_imm_rational_entries():

@@ -14,6 +14,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from exactrnn.delta_gadgets import (
+    IDENTITY_PAD_STEPS,
+    SUPERBLOCK_MATRICES,
     SUPERBLOCK_TOKENS,
     apply_h_col,
     apply_matrix_program,
@@ -104,6 +106,9 @@ def test_first_block_streams_the_pad_program():
     factors = [f for f, _ in stream_entries(build_dnet_imm(), [1] * 18)]
     assert factors == list(pad_steps[:18])
     assert all(f.is_identity for f in factors)
+    # every pad position, here and after a compiled program, is one step
+    program = net.superblock_program([1, 0, 0, 0, 1, 0, 0, 0, 1] * SUPERBLOCK_MATRICES)
+    assert len({id(s) for s in pad_steps + program[-IDENTITY_PAD_STEPS:]}) == 1
 
 
 # --- completion work ----------------------------------------------------------
@@ -144,6 +149,42 @@ def test_rwkv_wfa_completions_replay_remaining_steps():
     # a one-token block tells the two apart: m-1 to replay, n (m-1) to build
     steps = completion_column_steps(factor_apply_matrix, apply_overwrite_col, n, m, 1)
     assert steps == 2 * m * (m - 1) // 2 + m - 1
+
+
+@pytest.mark.parametrize("build", [build_dnet_wfa, build_rwkv_wfa], ids=["dnet", "rwkv"])
+def test_wfa_block_product_built_once(monkeypatch, build):
+    # the completions' running product of a full block is the product the
+    # next block's program is compiled from, so each token's matrix is
+    # fetched once, not again at the next block boundary
+    rng = random.Random(9)
+    wfa = random_wfa(rng, 2, 2)
+    net = build(wfa)
+    word = [rng.choice(wfa.alphabet) for _ in range(3 * net.block_len + 1)]
+    fetched = []
+    matrix = type(wfa).matrix
+
+    def counted(self, sym):
+        fetched.append(sym)
+        return matrix(self, sym)
+
+    monkeypatch.setattr(type(wfa), "matrix", counted)
+    assert len(list(stream_entries(net, word))) == len(word)
+    assert fetched == word
+
+
+@pytest.mark.parametrize("build", [build_dnet_wfa, build_rwkv_wfa], ids=["dnet", "rwkv"])
+def test_held_block_product_serves_only_its_block(build):
+    # a stream that ends on a full block leaves that block's product held;
+    # the same net's router, asked about another word, must not use it
+    rng = random.Random(10)
+    wfa = random_wfa(rng, 2, 2)
+    net = build(wfa)
+    m = net.block_len
+    word = [rng.choice(wfa.alphabet) for _ in range(2 * m)]
+    other = [rng.choice(wfa.alphabet) for _ in range(2 * m)]
+    assert other[:m] != word[m:]
+    assert len(list(stream_entries(net, word))) == len(word)
+    assert net.router.query_at(m + 1, other) == build(wfa).router.query_at(m + 1, other)
 
 
 # --- bounded memory -----------------------------------------------------------
