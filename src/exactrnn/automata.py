@@ -103,9 +103,6 @@ class CounterMachine:
     updates: dict
     accepting: frozenset
 
-    def zero_mask(self, counters) -> tuple:
-        return tuple(1 if c == 0 else 0 for c in counters)
-
     def describe(self) -> str:
         lines = [
             f"counter machine: {len(self.states)} states, {self.n_counters} counters,"

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .automata import Wfa
-from .kernels import nonzeros, radd, rmul, sdot
+from .kernels import nonzeros, radd, rmul, run_hsteps, sdot, vec_mat
 from .linalg import RMatrix, RVector
 from .rational import Rational
 from .rwkv_gadgets import (
@@ -65,6 +65,19 @@ class HStep:
     @property
     def is_identity(self) -> bool:
         return self.beta == _ZERO or not self.support
+
+    @property
+    def op(self) -> tuple:
+        """This step as a block-program op, ``(beta_num, beta_den,
+        support)``."""
+        return self.beta.num, self.beta.den, self.support
+
+    @classmethod
+    def from_op(cls, op, dim: int) -> "HStep":
+        """The step of block-program op ``(beta_num, beta_den, support)``
+        in dimension ``dim``."""
+        bn, bd, support = op
+        return cls(Rational._make(bn, bd), RVector.from_support(support, dim), support)
 
 
 def identity_hstep(d: int) -> HStep:
@@ -185,26 +198,53 @@ class ApplyMatrixProgram:
 def apply_matrix_program(p: RMatrix) -> ApplyMatrixProgram:
     """The program for P: the shared skeleton for P's size with the n^2
     steps coordinate_scale(tmp, P[i, j]) filled in, one per scaled add."""
-    if p.rows != p.cols:
-        raise ValueError("matrix must be square")
-    n = p.rows
-    skeleton, bounds = _program_skeleton(n)
+    n = _square(p)
+    skeleton, _, bounds = _program_skeleton(n)
     steps = list(skeleton)
     tmp_scale = skeleton[n]  # coordinate_scale(tmp, 0): its k is e_tmp
     e_tmp, support = tmp_scale.k, tmp_scale.support
+    for slot, (bn, bd) in _tmp_scale_betas(p, bounds):
+        steps[slot] = HStep(Rational._make(bn, bd), e_tmp, support)
+    return ApplyMatrixProgram(n=n, steps=tuple(steps), phase_bounds=bounds)
+
+
+def apply_matrix_ops(p: RMatrix) -> tuple:
+    """The same program as block-program ops: the shared skeleton's ops
+    for P's size with the n^2 ops coordinate_scale(tmp, P[i, j]) filled
+    in."""
+    n = _square(p)
+    _, skeleton_ops, bounds = _program_skeleton(n)
+    ops = list(skeleton_ops)
+    support = skeleton_ops[n][2]  # coordinate_scale(tmp, 0): its k is e_tmp
+    for slot, (bn, bd) in _tmp_scale_betas(p, bounds):
+        ops[slot] = (bn, bd, support)
+    return tuple(ops)
+
+
+def _square(p: RMatrix) -> int:
+    if p.rows != p.cols:
+        raise ValueError("matrix must be square")
+    return p.rows
+
+
+def _tmp_scale_betas(p: RMatrix, bounds):
+    """(slot, beta) of the n^2 steps coordinate_scale(tmp, P[i, j]) in
+    program order, with beta = 1 - P[i, j] as a canonical (num, den)."""
+    n = p.rows
     slot = bounds[0] + 3  # step 3 of each scaled add scales tmp
     for j in range(n):
         for i in range(n):
-            steps[slot] = HStep(_ONE - p[i, j], e_tmp, support)
+            pn, pd = p.nums[i * n + j], p.dens[i * n + j]
+            # gcd(pd - pn, pd) = gcd(pn, pd) = 1, and pd - pn = 0 only at 1/1
+            yield slot, (pd - pn, pd)
             slot += 8
-    return ApplyMatrixProgram(n=n, steps=tuple(steps), phase_bounds=bounds)
 
 
 @lru_cache(maxsize=8)
 def _program_skeleton(n: int) -> tuple:
-    """(steps, phase bounds) of the size-n program with zero in place of
-    every P[i, j]. All other steps are independent of P, so programs share
-    them; steps are immutable values."""
+    """(steps, ops, phase bounds) of the size-n program with zero in place
+    of every P[i, j]. All other steps are independent of P, so programs
+    share them; steps and ops are immutable values."""
     d = 2 * n + 1
     tmp = 2 * n
     steps = []
@@ -225,7 +265,7 @@ def _program_skeleton(n: int) -> tuple:
     expected = 8 * n * n + 5 * n + 1
     if b4 != expected:
         raise AssertionError(f"program length {b4} != {expected}")
-    return tuple(steps), (b1, b2, b3, b4)
+    return tuple(steps), tuple([s.op for s in steps]), (b1, b2, b3, b4)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +422,7 @@ def build_dnet_wfa(wfa: Wfa) -> WfaNet:
 
 def dnet_wfa_forward(net: WfaNet, word) -> list:
     """Scalar outputs at every position 1..|word|."""
-    return wfa_forward(net, word, apply_h_row)
+    return wfa_forward(net, word, run_hsteps)
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +443,9 @@ class DnetImmNet(BlockNet):
     product is factored into 694 steps padded with 8 identity steps, and
     superblocks stream with a one-superblock delay. The router key is
     (t mod 1404, last 1404 tokens); the forward pass compiles each
-    superblock's program once, at the next superblock's boundary. The
-    final, possibly partial, superblock is applied only inside the nine
-    completion readouts at the last position.
+    superblock's program to ops once, at the next superblock's boundary.
+    The final, possibly partial, superblock is applied only in the readout
+    at the last position.
     """
 
     def __init__(self):
@@ -413,9 +453,13 @@ class DnetImmNet(BlockNet):
         vec_i3 = RVector([1, 0, 0, 0, 1, 0, 0, 0, 1])
         self.dim = 19
         self.initial_row = vec_i3.concat(RVector.zeros(10))
-        # one identity step serves every pad position and the PAD superblock
-        self._pad_program = (identity_hstep(self.dim),) * SUPERBLOCK_TOKENS
+        # one identity op, and one identity step in the spec view, serves
+        # every pad position and the PAD superblock
+        self._pad_step = identity_hstep(self.dim)
+        self._pad_op = self._pad_step.op
+        self._pad_program = (self._pad_op,) * SUPERBLOCK_TOKENS
         self._programs = BlockMemo(self._compile_superblock)
+        self._specs = BlockMemo(self._spec_view)
 
     @staticmethod
     def _embed3(a: RMatrix) -> RMatrix:
@@ -442,33 +486,42 @@ class DnetImmNet(BlockNet):
         if all(tok is PAD for tok in block_tokens):
             return self._pad_program
         prod = self.superblock_product(imm_matrices(block_tokens))
-        prog = apply_matrix_program(prod)
-        return prog.steps + self._pad_program[:IDENTITY_PAD_STEPS]
+        return apply_matrix_ops(prod) + self._pad_program[:IDENTITY_PAD_STEPS]
+
+    def _spec_view(self, block_tokens) -> tuple:
+        return tuple([
+            self._pad_step if op is self._pad_op else HStep.from_op(op, self.dim)
+            for op in self._programs(block_tokens)
+        ])
+
+    def block_program(self, prev_block, index) -> tuple:
+        """The padded 702-op program of the full superblock ``prev_block``."""
+        return self._programs(tuple(prev_block))
 
     def superblock_program(self, block_tokens) -> tuple:
-        """Padded 702-step program for one full superblock's product."""
-        return self._programs(tuple(block_tokens))
+        """The padded 702-step program for one full superblock's product,
+        as steps built from its ops."""
+        return self._specs(tuple(block_tokens))
 
     def block_steps(self, prev_block, index) -> tuple:
         return self.superblock_program(prev_block)
 
-    def final_readouts(self, prev_block, block, index) -> list:
-        """Nine completion vectors after the final superblock ``block``
-        (oldest token first, possibly partial), row-major order: its
-        product's columns, finished by the remaining steps of
-        ``prev_block``'s program. ``index`` is unused here."""
+    def final_readouts(self, prev_block, block, index, nums, dens) -> list:
+        """Nine row-major product entries read from the row ``nums``/``dens``
+        after the final superblock ``block`` (oldest token first, possibly
+        partial). The completion of entry j is T (Pi e_j), with T the
+        remaining steps of ``prev_block``'s program and Pi the final
+        block's product; since row . T u = (row T) . u, the row is finished
+        in place through T once and then multiplied by Pi. ``index`` is
+        unused here."""
         tau = len(block)
         if tau % 9 != 0:
             raise ValueError("final readout only at a matrix boundary")
-        steps = self.superblock_program(prev_block)
+        ops = self.block_program(prev_block, index)
+        run_hsteps(ops, tau, len(ops), nums, dens)
         pi_final = self.superblock_product(imm_matrices(block))
-        outs = []
-        for j in range(9):
-            u = pi_final.col(j).concat(RVector.zeros(10))
-            for i in range(len(steps) - 1, tau - 1, -1):
-                u = apply_h_col(u, steps[i])
-            outs.append(u)
-        return outs
+        outn, outd = vec_mat(nums[:9], dens[:9], pi_final.nums, pi_final.dens, 9, 9)
+        return [Rational._make(n, d) for n, d in zip(outn, outd)]
 
 
 def build_dnet_imm() -> DnetImmNet:
@@ -477,4 +530,4 @@ def build_dnet_imm() -> DnetImmNet:
 
 def dnet_imm_forward(net: DnetImmNet, stream) -> list:
     """Nine row-major entries of the product of the streamed matrices."""
-    return imm_forward(net, stream, apply_h_row)
+    return imm_forward(net, stream, run_hsteps)

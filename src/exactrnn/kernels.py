@@ -155,6 +155,89 @@ def mat_mul(an, ad, ar, ac, bn, bd, bc):
     return outn, outd
 
 
+def run_overwrites(ops, start, stop, nums, dens):
+    """Run the coordinate overwrites ``ops[start:stop]`` in place on one
+    row held as parallel int lists; returns nothing.
+
+    Op ``(dst, support)`` sets ``row[dst]`` to the dot product of the row
+    with the coefficient vector whose nonzeros ``support`` lists as
+    ``(index, num, den)`` (see ``nonzeros``); the vector is zero at dst.
+    """
+    for dst, support in ops[start:stop]:
+        sn, sd = 0, 1
+        for i, bn, bd in support:
+            p = nums[i] * bn
+            if p == 0:
+                continue
+            q = dens[i] * bd
+            if q == 1:
+                sn = sn + p if sd == 1 else sn + p * sd
+            else:
+                sn = sn * q + (p if sd == 1 else p * sd)
+                sd *= q
+        if sn == 0:
+            nums[dst] = 0
+            dens[dst] = 1
+        elif sd == 1:
+            nums[dst] = sn
+            dens[dst] = 1
+        else:
+            g = gcd(sn, sd)
+            nums[dst] = sn // g
+            dens[dst] = sd // g
+
+
+def run_hsteps(ops, start, stop, nums, dens):
+    """Run the symmetric steps ``ops[start:stop]`` in place on one row held
+    as parallel int lists; returns nothing.
+
+    Op ``(beta_num, beta_den, support)`` is I - beta k k^T, with the
+    nonzeros of k listed in ``support`` as ``(index, num, den)``: the row
+    becomes row - beta (row . k) k^T, which reads and writes only the
+    support.
+    """
+    for bn, bd, support in ops[start:stop]:
+        if bn == 0:
+            continue
+        sn, sd = 0, 1
+        for i, kn, kd in support:
+            p = nums[i] * kn
+            if p == 0:
+                continue
+            q = dens[i] * kd
+            if q == 1:
+                sn = sn + p if sd == 1 else sn + p * sd
+            else:
+                sn = sn * q + (p if sd == 1 else p * sd)
+                sd *= q
+        if sn == 0:
+            continue
+        # f = beta (row . k), canonical
+        fn = bn * sn
+        fd = bd * sd
+        if fd != 1:
+            g = gcd(fn, fd)
+            if g > 1:
+                fn //= g
+                fd //= g
+        for i, kn, kd in support:
+            pd = fd * kd
+            an = nums[i]
+            ad = dens[i]
+            if pd == 1 and ad == 1:
+                nums[i] = an - fn * kn
+                continue
+            rn = an * pd - fn * kn * ad
+            if rn == 0:
+                nums[i] = 0
+                dens[i] = 1
+                continue
+            rd = ad * pd
+            g = gcd(rn, rd)
+            nums[i] = rn // g
+            dens[i] = rd // g
+
+
 def sparse_affine(ops, xn, xd):
     """Run a straight-line affine/ReLU program over one register file.
 

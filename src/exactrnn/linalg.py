@@ -43,6 +43,17 @@ class RVector:
         return cls._raw(nums, [1] * d)
 
     @classmethod
+    def from_support(cls, support, d: int) -> "RVector":
+        """The length-d vector whose nonzeros ``support`` lists as
+        ``(index, num, den)`` (see ``kernels.nonzeros``)."""
+        nums = [0] * d
+        dens = [1] * d
+        for i, n, den in support:
+            nums[i] = n
+            dens[i] = den
+        return cls._raw(nums, dens)
+
+    @classmethod
     def ones(cls, d: int) -> "RVector":
         return cls._raw([1] * d, [1] * d)
 
@@ -96,9 +107,6 @@ class RVector:
 
     def copy(self) -> "RVector":
         return RVector._raw(list(self.nums), list(self.dens))
-
-    def tolist(self):
-        return list(self)
 
     def __str__(self):
         return "(" + ", ".join(str(v) for v in self) + ")"

@@ -120,10 +120,6 @@ class Rational:
     def __bool__(self):
         return self.num != 0
 
-    @property
-    def is_integer(self) -> bool:
-        return self.den == 1
-
     def sign(self) -> int:
         return (self.num > 0) - (self.num < 0)
 
@@ -158,12 +154,6 @@ class PrecisionReport:
 
     max_value_bits: int
     total_bits: int
-
-    def merged(self, other: "PrecisionReport") -> "PrecisionReport":
-        return PrecisionReport(
-            max(self.max_value_bits, other.max_value_bits),
-            self.total_bits + other.total_bits,
-        )
 
 
 def value_bits(q: Rational) -> int:

@@ -10,14 +10,22 @@ one-block delay, and a per-position completion vector finishes the pending
 block at readout time.
 
 The block-streaming recipe is written once here for both step families
-(these overwrites and the symmetric steps of ``delta_gadgets``): a
-``BlockNet`` specifies its router as a finite-window function
-(``window_key`` and ``RouterTable``), and the forward passes compute the
-same entries block by block with ``stream_entries``, so their work per
+(these overwrites and the symmetric steps of ``delta_gadgets``). Each net
+compiles a block into a block program: a tuple of raw op tuples, ``(dst,
+support)`` for an overwrite and ``(beta_num, beta_den, support)`` for a
+symmetric step, where ``support`` lists the step vector's nonzeros as
+``(index, num, den)``. The forward passes hold the row as two int lists
+and run each program in place with one kernel per family
+(``kernels.run_overwrites``, ``kernels.run_hsteps``), so their work per
 token does not grow with the window and their memory does not grow with
-the stream. ``WfaNet`` tracks any weighted finite automaton's prefix values
-with either family; ``RwkvImmNet`` accumulates a product of streamed 3x3
-matrices in an 18-coordinate state by ping-ponging between two halves.
+the stream. The steps as values (``OverwriteSpec``, ``HStep``) are the
+spec-level view, built from the program on demand by ``block_steps``: a
+``BlockNet`` specifies its router with them as a finite-window function
+(``window_key`` and ``RouterTable``), and ``stream_entries`` yields the
+same entries block by block. ``WfaNet`` tracks any weighted finite
+automaton's prefix values with either family; ``RwkvImmNet`` accumulates a
+product of streamed 3x3 matrices in an 18-coordinate state by ping-ponging
+between two halves.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 from .automata import Wfa
-from .kernels import nonzeros, radd, rmul, sdot
+from .kernels import nonzeros, radd, rmul, run_overwrites, sdot, vdot
 from .linalg import RMatrix, RVector, row_apply
 from .lrnn import RwkvStep
 from .rational import Rational
@@ -61,6 +69,18 @@ class OverwriteSpec:
     @property
     def dim(self) -> int:
         return len(self.c)
+
+    @property
+    def op(self) -> tuple:
+        """This step as a block-program op, ``(dst, support)``."""
+        return self.dst, self.support
+
+    @classmethod
+    def from_op(cls, op, dim: int) -> "OverwriteSpec":
+        """The step of block-program op ``(dst, support)`` in dimension
+        ``dim``."""
+        dst, support = op
+        return cls(dst, RVector.from_support(support, dim), support)
 
 
 def overwrite_matrix(spec: OverwriteSpec) -> RMatrix:
@@ -194,7 +214,7 @@ class RouterEntry:
 
 
 class BlockMemo:
-    """Compiled steps of the most recently requested block only.
+    """The compiled program of the most recently requested block only.
 
     Every position of a block (and the final readout) asks for the same
     block, so one remembered compile serves them all, and memory stays
@@ -220,14 +240,16 @@ class BlockMemo:
 class BlockNet:
     """A net that streams each block's steps with a one-block delay.
 
-    Position tau of a block (blocks of ``block_len`` tokens) applies step
-    tau of ``block_steps(prev, index)``, the steps compiled from the
+    Position tau of a block (blocks of ``block_len`` tokens) applies op
+    tau of ``block_program(prev, index)``, the program compiled from the
     previous block (the PAD block before the first); ``index`` is the
     current block's 0-based index, which the router spec knows only mod 2.
-    The router spec is written here once, keyed by (t mod 2 block_len,
-    last 2 block_len tokens). Nets that read out at every position give
-    completions twice, computed independently: ``block_completions`` for
-    the stream and ``spec_completion`` for the router spec.
+    ``block_steps(prev, index)`` is the same program as step values. The
+    router spec is written here once with those values, keyed by (t mod
+    2 block_len, last 2 block_len tokens). Nets that read out at every
+    position give completions twice, computed independently:
+    ``block_completions`` for the stream and ``spec_completion`` for the
+    router spec.
     """
 
     def __init__(self, block_len: int):
@@ -253,6 +275,17 @@ class BlockNet:
         return RouterEntry(steps[tau - 1], self.spec_completion(recent, tau, steps))
 
 
+def stream_blocks(tokens, block_len: int):
+    """``(index, previous block, block)`` for each block of ``block_len``
+    tokens, oldest first; the PAD block precedes the first, and the last
+    block may be short."""
+    prev = (PAD,) * block_len
+    for index, start in enumerate(range(0, len(tokens), block_len)):
+        block = tuple(tokens[start : start + block_len])
+        yield index, prev, block
+        prev = block
+
+
 def stream_entries(net, tokens):
     """Yield the router entry ``(factor, completion)`` at positions
     1..len(tokens), equal to ``net.router.query_at(t, tokens)`` but built
@@ -264,22 +297,23 @@ def stream_entries(net, tokens):
     from ``net.block_completions(block, steps)`` on the current block's
     tokens. Only the current block's steps are held.
     """
-    m = net.block_len
-    prev = (PAD,) * m
-    for index, start in enumerate(range(0, len(tokens), m)):
-        block = tuple(tokens[start : start + m])
+    for index, prev, block in stream_blocks(tokens, net.block_len):
         steps = net.block_steps(prev, index)
         yield from zip(steps[: len(block)], net.block_completions(block, steps))
-        prev = block
 
 
-def wfa_forward(net, word, apply_row) -> list:
-    """Scalar outputs at every position of a streamed automaton-tracking net."""
-    row = net.initial_row
+def wfa_forward(net, word, run) -> list:
+    """Scalar outputs at every position of a streamed automaton-tracking
+    net: the row runs one op per token in place through kernel ``run``
+    and is read out against that position's completion."""
+    nums, dens = list(net.initial_row.nums), list(net.initial_row.dens)
     out = []
-    for factor, completion in stream_entries(net, list(word)):
-        row = apply_row(row, factor)
-        out.append(row.dot(completion))
+    for index, prev, block in stream_blocks(list(word), net.block_len):
+        program = net.block_program(prev, index)
+        completions = net.block_completions(block, net.block_steps(prev, index))
+        for tau, u in enumerate(completions):
+            run(program, tau, tau + 1, nums, dens)
+            out.append(Rational._make(*vdot(nums, dens, u.nums, u.dens)))
     return out
 
 
@@ -296,13 +330,16 @@ def imm_tokens(stream) -> list:
     return tokens
 
 
-def imm_matrices(tokens_oldest_first) -> list:
-    """3x3 matrices of nine row-major tokens each; a PAD matrix is the
-    identity."""
+def imm_entries(tokens_oldest_first) -> tuple:
+    """Parallel num and den lists of matrix tokens; a PAD token stands for
+    its entry of the identity matrix."""
     nums = []
     dens = []
     for k, tok in enumerate(tokens_oldest_first):
-        if tok is PAD:
+        if type(tok) is int:
+            nums.append(tok)
+            dens.append(1)
+        elif tok is PAD:
             nums.append(1 if k % 9 % 4 == 0 else 0)
             dens.append(1)
         elif isinstance(tok, Rational):
@@ -311,25 +348,29 @@ def imm_matrices(tokens_oldest_first) -> list:
         else:
             nums.append(int(tok))
             dens.append(1)
+    return nums, dens
+
+
+def imm_matrices(tokens_oldest_first) -> list:
+    """3x3 matrices of nine row-major tokens each; a PAD matrix is the
+    identity."""
+    nums, dens = imm_entries(tokens_oldest_first)
     return [
         RMatrix._raw(3, 3, nums[base : base + 9], dens[base : base + 9])
         for base in range(0, len(nums), 9)
     ]
 
 
-def imm_forward(net, stream, apply_row) -> list:
-    """Nine row-major product entries from a streamed 3x3-product net: the
-    streamed steps, then the completion readouts at the final position,
-    from the final block, the block before it and the final block's index."""
+def imm_forward(net, stream, run) -> list:
+    """Nine row-major product entries from a streamed 3x3-product net: each
+    block's program runs in place on the row with one call of kernel
+    ``run``, then ``net.final_readouts`` reads the entries from the row,
+    the final block, the block before it and the final block's index."""
     tokens = imm_tokens(stream)
-    row = net.initial_row
-    for factor, _ in stream_entries(net, tokens):
-        row = apply_row(row, factor)
-    m = net.block_len
-    start = (len(tokens) - 1) // m * m
-    prev = tuple(tokens[start - m : start]) if start else (PAD,) * m
-    readouts = net.final_readouts(prev, tuple(tokens[start:]), start // m)
-    return [row.dot(u) for u in readouts]
+    nums, dens = list(net.initial_row.nums), list(net.initial_row.dens)
+    for index, prev, block in stream_blocks(tokens, net.block_len):
+        run(net.block_program(prev, index), 0, len(block), nums, dens)
+    return net.final_readouts(prev, block, index, nums, dens)
 
 
 # ---------------------------------------------------------------------------
@@ -348,16 +389,16 @@ class WfaNet(BlockNet):
     product so far applied to omega, and T_tau = steps[tau] ... steps[m-1]
     is block L-1's remaining steps as column actions (``apply_col``).
     Since [v | 0] is zero past coordinate n, only the first n columns of
-    T_tau matter. A net whose blocks are longer than 2n (m > 2n) builds
-    those columns once per block, backwards, in n (m-1) column steps.
-    Otherwise it replays the m - tau remaining steps at every position,
-    m (m-1)/2 column steps per full block: no more than n (m-1) when
-    m <= 2n, fewer on a short final block, and no matrices to build.
+    T_tau matter. Each block takes the cheaper of two ways to finish its
+    L tokens: build those columns once, backwards, in n (m-1) column steps,
+    or replay the m - tau remaining steps at every position, in
+    L m - L (L+1)/2 column steps (m (m-1)/2 on a full block).
 
     ``build_rwkv_wfa``: coordinate overwrites, 2n steps, scratch width n;
-    m = 2n, so it replays.
+    m = 2n, so a full block costs n (m-1) either way, and it replays.
     ``build_dnet_wfa``: symmetric steps, 8n^2+5n+1 steps, scratch width
-    n+1 (the scratch half and a temp coordinate); it builds suffix columns.
+    n+1 (the scratch half and a temp coordinate); it builds suffix columns
+    on every block but a short final one.
     """
 
     def __init__(self, wfa: Wfa, program, apply_col, scratch: int, block_len: int):
@@ -374,7 +415,8 @@ class WfaNet(BlockNet):
         # (block, product) of the last block streamed to its end
         self._product = None
 
-    def _compile_block(self, block) -> list:
+    def _compile_block(self, block) -> tuple:
+        """(steps, ops) of the program for ``block``'s product."""
         held, self._product = self._product, None
         if held is not None and held[0] == block:
             prod = held[1]
@@ -383,22 +425,26 @@ class WfaNet(BlockNet):
             for sym in block:
                 if sym is not PAD:
                     prod = prod @ self.wfa.matrix(sym)
-        return self._program(prod)
+        steps = self._program(prod)
+        return steps, tuple([s.op for s in steps])
 
-    def block_steps(self, prev_block, index) -> list:
-        return self._programs(tuple(prev_block))
+    def block_steps(self, prev_block, index):
+        return self._programs(tuple(prev_block))[0]
+
+    def block_program(self, prev_block, index) -> tuple:
+        return self._programs(tuple(prev_block))[1]
 
     def block_completions(self, block, steps):
         """The block's product is kept incrementally, one matrix product per
-        token, then finished by T_tau: from per-block suffix columns if
-        m > 2n, else by replaying the remaining column steps (the cheaper
-        of the two, see the class docstring). A full block's product is
-        held for the next block's compile; it is recorded before the last
-        yield, since a consumer need not resume the generator after it.
-        Unknown symbols, PAD included, raise ``ValueError``."""
-        m = len(steps)
-        # n (m-1) column steps per block for the suffix, m (m-1)/2 to replay
-        suffix = self._suffix_columns(steps) if m > 2 * self.n else None
+        token, then finished by T_tau: from suffix columns or by replaying
+        the remaining column steps, whichever costs the block's L tokens
+        fewer column steps (see the class docstring). A full block's
+        product is held for the next block's compile; it is recorded before
+        the last yield, since a consumer need not resume the generator
+        after it. Unknown symbols, PAD included, raise ``ValueError``."""
+        m, n, length = len(steps), self.n, len(block)
+        replay_cost = length * m - length * (length + 1) // 2
+        suffix = self._suffix_columns(steps) if n * (m - 1) < replay_cost else None
         prefix = RMatrix.identity(self.n)
         for tau, sym in enumerate(block, start=1):
             prefix = prefix @ self.wfa.matrix(sym)
@@ -450,7 +496,7 @@ def build_rwkv_wfa(wfa: Wfa) -> WfaNet:
 
 def rwkv_wfa_forward(net: WfaNet, word) -> list:
     """Scalar outputs at every position 1..|word|."""
-    return wfa_forward(net, word, apply_overwrite_row)
+    return wfa_forward(net, word, run_overwrites)
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +511,11 @@ class RwkvImmNet(BlockNet):
     compute (active half) . B(A^(L-1)) into the inactive half, where B is
     the block-diagonal embedding of the previous block's matrix and padding
     acts as the identity matrix. The halves alternate with block parity.
-    The router key is (t mod 18, last 18 tokens); the forward pass builds
-    each block's nine overwrites once at the block boundary. Outputs exist
-    only at the final position, where nine completion readouts fold in the
-    final block's matrix.
+    The router key is (t mod 18, last 18 tokens); the forward pass compiles
+    each block's nine overwrite ops once at the block boundary, straight
+    from the previous block's tokens. Outputs exist only at the final
+    position, where nine completion readouts fold in the final block's
+    matrix.
     """
 
     def __init__(self):
@@ -476,41 +523,41 @@ class RwkvImmNet(BlockNet):
         vec_i3 = RVector([1, 0, 0, 0, 1, 0, 0, 0, 1])
         self.initial_row = vec_i3.concat(RVector.zeros(9))
 
-    def block_steps(self, prev_block, index) -> list:
-        """The nine overwrites of block ``index``: step 3i+j writes entry
-        (i, j) of (half index mod 2) . A_prev into the other half. Each
-        coefficient vector holds column j of A_prev, at most three
-        nonzeros, so its support is built with it."""
-        (a_prev,) = imm_matrices(prev_block)
-        an, ad = a_prev.nums, a_prev.dens
+    def block_program(self, prev_block, index) -> tuple:
+        """The nine overwrite ops of block ``index``: op 3i+j writes entry
+        (i, j) of (half index mod 2) . A_prev into the other half. Its
+        coefficient vector is column j of A_prev placed at row i of the
+        active half, so its support holds at most three entries."""
+        an, ad = imm_entries(prev_block)
         src = 9 * (index % 2)
         dst = 9 - src
         # nonzeros of column j of A_prev as (row k, num, den)
         cols = [
-            [(k, an[3 * k + j], ad[3 * k + j]) for k in range(3) if an[3 * k + j] != 0]
-            for j in range(3)
+            [(k, an[3 * k + j], ad[3 * k + j]) for k in (0, 1, 2) if an[3 * k + j] != 0]
+            for j in (0, 1, 2)
         ]
-        specs = []
-        for i in range(3):
-            base = src + 3 * i
-            for j in range(3):
-                nums = [0] * 18
-                dens = [1] * 18
-                support = tuple([(base + k, n, d) for k, n, d in cols[j]])
-                for at, n, d in support:
-                    nums[at] = n
-                    dens[at] = d
-                specs.append(OverwriteSpec(dst + 3 * i + j, RVector._raw(nums, dens), support))
-        return specs
+        ops = []
+        for base in (src, src + 3, src + 6):
+            for col in cols:
+                ops.append((dst, tuple([(base + k, n, d) for k, n, d in col])))
+                dst += 1
+        return tuple(ops)
 
-    def final_readouts(self, prev_block, block, index) -> list:
-        """Nine completion vectors after the final block ``block`` (block
-        ``index``), row-major: the coefficient vectors of the overwrites
-        that the next block would stream, which fold the final block's
-        matrix in. ``prev_block`` is unused here."""
+    def block_steps(self, prev_block, index) -> list:
+        return [OverwriteSpec.from_op(op, 18) for op in self.block_program(prev_block, index)]
+
+    def final_readouts(self, prev_block, block, index, nums, dens) -> list:
+        """Nine row-major product entries read from the row ``nums``/``dens``
+        after the final block ``block`` (block ``index``): its dot products
+        with the coefficient vectors of the overwrites that the next block
+        would stream, which fold the final block's matrix in.
+        ``prev_block`` is unused here."""
         if len(block) != 9:
             raise ValueError("final readout only at a block boundary")
-        return [spec.c for spec in self.block_steps(block, index + 1)]
+        return [
+            Rational._make(*sdot(support, nums, dens))
+            for _, support in self.block_program(block, index + 1)
+        ]
 
 
 def build_rwkv_imm() -> RwkvImmNet:
@@ -519,4 +566,4 @@ def build_rwkv_imm() -> RwkvImmNet:
 
 def rwkv_imm_forward(net: RwkvImmNet, stream) -> list:
     """Nine row-major entries of the product of the streamed matrices."""
-    return imm_forward(net, stream, apply_overwrite_row)
+    return imm_forward(net, stream, run_overwrites)

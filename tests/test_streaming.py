@@ -13,6 +13,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from exactrnn import delta_gadgets
 from exactrnn.delta_gadgets import (
     IDENTITY_PAD_STEPS,
     SUPERBLOCK_MATRICES,
@@ -24,6 +25,7 @@ from exactrnn.delta_gadgets import (
     dnet_imm_forward,
     dnet_wfa_forward,
 )
+from exactrnn.kernels import run_hsteps
 from exactrnn.problems import IDENTITY3, mat3_mul
 from exactrnn.rational import Rational
 from exactrnn.rwkv_gadgets import (
@@ -114,10 +116,10 @@ def test_first_block_streams_the_pad_program():
 # --- completion work ----------------------------------------------------------
 
 
-def completion_column_steps(program, apply_col, scratch, block_len, extra=0):
+def completion_column_steps(program, apply_col, scratch, block_len, extra=0, n_states=2):
     """Column steps spent streaming two full blocks and ``extra`` tokens of
-    a two-state automaton through ``WfaNet(wfa, program, apply_col,
-    scratch, block_len)``."""
+    an ``n_states``-state automaton through ``WfaNet(wfa, program,
+    apply_col, scratch, block_len)``."""
     calls = []
 
     def counted(u, step):
@@ -125,7 +127,7 @@ def completion_column_steps(program, apply_col, scratch, block_len, extra=0):
         return apply_col(u, step)
 
     rng = random.Random(8)
-    wfa = random_wfa(rng, 2, 2)
+    wfa = random_wfa(rng, n_states, 2)
     net = WfaNet(wfa, program, counted, scratch, block_len)
     word = [rng.choice(wfa.alphabet) for _ in range(2 * block_len + extra)]
     assert len(list(stream_entries(net, word))) == len(word)
@@ -139,6 +141,18 @@ def test_dnet_wfa_completions_build_suffix_columns_once_per_block():
     )
     # n (m-1) per block; replaying the remaining steps would take m (m-1)/2
     assert steps <= 2 * n * (m - 1)
+
+
+def test_wfa_completions_choose_per_block_length():
+    # a 3-state dnet word of 2m+1 tokens: suffix columns on the two full
+    # blocks, n (m-1) = 261 each, but the one-token last block replays its
+    # m-1 = 87 remaining steps instead of building 261 columns
+    n = 3
+    m = 8 * n * n + 5 * n + 1
+    steps = completion_column_steps(
+        lambda p: apply_matrix_program(p).steps, apply_h_col, n + 1, m, 1, n_states=n
+    )
+    assert steps == 2 * n * (m - 1) + m - 1 == 609
 
 
 def test_rwkv_wfa_completions_replay_remaining_steps():
@@ -185,6 +199,37 @@ def test_held_block_product_serves_only_its_block(build):
     assert other[:m] != word[m:]
     assert len(list(stream_entries(net, word))) == len(word)
     assert net.router.query_at(m + 1, other) == build(wfa).router.query_at(m + 1, other)
+
+
+def test_dnet_imm_final_readout_finishes_the_row_once(monkeypatch):
+    # a stream ending 9 tokens into a superblock: the readout runs the
+    # remaining 693 steps once on the row, with no column steps, instead of
+    # 693 column steps for each of nine completions
+    runs = []
+
+    def counted(ops, start, stop, nums, dens):
+        runs.append((start, stop))
+        return run_hsteps(ops, start, stop, nums, dens)
+
+    def no_column_steps(u, step):
+        raise AssertionError("column step in the readout")
+
+    monkeypatch.setattr(delta_gadgets, "run_hsteps", counted)
+    monkeypatch.setattr(delta_gadgets, "apply_h_col", no_column_steps)
+    rng = random.Random(22)
+    stream = [rng.choice((-1, 0, 1)) for _ in range(SUPERBLOCK_TOKENS + 9)]
+    assert dnet_imm_forward(build_dnet_imm(), stream) == imm_oracle(stream)
+    assert runs == [(0, SUPERBLOCK_TOKENS), (0, 9), (9, SUPERBLOCK_TOKENS)]
+    assert sum(stop - start for start, stop in runs) - len(stream) <= 693
+
+
+def test_dnet_imm_ragged_lengths_equal_oracle():
+    # every matrix boundary from one matrix to two full superblocks
+    rng = random.Random(23)
+    stream = [rng.choice((-1, 0, 1)) for _ in range(2 * SUPERBLOCK_TOKENS)]
+    for length in range(9, 2 * SUPERBLOCK_TOKENS + 1, 9):
+        prefix = stream[:length]
+        assert dnet_imm_forward(build_dnet_imm(), prefix) == imm_oracle(prefix), length
 
 
 # --- bounded memory -----------------------------------------------------------
