@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .automata import Wfa
-from .kernels import nonzeros, radd, rmul, run_hsteps, sdot, vec_mat
+from .kernels import mat3_chain, nonzeros, radd, rmul, run_hsteps, sdot, vec_mat
 from .linalg import RMatrix, RVector
 from .rational import Rational
 from .rwkv_gadgets import (
@@ -28,8 +28,8 @@ from .rwkv_gadgets import (
     BlockMemo,
     BlockNet,
     WfaNet,
+    imm_entries,
     imm_forward,
-    imm_matrices,
     wfa_forward,
 )
 
@@ -444,8 +444,9 @@ class DnetImmNet(BlockNet):
     superblocks stream with a one-superblock delay. The router key is
     (t mod 1404, last 1404 tokens); the forward pass compiles each
     superblock's program to ops once, at the next superblock's boundary.
-    The final, possibly partial, superblock is applied only in the readout
-    at the last position.
+    A superblock's product is one ``kernels.mat3_chain`` call on the raw
+    entries of its tokens, embedded once. The final, possibly partial,
+    superblock is applied only in the readout at the last position.
     """
 
     def __init__(self):
@@ -473,19 +474,19 @@ class DnetImmNet(BlockNet):
                     out.dens[k] = a.dens[src]
         return out
 
-    def superblock_product(self, mats) -> RMatrix:
-        """Block-diagonal embedding of the product of 3x3 matrices; since
-        embed3(A) @ embed3(B) == embed3(A @ B), it multiplies 3x3 matrices
-        and embeds once."""
-        prod = RMatrix.identity(3)
-        for a in mats:
-            prod = prod @ a
-        return self._embed3(prod)
+    def superblock_product(self, block_tokens) -> RMatrix:
+        """Block-diagonal embedding of the product of the 3x3 matrices of
+        ``block_tokens`` (nine row-major tokens each, oldest first; a PAD
+        matrix is the identity). Since embed3(A) @ embed3(B) ==
+        embed3(A @ B), it multiplies the raw 3x3 entries in one
+        ``mat3_chain`` call and embeds once."""
+        nums, dens = mat3_chain(*imm_entries(block_tokens))
+        return self._embed3(RMatrix._raw(3, 3, nums, dens))
 
     def _compile_superblock(self, block_tokens) -> tuple:
-        if all(tok is PAD for tok in block_tokens):
+        if block_tokens == (PAD,) * len(block_tokens):
             return self._pad_program
-        prod = self.superblock_product(imm_matrices(block_tokens))
+        prod = self.superblock_product(block_tokens)
         return apply_matrix_ops(prod) + self._pad_program[:IDENTITY_PAD_STEPS]
 
     def _spec_view(self, block_tokens) -> tuple:
@@ -519,7 +520,7 @@ class DnetImmNet(BlockNet):
             raise ValueError("final readout only at a matrix boundary")
         ops = self.block_program(prev_block, index)
         run_hsteps(ops, tau, len(ops), nums, dens)
-        pi_final = self.superblock_product(imm_matrices(block))
+        pi_final = self.superblock_product(block)
         outn, outd = vec_mat(nums[:9], dens[:9], pi_final.nums, pi_final.dens, 9, 9)
         return [Rational._make(n, d) for n, d in zip(outn, outd)]
 

@@ -155,6 +155,33 @@ def mat_mul(an, ad, ar, ac, bn, bd, bc):
     return outn, outd
 
 
+def mat3_chain(nums, dens):
+    """Product of the 3x3 matrices stored nine row-major entries each in
+    the parallel int lists ``nums``/``dens``, oldest first (the identity
+    when they are empty); equal to folding ``mat_mul`` from the identity.
+
+    When every den is 1 the chain runs on the ints alone, unrolled, with
+    no normalization. ``ValueError`` if the lists do not hold whole
+    matrices.
+    """
+    if len(nums) % 9 or len(dens) != len(nums):
+        raise ValueError(f"{len(nums)} entries do not make whole 3x3 matrices")
+    if dens.count(1) != len(dens):
+        outn, outd = [1, 0, 0, 0, 1, 0, 0, 0, 1], [1] * 9
+        for k in range(0, len(nums), 9):
+            outn, outd = mat_mul(outn, outd, 3, 3, nums[k : k + 9], dens[k : k + 9], 3)
+        return outn, outd
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = 1, 0, 0, 0, 1, 0, 0, 0, 1
+    it = iter(nums)
+    for b0, b1, b2, b3, b4, b5, b6, b7, b8 in zip(it, it, it, it, it, it, it, it, it):
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = (
+            a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
+            a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+            a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
+        )
+    return [a0, a1, a2, a3, a4, a5, a6, a7, a8], [1] * 9
+
+
 def run_overwrites(ops, start, stop, nums, dens):
     """Run the coordinate overwrites ``ops[start:stop]`` in place on one
     row held as parallel int lists; returns nothing.

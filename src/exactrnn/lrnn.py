@@ -364,7 +364,7 @@ class PdRecognizer:
         for sym in word:
             try:
                 step = self.steps[sym]
-            except KeyError:
+            except (KeyError, TypeError):  # TypeError: an unhashable symbol
                 raise ValueError(f"unknown symbol {sym!r}") from None
             row = pd_row_apply(row, step)
         return row

@@ -7,8 +7,9 @@ run them on a row held as two int lists (``kernels.run_overwrites``,
 program in place equals folding the step actions over ``block_steps``, bit
 for bit, and ``block_steps`` equals the steps built directly from the
 block's matrix, so the router spec is unchanged. Also checked: imm streams
-the forwards must reject, and entries (non-integer, about 10^4 bits) that
-reach the kernels' non-unit-denominator branches.
+the forwards must reject, bool tokens, and entries (non-integer, about
+10^4 bits) that reach the kernels' non-unit-denominator branches, in a
+compiled superblock or in a partial final one.
 """
 
 import random
@@ -19,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from exactrnn.delta_gadgets import (
     SUPERBLOCK_TOKENS,
+    DnetImmNet,
     apply_h_row,
     apply_matrix_program,
     build_dnet_imm,
@@ -102,7 +104,10 @@ def dnet_imm_reference_steps(net, prev_block):
     pad = identity_hstep(net.dim)
     if prev_block[0] is PAD:
         return [pad] * SUPERBLOCK_TOKENS
-    prod = net.superblock_product(imm_matrices(prev_block))
+    prod = RMatrix.identity(3)
+    for a in imm_matrices(prev_block):
+        prod = prod @ a
+    prod = DnetImmNet._embed3(prod)
     steps = list(apply_matrix_program(prod).steps)
     return steps + [pad] * (SUPERBLOCK_TOKENS - len(steps))
 
@@ -236,3 +241,36 @@ def test_imm_forward_ten_thousand_bit_entries_are_exact(build, forward):
         stream[k] = Rational(num, rng.choice((1, 3, 7)))
     assert max(t.num.bit_length() for t in stream if isinstance(t, Rational)) > 9900
     assert forward(build(), stream) == frac_product(stream)
+
+
+@IMM_FORWARDS
+def test_imm_forward_bool_tokens_are_exact(build, forward):
+    # bools pass the stream check as ints and reach the kernels as 0 and 1
+    rng = random.Random(63)
+    stream = [rng.choice((True, False)) for _ in range(SUPERBLOCK_TOKENS + 9 * 80)]
+    assert forward(build(), stream) == frac_product(stream)
+
+
+@IMM_FORWARDS
+@pytest.mark.parametrize("where", [0, SUPERBLOCK_TOKENS - 1, SUPERBLOCK_TOKENS + 13])
+def test_imm_forward_one_non_integer_rational_is_exact(build, forward, where):
+    # one non-integer entry among ints: in a superblock whose program the
+    # stream runs, or in the final partial one that only the readout applies
+    rng = random.Random(64)
+    stream = [rng.choice((-1, 0, 1)) for _ in range(SUPERBLOCK_TOKENS + 27)]
+    stream[where] = Rational(-5, 4)
+    assert forward(build(), stream) == frac_product(stream)
+
+
+def test_dnet_imm_every_partial_final_superblock_with_a_rational_is_exact():
+    # streams ending at every matrix boundary inside the second superblock,
+    # whose first matrix holds a non-integer entry; the integer streams are
+    # covered in test_streaming
+    rng = random.Random(65)
+    stream = [rng.choice((-1, 0, 1)) for _ in range(2 * SUPERBLOCK_TOKENS)]
+    stream[SUPERBLOCK_TOKENS + 4] = Rational(7, 9)
+    net = build_dnet_imm()
+    want = frac_product(stream[:SUPERBLOCK_TOKENS])
+    for length in range(SUPERBLOCK_TOKENS + 9, 2 * SUPERBLOCK_TOKENS, 9):
+        want = frac_product(want + stream[length - 9 : length])
+        assert dnet_imm_forward(net, stream[:length]) == want, length

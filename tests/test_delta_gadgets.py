@@ -408,11 +408,10 @@ def test_superblock_product_equals_9x9_product():
         tokens = []
         for _ in range(rng.randint(0, 12)):
             tokens += [PAD] * 9 if rng.random() < 0.3 else [rng.choice(VALS) for _ in range(9)]
-        mats = imm_matrices(tokens)
         want = RMatrix.identity(9)
-        for a in mats:
+        for a in imm_matrices(tokens):
             want = want @ DnetImmNet._embed3(a)
-        assert net.superblock_product(mats) == want
+        assert net.superblock_product(tokens) == want
     assert imm_matrices([PAD] * 9) == [RMatrix.identity(3)]
 
 

@@ -391,6 +391,14 @@ def test_dwfa_random_agreement():
             assert rec.accepts(word) == (wfa_eval(a, word) > Rational(0))
 
 
+@pytest.mark.parametrize("word", [["y"], ["x", "y", "x"], ["$"], [["x"]]],
+                         ids=["unknown", "mid-word", "bos-marker", "unhashable"])
+def test_pd_recognizer_value_rejects_unknown_symbol(word):
+    rec = dwfa_to_pd(make_dwfa({"x": RMatrix([[-1]])}, [1], [1], ("x",)))
+    with pytest.raises(ValueError, match="unknown symbol"):
+        rec.value(word)
+
+
 def test_dwfa_rejects_nondeterministic_input():
     a = make_dwfa(
         {"x": RMatrix([[1, 0], [1, 0]])}, [1, 0], [1, 1], ("x",)
