@@ -43,7 +43,7 @@ class Wfa:
     def matrix(self, sym) -> RMatrix:
         try:
             return self.matrices[sym]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable symbol
             raise ValueError(f"unknown symbol {sym!r}") from None
 
 

@@ -5,7 +5,8 @@ Products of these steps realize coordinate scaling (k one-hot), unit
 transvections (three steps), scaled adds through a temp register (eight
 steps), and finally an explicit program of 8n^2+5n+1 steps that applies an
 arbitrary n x n matrix to a row vector using n scratch coordinates and one
-temp coordinate. Streamed through the block-delay router of
+temp coordinate, compiled to ops (``apply_matrix_ops``; its step values
+are ``apply_matrix_program``). Streamed through the block-delay router of
 ``rwkv_gadgets`` (``BlockNet``), such programs drive the same
 automaton-tracking network as the coordinate overwrites do (``WfaNet``)
 and an iterated 3x3 product network (``DnetImmNet``), with symmetric steps
@@ -195,56 +196,38 @@ class ApplyMatrixProgram:
         raise IndexError(index)
 
 
-def apply_matrix_program(p: RMatrix) -> ApplyMatrixProgram:
-    """The program for P: the shared skeleton for P's size with the n^2
-    steps coordinate_scale(tmp, P[i, j]) filled in, one per scaled add."""
-    n = _square(p)
-    skeleton, _, bounds = _program_skeleton(n)
-    steps = list(skeleton)
-    tmp_scale = skeleton[n]  # coordinate_scale(tmp, 0): its k is e_tmp
-    e_tmp, support = tmp_scale.k, tmp_scale.support
-    for slot, (bn, bd) in _tmp_scale_betas(p, bounds):
-        steps[slot] = HStep(Rational._make(bn, bd), e_tmp, support)
-    return ApplyMatrixProgram(n=n, steps=tuple(steps), phase_bounds=bounds)
-
-
 def apply_matrix_ops(p: RMatrix) -> tuple:
-    """The same program as block-program ops: the shared skeleton's ops
-    for P's size with the n^2 ops coordinate_scale(tmp, P[i, j]) filled
-    in."""
-    n = _square(p)
-    _, skeleton_ops, bounds = _program_skeleton(n)
-    ops = list(skeleton_ops)
-    support = skeleton_ops[n][2]  # coordinate_scale(tmp, 0): its k is e_tmp
-    for slot, (bn, bd) in _tmp_scale_betas(p, bounds):
-        ops[slot] = (bn, bd, support)
-    return tuple(ops)
-
-
-def _square(p: RMatrix) -> int:
+    """The program for P as block-program ops: the shared skeleton's ops
+    for P's size with the n^2 ops coordinate_scale(tmp, P[i, j]), one per
+    scaled add, filled in with beta = 1 - P[i, j]."""
     if p.rows != p.cols:
         raise ValueError("matrix must be square")
-    return p.rows
-
-
-def _tmp_scale_betas(p: RMatrix, bounds):
-    """(slot, beta) of the n^2 steps coordinate_scale(tmp, P[i, j]) in
-    program order, with beta = 1 - P[i, j] as a canonical (num, den)."""
     n = p.rows
+    skeleton, bounds = _program_skeleton(n)
+    ops = list(skeleton)
+    support = skeleton[n][2]  # coordinate_scale(tmp, 0): its k is e_tmp
     slot = bounds[0] + 3  # step 3 of each scaled add scales tmp
     for j in range(n):
         for i in range(n):
             pn, pd = p.nums[i * n + j], p.dens[i * n + j]
             # gcd(pd - pn, pd) = gcd(pn, pd) = 1, and pd - pn = 0 only at 1/1
-            yield slot, (pd - pn, pd)
+            ops[slot] = (pd - pn, pd, support)
             slot += 8
+    return tuple(ops)
+
+
+def apply_matrix_program(p: RMatrix) -> ApplyMatrixProgram:
+    """The program for P as step values, built from its ops."""
+    n, ops = p.rows, apply_matrix_ops(p)
+    steps = tuple([HStep.from_op(op, 2 * n + 1) for op in ops])
+    return ApplyMatrixProgram(n=n, steps=steps, phase_bounds=_program_skeleton(n)[1])
 
 
 @lru_cache(maxsize=8)
 def _program_skeleton(n: int) -> tuple:
-    """(steps, ops, phase bounds) of the size-n program with zero in place
-    of every P[i, j]. All other steps are independent of P, so programs
-    share them; steps and ops are immutable values."""
+    """(ops, phase bounds) of the size-n program with zero in place of
+    every P[i, j]. All other ops are independent of P, so programs share
+    them; ops are immutable values."""
     d = 2 * n + 1
     tmp = 2 * n
     steps = []
@@ -265,7 +248,7 @@ def _program_skeleton(n: int) -> tuple:
     expected = 8 * n * n + 5 * n + 1
     if b4 != expected:
         raise AssertionError(f"program length {b4} != {expected}")
-    return tuple(steps), tuple([s.op for s in steps]), (b1, b2, b3, b4)
+    return tuple([s.op for s in steps]), (b1, b2, b3, b4)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +400,7 @@ def build_dnet_wfa(wfa: Wfa) -> WfaNet:
     scratch, temp), blocks of the program length 8n^2+5n+1."""
     n = wfa.n_states
     m = 8 * n * n + 5 * n + 1
-    return WfaNet(wfa, lambda p: apply_matrix_program(p).steps, apply_h_col, n + 1, m)
+    return WfaNet(wfa, apply_matrix_ops, HStep, run_hsteps, n + 1, m)
 
 
 def dnet_wfa_forward(net: WfaNet, word) -> list:
@@ -443,24 +426,22 @@ class DnetImmNet(BlockNet):
     product is factored into 694 steps padded with 8 identity steps, and
     superblocks stream with a one-superblock delay. The router key is
     (t mod 1404, last 1404 tokens); the forward pass compiles each
-    superblock's program to ops once, at the next superblock's boundary.
+    superblock's program to ops once, at the next superblock's boundary;
+    every pad position and the PAD superblock share one identity op.
     A superblock's product is one ``kernels.mat3_chain`` call on the raw
     entries of its tokens, embedded once. The final, possibly partial,
     superblock is applied only in the readout at the last position.
     """
 
+    step = HStep
+    dim = 19
+
     def __init__(self):
         super().__init__(SUPERBLOCK_TOKENS)
         vec_i3 = RVector([1, 0, 0, 0, 1, 0, 0, 0, 1])
-        self.dim = 19
         self.initial_row = vec_i3.concat(RVector.zeros(10))
-        # one identity op, and one identity step in the spec view, serves
-        # every pad position and the PAD superblock
-        self._pad_step = identity_hstep(self.dim)
-        self._pad_op = self._pad_step.op
-        self._pad_program = (self._pad_op,) * SUPERBLOCK_TOKENS
+        self._pad_program = ((0, 1, ()),) * SUPERBLOCK_TOKENS
         self._programs = BlockMemo(self._compile_superblock)
-        self._specs = BlockMemo(self._spec_view)
 
     @staticmethod
     def _embed3(a: RMatrix) -> RMatrix:
@@ -489,23 +470,14 @@ class DnetImmNet(BlockNet):
         prod = self.superblock_product(block_tokens)
         return apply_matrix_ops(prod) + self._pad_program[:IDENTITY_PAD_STEPS]
 
-    def _spec_view(self, block_tokens) -> tuple:
-        return tuple([
-            self._pad_step if op is self._pad_op else HStep.from_op(op, self.dim)
-            for op in self._programs(block_tokens)
-        ])
-
     def block_program(self, prev_block, index) -> tuple:
         """The padded 702-op program of the full superblock ``prev_block``."""
         return self._programs(tuple(prev_block))
 
-    def superblock_program(self, block_tokens) -> tuple:
+    def superblock_program(self, block_tokens) -> list:
         """The padded 702-step program for one full superblock's product,
-        as steps built from its ops."""
-        return self._specs(tuple(block_tokens))
-
-    def block_steps(self, prev_block, index) -> tuple:
-        return self.superblock_program(prev_block)
+        as step values."""
+        return self.block_steps(block_tokens, 1)
 
     def final_readouts(self, prev_block, block, index, nums, dens) -> list:
         """Nine row-major product entries read from the row ``nums``/``dens``

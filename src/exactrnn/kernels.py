@@ -214,6 +214,34 @@ def run_overwrites(ops, start, stop, nums, dens):
             dens[dst] = sd // g
 
 
+def run_overwrite_cols(ops, start, stop, nums, dens):
+    """Run the column actions of the coordinate overwrites
+    ``ops[start:stop]``, in that order, in place on one column held as
+    parallel int lists; returns nothing. Op ``(dst, support)`` (see
+    ``run_overwrites``) makes the column col + col[dst] (c - e_dst), which
+    writes only the support and dst.
+    """
+    for dst, support in ops[start:stop]:
+        un = nums[dst]
+        if un == 0:
+            continue
+        ud = dens[dst]
+        nums[dst] = 0
+        dens[dst] = 1
+        for i, cn, cd in support:
+            pd = ud * cd
+            ad = dens[i]
+            if pd == 1 and ad == 1:
+                nums[i] += un * cn
+                continue
+            # canonical, and 0/1 when the sum is zero: gcd(0, rd) = rd
+            rn = nums[i] * pd + un * cn * ad
+            rd = ad * pd
+            g = gcd(rn, rd)
+            nums[i] = rn // g
+            dens[i] = rd // g
+
+
 def run_hsteps(ops, start, stop, nums, dens):
     """Run the symmetric steps ``ops[start:stop]`` in place on one row held
     as parallel int lists; returns nothing.
@@ -221,7 +249,7 @@ def run_hsteps(ops, start, stop, nums, dens):
     Op ``(beta_num, beta_den, support)`` is I - beta k k^T, with the
     nonzeros of k listed in ``support`` as ``(index, num, den)``: the row
     becomes row - beta (row . k) k^T, which reads and writes only the
-    support.
+    support. The step is symmetric, so this is its column action too.
     """
     for bn, bd, support in ops[start:stop]:
         if bn == 0:

@@ -18,14 +18,14 @@ symmetric step, where ``support`` lists the step vector's nonzeros as
 and run each program in place with one kernel per family
 (``kernels.run_overwrites``, ``kernels.run_hsteps``), so their work per
 token does not grow with the window and their memory does not grow with
-the stream. The steps as values (``OverwriteSpec``, ``HStep``) are the
-spec-level view, built from the program on demand by ``block_steps``: a
-``BlockNet`` specifies its router with them as a finite-window function
-(``window_key`` and ``RouterTable``), and ``stream_entries`` yields the
-same entries block by block. ``WfaNet`` tracks any weighted finite
-automaton's prefix values with either family; ``RwkvImmNet`` accumulates a
-product of streamed 3x3 matrices in an 18-coordinate state by ping-ponging
-between two halves.
+the stream. The program is the only form a net compiles, holds or runs.
+The steps as values (``OverwriteSpec``, ``HStep``) are its spec-level
+view, built only by ``BlockNet.block_steps``: a ``BlockNet`` specifies
+its router with them as a finite-window function (``window_key`` and
+``RouterTable``), and ``stream_entries`` yields the same entries block by
+block. ``WfaNet`` tracks any weighted finite automaton's prefix values
+with either family; ``RwkvImmNet`` accumulates a product of streamed 3x3
+matrices in an 18-coordinate state by ping-ponging between two halves.
 """
 
 from __future__ import annotations
@@ -34,8 +34,10 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 from .automata import Wfa
-from .kernels import nonzeros, radd, rmul, run_overwrites, sdot, vdot
-from .linalg import RMatrix, RVector, row_apply
+from .kernels import (
+    mat_mul, mat_vec, nonzeros, radd, rmul, run_overwrite_cols, run_overwrites, sdot, vdot, vec_mat
+)
+from .linalg import RMatrix, RVector
 from .lrnn import RwkvStep
 from .rational import Rational
 
@@ -141,26 +143,27 @@ def rwkv_params_for_overwrite(spec: OverwriteSpec) -> RwkvStep:
     )
 
 
-def factor_apply_matrix(p: RMatrix) -> list:
-    """Factor the map [x | s] -> [xP | xP] into 2n overwrites (dim 2n).
+def factor_apply_ops(p: RMatrix) -> tuple:
+    """The ops of 2n overwrites (dim 2n) factoring [x | s] -> [xP | xP].
 
-    The first n overwrites write the columns of xP into the scratch half,
-    reading only the main half; the last n copy scratch back over main.
+    The first n ops write the columns of xP into the scratch half, reading
+    only the main half; the last n copy scratch back over main.
     """
     if p.rows != p.cols:
         raise ValueError("matrix must be square")
     n = p.rows
-    specs = []
+    ops = []
     for j in range(n):
-        c = RVector.zeros(2 * n)
-        for i in range(n):
-            k = i * n + j
-            c.nums[i] = p.nums[k]
-            c.dens[i] = p.dens[k]
-        specs.append(OverwriteSpec(dst=n + j, c=c))
+        column = [(i, p.nums[i * n + j], p.dens[i * n + j]) for i in range(n)]
+        ops.append((n + j, tuple([entry for entry in column if entry[1] != 0])))
     for j in range(n):
-        specs.append(OverwriteSpec(dst=j, c=RVector.basis(n + j, 2 * n)))
-    return specs
+        ops.append((j, ((n + j, 1, 1),)))
+    return tuple(ops)
+
+
+def factor_apply_matrix(p: RMatrix) -> list:
+    """The 2n overwrites of ``factor_apply_ops(p)`` as step values."""
+    return [OverwriteSpec.from_op(op, 2 * p.rows) for op in factor_apply_ops(p)]
 
 
 # ---------------------------------------------------------------------------
@@ -180,20 +183,14 @@ def window_key(t: int, tokens, window: int):
 
 class RouterTable:
     """Explicit finite lookup: entries are a pure function of the key
-    (position residue, recent-token window) and are materialized on demand.
-    """
+    (position residue, recent-token window), built on every query."""
 
     def __init__(self, window: int, entry_fn):
         self.window = window
         self._entry_fn = entry_fn
-        self._cache = {}
 
     def query(self, key):
-        entry = self._cache.get(key)
-        if entry is None:
-            entry = self._entry_fn(key)
-            self._cache[key] = entry
-        return entry
+        return self._entry_fn(key)
 
     def query_at(self, t: int, tokens):
         return self.query(window_key(t, tokens, self.window))
@@ -225,16 +222,16 @@ class BlockMemo:
     def __init__(self, compile_fn):
         self._compile = compile_fn
         self._block = None
-        self._steps = None
+        self._program = None
 
     def __len__(self):
-        return 0 if self._steps is None else 1
+        return 0 if self._program is None else 1
 
     def __call__(self, block: tuple):
-        if self._steps is None or block != self._block:
-            self._steps = self._compile(block)
+        if self._program is None or block != self._block:
+            self._program = self._compile(block)
             self._block = block
-        return self._steps
+        return self._program
 
 
 class BlockNet:
@@ -244,24 +241,30 @@ class BlockNet:
     tau of ``block_program(prev, index)``, the program compiled from the
     previous block (the PAD block before the first); ``index`` is the
     current block's 0-based index, which the router spec knows only mod 2.
-    ``block_steps(prev, index)`` is the same program as step values. The
-    router spec is written here once with those values, keyed by (t mod
-    2 block_len, last 2 block_len tokens). Nets that read out at every
-    position give completions twice, computed independently:
-    ``block_completions`` for the stream and ``spec_completion`` for the
-    router spec.
+    ``block_steps`` is the only place a program becomes step values (of
+    the net's class ``step``, in dimension ``dim``). The router spec is
+    written here once with those values, keyed by (t mod 2 block_len,
+    last 2 block_len tokens). Nets that read out at every position give
+    completions twice, computed independently: ``block_completions`` for
+    the stream and ``spec_completion`` for the router spec.
     """
 
     def __init__(self, block_len: int):
         self.block_len = block_len
         self.router = RouterTable(2 * block_len, self._entry)
 
-    def block_completions(self, block, steps):
-        """Completions at the positions of the current ``block``; none for
-        a net that reads out only at the final position."""
+    def block_steps(self, prev_block, index, start=0, stop=None) -> list:
+        """Ops ``start:stop`` of ``block_program(prev_block, index)`` as
+        step values."""
+        step, dim = self.step, self.dim
+        return [step.from_op(op, dim) for op in self.block_program(prev_block, index)[start:stop]]
+
+    def block_completions(self, block, program):
+        """Completions at the positions of the current ``block`` as (nums,
+        dens) lists; none for a net that reads out only at the end."""
         return repeat(None, len(block))
 
-    def spec_completion(self, recent, tau, steps):
+    def spec_completion(self, recent, tau, program):
         return None
 
     def _entry(self, key) -> RouterEntry:
@@ -271,8 +274,9 @@ class BlockNet:
         index = (residue - 1) // m
         # previous completed block, oldest symbol first
         prev_block = tuple(recent[back] for back in range(tau + m - 1, tau - 1, -1))
-        steps = self.block_steps(prev_block, index)
-        return RouterEntry(steps[tau - 1], self.spec_completion(recent, tau, steps))
+        (step,) = self.block_steps(prev_block, index, tau - 1, tau)
+        program = self.block_program(prev_block, index)
+        return RouterEntry(step, self.spec_completion(recent, tau, program))
 
 
 def stream_blocks(tokens, block_len: int):
@@ -289,17 +293,13 @@ def stream_blocks(tokens, block_len: int):
 def stream_entries(net, tokens):
     """Yield the router entry ``(factor, completion)`` at positions
     1..len(tokens), equal to ``net.router.query_at(t, tokens)`` but built
-    block by block, with no window key and no router cache.
-
-    At each block boundary the steps of the previous block (the PAD block
-    before the first) are fetched once with ``net.block_steps(prev, index)``;
-    position tau of the block then takes step tau, and the completion comes
-    from ``net.block_completions(block, steps)`` on the current block's
-    tokens. Only the current block's steps are held.
-    """
+    block by block, with no window key, from ``net.block_steps`` and
+    ``net.block_completions``; only the current block's steps are held."""
     for index, prev, block in stream_blocks(tokens, net.block_len):
-        steps = net.block_steps(prev, index)
-        yield from zip(steps[: len(block)], net.block_completions(block, steps))
+        steps = net.block_steps(prev, index, 0, len(block))
+        completions = net.block_completions(block, net.block_program(prev, index))
+        for step, u in zip(steps, completions):
+            yield step, None if u is None else RVector._raw(*u)
 
 
 def wfa_forward(net, word, run) -> list:
@@ -310,10 +310,9 @@ def wfa_forward(net, word, run) -> list:
     out = []
     for index, prev, block in stream_blocks(list(word), net.block_len):
         program = net.block_program(prev, index)
-        completions = net.block_completions(block, net.block_steps(prev, index))
-        for tau, u in enumerate(completions):
+        for tau, (un, ud) in enumerate(net.block_completions(block, program)):
             run(program, tau, tau + 1, nums, dens)
-            out.append(Rational._make(*vdot(nums, dens, u.nums, u.dens)))
+            out.append(Rational._make(*vdot(nums, dens, un, ud)))
     return out
 
 
@@ -382,41 +381,44 @@ class WfaNet(BlockNet):
     step family.
 
     The row [main | scratch] starts as [alpha | 0]; the PAD block's program
-    writes the scratch half before reading it. ``program`` compiles block
-    L-1's product P into per-token steps mapping [x | s] to [xP | xP] (a
-    temp coordinate, if any, ends at zero), streamed through block L. The
-    completion at position tau is T_tau [v | 0]: v is the current block's
-    product so far applied to omega, and T_tau = steps[tau] ... steps[m-1]
-    is block L-1's remaining steps as column actions (``apply_col``).
-    Since [v | 0] is zero past coordinate n, only the first n columns of
-    T_tau matter. Each block takes the cheaper of two ways to finish its
-    L tokens: build those columns once, backwards, in n (m-1) column steps,
-    or replay the m - tau remaining steps at every position, in
-    L m - L (L+1)/2 column steps (m (m-1)/2 on a full block).
+    writes the scratch half before reading it. ``compile_ops`` compiles
+    block L-1's product P into the ops of per-token steps (of class
+    ``step``) mapping [x | s] to [xP | xP] (a temp coordinate, if any, ends
+    at zero), streamed through block L. The completion at position tau is
+    T_tau [v | 0]: v is the current block's product so far applied to
+    omega, and T_tau = steps[tau] ... steps[m-1] is block L-1's remaining
+    steps as column actions, run in place by the column kernel
+    ``run_cols``. Since [v | 0] is zero past coordinate n, only the first
+    n columns of T_tau matter. Each block takes the cheaper of two ways to
+    finish its L tokens: build those columns once, backwards, in n (m-1)
+    column steps, or replay the m - tau remaining steps at every position,
+    in L m - L (L+1)/2 column steps (m (m-1)/2 on a full block).
 
-    ``build_rwkv_wfa``: coordinate overwrites, 2n steps, scratch width n;
-    m = 2n, so a full block costs n (m-1) either way, and it replays.
-    ``build_dnet_wfa``: symmetric steps, 8n^2+5n+1 steps, scratch width
-    n+1 (the scratch half and a temp coordinate); it builds suffix columns
-    on every block but a short final one.
+    ``build_rwkv_wfa``: coordinate overwrites (``factor_apply_ops``,
+    ``kernels.run_overwrite_cols``), 2n steps, scratch width n; m = 2n, so
+    a full block costs n (m-1) either way, and it replays.
+    ``build_dnet_wfa``: symmetric steps (``apply_matrix_ops``;
+    ``kernels.run_hsteps``, as their column action is their row action),
+    8n^2+5n+1 steps, scratch width n+1 (scratch half and temp); it builds
+    suffix columns on every block but a short final one.
     """
 
-    def __init__(self, wfa: Wfa, program, apply_col, scratch: int, block_len: int):
+    def __init__(self, wfa: Wfa, compile_ops, step, run_cols, scratch: int, block_len: int):
         super().__init__(block_len)
         self.wfa = wfa
         self.n = wfa.n_states
         self.m = block_len
         self.dim = self.n + scratch
-        self._zeros = RVector.zeros(scratch)
-        self.initial_row = wfa.alpha.concat(self._zeros)
-        self._program = program
-        self._apply_col = apply_col
+        self.step = step
+        self.initial_row = wfa.alpha.concat(RVector.zeros(scratch))
+        self._compile_ops = compile_ops
+        self._run_cols = run_cols
         self._programs = BlockMemo(self._compile_block)
         # (block, product) of the last block streamed to its end
         self._product = None
 
     def _compile_block(self, block) -> tuple:
-        """(steps, ops) of the program for ``block``'s product."""
+        """The program for ``block``'s product."""
         held, self._product = self._product, None
         if held is not None and held[0] == block:
             prod = held[1]
@@ -425,16 +427,12 @@ class WfaNet(BlockNet):
             for sym in block:
                 if sym is not PAD:
                     prod = prod @ self.wfa.matrix(sym)
-        steps = self._program(prod)
-        return steps, tuple([s.op for s in steps])
-
-    def block_steps(self, prev_block, index):
-        return self._programs(tuple(prev_block))[0]
+        return self._compile_ops(prod)
 
     def block_program(self, prev_block, index) -> tuple:
-        return self._programs(tuple(prev_block))[1]
+        return self._programs(tuple(prev_block))
 
-    def block_completions(self, block, steps):
+    def block_completions(self, block, program):
         """The block's product is kept incrementally, one matrix product per
         token, then finished by T_tau: from suffix columns or by replaying
         the remaining column steps, whichever costs the block's L tokens
@@ -442,40 +440,41 @@ class WfaNet(BlockNet):
         product is held for the next block's compile; it is recorded before
         the last yield, since a consumer need not resume the generator
         after it. Unknown symbols, PAD included, raise ``ValueError``."""
-        m, n, length = len(steps), self.n, len(block)
+        m, n, dim, length = len(program), self.n, self.dim, len(block)
         replay_cost = length * m - length * (length + 1) // 2
-        suffix = self._suffix_columns(steps) if n * (m - 1) < replay_cost else None
-        prefix = RMatrix.identity(self.n)
+        suffix = self._suffix_columns(program) if n * (m - 1) < replay_cost else None
+        reverse = program[::-1]  # a column takes the remaining steps newest first
+        omega = self.wfa.omega
         for tau, sym in enumerate(block, start=1):
-            prefix = prefix @ self.wfa.matrix(sym)
+            a = self.wfa.matrix(sym)
+            pn, pd = (a.nums, a.dens) if tau == 1 else mat_mul(pn, pd, n, n, a.nums, a.dens, n)
             if tau == m:
-                self._product = (block, prefix)
-            v = prefix.apply_col(self.wfa.omega)
+                self._product = (block, RMatrix._raw(n, n, pn, pd))
+            vn, vd = mat_vec(pn, pd, n, n, omega.nums, omega.dens)
             if suffix is not None:
-                yield row_apply(v, suffix[tau])
+                yield vec_mat(vn, vd, *suffix[tau], n, dim)
             else:
-                u = v.concat(self._zeros)
-                for i in range(m - 1, tau - 1, -1):
-                    u = self._apply_col(u, steps[i])
-                yield u
+                un, ud = vn + [0] * (dim - n), vd + [1] * (dim - n)
+                self._run_cols(reverse, 0, m - tau, un, ud)
+                yield un, ud
 
-    def _suffix_columns(self, steps) -> list:
-        """At index tau = 1..m, the n x dim matrix whose row j is T_tau e_j,
-        built backwards from T_m = I with T_(tau-1) e_j =
-        apply_col(T_tau e_j, steps[tau-1]): n (m-1) column steps per block
-        (Yang et al. 2024, the delta rule's backward suffix products)."""
-        m, n = len(steps), self.n
-        cols = [RVector.basis(j, self.dim) for j in range(n)]
+    def _suffix_columns(self, program) -> list:
+        """At index tau = 1..m, the n x dim matrix (flat nums, dens) whose
+        row j is T_tau e_j, built backwards from T_m = I: n (m-1) column
+        steps per block (Yang et al. 2024, the delta rule's backward suffix
+        products)."""
+        m, n, dim = len(program), self.n, self.dim
+        nums = [[int(i == j) for i in range(dim)] for j in range(n)]
+        dens = [[1] * dim for _ in range(n)]
         suffix = [None] * (m + 1)
         for tau in range(m, 0, -1):
             if tau < m:
-                cols = [self._apply_col(c, steps[tau]) for c in cols]
-            suffix[tau] = RMatrix._raw(
-                n, self.dim, [x for c in cols for x in c.nums], [x for c in cols for x in c.dens]
-            )
+                for j in range(n):
+                    self._run_cols(program, tau, tau + 1, nums[j], dens[j])
+            suffix[tau] = [x for col in nums for x in col], [x for col in dens for x in col]
         return suffix
 
-    def spec_completion(self, recent, tau, steps):
+    def spec_completion(self, recent, tau, program):
         """The same completion from the window: tau matrix-vector products
         on omega, newest symbol first, then the remaining column steps."""
         v = self.wfa.omega
@@ -483,15 +482,14 @@ class WfaNet(BlockNet):
             sym = recent[back]
             if sym is not PAD:
                 v = self.wfa.matrix(sym).apply_col(v)
-        u = v.concat(self._zeros)
-        for i in range(len(steps) - 1, tau - 1, -1):
-            u = self._apply_col(u, steps[i])
+        u = v.concat(RVector.zeros(self.dim - self.n))
+        self._run_cols(program[::-1], 0, len(program) - tau, u.nums, u.dens)
         return u
 
 
 def build_rwkv_wfa(wfa: Wfa) -> WfaNet:
     n = wfa.n_states
-    return WfaNet(wfa, factor_apply_matrix, apply_overwrite_col, n, 2 * n)
+    return WfaNet(wfa, factor_apply_ops, OverwriteSpec, run_overwrite_cols, n, 2 * n)
 
 
 def rwkv_wfa_forward(net: WfaNet, word) -> list:
@@ -518,6 +516,9 @@ class RwkvImmNet(BlockNet):
     matrix.
     """
 
+    step = OverwriteSpec
+    dim = 18
+
     def __init__(self):
         super().__init__(9)
         vec_i3 = RVector([1, 0, 0, 0, 1, 0, 0, 0, 1])
@@ -542,9 +543,6 @@ class RwkvImmNet(BlockNet):
                 ops.append((dst, tuple([(base + k, n, d) for k, n, d in col])))
                 dst += 1
         return tuple(ops)
-
-    def block_steps(self, prev_block, index) -> list:
-        return [OverwriteSpec.from_op(op, 18) for op in self.block_program(prev_block, index)]
 
     def final_readouts(self, prev_block, block, index, nums, dens) -> list:
         """Nine row-major product entries read from the row ``nums``/``dens``

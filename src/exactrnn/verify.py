@@ -22,7 +22,9 @@ from .automata import (
     wfa_prefix_values,
     wfa_is_deterministic,
 )
-from .delta_gadgets import build_dnet_imm, build_dnet_wfa, dnet_imm_forward, dnet_wfa_forward
+from .delta_gadgets import (
+    apply_matrix_program, build_dnet_imm, build_dnet_wfa, dnet_imm_forward, dnet_wfa_forward
+)
 from .linalg import RMatrix, RVector, RelaxedPermutation
 from .lrnn import (
     LinStep,
@@ -158,8 +160,7 @@ def verify_dnet_wfa(trials=50, seed=0, states=3, alphabet=3, length=None, **_):
         if got != want:
             t = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
             prog_index = t % m
-            bounds = (n + 1, n + 1 + 8 * n * n, n + 1 + 8 * n * n + n, m)
-            phase = next(p for p, b in enumerate(bounds, start=1) if prog_index < b)
+            phase = apply_matrix_program(RMatrix.identity(n)).phase_of(prog_index)
             return VerifyResult(
                 name, trial + 1, False,
                 f"trial {trial}: word={_dump_stream(word)}\n"

@@ -212,6 +212,25 @@ def test_program_phases():
     assert prog.phase_of(len(prog) - 1) == 4
 
 
+@pytest.mark.parametrize("t, phase", [(0, 1), (2, 2), (9, 2), (10, 3), (13, 4), (14, 1)])
+def test_verify_counterexample_names_the_program_phase(monkeypatch, t, phase):
+    # one state, so program steps 0-1 clear, 2-9 scale-add, 10 clears main
+    # and 11-13 copy back; the counterexample reads the phase off the program
+    from exactrnn import verify
+
+    def off_by_one_at_t(net, word):
+        out = dnet_wfa_forward(net, word)
+        out[t] += Rational(1)
+        return out
+
+    monkeypatch.setattr(verify, "dnet_wfa_forward", off_by_one_at_t)
+    result = verify.verify_dnet_wfa(trials=1, seed=0, states=1, alphabet=1, length=28)
+    assert not result.passed
+    assert f"(phase {phase}, program step {t % 14 + 1} of block {t // 14 + 1})" in (
+        result.counterexample
+    )
+
+
 def rand_rational_matrix(rng, n):
     return RMatrix(
         [[Rational(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]

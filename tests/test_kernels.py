@@ -1,5 +1,6 @@
-"""The rational kernels: canonical outputs, the ReLU clamp, and the 3x3
-chain against a fold of the generic matrix product."""
+"""The rational kernels: canonical outputs, the ReLU clamp, the 3x3
+chain against a fold of the generic matrix product, and the column
+kernels against the spec-level column actions of the gadget steps."""
 
 import random
 
@@ -7,6 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exactrnn import kernels
+from exactrnn.delta_gadgets import HStep, apply_h_col, h_matrix
+from exactrnn.linalg import RVector
+from exactrnn.rational import Rational
+from exactrnn.rwkv_gadgets import OverwriteSpec, apply_overwrite_col, overwrite_matrix
 
 
 def rand_rat_list(rng, n):
@@ -119,3 +124,59 @@ def test_mat3_chain_ten_thousand_bit_entries_equal_mat_mul_fold(seed, matrices, 
 def test_mat3_chain_rejects_partial_matrices():
     with pytest.raises(ValueError, match="whole 3x3"):
         kernels.mat3_chain([1] * 10, [1] * 10)
+
+
+# --- column kernels -----------------------------------------------------------
+
+
+def draw_entries(rng, d, bits):
+    """``d`` canonical (num, den) entries: zeros, small integers and
+    fractions, and, when ``bits`` is set, values of about that many bits
+    (drawn from a seeded stream, since hypothesis draws them too rarely)."""
+
+    def big():
+        return rng.getrandbits(bits) | 1 if bits else 7
+
+    nums, dens = [], []
+    for _ in range(d):
+        num, den = kernels.rnorm(
+            rng.choice((-2, -1, 0, 0, 1, 3, big(), -big())), rng.choice((1, 1, 2, 3, big()))
+        )
+        nums.append(num)
+        dens.append(den)
+    return nums, dens
+
+
+COLUMN_CASES = (st.integers(), st.integers(2, 7), st.sampled_from((0, 10**4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(*COLUMN_CASES, st.integers(0, 4))
+def test_run_overwrite_cols_equals_column_actions(seed, d, bits, split):
+    rng = random.Random(seed)
+    u = RVector._raw(*draw_entries(rng, d, bits))
+    ops, want, dense = [], u, u
+    for _ in range(4):
+        dst = rng.randrange(d)
+        cn, cd = draw_entries(rng, d, bits)
+        cn[dst], cd[dst] = 0, 1
+        spec = OverwriteSpec(dst, RVector._raw(cn, cd))
+        ops.append(spec.op)
+        want = apply_overwrite_col(want, spec)
+        dense = overwrite_matrix(spec).apply_col(dense)
+    nums, dens = list(u.nums), list(u.dens)
+    assert kernels.run_overwrite_cols(ops, 0, split, nums, dens) is None
+    kernels.run_overwrite_cols(ops, split, len(ops), nums, dens)
+    assert RVector._raw(nums, dens) == want == dense
+
+
+@settings(max_examples=60, deadline=None)
+@given(*COLUMN_CASES)
+def test_run_hsteps_on_one_op_equals_column_action(seed, d, bits):
+    rng = random.Random(seed)
+    u = RVector._raw(*draw_entries(rng, d, bits))
+    (bn,), (bd,) = draw_entries(rng, 1, bits)
+    step = HStep(Rational._make(bn, bd), RVector._raw(*draw_entries(rng, d, bits)))
+    nums, dens = list(u.nums), list(u.dens)
+    kernels.run_hsteps((step.op,), 0, 1, nums, dens)
+    assert RVector._raw(nums, dens) == apply_h_col(u, step) == h_matrix(step).apply_col(u)

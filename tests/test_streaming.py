@@ -1,9 +1,10 @@
 """The streamed forward passes against the finite-window router spec.
 
-``stream_entries`` builds each block's steps once and never forms a window
-key; ``net.router.query_at(t, tokens)`` is the specification it must match
-at every position. Also checked here: the column steps an automaton net's
-completions cost per block, memory that does not grow with the stream, and
+``stream_entries`` builds each block's steps once and never queries the
+router; ``net.router.query_at(t, tokens)`` is the specification it must
+match at every position. Also checked here: the column steps an automaton
+net's completions cost per block, forwards that neither query the router
+nor build step values, memory that does not grow with the stream, and
 clean ``ValueError``s on tokens the nets cannot read.
 """
 
@@ -18,42 +19,59 @@ from exactrnn.delta_gadgets import (
     IDENTITY_PAD_STEPS,
     SUPERBLOCK_MATRICES,
     SUPERBLOCK_TOKENS,
-    apply_h_col,
-    apply_matrix_program,
+    HStep,
+    apply_matrix_ops,
     build_dnet_imm,
     build_dnet_wfa,
     dnet_imm_forward,
     dnet_wfa_forward,
 )
-from exactrnn.kernels import run_hsteps
+from exactrnn.kernels import run_hsteps, run_overwrite_cols
 from exactrnn.problems import IDENTITY3, mat3_mul
 from exactrnn.rational import Rational
 from exactrnn.rwkv_gadgets import (
     PAD,
+    OverwriteSpec,
+    RouterTable,
     WfaNet,
-    apply_overwrite_col,
     build_rwkv_imm,
     build_rwkv_wfa,
-    factor_apply_matrix,
+    factor_apply_ops,
     rwkv_imm_forward,
     rwkv_wfa_forward,
     stream_entries,
 )
 from exactrnn.verify import random_wfa
 
+FORWARDS = pytest.mark.parametrize("build, forward", [
+    (build_dnet_wfa, dnet_wfa_forward),
+    (build_rwkv_wfa, rwkv_wfa_forward),
+    (build_dnet_imm, dnet_imm_forward),
+    (build_rwkv_imm, rwkv_imm_forward),
+], ids=["dnet-wfa", "rwkv-wfa", "dnet-imm", "rwkv-imm"])
+
+
+def no_router_queries(monkeypatch):
+    """Make any router query fail."""
+
+    def query(self, key):
+        raise AssertionError("router queried")
+
+    monkeypatch.setattr(RouterTable, "query", query)
+
 
 def assert_stream_equals_spec(build, tokens):
     """Every streamed entry equals the spec entry at its position; the
-    streamed net's router cache stays empty."""
-    streamed_net = build()
+    stream never queries the router."""
+    with pytest.MonkeyPatch.context() as patch:
+        no_router_queries(patch)
+        streamed = list(stream_entries(build(), tokens))
     spec_net = build()
-    streamed = list(stream_entries(streamed_net, tokens))
     assert len(streamed) == len(tokens)
     for t, (factor, completion) in enumerate(streamed, start=1):
         entry = spec_net.router.query_at(t, tokens)
         assert factor == entry.factor, f"factor differs at position {t}"
         assert completion == entry.completion, f"completion differs at position {t}"
-    assert streamed_net.router._cache == {}
 
 
 def wfa_word(n_states, blocks, cut, seed, block_len):
@@ -108,37 +126,38 @@ def test_first_block_streams_the_pad_program():
     factors = [f for f, _ in stream_entries(build_dnet_imm(), [1] * 18)]
     assert factors == list(pad_steps[:18])
     assert all(f.is_identity for f in factors)
-    # every pad position, here and after a compiled program, is one step
-    program = net.superblock_program([1, 0, 0, 0, 1, 0, 0, 0, 1] * SUPERBLOCK_MATRICES)
-    assert len({id(s) for s in pad_steps + program[-IDENTITY_PAD_STEPS:]}) == 1
+    # every pad position, here and after a compiled program, is one op
+    pad_ops = net.block_program((PAD,) * SUPERBLOCK_TOKENS, 0)
+    block = (1, 0, 0, 0, 1, 0, 0, 0, 1) * SUPERBLOCK_MATRICES
+    program = net.block_program(block, 1)
+    assert len({id(op) for op in pad_ops + program[-IDENTITY_PAD_STEPS:]}) == 1
 
 
 # --- completion work ----------------------------------------------------------
 
 
-def completion_column_steps(program, apply_col, scratch, block_len, extra=0, n_states=2):
-    """Column steps spent streaming two full blocks and ``extra`` tokens of
-    an ``n_states``-state automaton through ``WfaNet(wfa, program,
-    apply_col, scratch, block_len)``."""
-    calls = []
+def completion_column_steps(compile_ops, step, run_cols, scratch, block_len, extra=0,
+                            n_states=2):
+    """Column steps (ops run by the column kernel) spent streaming two full
+    blocks and ``extra`` tokens of an ``n_states``-state automaton through
+    ``WfaNet(wfa, compile_ops, step, run_cols, scratch, block_len)``."""
+    ops = []
 
-    def counted(u, step):
-        calls.append(None)
-        return apply_col(u, step)
+    def counted(program, start, stop, nums, dens):
+        ops.append(stop - start)
+        return run_cols(program, start, stop, nums, dens)
 
     rng = random.Random(8)
     wfa = random_wfa(rng, n_states, 2)
-    net = WfaNet(wfa, program, counted, scratch, block_len)
+    net = WfaNet(wfa, compile_ops, step, counted, scratch, block_len)
     word = [rng.choice(wfa.alphabet) for _ in range(2 * block_len + extra)]
     assert len(list(stream_entries(net, word))) == len(word)
-    return len(calls)
+    return sum(ops)
 
 
 def test_dnet_wfa_completions_build_suffix_columns_once_per_block():
     n, m = 2, 43
-    steps = completion_column_steps(
-        lambda p: apply_matrix_program(p).steps, apply_h_col, n + 1, m
-    )
+    steps = completion_column_steps(apply_matrix_ops, HStep, run_hsteps, n + 1, m)
     # n (m-1) per block; replaying the remaining steps would take m (m-1)/2
     assert steps <= 2 * n * (m - 1)
 
@@ -149,19 +168,18 @@ def test_wfa_completions_choose_per_block_length():
     # m-1 = 87 remaining steps instead of building 261 columns
     n = 3
     m = 8 * n * n + 5 * n + 1
-    steps = completion_column_steps(
-        lambda p: apply_matrix_program(p).steps, apply_h_col, n + 1, m, 1, n_states=n
-    )
+    steps = completion_column_steps(apply_matrix_ops, HStep, run_hsteps, n + 1, m, 1, n_states=n)
     assert steps == 2 * n * (m - 1) + m - 1 == 609
 
 
 def test_rwkv_wfa_completions_replay_remaining_steps():
     n, m = 2, 4
-    steps = completion_column_steps(factor_apply_matrix, apply_overwrite_col, n, m)
+    family = (factor_apply_ops, OverwriteSpec, run_overwrite_cols)
+    steps = completion_column_steps(*family, n, m)
     # m = 2n: on a full block suffix columns cost n (m-1) = m (m-1)/2 too
     assert steps == 2 * m * (m - 1) // 2
     # a one-token block tells the two apart: m-1 to replay, n (m-1) to build
-    steps = completion_column_steps(factor_apply_matrix, apply_overwrite_col, n, m, 1)
+    steps = completion_column_steps(*family, n, m, 1)
     assert steps == 2 * m * (m - 1) // 2 + m - 1
 
 
@@ -199,6 +217,45 @@ def test_held_block_product_serves_only_its_block(build):
     assert other[:m] != word[m:]
     assert len(list(stream_entries(net, word))) == len(word)
     assert net.router.query_at(m + 1, other) == build(wfa).router.query_at(m + 1, other)
+
+
+def forward_input(build, seed):
+    """A fresh net and an input the size of a benchmark pass's: for an
+    automaton net, two blocks of a random 2-state automaton plus a few
+    tokens; for a 3x3-product net, a stream of 2808 tokens."""
+    rng = random.Random(seed)
+    if build in (build_dnet_wfa, build_rwkv_wfa):
+        wfa = random_wfa(rng, 2, 2)
+        net = build(wfa)
+        return net, [rng.choice(wfa.alphabet) for _ in range(2 * net.block_len + 5)]
+    return build(), [rng.choice((-1, 0, 1)) for _ in range(4 * SUPERBLOCK_TOKENS)]
+
+
+@FORWARDS
+def test_forwards_never_query_the_router(monkeypatch, build, forward):
+    net, tokens = forward_input(build, 30)
+    no_router_queries(monkeypatch)
+    assert len(forward(net, tokens)) in (9, len(tokens))
+
+
+@FORWARDS
+def test_forwards_build_no_step_values(monkeypatch, build, forward):
+    # a first forward builds the program skeleton shared by all nets of
+    # its size; the counted forward, on a fresh net, must then build no
+    # HStep or OverwriteSpec at all, per token or per block
+    forward(*forward_input(build, 31))
+    net, tokens = forward_input(build, 32)
+    built = []
+    for cls in (HStep, OverwriteSpec):
+        post_init = cls.__post_init__
+
+        def counted(self, post_init=post_init):
+            built.append(type(self).__name__)
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    assert len(forward(net, tokens)) in (9, len(tokens))
+    assert built == []
 
 
 def test_dnet_imm_final_readout_finishes_the_row_once(monkeypatch):
@@ -250,7 +307,8 @@ def program_cache_size(net):
     (build_dnet_imm, dnet_imm_forward),
     (build_rwkv_imm, rwkv_imm_forward),
 ], ids=["dnet", "rwkv"])
-def test_imm_forward_memory_bounded_in_stream_length(build, forward):
+def test_imm_forward_memory_bounded_in_stream_length(monkeypatch, build, forward):
+    no_router_queries(monkeypatch)
     rng = random.Random(21)
     cache_sizes = []
     peaks = []
@@ -264,7 +322,6 @@ def test_imm_forward_memory_bounded_in_stream_length(build, forward):
         finally:
             tracemalloc.stop()
         assert got == imm_oracle(stream)
-        assert net.router._cache == {}
         cache_sizes.append(program_cache_size(net))
     assert cache_sizes[1] <= cache_sizes[0]
     # ten times the stream, yet the forward's peak allocation does not grow
@@ -285,6 +342,17 @@ def test_wfa_forward_rejects_pad_symbol(build, forward):
     sym = wfa.alphabet[0]
     with pytest.raises(ValueError, match="unknown symbol None"):
         forward(build(wfa), [sym, PAD, sym])
+
+
+@pytest.mark.parametrize("build, forward", [
+    (build_dnet_wfa, dnet_wfa_forward),
+    (build_rwkv_wfa, rwkv_wfa_forward),
+], ids=["dnet", "rwkv"])
+def test_wfa_forward_rejects_unhashable_symbol(build, forward):
+    wfa = random_wfa(random.Random(5), 2, 2)
+    sym = wfa.alphabet[0]
+    with pytest.raises(ValueError, match=r"unknown symbol \[1\]"):
+        forward(build(wfa), [sym, [1], sym])
 
 
 @pytest.mark.parametrize("bad", [None, "1", 1.0], ids=["none", "str", "float"])
