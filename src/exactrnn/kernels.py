@@ -160,26 +160,30 @@ def mat3_chain(nums, dens):
     the parallel int lists ``nums``/``dens``, oldest first (the identity
     when they are empty); equal to folding ``mat_mul`` from the identity.
 
-    When every den is 1 the chain runs on the ints alone, unrolled, with
-    no normalization. ``ValueError`` if the lists do not hold whole
-    matrices.
+    The matrices before the first one holding a den other than 1 (all of
+    them, when every den is 1) are multiplied on the ints alone, unrolled,
+    with no normalization; an integer product is already canonical, so
+    folding ``mat_mul`` on from there gives the same entries. ``ValueError``
+    if the lists do not hold whole matrices.
     """
     if len(nums) % 9 or len(dens) != len(nums):
         raise ValueError(f"{len(nums)} entries do not make whole 3x3 matrices")
-    if dens.count(1) != len(dens):
-        outn, outd = [1, 0, 0, 0, 1, 0, 0, 0, 1], [1] * 9
-        for k in range(0, len(nums), 9):
-            outn, outd = mat_mul(outn, outd, 3, 3, nums[k : k + 9], dens[k : k + 9], 3)
-        return outn, outd
+    stop = len(nums)
+    if dens.count(1) != stop:
+        first = next(k for k, d in enumerate(dens) if d != 1)
+        stop = first - first % 9
     a0, a1, a2, a3, a4, a5, a6, a7, a8 = 1, 0, 0, 0, 1, 0, 0, 0, 1
-    it = iter(nums)
+    it = iter(nums[:stop])
     for b0, b1, b2, b3, b4, b5, b6, b7, b8 in zip(it, it, it, it, it, it, it, it, it):
         a0, a1, a2, a3, a4, a5, a6, a7, a8 = (
             a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
             a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
             a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
         )
-    return [a0, a1, a2, a3, a4, a5, a6, a7, a8], [1] * 9
+    outn, outd = [a0, a1, a2, a3, a4, a5, a6, a7, a8], [1] * 9
+    for k in range(stop, len(nums), 9):
+        outn, outd = mat_mul(outn, outd, 3, 3, nums[k : k + 9], dens[k : k + 9], 3)
+    return outn, outd
 
 
 def run_overwrites(ops, start, stop, nums, dens):

@@ -31,6 +31,7 @@ matrices in an 18-coordinate state by ping-ponging between two halves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import repeat
 
 from .automata import Wfa
@@ -44,6 +45,7 @@ from .rational import Rational
 PAD = None  # pre-sequence padding pseudo-symbol
 
 _ONE = Rational(1)
+_INT_ONLY = {int}
 
 
 @dataclass(frozen=True)
@@ -319,11 +321,14 @@ def wfa_forward(net, word, run) -> list:
 def imm_tokens(stream) -> list:
     """The tokens of a matrix stream, checked: ``ValueError`` on a token
     that is not an int or a Rational, or on a length that is not a positive
-    multiple of 9."""
+    multiple of 9. The check tests each distinct token type once; only a
+    stream holding a type that fails it is walked token by token, to name
+    the first bad token."""
     tokens = stream if isinstance(stream, (list, tuple)) else list(stream)
-    for tok in tokens:
-        if not isinstance(tok, (int, Rational)):
-            raise ValueError(f"matrix token must be an int or a Rational, not {tok!r}")
+    if not all(issubclass(cls, (int, Rational)) for cls in set(map(type, tokens))):
+        for tok in tokens:
+            if not isinstance(tok, (int, Rational)):
+                raise ValueError(f"matrix token must be an int or a Rational, not {tok!r}")
     if not tokens or len(tokens) % 9 != 0:
         raise ValueError("stream length must be a positive multiple of 9")
     return tokens
@@ -331,7 +336,10 @@ def imm_tokens(stream) -> list:
 
 def imm_entries(tokens_oldest_first) -> tuple:
     """Parallel num and den lists of matrix tokens; a PAD token stands for
-    its entry of the identity matrix."""
+    its entry of the identity matrix. Tokens that are all of type int are
+    copied as they are, with no per-token dispatch."""
+    if set(map(type, tokens_oldest_first)) == _INT_ONLY:
+        return list(tokens_oldest_first), [1] * len(tokens_oldest_first)
     nums = []
     dens = []
     for k, tok in enumerate(tokens_oldest_first):
@@ -501,6 +509,25 @@ def rwkv_wfa_forward(net: WfaNet, word) -> list:
 # Iterated 3x3 product network
 
 
+COLUMN_TABLE_SIZE = 1024
+
+
+@lru_cache(maxsize=COLUMN_TABLE_SIZE)
+def _column_ops(src, j, n0, d0, n1, d1, n2, d2) -> tuple:
+    """The three finished overwrite ops of ``RwkvImmNet`` that read column
+    j = (n0/d0, n1/d1, n2/d2) of the previous matrix, with the active half
+    at ``src``: op i writes entry (i, j) of the product into the other
+    half, and its support is that column's nonzeros at row i of the active
+    half. With {-1, 0, 1} entries there are 2 * 3 * 27 = 162 keys; the
+    fixed bound keeps the table's memory bounded on streams of distinct
+    large entries."""
+    column = [(k, n, d) for k, n, d in ((0, n0, d0), (1, n1, d1), (2, n2, d2)) if n != 0]
+    dst = 9 - src + j
+    return tuple(
+        (dst + 3 * i, tuple([(src + 3 * i + k, n, d) for k, n, d in column])) for i in (0, 1, 2)
+    )
+
+
 class RwkvImmNet(BlockNet):
     """Accumulates the running product of streamed 3x3 matrices.
 
@@ -511,9 +538,12 @@ class RwkvImmNet(BlockNet):
     acts as the identity matrix. The halves alternate with block parity.
     The router key is (t mod 18, last 18 tokens); the forward pass compiles
     each block's nine overwrite ops once at the block boundary, straight
-    from the previous block's tokens. Outputs exist only at the final
-    position, where nine completion readouts fold in the final block's
-    matrix.
+    from the previous block's tokens: three lookups, one per column of the
+    previous matrix, in a module-level table (``_column_ops``, an LRU
+    cache of ``COLUMN_TABLE_SIZE`` = 1024 columns) that returns that
+    column's three finished ops. {-1, 0, 1} entries make only 162 distinct
+    columns. Outputs exist only at the final position, where nine
+    completion readouts fold in the final block's matrix.
     """
 
     step = OverwriteSpec
@@ -531,18 +561,10 @@ class RwkvImmNet(BlockNet):
         active half, so its support holds at most three entries."""
         an, ad = imm_entries(prev_block)
         src = 9 * (index % 2)
-        dst = 9 - src
-        # nonzeros of column j of A_prev as (row k, num, den)
-        cols = [
-            [(k, an[3 * k + j], ad[3 * k + j]) for k in (0, 1, 2) if an[3 * k + j] != 0]
-            for j in (0, 1, 2)
-        ]
-        ops = []
-        for base in (src, src + 3, src + 6):
-            for col in cols:
-                ops.append((dst, tuple([(base + k, n, d) for k, n, d in col])))
-                dst += 1
-        return tuple(ops)
+        c0 = _column_ops(src, 0, an[0], ad[0], an[3], ad[3], an[6], ad[6])
+        c1 = _column_ops(src, 1, an[1], ad[1], an[4], ad[4], an[7], ad[7])
+        c2 = _column_ops(src, 2, an[2], ad[2], an[5], ad[5], an[8], ad[8])
+        return c0[0], c1[0], c2[0], c0[1], c1[1], c2[1], c0[2], c1[2], c2[2]
 
     def final_readouts(self, prev_block, block, index, nums, dens) -> list:
         """Nine row-major product entries read from the row ``nums``/``dens``

@@ -7,12 +7,14 @@ run them on a row held as two int lists (``kernels.run_overwrites``,
 program in place equals folding the step actions over ``block_steps``, bit
 for bit, and ``block_steps`` equals the steps built directly from the
 block's matrix, so the router spec is unchanged. Also checked: imm streams
-the forwards must reject, bool tokens, and entries (non-integer, about
-10^4 bits) that reach the kernels' non-unit-denominator branches, in a
-compiled superblock or in a partial final one.
+the forwards must reject and the token each error names, bool tokens and
+mixed token types, entries (non-integer, about 10^4 bits) that reach the
+kernels' non-unit-denominator branches, in a compiled superblock or in a
+partial final one, and the rwkv-imm column table's bound.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -32,8 +34,10 @@ from exactrnn.kernels import nonzeros, run_hsteps, run_overwrites
 from exactrnn.linalg import RMatrix, RVector
 from exactrnn.rational import Rational
 from exactrnn.rwkv_gadgets import (
+    COLUMN_TABLE_SIZE,
     PAD,
     OverwriteSpec,
+    _column_ops,
     apply_overwrite_row,
     build_rwkv_imm,
     build_rwkv_wfa,
@@ -135,6 +139,19 @@ def test_rwkv_imm_block_program(kind, index, seed, split):
     assert_program_runs_like_steps(
         program, steps, draw_row(seed, 18), run_overwrites, apply_overwrite_row, split
     )
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_rwkv_imm_block_program_ten_thousand_bit_entries(index):
+    # the column table's keys hold entries of about 10^4 bits, with dens
+    rng = random.Random(70 + index)
+    prev = tuple(
+        Rational(rng.getrandbits(10**4) - rng.getrandbits(10**4 - 1), rng.choice((1, 3, 7)))
+        if rng.random() < 0.7 else rng.choice((-1, 0, 1))
+        for _ in range(9)
+    )
+    steps = rwkv_imm_reference_steps(prev, index)
+    assert list(build_rwkv_imm().block_program(prev, index)) == [s.op for s in steps]
 
 
 @settings(max_examples=12, deadline=None)
@@ -249,6 +266,59 @@ def test_imm_forward_bool_tokens_are_exact(build, forward):
     rng = random.Random(63)
     stream = [rng.choice((True, False)) for _ in range(SUPERBLOCK_TOKENS + 9 * 80)]
     assert forward(build(), stream) == frac_product(stream)
+
+
+@IMM_FORWARDS
+def test_imm_forward_mixed_int_rational_bool_tokens_are_exact(build, forward):
+    # three token types in one stream take the per-token path of the entry
+    # lists, in compiled blocks and in the final partial one
+    rng = random.Random(66)
+    kinds = (-1, 0, 1, True, False, Rational(2, 3), Rational(-5, 4), Rational(3))
+    stream = [rng.choice(kinds) for _ in range(SUPERBLOCK_TOKENS + 9 * 5)]
+    assert {type(t) for t in stream} == {int, bool, Rational}
+    assert forward(build(), stream) == frac_product(stream)
+
+
+def bad_token_message(tok):
+    return "^" + re.escape(f"matrix token must be an int or a Rational, not {tok!r}") + "$"
+
+
+@IMM_FORWARDS
+def test_imm_forward_rejects_a_bad_last_token(build, forward):
+    rng = random.Random(67)
+    stream = [rng.choice((-1, 0, 1)) for _ in range(4 * SUPERBLOCK_TOKENS)]
+    stream[-1] = "1"
+    with pytest.raises(ValueError, match=bad_token_message("1")):
+        forward(build(), stream)
+
+
+@IMM_FORWARDS
+def test_imm_forward_names_the_first_of_two_bad_tokens(build, forward):
+    # the set of token types has no order; the message names whichever bad
+    # token comes first in the stream
+    rng = random.Random(68)
+    stream = [rng.choice((-1, 0, 1, Rational(1, 2))) for _ in range(4 * SUPERBLOCK_TOKENS)]
+    stream[40], stream[2000] = 2.5, "x"
+    with pytest.raises(ValueError, match=bad_token_message(2.5)):
+        forward(build(), stream)
+    stream[40], stream[2000] = "x", 2.5
+    with pytest.raises(ValueError, match=bad_token_message("x")):
+        forward(build(), stream)
+
+
+def test_rwkv_imm_column_table_stays_bounded():
+    # entries of about 200 bits make almost every column new, so the stream
+    # needs more columns than the table holds; the table is shared by every
+    # net, so the test reads only what this forward adds to its counts
+    rng = random.Random(69)
+    stream = [rng.getrandbits(200) - rng.getrandbits(199) for _ in range(9 * 360)]
+    before = _column_ops.cache_info()
+    got = rwkv_imm_forward(build_rwkv_imm(), stream)
+    after = _column_ops.cache_info()
+    assert got == frac_product(stream)
+    assert after.maxsize == COLUMN_TABLE_SIZE
+    assert after.misses - before.misses > COLUMN_TABLE_SIZE
+    assert after.currsize <= COLUMN_TABLE_SIZE
 
 
 @IMM_FORWARDS

@@ -1,11 +1,12 @@
 """The rational kernels: canonical outputs, the ReLU clamp, the 3x3
-chain against a fold of the generic matrix product, and the column
-kernels against the spec-level column actions of the gadget steps."""
+chain against a fold of the generic matrix product (and how much of a
+mixed-den chain that fold runs), and the column kernels against the
+spec-level column actions of the gadget steps."""
 
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exactrnn import kernels
 from exactrnn.delta_gadgets import HStep, apply_h_col, h_matrix
@@ -96,10 +97,18 @@ def test_mat3_chain_integer_chains_equal_mat_mul_fold(chain):
     assert kernels.mat3_chain(nums, dens) == mat_mul_fold(nums, dens)
 
 
+FIVE_MATRICES = ([1, -1, 0, 0, 1, 1, -1, 0, 1] * 5, [1] * 45)
+
+
 @settings(max_examples=60, deadline=None)
 @given(chains(SMALL_INTS).filter(lambda c: c[0]), st.integers(0, 10**6), NON_INTEGERS)
+# the integer chain runs up to the non-integer entry's matrix and the fold
+# from there: that matrix first, in the middle and last
+@example(FIVE_MATRICES, 4, (1, 2))
+@example(FIVE_MATRICES, 9 * 2 + 4, (-3, 5))
+@example(FIVE_MATRICES, 9 * 4 + 8, (1, 2))
 def test_mat3_chain_one_non_integer_entry_equals_mat_mul_fold(chain, where, entry):
-    nums, dens = chain
+    nums, dens = list(chain[0]), list(chain[1])  # examples share their lists
     k = where % len(nums)
     nums[k], dens[k] = entry
     assert kernels.mat3_chain(nums, dens) == mat_mul_fold(nums, dens)
@@ -119,6 +128,28 @@ def test_mat3_chain_ten_thousand_bit_entries_equal_mat_mul_fold(seed, matrices, 
         nums.append(num)
         dens.append(den)
     assert kernels.mat3_chain(nums, dens) == mat_mul_fold(nums, dens)
+
+
+@pytest.mark.parametrize("first", [0, 39, 77], ids=["first", "middle", "last"])
+def test_mat3_chain_folds_only_from_the_first_non_integer_matrix(monkeypatch, first):
+    # one mat_mul per matrix from the first non-integer one on, none before
+    rng = random.Random(7)
+    matrices = 78
+    nums = [rng.choice((-1, 0, 1)) for _ in range(9 * matrices)]
+    dens = [1] * len(nums)
+    nums[9 * first + 4], dens[9 * first + 4] = 1, 2
+    nums[-1], dens[-1] = -3, 5
+    want = mat_mul_fold(nums, dens)
+    calls = []
+    mat_mul = kernels.mat_mul
+
+    def counted(*args):
+        calls.append(args)
+        return mat_mul(*args)
+
+    monkeypatch.setattr(kernels, "mat_mul", counted)
+    assert kernels.mat3_chain(nums, dens) == want
+    assert len(calls) == matrices - first
 
 
 def test_mat3_chain_rejects_partial_matrices():

@@ -4,8 +4,9 @@
 router; ``net.router.query_at(t, tokens)`` is the specification it must
 match at every position. Also checked here: the column steps an automaton
 net's completions cost per block, forwards that neither query the router
-nor build step values, memory that does not grow with the stream, and
-clean ``ValueError``s on tokens the nets cannot read.
+nor build step values (nor, for the 3x3-product nets, a matrix or vector
+value per token), memory that does not grow with the stream, and clean
+``ValueError``s on tokens the nets cannot read.
 """
 
 import random
@@ -27,6 +28,7 @@ from exactrnn.delta_gadgets import (
     dnet_wfa_forward,
 )
 from exactrnn.kernels import run_hsteps, run_overwrite_cols
+from exactrnn.linalg import RMatrix, RVector
 from exactrnn.problems import IDENTITY3, mat3_mul
 from exactrnn.rational import Rational
 from exactrnn.rwkv_gadgets import (
@@ -42,6 +44,11 @@ from exactrnn.rwkv_gadgets import (
     stream_entries,
 )
 from exactrnn.verify import random_wfa
+
+IMM_FORWARDS = pytest.mark.parametrize("build, forward", [
+    (build_dnet_imm, dnet_imm_forward),
+    (build_rwkv_imm, rwkv_imm_forward),
+], ids=["dnet", "rwkv"])
 
 FORWARDS = pytest.mark.parametrize("build, forward", [
     (build_dnet_wfa, dnet_wfa_forward),
@@ -258,6 +265,54 @@ def test_forwards_build_no_step_values(monkeypatch, build, forward):
     assert built == []
 
 
+def count_value_objects(monkeypatch) -> list:
+    """Record the class name of every ``RMatrix``/``RVector`` built from
+    now on, through ``__init__`` or ``_raw``."""
+    built = []
+    for cls in (RMatrix, RVector):
+        init, raw = cls.__init__, cls._raw.__func__
+
+        def counted_init(self, *args, init=init):
+            built.append(type(self).__name__)
+            init(self, *args)
+
+        def counted_raw(klass, *args, raw=raw):
+            built.append(klass.__name__)
+            return raw(klass, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted_init)
+        monkeypatch.setattr(cls, "_raw", classmethod(counted_raw))
+    return built
+
+
+@IMM_FORWARDS
+def test_imm_forwards_build_no_value_objects_per_token(monkeypatch, build, forward):
+    # rwkv builds the same number of matrices and vectors however long the
+    # stream; dnet the same fixed number per superblock (its product and
+    # embedding), and none per token
+    rng = random.Random(33)
+    streams = {
+        superblocks: [rng.choice((-1, 0, 1)) for _ in range(superblocks * SUPERBLOCK_TOKENS)]
+        for superblocks in (1, 2, 4)
+    }
+    wants = {superblocks: imm_oracle(stream) for superblocks, stream in streams.items()}
+    # a first compile builds the program skeleton shared by all nets
+    forward(build(), streams[2])
+    built = count_value_objects(monkeypatch)
+    counts = {}
+    for superblocks, stream in streams.items():
+        net = build()
+        del built[:]
+        assert forward(net, stream) == wants[superblocks]
+        counts[superblocks] = len(built)
+    per_superblock = counts[2] - counts[1]
+    assert counts[4] - counts[1] == 3 * per_superblock
+    if build is build_rwkv_imm:
+        assert per_superblock == 0
+    else:
+        assert 0 < per_superblock <= 4
+
+
 def test_dnet_imm_final_readout_finishes_the_row_once(monkeypatch):
     # a stream ending 9 tokens into a superblock: the readout runs the
     # remaining 693 steps once on the row, with no column steps, instead of
@@ -303,10 +358,7 @@ def program_cache_size(net):
     return len(vars(net).get("_programs", ()))
 
 
-@pytest.mark.parametrize("build, forward", [
-    (build_dnet_imm, dnet_imm_forward),
-    (build_rwkv_imm, rwkv_imm_forward),
-], ids=["dnet", "rwkv"])
+@IMM_FORWARDS
 def test_imm_forward_memory_bounded_in_stream_length(monkeypatch, build, forward):
     no_router_queries(monkeypatch)
     rng = random.Random(21)
@@ -356,10 +408,7 @@ def test_wfa_forward_rejects_unhashable_symbol(build, forward):
 
 
 @pytest.mark.parametrize("bad", [None, "1", 1.0], ids=["none", "str", "float"])
-@pytest.mark.parametrize("build, forward", [
-    (build_dnet_imm, dnet_imm_forward),
-    (build_rwkv_imm, rwkv_imm_forward),
-], ids=["dnet", "rwkv"])
+@IMM_FORWARDS
 def test_imm_forward_rejects_non_numeric_token(build, forward, bad):
     stream = [1, 0, 0, 0, 1, 0, 0, 0, 1] * 2
     stream[12] = bad
