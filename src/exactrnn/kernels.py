@@ -3,10 +3,15 @@
 All bulk arithmetic in the package funnels through this module. Vectors
 and matrices are passed as parallel lists of Python ints: ``nums[i] / dens[i]``, matrices flat row-major.
 Every function returns canonical entries: gcd(|num|, den) = 1 and den > 0,
-with zero represented as 0/1.
+with zero represented as 0/1, except the two fraction-free kernels:
+``common_den`` puts a vector over one shared denominator, and
+``int_mat_mul`` multiplies integer rows by integer columns, so that a
+running product over one denominator is normalized only where a caller
+needs a canonical value (Bareiss 1968).
 """
 
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 BACKEND = "python"
 
@@ -57,6 +62,21 @@ def vdot(an, ad, bn, bd):
                 sn = sn * q + p * sd
             sd *= q
     return rnorm(sn, sd)
+
+
+def common_den(nums, dens):
+    """The rationals ``nums[i] / dens[i]`` as ints over one denominator:
+    ``(ints, den)`` with den the lcm of ``dens`` and ints[i] / den equal to
+    entry i. Not canonical: the ints and den may share a factor."""
+    den = lcm(*dens)
+    return [n * (den // d) for n, d in zip(nums, dens)], den
+
+
+def int_mat_mul(rows, cols) -> list:
+    """Product of integer matrices given as a list of rows and a list of
+    columns, as a list of rows: entry (i, j) is rows[i] . cols[j]. No
+    denominators and no normalization (see ``common_den``)."""
+    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
 
 
 def nonzeros(nums, dens) -> tuple:

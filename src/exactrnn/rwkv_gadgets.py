@@ -36,7 +36,8 @@ from itertools import repeat
 
 from .automata import Wfa
 from .kernels import (
-    mat_mul, mat_vec, nonzeros, radd, rmul, run_overwrite_cols, run_overwrites, sdot, vdot, vec_mat
+    common_den, int_mat_mul, nonzeros, radd, rmul, rnorm, run_overwrite_cols, run_overwrites, sdot,
+    vdot, vec_mat
 )
 from .linalg import RMatrix, RVector
 from .lrnn import RwkvStep
@@ -400,7 +401,10 @@ class WfaNet(BlockNet):
     n columns of T_tau matter. Each block takes the cheaper of two ways to
     finish its L tokens: build those columns once, backwards, in n (m-1)
     column steps, or replay the m - tau remaining steps at every position,
-    in L m - L (L+1)/2 column steps (m (m-1)/2 on a full block).
+    in L m - L (L+1)/2 column steps (m (m-1)/2 on a full block). The
+    block's product is kept fraction-free, as integer rows over one common
+    denominator (see ``block_completions``), from each symbol's matrix and
+    omega, which the net puts over one denominator once, when it is built.
 
     ``build_rwkv_wfa``: coordinate overwrites (``factor_apply_ops``,
     ``kernels.run_overwrite_cols``), 2n steps, scratch width n; m = 2n, so
@@ -424,6 +428,17 @@ class WfaNet(BlockNet):
         self._programs = BlockMemo(self._compile_block)
         # (block, product) of the last block streamed to its end
         self._product = None
+        # each symbol's matrix as (int rows, int columns, den), and omega
+        # as a one-column int matrix and its den: the completions' product
+        # runs on these
+        n = self.n
+        self._int_matrices = {}
+        for sym, a in wfa.matrices.items():
+            ints, den = common_den(a.nums, a.dens)
+            rows = [ints[i * n : i * n + n] for i in range(n)]
+            self._int_matrices[sym] = rows, [ints[j::n] for j in range(n)], den
+        ints, den = common_den(wfa.omega.nums, wfa.omega.dens)
+        self._int_omega = [ints], den
 
     def _compile_block(self, block) -> tuple:
         """The program for ``block``'s product."""
@@ -441,28 +456,42 @@ class WfaNet(BlockNet):
         return self._programs(tuple(prev_block))
 
     def block_completions(self, block, program):
-        """The block's product is kept incrementally, one matrix product per
-        token, then finished by T_tau: from suffix columns or by replaying
-        the remaining column steps, whichever costs the block's L tokens
-        fewer column steps (see the class docstring). A full block's
-        product is held for the next block's compile; it is recorded before
-        the last yield, since a consumer need not resume the generator
-        after it. Unknown symbols, PAD included, raise ``ValueError``."""
+        """The block's product so far is kept fraction-free: integer rows
+        over one common denominator D, advanced by one integer product per
+        token (D times the token's matrix den), with no gcd inside the
+        block. Then v = P omega, as ints over D times omega's den, is
+        finished by T_tau: from suffix columns (``vec_mat`` normalizes
+        each entry of the completion) or by replaying the remaining column
+        steps on v's n canonical entries, whichever costs the block's L
+        tokens fewer column steps (see the class docstring). A full
+        block's product is normalized once, to the canonical ``RMatrix``
+        held for the next block's compile; it is recorded before the last
+        yield, since a consumer need not resume the generator after it.
+        Unknown symbols, PAD included, raise ``ValueError``."""
         m, n, dim, length = len(program), self.n, self.dim, len(block)
         replay_cost = length * m - length * (length + 1) // 2
         suffix = self._suffix_columns(program) if n * (m - 1) < replay_cost else None
         reverse = program[::-1]  # a column takes the remaining steps newest first
-        omega = self.wfa.omega
+        omega, omega_den = self._int_omega
         for tau, sym in enumerate(block, start=1):
-            a = self.wfa.matrix(sym)
-            pn, pd = (a.nums, a.dens) if tau == 1 else mat_mul(pn, pd, n, n, a.nums, a.dens, n)
-            if tau == m:
-                self._product = (block, RMatrix._raw(n, n, pn, pd))
-            vn, vd = mat_vec(pn, pd, n, n, omega.nums, omega.dens)
-            if suffix is not None:
-                yield vec_mat(vn, vd, *suffix[tau], n, dim)
+            self.wfa.matrix(sym)  # ValueError on an unknown symbol
+            arows, acols, aden = self._int_matrices[sym]
+            if tau == 1:
+                prows, den = arows, aden
             else:
-                un, ud = vn + [0] * (dim - n), vd + [1] * (dim - n)
+                prows, den = int_mat_mul(prows, acols), den * aden
+            if tau == m:
+                held = [rnorm(x, den) for row in prows for x in row]
+                held_nums, held_dens = [x for x, _ in held], [d for _, d in held]
+                self._product = (block, RMatrix._raw(n, n, held_nums, held_dens))
+            vn = [x for (x,) in int_mat_mul(prows, omega)]
+            vden = den * omega_den
+            if suffix is not None:
+                yield vec_mat(vn, [vden] * n, *suffix[tau], n, dim)
+            else:
+                un, ud = [0] * dim, [1] * dim
+                for i, x in enumerate(vn):
+                    un[i], ud[i] = rnorm(x, vden)
                 self._run_cols(reverse, 0, m - tau, un, ud)
                 yield un, ud
 

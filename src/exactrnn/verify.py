@@ -61,8 +61,22 @@ class VerifyResult:
     notes: list = field(default_factory=list)
 
 
+_SYMBOLS = "abcdefgh"
+
+
+def _check_wfa_size(n_states: int, n_symbols: int):
+    if n_states < 1:
+        raise ValueError(f"n_states must be >= 1, got {n_states}")
+    if not 1 <= n_symbols <= len(_SYMBOLS):
+        raise ValueError(f"n_symbols must be in 1..{len(_SYMBOLS)}, got {n_symbols}")
+
+
 def random_wfa(rng, n_states: int, n_symbols: int) -> Wfa:
-    sigma = tuple("abcdefgh"[:n_symbols])
+    """Automaton over the first ``n_symbols`` letters of "abcdefgh", entries
+    drawn from ``WFA_ENTRIES``; ``ValueError`` unless n_states >= 1 and
+    1 <= n_symbols <= 8."""
+    _check_wfa_size(n_states, n_symbols)
+    sigma = tuple(_SYMBOLS[:n_symbols])
     mats = {
         s: RMatrix(
             [[rng.choice(WFA_ENTRIES) for _ in range(n_states)] for _ in range(n_states)]
@@ -75,8 +89,10 @@ def random_wfa(rng, n_states: int, n_symbols: int) -> Wfa:
 
 
 def random_dwfa(rng, n_states: int, n_symbols: int) -> Wfa:
-    """Column-deterministic automaton: each matrix is routing times diagonal."""
-    sigma = tuple("abcdefgh"[:n_symbols])
+    """Column-deterministic automaton: each matrix is routing times diagonal.
+    ``ValueError`` unless n_states >= 1 and 1 <= n_symbols <= 8."""
+    _check_wfa_size(n_states, n_symbols)
+    sigma = tuple(_SYMBOLS[:n_symbols])
     nonzero = [v for v in WFA_ENTRIES if v != Rational(0)]
     mats = {}
     for s in sigma:
@@ -94,6 +110,17 @@ def random_dwfa(rng, n_states: int, n_symbols: int) -> Wfa:
     wfa = Wfa(n_states, sigma, mats, alpha, omega)
     assert wfa_is_deterministic(wfa)
     return wfa
+
+
+def _check_verb_sizes(states, length, alphabet=None):
+    """The size flags of a verb that draws automata, checked before any
+    draw: ``ValueError`` naming the flag."""
+    if states < 1:
+        raise ValueError(f"--states must be >= 1, got {states}")
+    if alphabet is not None and not 1 <= alphabet <= len(_SYMBOLS):
+        raise ValueError(f"--alphabet must be in 1..{len(_SYMBOLS)}, got {alphabet}")
+    if length is not None and length < 0:
+        raise ValueError(f"--len must be >= 0, got {length}")
 
 
 def _dump_stream(word) -> str:
@@ -126,6 +153,7 @@ def _imm_oracle(stream) -> list:
 
 def verify_rwkv_wfa(trials=50, seed=0, states=3, alphabet=3, length=None, **_):
     name = "rwkv-wfa"
+    _check_verb_sizes(states, length, alphabet)
     for trial in range(trials):
         rng = rng_for(seed, name, trial)
         n = rng.randint(1, states)
@@ -147,6 +175,7 @@ def verify_rwkv_wfa(trials=50, seed=0, states=3, alphabet=3, length=None, **_):
 
 def verify_dnet_wfa(trials=50, seed=0, states=3, alphabet=3, length=None, **_):
     name = "dnet-wfa"
+    _check_verb_sizes(states, length, alphabet)
     for trial in range(trials):
         rng = rng_for(seed, name, trial)
         n = rng.randint(1, states)
@@ -330,6 +359,7 @@ def verify_pd_product(trials=200, seed=0, dim=5, length=64, **_):
 
 def verify_dwfa_pd(trials=20, seed=0, states=4, words=500, length=24, **_):
     name = "dwfa-pd"
+    _check_verb_sizes(states, length)
     for trial in range(trials):
         rng = rng_for(seed, name, trial)
         a = random_dwfa(rng, rng.randint(1, states), rng.randint(1, 3))

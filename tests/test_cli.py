@@ -237,3 +237,35 @@ def test_report_rejects_non_positive_sizes(capsys, kind, sizes):
     captured = capsys.readouterr()
     assert "--n-list" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("verb, flags, flag", [
+    ("dnet-wfa", ["--states", "0"], "--states"),
+    ("rwkv-wfa", ["--states", "-1"], "--states"),
+    ("dwfa-pd", ["--states", "0"], "--states"),
+    ("dnet-wfa", ["--len", "-1"], "--len"),
+    ("rwkv-wfa", ["--len", "-1"], "--len"),
+    ("dwfa-pd", ["--len", "-1"], "--len"),
+    ("dnet-wfa", ["--alphabet", "9"], "--alphabet"),
+    ("rwkv-wfa", ["--alphabet", "9"], "--alphabet"),
+    ("rwkv-wfa", ["--alphabet", "0"], "--alphabet"),
+])
+def test_wfa_verbs_reject_bad_sizes(capsys, verb, flags, flag):
+    assert run_cli(["verify", verb, "--trials", "1", *flags]) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("n_states, n_symbols", [(0, 2), (-1, 2), (2, 0), (2, 9)])
+def test_random_automata_reject_bad_sizes_before_any_draw(n_states, n_symbols):
+    import random
+
+    from exactrnn.verify import random_dwfa, random_wfa
+
+    rng = random.Random(0)
+    state = rng.getstate()
+    for draw in (random_wfa, random_dwfa):
+        with pytest.raises(ValueError, match="n_states" if n_states < 1 else "n_symbols"):
+            draw(rng, n_states, n_symbols)
+    assert rng.getstate() == state

@@ -1,9 +1,12 @@
 """The rational kernels: canonical outputs, the ReLU clamp, the 3x3
 chain against a fold of the generic matrix product (and how much of a
-mixed-den chain that fold runs), and the column kernels against the
-spec-level column actions of the gadget steps."""
+mixed-den chain that fold runs), a fraction-free chain against the same
+fold, and the column kernels against the spec-level column actions of the
+gadget steps."""
 
 import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -58,6 +61,39 @@ def test_sparse_dot_equals_dense_dot():
         support = kernels.nonzeros(bn, bd)
         assert [i for i, _, _ in support] == [i for i in range(n) if bn[i] != 0]
         assert kernels.sdot(support, an, ad) == kernels.vdot(an, ad, bn, bd)
+
+
+# --- fraction-free products ---------------------------------------------------
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 6), st.integers())
+def test_fraction_free_chain_equals_mat_mul_fold(n, count, seed):
+    # dens up to 20: common denominators are mostly not powers of two
+    rng = random.Random(seed)
+    matrices = [rand_rat_list(rng, n * n) for _ in range(count)]
+    want_n, want_d = matrices[0]
+    for an, ad in matrices[1:]:
+        want_n, want_d = kernels.mat_mul(want_n, want_d, n, n, an, ad, n)
+    rows, den = None, 1
+    for an, ad in matrices:
+        ints, aden = kernels.common_den(an, ad)
+        assert aden == lcm(*ad)
+        assert [Fraction(x, aden) for x in ints] == list(map(Fraction, an, ad))
+        if rows is None:
+            rows = [ints[i * n : i * n + n] for i in range(n)]
+        else:
+            rows = kernels.int_mat_mul(rows, [ints[j::n] for j in range(n)])
+        den *= aden
+    got = [kernels.rnorm(x, den) for row in rows for x in row]
+    assert got == list(zip(want_n, want_d))
+
+
+def test_int_mat_mul_rows_by_columns():
+    # [[1, 2], [3, 4]] @ [[5, 6], [7, 8]], the right factor given by columns
+    assert kernels.int_mat_mul([[1, 2], [3, 4]], [[5, 7], [6, 8]]) == [[19, 22], [43, 50]]
+    # one column: a matrix-vector product
+    assert kernels.int_mat_mul([[1, 2], [3, 4]], [[1, -1]]) == [[-1], [-1]]
 
 
 # --- mat3_chain ---------------------------------------------------------------

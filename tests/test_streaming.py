@@ -2,11 +2,12 @@
 
 ``stream_entries`` builds each block's steps once and never queries the
 router; ``net.router.query_at(t, tokens)`` is the specification it must
-match at every position. Also checked here: the column steps an automaton
-net's completions cost per block, forwards that neither query the router
-nor build step values (nor, for the 3x3-product nets, a matrix or vector
-value per token), memory that does not grow with the stream, and clean
-``ValueError``s on tokens the nets cannot read.
+match at every position, also for automata with non-dyadic entries. Also
+checked here: the column steps an automaton net's completions cost per
+block, forwards that neither query the router nor build step values (nor,
+for the 3x3-product nets, a matrix or vector value per token; nor, for the
+automaton nets, a rational matrix product), memory that does not grow
+with the stream, and clean ``ValueError``s on tokens the nets cannot read.
 """
 
 import random
@@ -15,7 +16,8 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from exactrnn import delta_gadgets
+from exactrnn import delta_gadgets, kernels, rwkv_gadgets
+from exactrnn.automata import Wfa, wfa_prefix_values
 from exactrnn.delta_gadgets import (
     IDENTITY_PAD_STEPS,
     SUPERBLOCK_MATRICES,
@@ -48,6 +50,11 @@ from exactrnn.verify import random_wfa
 IMM_FORWARDS = pytest.mark.parametrize("build, forward", [
     (build_dnet_imm, dnet_imm_forward),
     (build_rwkv_imm, rwkv_imm_forward),
+], ids=["dnet", "rwkv"])
+
+WFA_FORWARDS = pytest.mark.parametrize("build, forward", [
+    (build_dnet_wfa, dnet_wfa_forward),
+    (build_rwkv_wfa, rwkv_wfa_forward),
 ], ids=["dnet", "rwkv"])
 
 FORWARDS = pytest.mark.parametrize("build, forward", [
@@ -125,6 +132,60 @@ def test_dnet_imm_stream_equals_router_spec(superblocks, cut, seed):
     length = superblocks * SUPERBLOCK_TOKENS + cut
     stream = [rng.choice((-1, 0, 1)) for _ in range(length)]
     assert_stream_equals_spec(build_dnet_imm, stream)
+
+
+# Entries with dens 3, 5, 6 and 7 next to dyadic ones: the completions'
+# common denominator is then not a power of two, and products of such
+# entries must still be normalized to the spec's canonical values.
+MIXED_DEN_ENTRIES = (
+    Rational(1, 3), Rational(-2, 5), Rational(3, 7), Rational(5, 6),
+    Rational(0), Rational(1), Rational(-1, 2), Rational(2),
+)
+
+
+def wfa_of(matrices, alpha, omega) -> Wfa:
+    """An automaton over "a", "b", ... with the given matrices (as lists
+    of rows) and weight vectors."""
+    sigma = tuple("abcdefgh"[: len(matrices)])
+    mats = {sym: RMatrix(rows) for sym, rows in zip(sigma, matrices)}
+    return Wfa(len(alpha), sigma, mats, RVector(alpha), RVector(omega))
+
+
+@st.composite
+def mixed_den_wfas(draw):
+    n = draw(st.integers(1, 2))
+    entry = st.sampled_from(MIXED_DEN_ENTRIES)
+    vector = st.lists(entry, min_size=n, max_size=n)
+    matrices = st.lists(st.lists(vector, min_size=n, max_size=n), min_size=1, max_size=3)
+    return wfa_of(draw(matrices), draw(vector), draw(vector))
+
+
+_R = Rational
+NON_DYADIC_WFA = wfa_of(
+    [[[_R(1, 3), _R(-2, 5)], [_R(3, 7), _R(5, 6)]], [[_R(5, 6), 0], [_R(-2, 5), 1]]],
+    [1, _R(-2, 5)],
+    [_R(3, 7), _R(1, 3)],
+)
+# products of these are powers of two, while the common denominator
+# doubles with every [[1/2]], so each held product and completion must
+# cancel down to its canonical form
+CANCELLING_WFA = wfa_of([[[2]], [[_R(1, 2)]]], [1], [_R(5, 6)])
+
+
+@WFA_FORWARDS
+@settings(max_examples=10, deadline=None)
+@given(mixed_den_wfas(), st.integers(0, 2), st.integers(0, 10**6), st.integers())
+# two full blocks (dnet: suffix columns) then a one-token block (dnet:
+# replay); rwkv replays on every block
+@example(wfa=NON_DYADIC_WFA, blocks=2, cut=1, seed=0)
+@example(wfa=NON_DYADIC_WFA, blocks=1, cut=0, seed=1)
+@example(wfa=CANCELLING_WFA, blocks=2, cut=5, seed=2)
+def test_mixed_den_wfa_forward_and_stream_equal_spec(build, forward, wfa, blocks, cut, seed):
+    rng = random.Random(seed)
+    m = build(wfa).block_len
+    word = [rng.choice(wfa.alphabet) for _ in range(blocks * m + cut % m)]
+    assert forward(build(wfa), word) == wfa_prefix_values(wfa, word)
+    assert_stream_equals_spec(lambda: build(wfa), word)
 
 
 def test_first_block_streams_the_pad_program():
@@ -283,6 +344,43 @@ def count_value_objects(monkeypatch) -> list:
         monkeypatch.setattr(cls, "__init__", counted_init)
         monkeypatch.setattr(cls, "_raw", classmethod(counted_raw))
     return built
+
+
+@WFA_FORWARDS
+def test_wfa_forwards_multiply_no_rational_matrices(monkeypatch, build, forward):
+    # the completions keep the block's product fraction-free, so neither
+    # forward multiplies rational matrices or applies one to omega, and
+    # the only matrix a forward builds per full block is its product,
+    # held for the next block's compile
+    rng = random.Random(34)
+    wfa = random_wfa(rng, 2, 2)
+    m = build(wfa).block_len
+    words = {blocks: [rng.choice(wfa.alphabet) for _ in range(blocks * m + 3)]
+             for blocks in (2, 4)}
+    wants = {blocks: wfa_prefix_values(wfa, word) for blocks, word in words.items()}
+    # a first forward builds the program skeleton shared by all nets of its size
+    forward(build(wfa), words[2])
+    calls = []
+    for name in ("mat_mul", "mat_vec"):
+        for module in (kernels, rwkv_gadgets, delta_gadgets):
+            kernel = getattr(module, name, None)
+            if kernel is not None:
+                def counted(*args, name=name, kernel=kernel):
+                    calls.append(name)
+                    return kernel(*args)
+
+                monkeypatch.setattr(module, name, counted)
+    built = count_value_objects(monkeypatch)
+    counts = {}
+    for blocks, word in words.items():
+        net = build(wfa)
+        del built[:]
+        got = forward(net, word)
+        counts[blocks] = built.count("RMatrix")
+        assert "RVector" not in built
+        assert got == wants[blocks]
+    assert calls == []
+    assert counts[4] - counts[2] <= 2, counts
 
 
 @IMM_FORWARDS
