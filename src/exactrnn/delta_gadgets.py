@@ -6,7 +6,9 @@ transvections (three steps), scaled adds through a temp register (eight
 steps), and finally an explicit program of 8n^2+5n+1 steps that applies an
 arbitrary n x n matrix to a row vector using n scratch coordinates and one
 temp coordinate, compiled to ops (``apply_matrix_ops``; its step values
-are ``apply_matrix_program``). Streamed through the block-delay router of
+are ``apply_matrix_program``). The scaled add of a zero entry compiles to
+eight identity ops, which the step kernel skips, so a sparse matrix costs
+only its nonzeros' adds. Streamed through the block-delay router of
 ``rwkv_gadgets`` (``BlockNet``), such programs drive the same
 automaton-tracking network as the coordinate overwrites do (``WfaNet``)
 and an iterated 3x3 product network (``DnetImmNet``), with symmetric steps
@@ -39,6 +41,12 @@ _ONE = Rational(1)
 _TWO = Rational(2)
 _HALF = Rational(1, 2)
 _THIRD = Rational(1, 3)
+
+# The identity as a block-program op, (beta_num, beta_den, support); the
+# kernel skips it with one test. Zero-factor scaled adds and the identity
+# pads of DnetImmNet are this one op.
+_IDENTITY_OP = (0, 1, ())
+_IDENTITY_ADD = (_IDENTITY_OP,) * 8
 
 
 @dataclass(frozen=True)
@@ -175,7 +183,8 @@ class ApplyMatrixProgram:
 
     Four phases: clear scratch and temp (n+1 steps), accumulate xP into
     scratch by scaled adds (8n^2 steps), clear main (n), copy scratch back
-    by transvections (3n). Total 8n^2 + 5n + 1.
+    by transvections (3n). Total 8n^2 + 5n + 1. The scaled add of a zero
+    P[i, j] is eight identity steps, so the phases keep their bounds.
     """
 
     n: int
@@ -199,19 +208,27 @@ class ApplyMatrixProgram:
 def apply_matrix_ops(p: RMatrix) -> tuple:
     """The program for P as block-program ops: the shared skeleton's ops
     for P's size with the n^2 ops coordinate_scale(tmp, P[i, j]), one per
-    scaled add, filled in with beta = 1 - P[i, j]."""
+    scaled add, filled in with beta = 1 - P[i, j]. The scaled add of a
+    zero P[i, j] is eight identity ops instead: temp is zero on entry to
+    every scaled add of a row the program can reach (phase 1 clears it,
+    each scaled add returns it to zero), and there adding 0 * src is the
+    identity, so the program's product on such rows is unchanged."""
     if p.rows != p.cols:
         raise ValueError("matrix must be square")
     n = p.rows
     skeleton, bounds = _program_skeleton(n)
     ops = list(skeleton)
     support = skeleton[n][2]  # coordinate_scale(tmp, 0): its k is e_tmp
-    slot = bounds[0] + 3  # step 3 of each scaled add scales tmp
+    slot = bounds[0]
     for j in range(n):
         for i in range(n):
             pn, pd = p.nums[i * n + j], p.dens[i * n + j]
-            # gcd(pd - pn, pd) = gcd(pn, pd) = 1, and pd - pn = 0 only at 1/1
-            ops[slot] = (pd - pn, pd, support)
+            if pn == 0:
+                ops[slot : slot + 8] = _IDENTITY_ADD
+            else:
+                # step 3 of the scaled add scales tmp; gcd(pd - pn, pd) =
+                # gcd(pn, pd) = 1, and pd - pn = 0 only at 1/1
+                ops[slot + 3] = (pd - pn, pd, support)
             slot += 8
     return tuple(ops)
 
@@ -225,9 +242,10 @@ def apply_matrix_program(p: RMatrix) -> ApplyMatrixProgram:
 
 @lru_cache(maxsize=8)
 def _program_skeleton(n: int) -> tuple:
-    """(ops, phase bounds) of the size-n program with zero in place of
-    every P[i, j]. All other ops are independent of P, so programs share
-    them; ops are immutable values."""
+    """(ops, phase bounds) of the size-n program with every scaled add
+    written out with factor zero. Only the scaled adds depend on P
+    (``apply_matrix_ops`` fills in their factor op, or makes them identity
+    ops), so programs share all other ops; ops are immutable values."""
     d = 2 * n + 1
     tmp = 2 * n
     steps = []
@@ -427,7 +445,10 @@ class DnetImmNet(BlockNet):
     superblocks stream with a one-superblock delay. The router key is
     (t mod 1404, last 1404 tokens); the forward pass compiles each
     superblock's program to ops once, at the next superblock's boundary;
-    every pad position and the PAD superblock share one identity op.
+    every pad position, the PAD superblock and the scaled add of every
+    zero entry of the product share one identity op. The embedding has 54
+    structural zeros, so a superblock runs at most 262 of its 702 ops, and
+    46 when its product is zero.
     A superblock's product is one ``kernels.mat3_chain`` call on the raw
     entries of its tokens, embedded once. The final, possibly partial,
     superblock is applied only in the readout at the last position.
@@ -440,7 +461,7 @@ class DnetImmNet(BlockNet):
         super().__init__(SUPERBLOCK_TOKENS)
         vec_i3 = RVector([1, 0, 0, 0, 1, 0, 0, 0, 1])
         self.initial_row = vec_i3.concat(RVector.zeros(10))
-        self._pad_program = ((0, 1, ()),) * SUPERBLOCK_TOKENS
+        self._pad_program = (_IDENTITY_OP,) * SUPERBLOCK_TOKENS
         self._programs = BlockMemo(self._compile_superblock)
 
     @staticmethod

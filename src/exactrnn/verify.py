@@ -112,15 +112,21 @@ def random_dwfa(rng, n_states: int, n_symbols: int) -> Wfa:
     return wfa
 
 
+def _check_at_least(flag: str, value: int, low: int):
+    """A verb's size flag, checked before any draw: ``ValueError`` naming
+    the flag unless ``value`` >= ``low``."""
+    if value < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
+
+
 def _check_verb_sizes(states, length, alphabet=None):
     """The size flags of a verb that draws automata, checked before any
     draw: ``ValueError`` naming the flag."""
-    if states < 1:
-        raise ValueError(f"--states must be >= 1, got {states}")
+    _check_at_least("--states", states, 1)
     if alphabet is not None and not 1 <= alphabet <= len(_SYMBOLS):
         raise ValueError(f"--alphabet must be in 1..{len(_SYMBOLS)}, got {alphabet}")
-    if length is not None and length < 0:
-        raise ValueError(f"--len must be >= 0, got {length}")
+    if length is not None:
+        _check_at_least("--len", length, 0)
 
 
 def _dump_stream(word) -> str:
@@ -202,6 +208,7 @@ def verify_dnet_wfa(trials=50, seed=0, states=3, alphabet=3, length=None, **_):
 
 def verify_rwkv_imm(trials=20, seed=0, blocks=20, **_):
     name = "rwkv-imm"
+    _check_at_least("--blocks", blocks, 1)
     for trial in range(trials):
         rng = rng_for(seed, name, trial)
         stream = _imm_stream(rng, rng.randint(1, blocks))
@@ -218,6 +225,7 @@ def verify_rwkv_imm(trials=20, seed=0, blocks=20, **_):
 
 def verify_dnet_imm(trials=3, seed=0, blocks=100, **_):
     name = "dnet-imm"
+    _check_at_least("--blocks", blocks, 1)
     net = build_dnet_imm()
     for trial in range(trials):
         rng = rng_for(seed, name, trial)
@@ -236,6 +244,7 @@ def verify_dnet_imm(trials=3, seed=0, blocks=100, **_):
 
 def verify_cm_rnn(trials=200, seed=0, nodes=200, mlp_trials=20, **_):
     name = "cm-rnn"
+    _check_at_least("--nodes", nodes, 2)
     machine = build_conn_counter_machine()
     rnn = cm_to_mlp_rnn(machine)
     for trial in range(trials):
@@ -338,6 +347,8 @@ def random_pd_step(rng, d: int) -> PdStep:
 
 def verify_pd_product(trials=200, seed=0, dim=5, length=64, **_):
     name = "pd-product"
+    _check_at_least("--dim", dim, 1)
+    _check_at_least("--len", length, 1)
     for trial in range(trials):
         rng = rng_for(seed, name, trial)
         d = rng.randint(1, dim)
@@ -360,6 +371,7 @@ def verify_pd_product(trials=200, seed=0, dim=5, length=64, **_):
 def verify_dwfa_pd(trials=20, seed=0, states=4, words=500, length=24, **_):
     name = "dwfa-pd"
     _check_verb_sizes(states, length)
+    _check_at_least("--words", words, 1)
     for trial in range(trials):
         rng = rng_for(seed, name, trial)
         a = random_dwfa(rng, rng.randint(1, states), rng.randint(1, 3))
@@ -419,6 +431,8 @@ def random_linstep(rng, d: int) -> LinStep:
 
 def verify_scan_depth(trials=200, seed=0, dim=4, length=64, depth_lengths=(1024, 4096), **_):
     name = "scan-depth"
+    _check_at_least("--dim", dim, 1)
+    _check_at_least("--len", length, 1)
     for trial in range(trials):
         rng = rng_for(seed, name, trial)
         d = rng.randint(1, dim)

@@ -91,8 +91,9 @@ def matrix_program_steps(p) -> list:
     n x n Fraction matrix ``p`` (nested lists), in dimension 2n+1, written
     out from its four phases with nothing shared between programs: clear
     scratch and temp; for each column j and row i, add P[i, j] times main
-    coordinate i into scratch coordinate j through the temp (eight steps);
-    clear main; copy scratch back over main."""
+    coordinate i into scratch coordinate j through the temp (eight steps,
+    all of them the identity step (0, zero k) when P[i, j] is zero); clear
+    main; copy scratch back over main."""
     n = len(p)
     d = 2 * n + 1
     tmp = 2 * n
@@ -116,6 +117,9 @@ def matrix_program_steps(p) -> list:
     steps = [scale(n + j, 0) for j in range(n)] + [scale(tmp, 0)]
     for j in range(n):
         for i in range(n):
+            if p[i][j] == 0:
+                steps += [(Fraction(0), vec({}))] * 8
+                continue
             steps += transvection(i, tmp)
             steps.append(scale(tmp, p[i][j]))
             steps += transvection(tmp, n + j)

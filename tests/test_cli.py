@@ -249,8 +249,19 @@ def test_report_rejects_non_positive_sizes(capsys, kind, sizes):
     ("dnet-wfa", ["--alphabet", "9"], "--alphabet"),
     ("rwkv-wfa", ["--alphabet", "9"], "--alphabet"),
     ("rwkv-wfa", ["--alphabet", "0"], "--alphabet"),
+    ("dwfa-pd", ["--words", "0"], "--words"),
+    ("dwfa-pd", ["--words", "-1"], "--words"),
+    ("rwkv-imm", ["--blocks", "0"], "--blocks"),
+    ("dnet-imm", ["--blocks", "0"], "--blocks"),
+    ("pd-product", ["--dim", "0"], "--dim"),
+    ("pd-product", ["--len", "0"], "--len"),
+    ("scan-depth", ["--dim", "0"], "--dim"),
+    ("scan-depth", ["--len", "0"], "--len"),
+    ("cm-rnn", ["--nodes", "0"], "--nodes"),
+    ("cm-rnn", ["--nodes", "1"], "--nodes"),
 ])
 def test_wfa_verbs_reject_bad_sizes(capsys, verb, flags, flag):
+    # every verb's size flags; the automaton verbs' came first, hence the name
     assert run_cli(["verify", verb, "--trials", "1", *flags]) == 2
     captured = capsys.readouterr()
     assert flag in captured.err
@@ -269,3 +280,4 @@ def test_random_automata_reject_bad_sizes_before_any_draw(n_states, n_symbols):
         with pytest.raises(ValueError, match="n_states" if n_states < 1 else "n_symbols"):
             draw(rng, n_states, n_symbols)
     assert rng.getstate() == state
+

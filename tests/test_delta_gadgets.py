@@ -1,13 +1,17 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exactrnn.automata import Wfa, wfa_prefix_values
 from exactrnn.delta_gadgets import (
+    DnetImmNet,
     HStep,
     TokenBuffer,
     apply_h_col,
     apply_h_row,
+    apply_matrix_ops,
     apply_matrix_program,
     build_dnet_imm,
     build_dnet_wfa,
@@ -24,13 +28,21 @@ from exactrnn.delta_gadgets import (
     SUPERBLOCK_TOKENS,
     IDENTITY_PAD_STEPS,
 )
+from exactrnn.kernels import run_hsteps
 from exactrnn.linalg import RMatrix, RVector, row_apply
 from exactrnn.problems import IDENTITY3, mat3_mul
 from exactrnn.rational import Rational
 from exactrnn.rwkv_gadgets import stream_entries
 from exactrnn.verify import random_wfa
 
-from oracles import mat_to_frac, matrix_program_steps, support_of, to_frac, vec_to_frac
+from oracles import (
+    frac_vec_mat,
+    mat_to_frac,
+    matrix_program_steps,
+    support_of,
+    to_frac,
+    vec_to_frac,
+)
 
 VALS = [Rational(-1), Rational(-1, 2), Rational(0), Rational(1, 2), Rational(1), Rational(3)]
 
@@ -260,6 +272,52 @@ def test_shared_skeleton_programs_equal_unshared_reference(n):
     # programs share their matrix-independent steps; the second build must
     # not have changed the first
     assert as_fractions(first.steps) == want_first
+
+
+def zero_heavy_matrix(rng, n, kind):
+    """An n x n matrix with many zero entries: all zero, block-diagonal
+    (the ``_embed3`` embedding at n = 9, 3-wide diagonal blocks otherwise),
+    nonzero but for one zero entry, or dense over ``VALS``."""
+    nonzero = [v for v in VALS if v != Rational(0)]
+    if kind == "zero":
+        return RMatrix.zeros(n, n)
+    if kind == "block" and n == 9:
+        return DnetImmNet._embed3(RMatrix([[rng.choice(VALS) for _ in range(3)]
+                                           for _ in range(3)]))
+    if kind == "block":
+        return RMatrix([[rng.choice(VALS) if i // 3 == j // 3 else Rational(0)
+                         for j in range(n)] for i in range(n)])
+    if kind == "one-zero":
+        p = RMatrix([[rng.choice(nonzero) for _ in range(n)] for _ in range(n)])
+        k = rng.randrange(n * n)
+        p.nums[k], p.dens[k] = 0, 1
+        return p
+    return RMatrix([[rng.choice(VALS) for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 9]),
+       st.sampled_from(["zero", "block", "one-zero", "dense"]), st.integers())
+def test_zero_entries_compile_to_identity_ops(n, kind, seed):
+    # run by the kernel on [x | s | t] with arbitrary scratch and temp, the
+    # program gives [xP | xP | 0]; each zero entry's scaled add is eight
+    # identity ops
+    rng = random.Random(seed)
+    p = zero_heavy_matrix(rng, n, kind)
+    ops = apply_matrix_ops(p)
+    assert len(ops) == 8 * n * n + 5 * n + 1
+    row = rand_vec(rng, 2 * n + 1)
+    nums, dens = list(row.nums), list(row.dens)
+    run_hsteps(ops, 0, len(ops), nums, dens)
+    x = vec_to_frac(row)[:n]
+    xp = frac_vec_mat(x, mat_to_frac(p))
+    assert [Fraction(a, b) for a, b in zip(nums, dens)] == xp + xp + [0]
+    first_add = n + 1
+    for j in range(n):
+        for i in range(n):
+            slot = first_add + 8 * (j * n + i)
+            identity = ops[slot : slot + 8] == ((0, 1, ()),) * 8
+            assert identity == (p[i, j] == Rational(0)), (i, j)
 
 
 @pytest.mark.parametrize("step", [
@@ -531,9 +589,6 @@ def test_dnet_imm_stream_state_equals_head_parameter_transitions():
         head = DeltaNetStep(beta=factor.beta, k=factor.k, v=RVector.zeros(net.dim))
         dense = row_apply(dense, deltanet_transition(head).A)
         assert fast == dense, f"state differs at position {t}"
-
-
-from hypothesis import given, settings, strategies as st
 
 
 @settings(max_examples=15, deadline=None)

@@ -134,6 +134,36 @@ def test_dnet_imm_stream_equals_router_spec(superblocks, cut, seed):
     assert_stream_equals_spec(build_dnet_imm, stream)
 
 
+def det3(m) -> int:
+    return (m[0] * (m[4] * m[8] - m[5] * m[7]) - m[1] * (m[3] * m[8] - m[5] * m[6])
+            + m[2] * (m[3] * m[7] - m[4] * m[6]))
+
+
+@pytest.mark.parametrize("zero_product", [True, False], ids=["zero-product", "nonsingular"])
+def test_dnet_imm_zero_factor_superblocks(zero_product):
+    # nonsingular {-1, 0, 1} matrices, one full superblock and four more;
+    # the zero matrix among the first makes that superblock's product zero
+    rng = random.Random(19)
+    matrices = []
+    while len(matrices) < SUPERBLOCK_MATRICES + 4:
+        m = tuple(rng.choice((-1, 0, 1)) for _ in range(9))
+        if det3(m) != 0:
+            matrices.append(m)
+    if zero_product:
+        matrices[5] = (0,) * 9
+    stream = [x for m in matrices for x in m]
+    assert dnet_imm_forward(build_dnet_imm(), stream) == imm_oracle(stream)
+    assert_stream_equals_spec(build_dnet_imm, stream)
+    # 54 structural zeros of the embedding (81 for a zero product) compile
+    # to eight identity ops each, and the 8 pads are identity ops too
+    program = build_dnet_imm().block_program(tuple(stream[:SUPERBLOCK_TOKENS]), 1)
+    identities = sum(op == (0, 1, ()) for op in program)
+    if zero_product:
+        assert identities == 81 * 8 + IDENTITY_PAD_STEPS == 656
+    else:
+        assert identities >= 54 * 8 + IDENTITY_PAD_STEPS == 440
+
+
 # Entries with dens 3, 5, 6 and 7 next to dyadic ones: the completions'
 # common denominator is then not a power of two, and products of such
 # entries must still be normalized to the spec's canonical values.
