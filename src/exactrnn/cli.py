@@ -9,6 +9,7 @@ configuration error. All randomness derives from one 64-bit seed
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 import tempfile
@@ -40,18 +41,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ver = sub.add_parser("verify", help="run a construction against its oracle")
+    # a flag the user leaves out is absent, so the verb's own default holds
+    ver = sub.add_parser("verify", help="run a construction against its oracle",
+                         argument_default=argparse.SUPPRESS)
     ver.add_argument("construction", choices=sorted(REGISTRY))
-    ver.add_argument("--trials", type=int, default=None)
-    ver.add_argument("--seed", type=int, default=None)
-    ver.add_argument("--states", type=int, default=None)
-    ver.add_argument("--alphabet", type=int, default=None)
-    ver.add_argument("--len", dest="length", type=int, default=None)
-    ver.add_argument("--blocks", type=int, default=None)
-    ver.add_argument("--nodes", type=int, default=None)
-    ver.add_argument("--mlp-trials", dest="mlp_trials", type=int, default=None)
-    ver.add_argument("--dim", type=int, default=None)
-    ver.add_argument("--words", type=int, default=None)
+    ver.add_argument("--trials", type=int)
+    ver.add_argument("--seed", type=int)
+    ver.add_argument("--states", type=int)
+    ver.add_argument("--alphabet", type=int)
+    ver.add_argument("--len", dest="length", type=int)
+    ver.add_argument("--blocks", type=int)
+    ver.add_argument("--nodes", type=int)
+    ver.add_argument("--mlp-trials", dest="mlp_trials", type=int)
+    ver.add_argument("--dim", type=int)
+    ver.add_argument("--words", type=int)
 
     gen = sub.add_parser("gen", help="generate a dataset file")
     gen.add_argument("task", choices=["conn", "imm-mod", "imm-z"])
@@ -110,19 +113,22 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _flag(dest: str) -> str:
+    """The verify flag that sets verb parameter ``dest``."""
+    return "--len" if dest == "length" else "--" + dest.replace("_", "-")
+
+
 def cmd_verify(args) -> int:
-    description, runner = REGISTRY[args.construction]
-    if args.trials is not None and args.trials < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return 2
-    seed = args.seed if args.seed is not None else _default_seed()
-    kwargs = {"seed": seed}
-    for key in ("trials", "states", "alphabet", "length", "blocks", "nodes",
-                "mlp_trials", "dim", "words"):
-        value = getattr(args, key, None)
-        if value is not None:
-            kwargs[key] = value
-    result = runner(**kwargs)
+    flags = {key: value for key, value in vars(args).items() if key != "command"}
+    description, runner = REGISTRY[flags.pop("construction")]
+    seed = flags.setdefault("seed", _default_seed())
+    signature = inspect.signature(runner)
+    try:
+        signature.bind(**flags)
+    except TypeError:
+        extra = ", ".join(_flag(k) for k in flags if k not in signature.parameters)
+        raise ValueError(f"verify {args.construction} does not take {extra}") from None
+    result = runner(**flags)
     if result.passed:
         print(f"PASS {result.name} trials={result.trials} seed={seed}  # {description}")
         return 0

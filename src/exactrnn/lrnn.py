@@ -418,14 +418,16 @@ def dump_steps(steps) -> str:
 
 
 def parse_steps(text: str) -> list:
+    """The steps of a ``dump_steps`` text; ``ValueError`` on a malformed
+    step line, a blank line between steps included."""
     steps = []
     for line in text.strip().splitlines():
         apart, _, bpart = line.partition(";")
         avals = [Rational.parse(tok) for tok in apart.split()[1:]]
         bvals = [Rational.parse(tok) for tok in bpart.split()[1:]]
         d = int(round(len(avals) ** 0.5))
-        if d * d != len(avals) or len(bvals) != len(avals):
-            raise ValueError("malformed step line")
+        if not avals or d * d != len(avals) or len(bvals) != len(avals):
+            raise ValueError(f"malformed step line {line!r}")
         a = RMatrix([avals[i * d : (i + 1) * d] for i in range(d)])
         b = RMatrix([bvals[i * d : (i + 1) * d] for i in range(d)])
         steps.append(LinStep(a, b))

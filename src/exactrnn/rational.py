@@ -46,8 +46,13 @@ class Rational:
 
     @classmethod
     def parse(cls, text: str) -> "Rational":
+        """``"num/den"`` or ``"num"``; ``ValueError`` on malformed text,
+        including a zero denominator."""
         num, _, den = text.partition("/")
-        return cls(int(num), int(den) if den else 1)
+        den = int(den) if den else 1
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return cls(int(num), den)
 
     def __add__(self, other):
         o = other if isinstance(other, Rational) else Rational(other)

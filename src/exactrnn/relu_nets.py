@@ -395,11 +395,27 @@ def _mask_support(entries: dict, k: int) -> tuple:
     return tuple(support)
 
 
-def _support_patterns(support, k):
+def _and_units(rows: _Rows, fixed, flags, entries: dict, k: int) -> list:
+    """AND units over a mask-indexed table, added to ``rows``.
+
+    One unit per pattern of the table's support bits whose entry is truthy:
+    it reads every row in ``fixed`` and each support bit's 0/1 flag row
+    ``flags[bit]``, with weight 1, or -1 where the pattern's bit is 0, and
+    bias 1 minus its number of +1 terms, so after the ReLU it is 1 exactly
+    when its rows match the pattern and 0 otherwise. Returns
+    (unit row, entry) pairs in pattern order.
+    """
+    support = _mask_support(entries, k)
+    units = []
     for bits in range(1 << len(support)):
         pattern = {b: (bits >> i) & 1 for i, b in enumerate(support)}
-        full = tuple(pattern.get(i, 0) for i in range(k))
-        yield pattern, full
+        entry = entries[tuple(pattern.get(i, 0) for i in range(k))]
+        if entry:
+            terms = [(j, 1) for j in fixed]
+            terms += [(flags[b], 1 if v else -1) for b, v in pattern.items()]
+            bias = Rational(1 - len(fixed) - sum(pattern.values()))
+            units.append((rows.add(terms, bias=bias), entry))
+    return units
 
 
 # ---------------------------------------------------------------------------
@@ -461,18 +477,8 @@ def cm_to_mlp_rnn(m: CounterMachine, reset_bound: int | None = None) -> MlpRnn:
             for mask in _all_masks(k):
                 key = (q, sym, mask)
                 entries[mask] = (m.transition[key], m.updates[key])
-            support = _mask_support(entries, k)
-            for pattern, representative in _support_patterns(support, k):
-                terms = [(q_at(qi[q]), 1), (x_at(s_idx), 1)]
-                bias = Rational(1 - 2 - len(support))
-                for bit, val in pattern.items():
-                    if val == 1:
-                        terms.append((z_at[bit], 1))
-                    else:
-                        terms.append((z_at[bit], -1))
-                        bias = bias + _ONE
-                unit = l3.add(terms, bias=bias)
-                pair_units.append((unit, *entries[representative]))
+            units = _and_units(l3, [q_at(qi[q]), x_at(s_idx)], z_at, entries, k)
+            pair_units += [(unit, *entry) for unit, entry in units]
 
     # L4: next state one-hots and counter re-splits
     l4 = _Rows(len(l3.terms))
@@ -551,19 +557,7 @@ def cm_to_mlp_rnn(m: CounterMachine, reset_bound: int | None = None) -> MlpRnn:
         if not accepted:
             continue
         entries = {mask: (mask in accepted) for mask in _all_masks(k)}
-        support = _mask_support(entries, k)
-        for pattern, representative in _support_patterns(support, k):
-            if not entries[representative]:
-                continue
-            terms = [(qi[q], 1)]
-            bias = Rational(1 - 1 - len(support))
-            for bit, val in pattern.items():
-                if val == 1:
-                    terms.append((az[bit], 1))
-                else:
-                    terms.append((az[bit], -1))
-                    bias = bias + _ONE
-            acc_units.append(a3.add(terms, bias=bias))
+        acc_units += [unit for unit, _ in _and_units(a3, [qi[q]], az, entries, k)]
     a4 = _Rows(len(a3.terms))
     a4.add([(u, 1) for u in acc_units], bias=Rational(-1, 2))
     acceptor = ReluMlp(
@@ -651,18 +645,8 @@ def sm_to_mlp_rnn(m: StackMachine) -> MlpRnn:
             for heads in _all_masks(k):
                 key = (q, sym, heads)
                 entries[heads] = (m.transition[key], m.stack_ops[key])
-            support = _mask_support(entries, k)
-            for pattern, representative in _support_patterns(support, k):
-                terms = [(qi[q], 1), (x_at(s_idx), 1)]
-                bias = Rational(1 - 2 - len(support))
-                for bit, val in pattern.items():
-                    if val == 1:
-                        terms.append((th2[bit], 1))
-                    else:
-                        terms.append((th2[bit], -1))
-                        bias = bias + _ONE
-                unit = l3.add(terms, bias=bias)
-                pair_units.append((unit, *entries[representative]))
+            units = _and_units(l3, [qi[q], x_at(s_idx)], th2, entries, k)
+            pair_units += [(unit, *entry) for unit, entry in units]
 
     # L4: next state, per-stack op one-hots; carry s, c, h, e
     l4 = _Rows(len(l3.terms))

@@ -4,13 +4,15 @@ Each named verification runs one construction against an independent
 reference (brute-force product, automaton run, breadth-first search, dense
 linear algebra) for a number of seeded trials and reports the first
 counterexample, if any, with full token streams and canonical rational
-values so failures replay standalone.
+values so failures replay standalone. A verb checks its size flags and
+does its one-time setup; ``_run_trials`` then runs its per-trial check,
+trial t on the stream ``rng_for(seed, name, t)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .automata import (
     Wfa,
@@ -58,7 +60,6 @@ class VerifyResult:
     trials: int
     passed: bool
     counterexample: str | None = None
-    notes: list = field(default_factory=list)
 
 
 _SYMBOLS = "abcdefgh"
@@ -142,140 +143,142 @@ def _dump_wfa(a: Wfa) -> str:
     return "\n".join(lines)
 
 
-def _imm_stream(rng, blocks: int) -> list:
-    return [rng.choice((-1, 0, 1)) for _ in range(9 * blocks)]
+def _run_trials(name, trials, seed, check) -> VerifyResult:
+    """The trial protocol of every verb: trial t calls ``check(rng, t)`` on
+    its own stream ``rng_for(seed, name, t)``, and the first counterexample
+    text it returns (``None`` when the trial passes) ends the run. Checks
+    ``trials`` >= 1 first."""
+    _check_at_least("--trials", trials, 1)
+    for trial in range(trials):
+        text = check(rng_for(seed, name, trial), trial)
+        if text is not None:
+            return VerifyResult(name, trial + 1, False, text)
+    return VerifyResult(name, trials, True)
 
 
-def _imm_oracle(stream) -> list:
+def _wfa_mismatch(trial, a: Wfa, word, got, locate=lambda t: "") -> str | None:
+    """The counterexample for network prefix values ``got`` on ``word``, or
+    ``None`` when they equal the automaton's; ``locate(t)`` says where in
+    the network the first wrong prefix, number t + 1, falls."""
+    want = wfa_prefix_values(a, word)
+    if got == want:
+        return None
+    t = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+    return (
+        f"trial {trial}: word={_dump_stream(word)}\n"
+        f"prefix {t + 1}{locate(t)}: expected {want[t]} actual {got[t]}\n" + _dump_wfa(a)
+    )
+
+
+def _imm_mismatch(trial, stream, got, header="") -> str | None:
+    """The counterexample for a network's product entries ``got`` on
+    ``stream``, or ``None`` when they equal the brute-force product."""
     p = IDENTITY3
     for base in range(0, len(stream), 9):
         p = mat3_mul(p, tuple(stream[base : base + 9]))
-    return [Rational(e) for e in p]
+    want = [Rational(e) for e in p]
+    if got == want:
+        return None
+    return (
+        f"trial {trial}: {header}stream={_dump_stream(stream)}\n"
+        f"expected {[str(v) for v in want]}\nactual   {[str(v) for v in got]}"
+    )
 
 
 # ---------------------------------------------------------------------------
 # Verifiers
 
 
-def verify_rwkv_wfa(trials=50, seed=0, states=3, alphabet=3, length=None, **_):
-    name = "rwkv-wfa"
+def verify_rwkv_wfa(trials=50, seed=0, states=3, alphabet=3, length=None):
     _check_verb_sizes(states, length, alphabet)
-    for trial in range(trials):
-        rng = rng_for(seed, name, trial)
+
+    def check(rng, trial):
         n = rng.randint(1, states)
         a = random_wfa(rng, n, rng.randint(1, alphabet))
         max_len = length if length is not None else 6 * (2 * n)
         word = [rng.choice(a.alphabet) for _ in range(rng.randint(0, max_len))]
-        got = rwkv_wfa_forward(build_rwkv_wfa(a), word)
-        want = wfa_prefix_values(a, word)
-        if got != want:
-            t = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
-            return VerifyResult(
-                name, trial + 1, False,
-                f"trial {trial}: word={_dump_stream(word)}\n"
-                f"prefix {t + 1}: expected {want[t]} actual {got[t]}\n"
-                + _dump_wfa(a),
-            )
-    return VerifyResult(name, trials, True)
+        return _wfa_mismatch(trial, a, word, rwkv_wfa_forward(build_rwkv_wfa(a), word))
+
+    return _run_trials("rwkv-wfa", trials, seed, check)
 
 
-def verify_dnet_wfa(trials=50, seed=0, states=3, alphabet=3, length=None, **_):
-    name = "dnet-wfa"
+def verify_dnet_wfa(trials=50, seed=0, states=3, alphabet=3, length=None):
     _check_verb_sizes(states, length, alphabet)
-    for trial in range(trials):
-        rng = rng_for(seed, name, trial)
+
+    def check(rng, trial):
         n = rng.randint(1, states)
         a = random_wfa(rng, n, rng.randint(1, alphabet))
         m = 8 * n * n + 5 * n + 1
         max_len = length if length is not None else 2 * m + rng.randint(1, 12)
         word = [rng.choice(a.alphabet) for _ in range(max_len)]
-        net = build_dnet_wfa(a)
-        got = dnet_wfa_forward(net, word)
-        want = wfa_prefix_values(a, word)
-        if got != want:
-            t = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
-            prog_index = t % m
-            phase = apply_matrix_program(RMatrix.identity(n)).phase_of(prog_index)
-            return VerifyResult(
-                name, trial + 1, False,
-                f"trial {trial}: word={_dump_stream(word)}\n"
-                f"prefix {t + 1} (phase {phase}, program step {prog_index + 1}"
-                f" of block {t // m + 1}): expected {want[t]} actual {got[t]}\n"
-                + _dump_wfa(a),
-            )
-    return VerifyResult(name, trials, True)
+
+        def locate(t):
+            phase = apply_matrix_program(RMatrix.identity(n)).phase_of(t % m)
+            return f" (phase {phase}, program step {t % m + 1} of block {t // m + 1})"
+
+        return _wfa_mismatch(trial, a, word, dnet_wfa_forward(build_dnet_wfa(a), word), locate)
+
+    return _run_trials("dnet-wfa", trials, seed, check)
 
 
-def verify_rwkv_imm(trials=20, seed=0, blocks=20, **_):
-    name = "rwkv-imm"
+def verify_rwkv_imm(trials=20, seed=0, blocks=20):
     _check_at_least("--blocks", blocks, 1)
-    for trial in range(trials):
-        rng = rng_for(seed, name, trial)
-        stream = _imm_stream(rng, rng.randint(1, blocks))
-        got = rwkv_imm_forward(build_rwkv_imm(), stream)
-        want = _imm_oracle(stream)
-        if got != want:
-            return VerifyResult(
-                name, trial + 1, False,
-                f"trial {trial}: stream={_dump_stream(stream)}\n"
-                f"expected {[str(v) for v in want]}\nactual   {[str(v) for v in got]}",
-            )
-    return VerifyResult(name, trials, True)
+
+    def check(rng, trial):
+        stream = [rng.choice((-1, 0, 1)) for _ in range(9 * rng.randint(1, blocks))]
+        return _imm_mismatch(trial, stream, rwkv_imm_forward(build_rwkv_imm(), stream))
+
+    return _run_trials("rwkv-imm", trials, seed, check)
 
 
-def verify_dnet_imm(trials=3, seed=0, blocks=100, **_):
-    name = "dnet-imm"
+def verify_dnet_imm(trials=3, seed=0, blocks=100):
+    """Trial 0 streams exactly ``blocks`` matrices, so from 79 on it runs a
+    compiled 78-matrix superblock program; later trials draw 1..blocks."""
     _check_at_least("--blocks", blocks, 1)
     net = build_dnet_imm()
-    for trial in range(trials):
-        rng = rng_for(seed, name, trial)
-        stream = _imm_stream(rng, rng.randint(1, blocks))
+
+    def check(rng, trial):
+        n = rng.randint(1, blocks) if trial else blocks
+        stream = [rng.choice((-1, 0, 1)) for _ in range(9 * n)]
         got = dnet_imm_forward(net, stream)
-        want = _imm_oracle(stream)
-        if got != want:
-            return VerifyResult(
-                name, trial + 1, False,
-                f"trial {trial}: {len(stream) // 9} matrices\n"
-                f"stream={_dump_stream(stream)}\n"
-                f"expected {[str(v) for v in want]}\nactual   {[str(v) for v in got]}",
-            )
-    return VerifyResult(name, trials, True)
+        return _imm_mismatch(trial, stream, got, f"{len(stream) // 9} matrices\n")
+
+    return _run_trials("dnet-imm", trials, seed, check)
 
 
-def verify_cm_rnn(trials=200, seed=0, nodes=200, mlp_trials=20, **_):
-    name = "cm-rnn"
+def verify_cm_rnn(trials=200, seed=0, nodes=200, mlp_trials=20):
     _check_at_least("--nodes", nodes, 2)
+    _check_at_least("--mlp-trials", mlp_trials, 0)
     machine = build_conn_counter_machine()
     rnn = cm_to_mlp_rnn(machine)
-    for trial in range(trials):
-        rng = rng_for(seed, name, trial)
+
+    def check(rng, trial):
         inst = random_sorted_instance(rng, max_n=nodes)
         stream = encode_conn_unary(inst)
         want = conn_oracle(inst)
         got, trace = cm_run(machine, stream)
         if got != want:
-            return VerifyResult(
-                name, trial + 1, False,
+            return (
                 f"trial {trial}: instance={inst}\nstream={_dump_stream(stream)}\n"
-                f"expected {int(want)} actual {int(got)}",
+                f"expected {int(want)} actual {int(got)}"
             )
-        if trial < mlp_trials:
-            res = run_mlp_rnn(rnn, stream, track_precision=False)
-            if res.accept != want:
-                return VerifyResult(
-                    name, trial + 1, False,
-                    f"trial {trial}: network decision {int(res.accept)}"
-                    f" != oracle {int(want)}\nstream={_dump_stream(stream)}",
+        if trial >= mlp_trials:
+            return None
+        res = run_mlp_rnn(rnn, stream, track_precision=False)
+        if res.accept != want:
+            return (
+                f"trial {trial}: network decision {int(res.accept)}"
+                f" != oracle {int(want)}\nstream={_dump_stream(stream)}"
+            )
+        for t, (h, conf) in enumerate(zip(res.states, trace)):
+            if rnn.decode(h) != conf:
+                return (
+                    f"trial {trial}: trace diverges at step {t}:"
+                    f" machine {conf} network {rnn.decode(h)}\n"
+                    f"stream={_dump_stream(stream)}"
                 )
-            for t, (h, conf) in enumerate(zip(res.states, trace)):
-                if rnn.decode(h) != conf:
-                    return VerifyResult(
-                        name, trial + 1, False,
-                        f"trial {trial}: trace diverges at step {t}:"
-                        f" machine {conf} network {rnn.decode(h)}\n"
-                        f"stream={_dump_stream(stream)}",
-                    )
-    return VerifyResult(name, trials, True)
+
+    return _run_trials("cm-rnn", trials, seed, check)
 
 
 STACK_OP_PAIRS = tuple(
@@ -310,33 +313,31 @@ def _encode_bits(bits) -> Rational:
     return s
 
 
-def verify_sm_rnn(trials=50, seed=0, length=100, **_):
-    name = "sm-rnn"
+def verify_sm_rnn(trials=50, seed=0, length=100):
+    _check_at_least("--len", length, 0)
     machine = scripted_stack_machine(2, STACK_OP_PAIRS)
     rnn = sm_to_mlp_rnn(machine)
-    for trial in range(trials):
-        rng = rng_for(seed, name, trial)
+
+    def check(rng, trial):
         prog = [rng.choice(STACK_OP_PAIRS) for _ in range(length)]
         _, trace = sm_run(machine, prog)
-        oracle = symbolic_stack_oracle(prog)
-        for t, ((_, stacks), want) in enumerate(zip(trace, oracle)):
+        for t, ((_, stacks), want) in enumerate(zip(trace, symbolic_stack_oracle(prog))):
             if stacks != want:
-                return VerifyResult(
-                    name, trial + 1, False,
+                return (
                     f"trial {trial}: symbolic oracle diverges at step {t}\n"
                     f"program={_dump_stream(prog)}\n"
                     f"expected {tuple(str(v) for v in want)}"
-                    f" actual {tuple(str(v) for v in stacks)}",
+                    f" actual {tuple(str(v) for v in stacks)}"
                 )
         res = run_mlp_rnn(rnn, prog, track_precision=False)
         for t, (h, conf) in enumerate(zip(res.states, trace)):
             if rnn.decode(h) != conf:
-                return VerifyResult(
-                    name, trial + 1, False,
+                return (
                     f"trial {trial}: network trace diverges at step {t}\n"
-                    f"program={_dump_stream(prog)}",
+                    f"program={_dump_stream(prog)}"
                 )
-    return VerifyResult(name, trials, True)
+
+    return _run_trials("sm-rnn", trials, seed, check)
 
 
 def random_pd_step(rng, d: int) -> PdStep:
@@ -345,49 +346,47 @@ def random_pd_step(rng, d: int) -> PdStep:
     return PdStep(pi, diag)
 
 
-def verify_pd_product(trials=200, seed=0, dim=5, length=64, **_):
-    name = "pd-product"
+def verify_pd_product(trials=200, seed=0, dim=5, length=64):
     _check_at_least("--dim", dim, 1)
     _check_at_least("--len", length, 1)
-    for trial in range(trials):
-        rng = rng_for(seed, name, trial)
+
+    def check(rng, trial):
         d = rng.randint(1, dim)
         n = rng.randint(1, length)
         steps = [random_pd_step(rng, d) for _ in range(n)]
         dense = RMatrix.identity(d)
         for s in steps:
             dense = dense @ s.to_matrix()
-        closed = pd_closed_form(steps)
-        tree, _ = pd_tree_product(steps)
-        if closed.to_matrix() != dense or tree.to_matrix() != dense:
-            return VerifyResult(
-                name, trial + 1, False,
+        closed = pd_closed_form(steps).to_matrix()
+        tree = pd_tree_product(steps)[0].to_matrix()
+        if closed != dense or tree != dense:
+            return (
                 f"trial {trial}: d={d} n={n}\nsteps={steps}\n"
-                f"dense={dense}\nclosed={closed.to_matrix()}\ntree={tree.to_matrix()}",
+                f"dense={dense}\nclosed={closed}\ntree={tree}"
             )
-    return VerifyResult(name, trials, True)
+
+    return _run_trials("pd-product", trials, seed, check)
 
 
-def verify_dwfa_pd(trials=20, seed=0, states=4, words=500, length=24, **_):
-    name = "dwfa-pd"
+def verify_dwfa_pd(trials=20, seed=0, states=4, words=500, length=24):
     _check_verb_sizes(states, length)
     _check_at_least("--words", words, 1)
-    for trial in range(trials):
-        rng = rng_for(seed, name, trial)
+
+    def check(rng, trial):
         a = random_dwfa(rng, rng.randint(1, states), rng.randint(1, 3))
         rec = dwfa_to_pd(a)
         for w_idx in range(words):
             word = [rng.choice(a.alphabet) for _ in range(rng.randint(0, length))]
-            want = wfa_eval(a, word) > Rational(0)
+            value = wfa_eval(a, word)
+            want = value > Rational(0)
             got = rec.accepts(word)
             if got != want:
-                return VerifyResult(
-                    name, trial + 1, False,
+                return (
                     f"trial {trial} word {w_idx}: word={_dump_stream(word)}\n"
-                    f"value={wfa_eval(a, word)} expected accept={want} actual={got}\n"
-                    + _dump_wfa(a),
+                    f"value={value} expected accept={want} actual={got}\n" + _dump_wfa(a)
                 )
-    return VerifyResult(name, trials, True)
+
+    return _run_trials("dwfa-pd", trials, seed, check)
 
 
 def random_det_graph(rng, max_n=12):
@@ -403,10 +402,8 @@ def random_det_graph(rng, max_n=12):
     return n, tuple(edges), s, t
 
 
-def verify_reduction(trials=500, seed=0, **_):
-    name = "reduction"
-    for trial in range(trials):
-        rng = rng_for(seed, name, trial)
+def verify_reduction(trials=500, seed=0):
+    def check(rng, trial):
         n, edges, s, t = random_det_graph(rng)
         inst = reduce_to_sorted(n, edges, s, t)
         want = reachable(edges, s, t)
@@ -415,12 +412,12 @@ def verify_reduction(trials=500, seed=0, **_):
         sources = [i for i, _ in inst.edges]
         sorted_ok = all(a < b for a, b in zip(sources, sources[1:]))
         if got != want or bfs_out != want or not sorted_ok:
-            return VerifyResult(
-                name, trial + 1, False,
+            return (
                 f"trial {trial}: graph n={n} edges={edges} s={s} t={t}\n"
-                f"expected {want} chased {got} bfs {bfs_out} sorted {sorted_ok}",
+                f"expected {want} chased {got} bfs {bfs_out} sorted {sorted_ok}"
             )
-    return VerifyResult(name, trials, True)
+
+    return _run_trials("reduction", trials, seed, check)
 
 
 def random_linstep(rng, d: int) -> LinStep:
@@ -429,12 +426,12 @@ def random_linstep(rng, d: int) -> LinStep:
     return LinStep(a, b)
 
 
-def verify_scan_depth(trials=200, seed=0, dim=4, length=64, depth_lengths=(1024, 4096), **_):
+def verify_scan_depth(trials=200, seed=0, dim=4, length=64, depth_lengths=(1024, 4096)):
     name = "scan-depth"
     _check_at_least("--dim", dim, 1)
     _check_at_least("--len", length, 1)
-    for trial in range(trials):
-        rng = rng_for(seed, name, trial)
+
+    def check(rng, trial):
         d = rng.randint(1, dim)
         n = rng.randint(1, length)
         steps = [random_linstep(rng, d) for _ in range(n)]
@@ -442,26 +439,21 @@ def verify_scan_depth(trials=200, seed=0, dim=4, length=64, depth_lengths=(1024,
         scan, stats = lrnn_run_scan(steps)
         bound = 2 * math.ceil(math.log2(n)) if n > 1 else 0
         if scan != seq:
-            return VerifyResult(
-                name, trial + 1, False,
-                f"trial {trial}: scan != sequential at n={n} d={d}",
-            )
+            return f"trial {trial}: scan != sequential at n={n} d={d}"
         if stats.depth > bound:
-            return VerifyResult(
-                name, trial + 1, False,
-                f"trial {trial}: depth {stats.depth} exceeds bound {bound} at n={n}",
-            )
+            return f"trial {trial}: depth {stats.depth} exceeds bound {bound} at n={n}"
+
+    result = _run_trials(name, trials, seed, check)
+    if not result.passed:
+        return result
     rng = rng_for(seed, name, "depth")
     for n in depth_lengths:
-        steps = [random_linstep(rng, 1) for _ in range(n)]
-        _, stats = lrnn_run_scan(steps)
+        _, stats = lrnn_run_scan([random_linstep(rng, 1) for _ in range(n)])
         bound = 2 * math.ceil(math.log2(n))
         if stats.depth > bound:
-            return VerifyResult(
-                name, trials, False,
-                f"depth {stats.depth} exceeds bound {bound} at n={n}",
-            )
-    return VerifyResult(name, trials, True)
+            text = f"depth {stats.depth} exceeds bound {bound} at n={n}"
+            return VerifyResult(name, trials, False, text)
+    return result
 
 
 REGISTRY = {

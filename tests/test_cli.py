@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 from exactrnn.cli import main
+from exactrnn.verify import REGISTRY
 
 
 def run_cli(args):
@@ -31,6 +33,40 @@ def test_verify_reports_counterexample(capsys, monkeypatch):
     assert run_cli(["verify", "pd-product"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "expected 1/2 actual 1/3" in out
+
+
+def test_verify_passes_exactly_the_flags_set(monkeypatch):
+    from exactrnn import verify as verify_mod
+    from exactrnn.verify import VerifyResult
+
+    seen = []
+
+    def double(**kwargs):
+        seen.append(kwargs)
+        return VerifyResult("pd-product", 1, True)
+
+    monkeypatch.setitem(verify_mod.REGISTRY, "pd-product", ("double", double))
+    monkeypatch.delenv("EXACTRNN_SEED", raising=False)
+    assert run_cli(["verify", "pd-product", "--blocks", "3", "--len", "2"]) == 0
+    assert seen == [{"seed": 0, "blocks": 3, "length": 2}]
+
+
+# a flag each verb leaves out, with the parameter it would set
+_FLAGS = (("--states", "states"), ("--blocks", "blocks"), ("--mlp-trials", "mlp_trials"))
+
+
+@pytest.mark.parametrize("verb", sorted(REGISTRY))
+def test_verify_rejects_a_flag_the_verb_does_not_take(capsys, monkeypatch, verb):
+    from exactrnn import verify as verify_mod
+
+    taken = inspect.signature(REGISTRY[verb][1]).parameters
+    flag = next(flag for flag, dest in _FLAGS if dest not in taken)
+    draws = []
+    monkeypatch.setattr(verify_mod, "rng_for", lambda *key: draws.append(key))
+    assert run_cli(["verify", verb, flag, "1"]) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and verb in captured.err
+    assert captured.out == "" and draws == []
 
 
 def test_unknown_construction_is_usage_error():
@@ -106,6 +142,19 @@ def test_report_depth_from_trace_file(tmp_path, capsys):
     assert run_cli(["report", "depth", "--trace", str(trace)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[1].startswith("10,")
+
+
+@pytest.mark.parametrize("dump, message", [
+    ("A 1/1 ; B 1/1\nA 1/0 ; B 1/1\n", "zero denominator"),
+    ("A 1/1 ; B 1/1\n\nA 1/1 ; B 1/1\n", "malformed step line"),
+])
+def test_report_depth_rejects_bad_trace(tmp_path, capsys, dump, message):
+    trace = tmp_path / "trace.txt"
+    trace.write_text(dump)
+    assert run_cli(["report", "depth", "--trace", str(trace)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
 
 
 def test_report_precision_csv(tmp_path):
@@ -259,6 +308,8 @@ def test_report_rejects_non_positive_sizes(capsys, kind, sizes):
     ("scan-depth", ["--len", "0"], "--len"),
     ("cm-rnn", ["--nodes", "0"], "--nodes"),
     ("cm-rnn", ["--nodes", "1"], "--nodes"),
+    ("cm-rnn", ["--mlp-trials", "-3"], "--mlp-trials"),
+    ("sm-rnn", ["--len", "-1"], "--len"),
 ])
 def test_wfa_verbs_reject_bad_sizes(capsys, verb, flags, flag):
     # every verb's size flags; the automaton verbs' came first, hence the name

@@ -26,6 +26,11 @@ def test_multiplicative_inverse():
     assert str(Rational(3, 7) * Rational(7, 3)) == "1/1"
 
 
+def test_parse_rejects_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator"):
+        Rational.parse("3/0")
+
+
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         Rational(1, 2) / Rational(0)
