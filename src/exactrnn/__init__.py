@@ -8,7 +8,7 @@ the automata, and seeded generators for the associated benchmark tasks.
 """
 
 from .kernels import BACKEND
-from .rational import PrecisionReport, Rational, precision_of, rat
+from .rational import PrecisionReport, Rational, precision_of
 from .linalg import (
     RMatrix,
     RVector,

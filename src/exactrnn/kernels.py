@@ -8,6 +8,10 @@ with zero represented as 0/1, except the two fraction-free kernels:
 ``int_mat_mul`` multiplies integer rows by integer columns, so that a
 running product over one denominator is normalized only where a caller
 needs a canonical value (Bareiss 1968).
+
+``compile_int_affine`` turns an all-integer ``sparse_affine`` program into
+generated straight-line Python, one line per op, for callers that run it
+once per token on integer inputs.
 """
 
 from math import gcd, lcm
@@ -350,3 +354,52 @@ def sparse_affine(ops, xn, xd):
                 rd[k] = sd // g
         k += 1
     return rn, rd
+
+
+# Terms per generated source line: CPython's compiler recurses once per
+# operator of an expression, and a sum of ~5000 terms raises RecursionError.
+_TERMS_PER_LINE = 100
+
+
+def _int_literal(v: int) -> str:
+    # decimal text of more than 4300 digits is refused; hex never is
+    return str(v) if v.bit_length() < 4096 else hex(v)
+
+
+def compile_int_affine(ops, in_dim):
+    """``sparse_affine`` over ``in_dim`` inputs, generated as straight-line
+    code for integer inputs, or ``None`` when the program is not all-integer.
+
+    The returned function takes the input nums, whose dens must all be 1,
+    and returns the register file's nums; every den is 1. Op t becomes
+    ``r{in_dim+t} = w * r{c} + ... + b``, followed by a clamp when it has a
+    ReLU, with the same ints as ``sparse_affine`` computes. ``None`` unless
+    every weight, bias and den is an ``int``, every den is 1 and every term
+    reads an earlier register, so only int literals and register numbers
+    reach the generated source.
+    """
+    lines = ["def run(x):"]
+    if in_dim:
+        lines.append("    " + "".join(f"r{i}, " for i in range(in_dim)) + "= x")
+    k = in_dim
+    for terms, bn, bd, relu in ops:
+        if type(bn) is not int or type(bd) is not int or bd != 1:
+            return None
+        parts = []
+        for c, a, b in terms:
+            if not (type(c) is type(a) is type(b) is int and b == 1 and 0 <= c < k):
+                return None
+            parts.append(f"r{c}" if a == 1 else f"{_int_literal(a)} * r{c}")
+        if bn or not parts:
+            parts.append(_int_literal(bn))
+        assign = "="
+        for i in range(0, len(parts), _TERMS_PER_LINE):
+            lines.append(f"    r{k} {assign} " + " + ".join(parts[i : i + _TERMS_PER_LINE]))
+            assign = "+="
+        if relu:
+            lines.append(f"    if r{k} < 0: r{k} = 0")
+        k += 1
+    lines.append("    return [" + ", ".join(f"r{i}" for i in range(k)) + "]")
+    namespace = {"__builtins__": {}}
+    exec(compile("\n".join(lines), "<compile_int_affine>", "exec"), namespace)
+    return namespace["run"]

@@ -139,10 +139,6 @@ ZERO = Rational(0)
 ONE = Rational(1)
 
 
-def rat(num, den=1) -> Rational:
-    return Rational(num, den)
-
-
 def rat_cmp(a: Rational, b: Rational) -> int:
     """Three-way comparison: -1, 0, or 1."""
     return a._cmp(b)

@@ -24,8 +24,10 @@ About half the rows of these nets only carry a value forward, so a
 which such a copy row reuses its source's register whenever that leaves
 every value unchanged: its layer has no ReLU, or a sign analysis proves the
 source non-negative. ``MlpRnn.state_nonneg`` extends the analysis across
-time steps as a greatest fixpoint. Outputs and the ``PrecisionReport``
-equal those of layer-by-layer evaluation.
+time steps as a greatest fixpoint. A program whose weights and biases are
+all integers (the counter-machine update) runs as generated straight-line
+code on integer inputs. Outputs and the ``PrecisionReport`` equal those of
+layer-by-layer evaluation.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ class _Program(NamedTuple):
     coordinate, ``observed`` pairs every register that stands for some
     layer output with the number of layer outputs it stands for, and
     ``out_nonneg`` holds the output coordinates proven non-negative.
+    ``int_run`` is ``kernels.compile_int_affine`` of the ops, set by
+    ``ReluMlp.program`` only (``None`` from ``_compile``).
     """
 
     in_dim: int
@@ -70,6 +74,7 @@ class _Program(NamedTuple):
     out: tuple
     observed: tuple
     out_nonneg: frozenset
+    int_run: object = None
 
 
 def _compile(layers, nonneg) -> _Program:
@@ -129,9 +134,12 @@ class ReluMlp:
     fills the first registers. A copy row (one weight 1, bias 0) reuses its
     source's register when its layer has no ReLU or its source is known to
     be non-negative, since ReLU is then the identity; every other row
-    appends one register computed by ``kernels.sparse_affine``. A register
-    is known non-negative when it is in ``nonneg``, holds a ReLU output, or
-    holds a no-ReLU row with a non-negative bias and positive weights on
+    appends one register computed by ``kernels.sparse_affine``, or, when
+    every weight, bias and input is an integer, by the program's generated
+    straight-line code (``kernels.compile_int_affine``, built once per
+    ``nonneg``), which computes the same ints. A register is known
+    non-negative when it is in ``nonneg``, holds a ReLU output, or holds a
+    no-ReLU row with a non-negative bias and positive weights on
     non-negative registers. ``MlpRnn.update_nonneg`` gives the assumption
     that holds at every step of a recurrence.
 
@@ -156,7 +164,9 @@ class ReluMlp:
         """The compiled program for inputs non-negative on ``nonneg``."""
         prog = self._programs.get(nonneg)
         if prog is None:
-            prog = self._programs[nonneg] = _compile(self.layers, nonneg)
+            prog = _compile(self.layers, nonneg)
+            prog = prog._replace(int_run=kernels.compile_int_affine(prog.ops, prog.in_dim))
+            self._programs[nonneg] = prog
         return prog
 
     def eval_raw(self, nums, dens, observe=None, nonneg=_NO_SIGNS):
@@ -173,7 +183,11 @@ class ReluMlp:
                 f"input has {len(nums)} nums and {len(dens)} dens;"
                 f" the network takes {prog.in_dim}"
             )
-        rn, rd = kernels.sparse_affine(prog.ops, nums, dens)
+        if prog.int_run is not None and dens.count(1) == len(dens):
+            rn = prog.int_run(nums)
+            rd = [1] * len(rn)
+        else:
+            rn, rd = kernels.sparse_affine(prog.ops, nums, dens)
         if observe is not None:
             observe(rn, rd, prog.observed)
         return [rn[r] for r in prog.out], [rd[r] for r in prog.out]

@@ -159,15 +159,16 @@ def _run_trials(name, trials, seed, check) -> VerifyResult:
 def _wfa_mismatch(trial, a: Wfa, word, got, locate=lambda t: "") -> str | None:
     """The counterexample for network prefix values ``got`` on ``word``, or
     ``None`` when they equal the automaton's; ``locate(t)`` says where in
-    the network the first wrong prefix, number t + 1, falls."""
+    the network the first wrong prefix, number t + 1, falls. Prefix value
+    lists of different lengths are a counterexample that names both."""
     want = wfa_prefix_values(a, word)
     if got == want:
         return None
+    head = f"trial {trial}: word={_dump_stream(word)}\n"
+    if len(got) != len(want):
+        return head + f"expected {len(want)} prefix values, got {len(got)}\n" + _dump_wfa(a)
     t = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
-    return (
-        f"trial {trial}: word={_dump_stream(word)}\n"
-        f"prefix {t + 1}{locate(t)}: expected {want[t]} actual {got[t]}\n" + _dump_wfa(a)
-    )
+    return head + f"prefix {t + 1}{locate(t)}: expected {want[t]} actual {got[t]}\n" + _dump_wfa(a)
 
 
 def _imm_mismatch(trial, stream, got, header="") -> str | None:

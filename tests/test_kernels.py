@@ -1,8 +1,8 @@
 """The rational kernels: canonical outputs, the ReLU clamp, the 3x3
 chain against a fold of the generic matrix product (and how much of a
 mixed-den chain that fold runs), a fraction-free chain against the same
-fold, and the column kernels against the spec-level column actions of the
-gadget steps."""
+fold, the column kernels against the spec-level column actions of the
+gadget steps, and generated integer programs against ``sparse_affine``."""
 
 import random
 from fractions import Fraction
@@ -247,3 +247,80 @@ def test_run_hsteps_on_one_op_equals_column_action(seed, d, bits):
     nums, dens = list(u.nums), list(u.dens)
     kernels.run_hsteps((step.op,), 0, 1, nums, dens)
     assert RVector._raw(nums, dens) == apply_h_col(u, step) == h_matrix(step).apply_col(u)
+
+
+# --- generated integer programs ----------------------------------------------
+
+
+@st.composite
+def int_programs(draw):
+    """An all-integer ``sparse_affine`` program and an integer input: terms
+    read any earlier register, may be absent, and weights, biases and inputs
+    may be negative, zero or large."""
+    ints = st.integers(-3, 3) | st.integers()
+    in_dim = draw(st.integers(1, 4))
+    ops = []
+    for k in range(in_dim, in_dim + draw(st.integers(0, 8))):
+        terms = draw(st.lists(st.tuples(st.integers(0, k - 1), ints, st.just(1)), max_size=5))
+        ops.append((tuple(terms), draw(ints), 1, draw(st.booleans())))
+    x = draw(st.lists(ints, min_size=in_dim, max_size=in_dim))
+    return tuple(ops), x
+
+
+# (terms, bias num, bias den, relu) ops with no terms, and a ReLU chain
+# that reads an earlier op
+_NO_TERMS = (((), 0, 1, True), ((), -2, 1, True), ((), -2, 1, False))
+_CHAIN = ((((0, 2, 1), (0, -3, 1)), 0, 1, True), (((1, -1, 1),), 0, 1, True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_programs())
+@example(((), [-4]))
+@example((_NO_TERMS, [5]))
+@example((_CHAIN, [7]))
+def test_compiled_int_program_equals_sparse_affine(case):
+    ops, x = case
+    want_n, want_d = kernels.sparse_affine(ops, x, [1] * len(x))
+    assert want_d == [1] * len(want_d)
+    assert kernels.compile_int_affine(ops, len(x))(x) == want_n
+
+
+def test_compiled_int_program_runs_a_5000_term_row():
+    n = 5000
+    ops = ((tuple((c, c - 2500, 1) for c in range(n)), -7, 1, False),
+           (((n, -1, 1), (0, 3 ** 20000, 1)), 1, 1, True))
+    x = [(-1) ** c * c for c in range(n)]
+    got = kernels.compile_int_affine(ops, n)(x)
+    assert got == kernels.sparse_affine(ops, x, [1] * n)[0]
+    assert got[n] == sum((c - 2500) * v for c, v in enumerate(x)) - 7
+
+
+class _SourceInt(int):
+    def __str__(self):
+        return "__import__('os')"
+
+    __repr__ = __str__
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        (((0, Fraction(2), 1),), 0, 1, False),
+        (((0, 2.0, 1),), 0, 1, False),
+        (((0, True, 1),), 0, 1, False),
+        (((0, _SourceInt(2), 1),), 0, 1, False),
+        (((0, 2, 2),), 0, 1, False),
+        (((0, 2, 1),), _SourceInt(0), 1, False),
+        (((0, 2, 1),), 1, 2, False),
+        (((_SourceInt(0), 2, 1),), 0, 1, False),
+        (((1, 2, 1),), 0, 1, False),
+        (((-1, 2, 1),), 0, 1, False),
+    ],
+    ids=["fraction", "float", "bool", "int-subclass", "weight-den", "bias-subclass",
+         "bias-den", "index-subclass", "later-register", "negative-register"],
+)
+def test_compile_int_affine_rejects_non_integer_programs(monkeypatch, op):
+    ran = []
+    monkeypatch.setattr(kernels, "exec", lambda *args: ran.append(args), raising=False)
+    assert kernels.compile_int_affine((op,), 1) is None
+    assert ran == []

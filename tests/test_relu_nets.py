@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exactrnn import kernels
 from exactrnn.automata import (
     CounterMachine,
     build_conn_counter_machine,
@@ -485,6 +486,39 @@ def test_copy_rows_are_not_computed():
     assert sum(layer.weights.rows for layer in sm.update.layers) == 142
     assert len(cm.update.program(cm.update_nonneg).ops) <= 53
     assert len(sm.update.program(sm.update_nonneg).ops) <= 69
+
+
+def test_integer_program_runs_generated_code_only_on_integer_input():
+    g = gadget_eq_zero()  # integer weights and biases
+    prog = g.program()
+    assert prog.int_run is not None
+    calls = []
+    g._programs[frozenset()] = prog._replace(
+        int_run=lambda x: calls.append(x) or prog.int_run(x)
+    )
+    assert g.eval_raw([1], [3]) == ([0], [1]) and calls == []
+    assert g.eval_raw([-5], [2]) == ([0], [1]) and calls == []
+    assert g.eval_raw([0], [1]) == ([1], [1]) and calls == [[0]]
+    assert gadget_threshold(Rational(1, 2)).program().int_run is None
+
+
+def test_generated_code_is_built_once_per_program_and_never_for_signs(monkeypatch):
+    built = []
+    compile_int_affine = kernels.compile_int_affine
+
+    def counting(ops, in_dim):
+        built.append(ops)
+        return compile_int_affine(ops, in_dim)
+
+    monkeypatch.setattr(kernels, "compile_int_affine", counting)
+    rnn = cm_to_mlp_rnn(build_conn_counter_machine())
+    assert rnn.state_nonneg and built == []
+    inst = random_sorted_instance(random.Random(3), 6)
+    for _ in range(2):
+        run_mlp_rnn(rnn, encode_conn_unary(inst))
+    update, acceptor = rnn.update.program(rnn.update_nonneg), rnn.acceptor.program(rnn.state_nonneg)
+    assert built == [update.ops, acceptor.ops]
+    assert update.int_run is not None and acceptor.int_run is None  # bias -1/2
 
 
 @pytest.mark.parametrize("g", [gadget_eq_zero(), gadget_select(2)], ids=["eq_zero", "select2"])

@@ -1,6 +1,9 @@
 """The trial driver shared by every verify verb."""
 
+import pytest
+
 from exactrnn import verify
+from exactrnn.cli import main
 from exactrnn.delta_gadgets import PAD, DnetImmNet
 from exactrnn.problems import rng_for
 
@@ -31,3 +34,22 @@ def test_dnet_imm_default_run_compiles_a_superblock(monkeypatch):
     monkeypatch.setattr(DnetImmNet, "_compile_superblock", counting)
     assert verify.verify_dnet_imm().passed
     assert any(compiled)
+
+
+@pytest.mark.parametrize(
+    "verb, forward",
+    [("rwkv-wfa", "rwkv_wfa_forward"), ("dnet-wfa", "dnet_wfa_forward")],
+)
+@pytest.mark.parametrize(
+    "skew", [lambda got: got[:-1], lambda got: got + got[-1:]], ids=["drop", "extra"]
+)
+def test_wfa_prefix_count_mismatch_is_a_fail(monkeypatch, capsys, verb, forward, skew):
+    orig = getattr(verify, forward)
+    monkeypatch.setattr(verify, forward, lambda net, word: skew(orig(net, word)))
+    result = verify.REGISTRY[verb][1](trials=2)
+    assert not result.passed and result.trials == 1
+    assert "prefix values, got" in result.counterexample
+    assert main(["verify", verb, "--trials", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith(f"FAIL {verb}") and "prefix values, got" in out
+    assert "Traceback" not in err
