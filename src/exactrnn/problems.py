@@ -3,7 +3,8 @@
 Three task families: sorted deterministic graph connectivity (unary token
 streams), iterated 3x3 matrix multiplication over a prime modulus, and
 iterated 3x3 matrix multiplication over the integers. Generators are pure
-functions of (parameters, seed); dataset files are line-delimited JSON and
+functions of (parameters, seed); dataset files are line-delimited
+canonical JSON (sorted keys, no spaces, ``tokens`` last) and
 byte-identical across runs with the same seed.
 """
 
@@ -99,19 +100,17 @@ def reachable(edges, s: int, t: int) -> bool:
     return t in seen
 
 
+def _conn_blocks(inst: SortedDetConnInstance) -> list:
+    """The unary stream's mark counts, block by block: s, then i and j per
+    edge, then t. The stream is BOS, the blocks as runs of marks joined by
+    '|', then '#'."""
+    return [inst.s, *chain.from_iterable(inst.edges), inst.t]
+
+
 def encode_conn_unary(inst: SortedDetConnInstance) -> list:
     """BOS, 0^s, '|', then 0^i '|' 0^j '|' per edge, then 0^t, '#'."""
-    tokens = [BOS]
-    tokens += [MARK] * inst.s
-    tokens.append(SEP)
-    for i, j in inst.edges:
-        tokens += [MARK] * i
-        tokens.append(SEP)
-        tokens += [MARK] * j
-        tokens.append(SEP)
-    tokens += [MARK] * inst.t
-    tokens.append(END)
-    return tokens
+    # every token is one character, so the stream is built as one string
+    return list(BOS + SEP.join([MARK * c for c in _conn_blocks(inst)]) + END)
 
 
 def decode_conn_unary(tokens) -> SortedDetConnInstance:
@@ -177,6 +176,11 @@ def _size_bounds(size_range) -> tuple:
     return lo, hi
 
 
+def _check_p(p) -> None:
+    if not (0.0 < p < 1.0):
+        raise ValueError(f"p must be in (0, 1), got {p}")
+
+
 def gen_conn(n_range, p: float, label: bool, rng: random.Random) -> SortedDetConnInstance:
     """Two-bucket chain instance with the requested connectivity label.
 
@@ -186,8 +190,7 @@ def gen_conn(n_range, p: float, label: bool, rng: random.Random) -> SortedDetCon
     independently with probability p. A drawn size of n yields n+1 vertices
     (ids 1..n+1) and the query runs from the first to the last.
     """
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must be in (0, 1)")
+    _check_p(p)
     lo, hi = _size_bounds(n_range)
     v = rng.randint(lo, hi) + 1  # vertices 1..v; query is 1 -> v
     bucket = [False] * (v + 1)
@@ -267,6 +270,11 @@ def is_prime(m: int) -> bool:
     return True
 
 
+def _check_clip(clip) -> None:
+    if clip is not None and clip < 1:
+        raise ValueError(f"clip must be >= 1, got {clip}")
+
+
 @dataclass(frozen=True)
 class ImmModInstance:
     T: int
@@ -285,8 +293,7 @@ class ImmZInstance:
     clip: int | None = None
 
     def __post_init__(self):
-        if self.clip is not None and self.clip < 1:
-            raise ValueError(f"clip must be >= 1, got {self.clip}")
+        _check_clip(self.clip)
 
     def tokens(self) -> list:
         return list(chain.from_iterable(self.matrices))
@@ -344,12 +351,16 @@ def imm_z_oracle(inst: ImmZInstance) -> int:
     return 1 if a == 0 else 0
 
 
+def _check_imm_mod(m: int, q_k: int) -> None:
+    if not is_prime(m):
+        raise ValueError(f"modulus must be prime, got {m}")
+    if not (0 <= q_k <= 8):
+        raise ValueError(f"q_k must index a 3x3 entry (0..8), got {q_k}")
+
+
 def gen_imm_mod(T_range, m: int, q_k: int, rng: random.Random) -> ImmModInstance:
     """Matrices over {-1,0,1}, rejection-sampled until invertible mod m."""
-    if not is_prime(m):
-        raise ValueError("modulus must be prime")
-    if not (0 <= q_k <= 8):
-        raise ValueError("q_k must index a 3x3 entry (0..8)")
+    _check_imm_mod(m, q_k)
     lo, hi = _size_bounds(T_range)
     T = rng.randint(lo, hi)
     # one rng.choice per entry, in row-major order: batching the draws
@@ -372,6 +383,11 @@ ENTRY_WEIGHTS = (45, 10, 45)  # sampling weights for entries -1, 0, 1
 _ENTRY_CUM_WEIGHTS = tuple(accumulate(ENTRY_WEIGHTS))
 
 
+def _check_want_label(want_label) -> None:
+    if want_label not in (None, 0, 1):
+        raise ValueError(f"want_label must be None, 0 or 1, got {want_label!r}")
+
+
 def gen_imm_z(
     T_range,
     rng: random.Random,
@@ -386,8 +402,7 @@ def gen_imm_z(
     Each try draws all 9T entries with one ``rng.choices`` call; it takes
     one ``random()`` per entry, the same stream as one call per entry.
     """
-    if want_label not in (None, 0, 1):
-        raise ValueError(f"want_label must be None, 0 or 1, got {want_label!r}")
+    _check_want_label(want_label)
     lo, hi = _size_bounds(T_range)
     for _ in range(max_tries):
         T = rng.randint(lo, hi)
@@ -403,52 +418,66 @@ def gen_imm_z(
 
 
 # ---------------------------------------------------------------------------
-# Dataset records
+# Dataset records. A line is canonical JSON: sorted keys, no spaces, the
+# same bytes for the same seed. "tokens" sorts after every other key of
+# every record, so the writer encodes the other fields and appends the
+# token array last, rendered from fixed JSON fragments: a conn array as
+# one repeated mark fragment per block of the unary stream, without
+# building the token list; a matrix array entry by entry.
+
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_BOS_JSON, _MARK_JSON, _SEP_JSON = (_encode(tok) + "," for tok in (BOS, MARK, SEP))
+_END_JSON = _encode(END)
+_ENTRY_JSON = {e: _encode(e) for e in (-1, 0, 1)}  # matrix entries
+
+# each task's generator options and their defaults
+_TASK_OPTIONS = {
+    "conn": {"p": 0.5},
+    "imm-mod": {"m": 5, "q_k": 0},
+    "imm-z": {"clip": None, "want_label": None, "balanced": False},
+}
 
 
-def conn_record(inst: SortedDetConnInstance, seed: int) -> dict:
-    # tokens carry the unary form; meta carries the compact form
-    return {
-        "task": "conn",
-        "tokens": encode_conn_unary(inst),
-        "label": 1 if conn_oracle(inst) else 0,
-        "meta": {
-            "n": inst.n,
-            "s": inst.s,
-            "t": inst.t,
-            "edges": [list(e) for e in inst.edges],
-            "seed": seed,
-        },
-    }
+def record_to_line(fields: dict, inst) -> str:
+    """One dataset line: ``fields`` (every key sorting before "tokens")
+    plus the token array of ``inst``, a conn instance or a matrix instance
+    with entries -1, 0 and 1."""
+    if isinstance(inst, SortedDetConnInstance):
+        blocks = _SEP_JSON.join([_MARK_JSON * c for c in _conn_blocks(inst)])
+        tokens = f"[{_BOS_JSON}{blocks}{_END_JSON}]"
+    else:
+        tokens = f"[{','.join(map(_ENTRY_JSON.__getitem__, inst.tokens()))}]"
+    return f'{_encode(fields)[:-1]},"tokens":{tokens}}}'
 
 
-def imm_mod_record(inst: ImmModInstance, seed: int) -> dict:
-    return {
-        "task": "imm-mod",
-        "tokens": inst.tokens(),
-        "targets": imm_mod_oracle(inst),
-        "meta": {"T": inst.T, "m": inst.m, "q_k": inst.q_k, "seed": seed},
-    }
+def _task_options(task: str, options: dict) -> dict:
+    """``options`` over the task's defaults; ``ValueError`` for an unknown
+    task, an option the task does not take, or a bad value."""
+    if task not in _TASK_OPTIONS:
+        raise ValueError(f"unknown task {task!r}")
+    defaults = _TASK_OPTIONS[task]
+    extra = sorted(set(options) - set(defaults))
+    if extra:
+        raise ValueError(f"task {task} does not take {', '.join(extra)}")
+    opts = {**defaults, **options}
+    if task == "conn":
+        _check_p(opts["p"])
+    elif task == "imm-mod":
+        _check_imm_mod(opts["m"], opts["q_k"])
+    else:
+        _check_clip(opts["clip"])
+        _check_want_label(opts["want_label"])
+    return opts
 
 
-def imm_z_record(inst: ImmZInstance, seed: int) -> dict:
-    meta = {"T": inst.T, "seed": seed}
-    if inst.clip is not None:
-        meta["clip"] = inst.clip
-    return {
-        "task": "imm-z",
-        "tokens": inst.tokens(),
-        "label": imm_z_oracle(inst),
-        "meta": meta,
-    }
+def generate_dataset(task: str, count: int, size_range, seed: int, **options) -> list:
+    """Produce ``count`` JSONL lines for one task, deterministically.
 
-
-def record_to_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
-def generate_dataset(task: str, count: int, size_range, seed: int, **kwargs) -> list:
-    """Produce ``count`` JSONL lines for one task, deterministically."""
+    The task, its options, ``count`` and ``size_range`` are all checked
+    before any draw. Conn labels alternate 1, 0, ...; imm-z with
+    ``balanced`` alternates 0, 1, ...
+    """
+    opts = _task_options(task, options)
     if count < 0:
         raise ValueError(f"count must be >= 0, not {count}")
     _size_bounds(size_range)
@@ -457,20 +486,19 @@ def generate_dataset(task: str, count: int, size_range, seed: int, **kwargs) -> 
         rng = rng_for(seed, task, idx)
         if task == "conn":
             label = idx % 2 == 0
-            inst = gen_conn(size_range, kwargs.get("p", 0.5), label, rng)
-            rec = conn_record(inst, seed)
+            inst = gen_conn(size_range, opts["p"], label, rng)
+            meta = {"n": inst.n, "s": inst.s, "t": inst.t, "edges": inst.edges, "seed": seed}
+            fields = {"label": int(label), "meta": meta, "task": task}
         elif task == "imm-mod":
-            inst = gen_imm_mod(
-                size_range, kwargs.get("m", 5), kwargs.get("q_k", 0), rng
-            )
-            rec = imm_mod_record(inst, seed)
-        elif task == "imm-z":
-            want = kwargs.get("want_label")
-            if kwargs.get("balanced"):
-                want = idx % 2
-            inst = gen_imm_z(size_range, rng, clip=kwargs.get("clip"), want_label=want)
-            rec = imm_z_record(inst, seed)
+            inst = gen_imm_mod(size_range, opts["m"], opts["q_k"], rng)
+            meta = {"T": inst.T, "m": inst.m, "q_k": inst.q_k, "seed": seed}
+            fields = {"meta": meta, "targets": imm_mod_oracle(inst), "task": task}
         else:
-            raise ValueError(f"unknown task {task!r}")
-        lines.append(record_to_line(rec))
+            want = idx % 2 if opts["balanced"] else opts["want_label"]
+            inst = gen_imm_z(size_range, rng, clip=opts["clip"], want_label=want)
+            meta = {"T": inst.T, "seed": seed}
+            if inst.clip is not None:
+                meta["clip"] = inst.clip
+            fields = {"label": imm_z_oracle(inst), "meta": meta, "task": task}
+        lines.append(record_to_line(fields, inst))
     return lines

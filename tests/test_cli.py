@@ -261,6 +261,23 @@ def test_gen_zero_count_still_checks_size_range(capsys, tmp_path, task):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("task, flags, message", [
+    ("conn", ["--p", "1.5"], "p must be in"),
+    ("imm-mod", ["--m", "4"], "prime"),
+    ("imm-mod", ["--q-k", "9"], "q_k"),
+    ("imm-z", ["--clip", "0"], "clip must be >= 1"),
+])
+@pytest.mark.parametrize("count", ["0", "2"])
+def test_gen_checks_options_at_any_count(capsys, tmp_path, task, flags, message, count):
+    out = tmp_path / "out.jsonl"
+    code = run_cli([
+        "gen", task, "--count", count, "--range", "1,5", *flags, "--out", str(out),
+    ])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_negative_count_is_usage_error(capsys, tmp_path):
     out = tmp_path / "conn.jsonl"
     code = run_cli([

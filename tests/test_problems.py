@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exactrnn.problems import (
     ImmModInstance,
@@ -302,7 +302,7 @@ def test_imm_z_balanced_labels():
 def test_split_seed_is_stable():
     assert split_seed(7, "a", 1) == split_seed(7, "a", 1)
     assert split_seed(7, "a", 1) != split_seed(7, "a", 2)
-    assert split_seed(7, "ab") != split_seed(7, "a", "b") or True  # labels are joined
+    assert split_seed(7, "ab") != split_seed(7, "a", "b")  # "7/ab" vs "7/a/b"
 
 
 def test_generate_dataset_deterministic():
@@ -345,12 +345,87 @@ def test_generate_dataset_records_match_oracles():
          "50ee5947d4a5f74a877ccee4955befb00a7256c5c646a2abb297ead6b7ff4f91"),
         ("imm-mod", {"m": 7, "q_k": 5},
          "6bc8477863d4daa10082e044bac5f94a10da90872e4b48832cb153074383ef4f"),
+        # default options: also pinned on the CLI's output by the CI workflow
+        ("conn", {},
+         "5190b28013d3dc45802b70363caf99b9be135f7a6030d35d7468b72cf7b23620"),
+        ("conn", {"p": 0.3},
+         "f5ec4037418e74e3788482aeb4d99f02b9eae7a0908fee0efe15dcbecb390954"),
+        ("imm-mod", {},
+         "28306266091e9b56ec9fc0797771893b0bc3f23056ac2c9b478f984fb89f338a"),
+        ("imm-z", {},
+         "163df29ddadb01d09d984ce07c82823775f453c4011ed14b598c0247d55b73b4"),
     ],
-    ids=["imm-z-balanced", "imm-z-clip3-balanced", "imm-mod-m7-q5"],
+    ids=["imm-z-balanced", "imm-z-clip3-balanced", "imm-mod-m7-q5",
+         "conn", "conn-p0.3", "imm-mod", "imm-z"],
 )
 def test_generate_dataset_bytes_pinned(task, kwargs, digest):
     lines = generate_dataset(task, 300, (1, 30), seed=113, **kwargs)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+_DATASET_OPTIONS = {
+    "conn": st.fixed_dictionaries({}, optional={"p": st.sampled_from([0.1, 0.5, 0.9])}),
+    "imm-mod": st.fixed_dictionaries({
+        "m": st.sampled_from([2, 3, 5, 7]), "q_k": st.integers(0, 8),
+    }),
+    "imm-z": st.fixed_dictionaries({}, optional={
+        "clip": st.sampled_from([1, 2, 3, 2**63 - 1]), "balanced": st.booleans(),
+    }),
+}
+
+
+_DATASET_CASES = st.sampled_from(sorted(_DATASET_OPTIONS)).flatmap(
+    lambda task: _DATASET_OPTIONS[task].map(lambda options: (task, options))
+)
+
+
+@settings(max_examples=60, deadline=None)
+# size range (1, 1) draws two vertices: negative conn instances are edgeless
+@example(case=("conn", {}), seed=0, lo=1, width=0)
+@example(case=("imm-z", {"clip": 1}), seed=0, lo=1, width=0)
+@given(
+    case=_DATASET_CASES,
+    seed=st.integers(0, 2**64 - 1),
+    lo=st.integers(1, 12),
+    width=st.integers(0, 12),
+)
+def test_dataset_lines_are_canonical_json(case, seed, lo, width):
+    task, options = case
+    for line in generate_dataset(task, 6, (lo, lo + width), seed, **options):
+        rec = json.loads(line)
+        assert line == json.dumps(rec, sort_keys=True, separators=(",", ":"))
+        assert list(rec)[-1] == "tokens"
+        if task == "conn":
+            meta = rec["meta"]
+            inst = SortedDetConnInstance(
+                n=meta["n"], s=meta["s"], t=meta["t"],
+                edges=tuple(tuple(e) for e in meta["edges"]),
+            )
+            assert rec["tokens"] == encode_conn_unary(inst)
+            assert rec["label"] == int(conn_oracle(inst))
+
+
+@pytest.mark.parametrize("task, options, message", [
+    ("bogus", {}, "unknown task"),
+    ("conn", {"m": 5}, "does not take m"),
+    ("imm-mod", {"p": 0.5}, "does not take p"),
+    ("imm-z", {"q_k": 1, "m": 5}, "does not take m, q_k"),
+    ("conn", {"p": 1.5}, "p must be in"),
+    ("conn", {"p": 0.0}, "p must be in"),
+    ("imm-mod", {"m": 4}, "prime"),
+    ("imm-mod", {"q_k": 9}, "q_k"),
+    ("imm-z", {"clip": 0}, "clip must be >= 1"),
+    ("imm-z", {"want_label": 2}, "want_label"),
+])
+def test_generate_dataset_checks_task_and_options_before_any_draw(
+    monkeypatch, task, options, message
+):
+    from exactrnn import problems
+
+    monkeypatch.setattr(problems, "rng_for", lambda *a: pytest.fail("drew"))
+    for count in (0, 2):
+        with pytest.raises(ValueError, match=message):
+            generate_dataset(task, count, (1, 3), seed=0, **options)
 
 
 def test_rng_for_isolated_streams():
