@@ -63,14 +63,15 @@ def build_parser() -> argparse.ArgumentParser:
                      help="instance size range 'lo,hi' with 1 <= lo <= hi")
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--p", type=float, default=0.5, help="bucket probability (conn)")
-    gen.add_argument("--m", type=int, default=5, help="prime modulus (imm-mod)")
-    gen.add_argument("--q-k", dest="q_k", type=int, default=0,
-                     help="queried entry index (imm-mod)")
-    gen.add_argument("--clip", type=int, nargs="?", const=2**63 - 1, default=None,
+    # task flags default to None, so cmd_gen passes only the ones given
+    gen.add_argument("--p", type=float, help="bucket probability (conn), default 0.5")
+    gen.add_argument("--m", type=int, help="prime modulus (imm-mod), default 5")
+    gen.add_argument("--q-k", dest="q_k", type=int,
+                     help="queried entry index (imm-mod), default 0")
+    gen.add_argument("--clip", type=int, nargs="?", const=2**63 - 1,
                      help="saturate products at this magnitude, >= 1 (imm-z); "
                           "bare --clip uses 2^63 - 1")
-    gen.add_argument("--balanced", action="store_true",
+    gen.add_argument("--balanced", action="store_true", default=None,
                      help="alternate labels by rejection (imm-z)")
 
     rep = sub.add_parser("report", help="emit CSV measurements")
@@ -114,7 +115,7 @@ def _emit(text: str, out: str | None):
 
 
 def _flag(dest: str) -> str:
-    """The verify flag that sets verb parameter ``dest``."""
+    """The CLI flag that sets parameter ``dest``."""
     return "--len" if dest == "length" else "--" + dest.replace("_", "-")
 
 
@@ -138,19 +139,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    from .problems import generate_dataset
+    from .problems import _TASK_OPTIONS, generate_dataset
 
     seed = args.seed if args.seed is not None else _default_seed()
-    kwargs = {}
-    if args.task == "conn":
-        kwargs["p"] = args.p
-    elif args.task == "imm-mod":
-        kwargs["m"] = args.m
-        kwargs["q_k"] = args.q_k
-    else:
-        kwargs["clip"] = args.clip
-        kwargs["balanced"] = args.balanced
-    lines = generate_dataset(args.task, args.count, args.size_range, seed, **kwargs)
+    options = {
+        key: getattr(args, key)
+        for key in ("p", "m", "q_k", "clip", "balanced")
+        if getattr(args, key) is not None
+    }
+    extra = ", ".join(_flag(key) for key in options if key not in _TASK_OPTIONS[args.task])
+    if extra:
+        raise ValueError(f"gen {args.task} does not take {extra}")
+    lines = generate_dataset(args.task, args.count, args.size_range, seed, **options)
     _write_atomic(args.out, "".join(line + "\n" for line in lines))
     print(f"wrote {args.count} {args.task} instances to {args.out} (seed={seed})")
     return 0

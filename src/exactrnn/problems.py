@@ -14,7 +14,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, product
 
 # ---------------------------------------------------------------------------
 # Seeding: every stream of randomness is derived from one 64-bit seed by
@@ -358,24 +358,45 @@ def _check_imm_mod(m: int, q_k: int) -> None:
         raise ValueError(f"q_k must index a 3x3 entry (0..8), got {q_k}")
 
 
+# gen_imm_mod draws at most this many MT words per call, so its buffers
+# stay bounded for any T.
+_IMM_MOD_WORDS_PER_DRAW = 4096
+_TOP_CODE = bytes(b >> 6 for b in range(256))  # word's top byte -> 2-bit code
+_REDRAWN = bytes(range(0xC0, 0x100))  # top bytes whose code is 3
+# codes of 6 and of 3 consecutive entries -> those entries (code - 1)
+_ROW6, _ROW3 = (
+    {bytes(c): tuple(x - 1 for x in c) for c in product(range(3), repeat=k)}
+    for k in (6, 3)
+)
+
+
 def gen_imm_mod(T_range, m: int, q_k: int, rng: random.Random) -> ImmModInstance:
-    """Matrices over {-1,0,1}, rejection-sampled until invertible mod m."""
+    """Matrices over {-1,0,1}, rejection-sampled until invertible mod m.
+
+    The stream is one ``rng.choice((-1, 0, 1))`` per entry in row-major
+    order, drawn a block of Mersenne Twister words at a time. ``choice``
+    of 3 items is ``getrandbits(2)``, redrawn while it is 3, and
+    ``getrandbits(2)`` is the top two bits of one 32-bit word, while
+    ``getrandbits(32 * n)`` is the next n words, first word least
+    significant. Each word therefore yields one entry or one redraw, so
+    drawing no more words than entries still needed consumes exactly the
+    words that per-entry ``choice`` calls would.
+    """
     _check_imm_mod(m, q_k)
     lo, hi = _size_bounds(T_range)
     T = rng.randint(lo, hi)
-    # one rng.choice per entry, in row-major order: batching the draws
-    # would change the random stream and so the seeded bytes
-    choice = rng.choice
-    e = (-1, 0, 1)
     mats = []
+    codes = b""  # codes of the next candidate's first entries (< 9)
     while len(mats) < T:
-        cand = (
-            choice(e), choice(e), choice(e),
-            choice(e), choice(e), choice(e),
-            choice(e), choice(e), choice(e),
-        )
-        if mat3_det_mod(cand, m) != 0:
-            mats.append(cand)
+        n = min(9 * (T - len(mats)) - len(codes), _IMM_MOD_WORDS_PER_DRAW)
+        words = rng.getrandbits(32 * n).to_bytes(4 * n, "little")
+        codes += words[3::4].translate(_TOP_CODE, _REDRAWN)
+        full = len(codes) - len(codes) % 9
+        for i in range(0, full, 9):
+            cand = _ROW6[codes[i:i + 6]] + _ROW3[codes[i + 6:i + 9]]
+            if mat3_det_mod(cand, m) != 0:
+                mats.append(cand)
+        codes = codes[full:]
     return ImmModInstance(T=T, m=m, q_k=q_k, matrices=tuple(mats))
 
 

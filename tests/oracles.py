@@ -7,6 +7,7 @@ oracles share no code path with the package's rational kernels.
 from fractions import Fraction
 from itertools import product
 
+from exactrnn.problems import ImmModInstance, _check_imm_mod, _size_bounds, mat3_det_mod
 from exactrnn.rational import Rational
 
 
@@ -84,6 +85,26 @@ def imm_running_products(matrices, mod=None, clip=None) -> list:
         p = nxt
         out.append(p)
     return out
+
+
+def gen_imm_mod_per_entry(T_range, m: int, q_k: int, rng) -> ImmModInstance:
+    """Reference for ``problems.gen_imm_mod``: one ``rng.choice`` per entry
+    in row-major order, rejection-sampled until invertible mod m."""
+    _check_imm_mod(m, q_k)
+    lo, hi = _size_bounds(T_range)
+    T = rng.randint(lo, hi)
+    choice = rng.choice
+    e = (-1, 0, 1)
+    mats = []
+    while len(mats) < T:
+        cand = (
+            choice(e), choice(e), choice(e),
+            choice(e), choice(e), choice(e),
+            choice(e), choice(e), choice(e),
+        )
+        if mat3_det_mod(cand, m) != 0:
+            mats.append(cand)
+    return ImmModInstance(T=T, m=m, q_k=q_k, matrices=tuple(mats))
 
 
 def matrix_program_steps(p) -> list:

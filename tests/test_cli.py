@@ -278,6 +278,36 @@ def test_gen_checks_options_at_any_count(capsys, tmp_path, task, flags, message,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("task, flags, named", [
+    ("conn", ["--m", "4", "--clip", "0"], "--m, --clip"),
+    ("conn", ["--balanced"], "--balanced"),
+    ("imm-mod", ["--p", "0.5"], "--p"),
+    ("imm-mod", ["--clip"], "--clip"),
+    ("imm-z", ["--q-k", "1"], "--q-k"),
+    ("imm-z", ["--m", "5"], "--m"),
+])
+def test_gen_rejects_another_tasks_flag(capsys, tmp_path, task, flags, named):
+    out = tmp_path / "out.jsonl"
+    code = run_cli([
+        "gen", task, "--count", "1", "--range", "1,2", *flags, "--out", str(out),
+    ])
+    assert code == 2
+    assert f"gen {task} does not take {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_passes_only_the_flags_given(monkeypatch, tmp_path):
+    from exactrnn import problems
+
+    seen = []
+    monkeypatch.setattr(problems, "generate_dataset",
+                        lambda *args, **options: seen.append(options) or [])
+    out = str(tmp_path / "out.jsonl")
+    for task, flags in (("conn", []), ("imm-mod", ["--q-k", "3"]), ("imm-z", ["--balanced"])):
+        assert run_cli(["gen", task, "--count", "1", "--range", "1,2", *flags, "--out", out]) == 0
+    assert seen == [{}, {"q_k": 3}, {"balanced": True}]
+
+
 def test_gen_negative_count_is_usage_error(capsys, tmp_path):
     out = tmp_path / "conn.jsonl"
     code = run_cli([

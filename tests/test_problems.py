@@ -28,7 +28,7 @@ from exactrnn.problems import (
     split_seed,
 )
 
-from oracles import imm_running_products
+from oracles import gen_imm_mod_per_entry, imm_running_products
 
 
 # --- connectivity oracle and encoding --------------------------------------------
@@ -207,6 +207,42 @@ def test_gen_imm_mod_invertible_matrices():
     rng = random.Random(9)
     inst = gen_imm_mod((20, 20), 3, 0, rng)
     assert all(mat3_det_mod(m, 3) != 0 for m in inst.matrices)
+
+
+def test_mersenne_twister_word_facts():
+    # gen_imm_mod reads choice((-1, 0, 1)) draws from whole 32-bit words
+    n = 5
+    a, b = random.Random(12), random.Random(12)
+    block = a.getrandbits(32 * n)
+    words = [b.getrandbits(32) for _ in range(n)]
+    assert block == sum(w << (32 * i) for i, w in enumerate(words)), (
+        "getrandbits(32 * n) is no longer n successive 32-bit words, first"
+        " word least significant; gen_imm_mod's block draws are invalid"
+    )
+    a, b = random.Random(13), random.Random(13)
+    pairs = [(a.getrandbits(2), b.getrandbits(32) >> 30) for _ in range(64)]
+    assert all(x == y for x, y in pairs), (
+        "getrandbits(2) is no longer the top two bits of one 32-bit word;"
+        " gen_imm_mod's block draws are invalid"
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    m=st.sampled_from([2, 3, 5, 7]),
+    q_k=st.integers(0, 8),
+    size=st.integers(1, 600).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo, 600))),
+)
+@example(seed=0, m=5, q_k=0, size=(1, 1))
+@example(seed=1, m=2, q_k=8, size=(600, 600))  # 5400 entries: past one block of words
+def test_gen_imm_mod_consumes_the_per_entry_stream(seed, m, q_k, size):
+    from exactrnn.problems import _IMM_MOD_WORDS_PER_DRAW
+
+    assert 9 * 600 > _IMM_MOD_WORDS_PER_DRAW
+    fast, ref = random.Random(seed), random.Random(seed)
+    assert gen_imm_mod(size, m, q_k, fast) == gen_imm_mod_per_entry(size, m, q_k, ref)
+    assert fast.getstate() == ref.getstate()
 
 
 def test_imm_z_labels():
