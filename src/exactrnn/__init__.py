@@ -13,7 +13,6 @@ from .linalg import (
     RMatrix,
     RVector,
     RelaxedPermutation,
-    mat_mul,
     perm_apply_diag,
     perm_compose,
     row_apply,
@@ -62,11 +61,9 @@ from .delta_gadgets import (
     apply_matrix_program,
     build_dnet_imm,
     build_dnet_wfa,
-    column_buffer,
     dnet_imm_forward,
     dnet_wfa_forward,
     h_matrix,
-    mod2m_counter,
     scaled_add,
     unit_transvection,
 )

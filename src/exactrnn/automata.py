@@ -243,8 +243,6 @@ def _all_masks(k: int):
 # ---------------------------------------------------------------------------
 # Multi-stack machines
 
-STACK_OPS = ("push0", "push1", "pop", "noop")
-
 _HALF = Rational(1, 2)
 _ONE = Rational(1)
 _TWO = Rational(2)

@@ -89,10 +89,6 @@ class HStep:
         return cls(Rational._make(bn, bd), RVector.from_support(support, dim), support)
 
 
-def identity_hstep(d: int) -> HStep:
-    return HStep(_ZERO, RVector.zeros(d))
-
-
 def out_of_range_betas(steps, low=_ZERO, high=_TWO) -> list:
     """Report (index, beta) for steps whose beta falls outside (low, high).
 
@@ -347,10 +343,6 @@ class ModCounter:
             raise ValueError("state outside the decoded period") from None
 
 
-def mod2m_counter(m: int) -> ModCounter:
-    return ModCounter(m)
-
-
 # ---------------------------------------------------------------------------
 # Router primitive 2: exact token buffer by column overwrite
 
@@ -405,10 +397,6 @@ class TokenBuffer:
         return out
 
 
-def column_buffer(sigma_count: int, slots: int) -> TokenBuffer:
-    return TokenBuffer(sigma_count, slots)
-
-
 # ---------------------------------------------------------------------------
 # Weighted-automaton tracking network
 
@@ -446,9 +434,10 @@ class DnetImmNet(BlockNet):
     (t mod 1404, last 1404 tokens); the forward pass compiles each
     superblock's program to ops once, at the next superblock's boundary;
     every pad position, the PAD superblock and the scaled add of every
-    zero entry of the product share one identity op. The embedding has 54
-    structural zeros, so a superblock runs at most 262 of its 702 ops, and
-    46 when its product is zero.
+    zero entry of the product share one identity op. An op's step vector
+    has at most two nonzeros, so it touches at most 2 of the 19
+    coordinates. The embedding has 54 structural zeros, so a superblock
+    runs at most 262 of its 702 ops, and 46 when its product is zero.
     A superblock's product is one ``kernels.mat3_chain`` call on the raw
     entries of its tokens, embedded once. The final, possibly partial,
     superblock is applied only in the readout at the last position.
@@ -494,11 +483,6 @@ class DnetImmNet(BlockNet):
     def block_program(self, prev_block, index) -> tuple:
         """The padded 702-op program of the full superblock ``prev_block``."""
         return self._programs(tuple(prev_block))
-
-    def superblock_program(self, block_tokens) -> list:
-        """The padded 702-step program for one full superblock's product,
-        as step values."""
-        return self.block_steps(block_tokens, 1)
 
     def final_readouts(self, prev_block, block, index, nums, dens) -> list:
         """Nine row-major product entries read from the row ``nums``/``dens``

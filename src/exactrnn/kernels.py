@@ -1,9 +1,11 @@
 """Rational kernels, in pure Python.
 
-All bulk arithmetic in the package funnels through this module. Vectors
-and matrices are passed as parallel lists of Python ints: ``nums[i] / dens[i]``, matrices flat row-major.
-Every function returns canonical entries: gcd(|num|, den) = 1 and den > 0,
-with zero represented as 0/1, except the two fraction-free kernels:
+All rational arithmetic in the package funnels through this module,
+``Rational``'s included (``rnorm``, ``radd``, ``rmul``). Vectors and
+matrices are passed as parallel lists of Python ints: ``nums[i] /
+dens[i]``, matrices flat row-major. Every function returns canonical
+entries: gcd(|num|, den) = 1 and den > 0, with zero represented as 0/1,
+except the two fraction-free kernels:
 ``common_den`` puts a vector over one shared denominator, and
 ``int_mat_mul`` multiplies integer rows by integer columns, so that a
 running product over one denominator is normalized only where a caller
@@ -135,47 +137,25 @@ def vec_mat(xn, xd, mn, md, rows, cols):
 
 
 def mat_vec(mn, md, rows, cols, xn, xd):
-    """Flat row-major matrix (rows x cols) times column vector (len cols)."""
+    """Flat row-major matrix (rows x cols) times column vector (len cols):
+    one ``vdot`` per row."""
     outn = [0] * rows
     outd = [1] * rows
-    k = 0
     for i in range(rows):
-        sn, sd = 0, 1
-        for j in range(cols):
-            p = mn[k] * xn[j]
-            if p != 0:
-                q = md[k] * xd[j]
-                if q == 1:
-                    sn = sn + p if sd == 1 else sn + p * sd
-                else:
-                    sn = sn * q + (p if sd == 1 else p * sd)
-                    sd *= q
-            k += 1
-        outn[i], outd[i] = rnorm(sn, sd)
+        lo = i * cols
+        outn[i], outd[i] = vdot(mn[lo : lo + cols], md[lo : lo + cols], xn, xd)
     return outn, outd
 
 
 def mat_mul(an, ad, ar, ac, bn, bd, bc):
-    """Product of flat row-major matrices (ar x ac) @ (ac x bc)."""
-    outn = [0] * (ar * bc)
-    outd = [1] * (ar * bc)
+    """Product of flat row-major matrices (ar x ac) @ (ac x bc): one
+    ``vec_mat`` per row of the left factor."""
+    outn, outd = [], []
     for i in range(ar):
-        arow = i * ac
-        orow = i * bc
-        for j in range(bc):
-            sn, sd = 0, 1
-            k = j
-            for t in range(ac):
-                p = an[arow + t] * bn[k]
-                if p != 0:
-                    q = ad[arow + t] * bd[k]
-                    if q == 1:
-                        sn = sn + p if sd == 1 else sn + p * sd
-                    else:
-                        sn = sn * q + (p if sd == 1 else p * sd)
-                        sd *= q
-                k += bc
-            outn[orow + j], outd[orow + j] = rnorm(sn, sd)
+        lo = i * ac
+        rown, rowd = vec_mat(an[lo : lo + ac], ad[lo : lo + ac], bn, bd, ac, bc)
+        outn += rown
+        outd += rowd
     return outn, outd
 
 

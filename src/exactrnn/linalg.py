@@ -10,18 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels
-from .rational import Rational
-
-
-def _coerce(value) -> Rational:
-    return value if isinstance(value, Rational) else Rational(value)
+from .rational import Rational, as_rational
 
 
 class RVector:
     __slots__ = ("nums", "dens")
 
     def __init__(self, values):
-        vals = [_coerce(v) for v in values]
+        vals = [as_rational(v) for v in values]
         self.nums = [v.num for v in vals]
         self.dens = [v.den for v in vals]
 
@@ -88,7 +84,7 @@ class RVector:
         return RVector([a - b for a, b in zip(self, other)])
 
     def scaled(self, c) -> "RVector":
-        c = _coerce(c)
+        c = as_rational(c)
         return RVector([c * v for v in self])
 
     def dot(self, other: "RVector") -> Rational:
@@ -118,7 +114,7 @@ class RMatrix:
     __slots__ = ("rows", "cols", "nums", "dens")
 
     def __init__(self, rows_of_values):
-        rows = [[_coerce(v) for v in row] for row in rows_of_values]
+        rows = [[as_rational(v) for v in row] for row in rows_of_values]
         if not rows:
             raise ValueError("matrix needs at least one row")
         cols = len(rows[0])
@@ -152,7 +148,7 @@ class RMatrix:
 
     @classmethod
     def diag(cls, values) -> "RMatrix":
-        vals = [_coerce(v) for v in values]
+        vals = [as_rational(v) for v in values]
         d = len(vals)
         m = cls.zeros(d, d)
         for i, v in enumerate(vals):
@@ -203,7 +199,7 @@ class RMatrix:
         return self + other.scaled(Rational(-1))
 
     def scaled(self, c) -> "RMatrix":
-        c = _coerce(c)
+        c = as_rational(c)
         nums, dens = [], []
         for i in range(len(self.nums)):
             n, d = kernels.rmul(self.nums[i], self.dens[i], c.num, c.den)
@@ -248,10 +244,6 @@ class RMatrix:
         return "[" + "; ".join(str(self.row(i)) for i in range(self.rows)) + "]"
 
     __repr__ = __str__
-
-
-def mat_mul(a: RMatrix, b: RMatrix) -> RMatrix:
-    return a @ b
 
 
 def row_apply(r: RVector, m: RMatrix) -> RVector:

@@ -1,35 +1,41 @@
 """Exact rational scalars and bit-length accounting.
 
 ``Rational`` is an immutable arbitrary-precision fraction kept canonical at
-every step: gcd(|num|, den) = 1, den > 0, zero is 0/1. The canonical text
-form is always ``"num/den"`` (including ``"3/1"``); that form is what file
-formats and the CLI emit.
+every step: gcd(|num|, den) = 1, den > 0, zero is 0/1, and num and den are
+ints. The canonical text form is always ``"num/den"`` (including ``"3/1"``);
+that form is what file formats and the CLI emit. Construction and
+arithmetic go through the package's one arithmetic backend,
+:mod:`exactrnn.kernels` (``rnorm``, ``radd``, ``rmul``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from operator import index
+
+from . import kernels
+
+
+def _pair(x):
+    """``(num, den)`` of an operand: a ``Rational`` or an int."""
+    if isinstance(x, Rational):
+        return x.num, x.den
+    return index(x), 1
 
 
 class Rational:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
+        # index() keeps num and den ints: a float, str or Fraction is a
+        # TypeError, and True is stored as 1
         if isinstance(num, Rational):
-            num, den = num.num, num.den * den
+            num, den = num.num, num.den * index(den)
+        else:
+            num, den = index(num), index(den)
         if den == 0:
             raise ZeroDivisionError("rational with zero denominator")
-        if num == 0:
-            object.__setattr__(self, "num", 0)
-            object.__setattr__(self, "den", 1)
-            return
-        if den < 0:
-            num, den = -num, -den
-        g = gcd(num, den)
-        if g > 1:
-            num //= g
-            den //= g
+        num, den = kernels.rnorm(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -47,18 +53,18 @@ class Rational:
     @classmethod
     def parse(cls, text: str) -> "Rational":
         """``"num/den"`` or ``"num"``; ``ValueError`` on malformed text,
-        including a zero denominator."""
-        num, _, den = text.partition("/")
-        den = int(den) if den else 1
+        including a slash with no denominator and a zero denominator."""
+        num, slash, den = text.partition("/")
+        if slash and not den:
+            raise ValueError(f"no denominator after the slash in {text!r}")
+        den = int(den) if slash else 1
         if den == 0:
             raise ValueError(f"zero denominator in {text!r}")
         return cls(int(num), den)
 
     def __add__(self, other):
-        o = other if isinstance(other, Rational) else Rational(other)
-        if self.den == 1 and o.den == 1:
-            return Rational._make(self.num + o.num, 1)
-        return Rational(self.num * o.den + o.num * self.den, self.den * o.den)
+        on, od = _pair(other)
+        return Rational._make(*kernels.radd(self.num, self.den, on, od))
 
     __radd__ = __add__
 
@@ -66,27 +72,23 @@ class Rational:
         return Rational._make(-self.num, self.den)
 
     def __sub__(self, other):
-        o = other if isinstance(other, Rational) else Rational(other)
-        if self.den == 1 and o.den == 1:
-            return Rational._make(self.num - o.num, 1)
-        return Rational(self.num * o.den - o.num * self.den, self.den * o.den)
+        on, od = _pair(other)
+        return Rational._make(*kernels.radd(self.num, self.den, -on, od))
 
     def __rsub__(self, other):
         return Rational(other) - self
 
     def __mul__(self, other):
-        o = other if isinstance(other, Rational) else Rational(other)
-        if self.den == 1 and o.den == 1:
-            return Rational._make(self.num * o.num, 1)
-        return Rational(self.num * o.num, self.den * o.den)
+        on, od = _pair(other)
+        return Rational._make(*kernels.rmul(self.num, self.den, on, od))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = other if isinstance(other, Rational) else Rational(other)
-        if o.num == 0:
+        on, od = _pair(other)
+        if on == 0:
             raise ZeroDivisionError("rational division by zero")
-        return Rational(self.num * o.den, self.den * o.num)
+        return Rational._make(*kernels.rmul(self.num, self.den, od, on))
 
     def __rtruediv__(self, other):
         return Rational(other) / self
@@ -95,9 +97,9 @@ class Rational:
         return Rational._make(abs(self.num), self.den)
 
     def _cmp(self, other):
-        o = other if isinstance(other, Rational) else Rational(other)
-        lhs = self.num * o.den
-        rhs = o.num * self.den
+        on, od = _pair(other)
+        lhs = self.num * od
+        rhs = on * self.den
         return (lhs > rhs) - (lhs < rhs)
 
     def __eq__(self, other):
@@ -135,13 +137,9 @@ class Rational:
         return f"Rational({self.num}, {self.den})"
 
 
-ZERO = Rational(0)
-ONE = Rational(1)
-
-
-def rat_cmp(a: Rational, b: Rational) -> int:
-    """Three-way comparison: -1, 0, or 1."""
-    return a._cmp(b)
+def as_rational(value) -> Rational:
+    """``value`` if it is a ``Rational``, else ``Rational(value)``."""
+    return value if isinstance(value, Rational) else Rational(value)
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,11 @@ About half the rows of these nets only carry a value forward, so a
 ``ReluMlp`` runs as a straight-line program over one flat register file in
 which such a copy row reuses its source's register whenever that leaves
 every value unchanged: its layer has no ReLU, or a sign analysis proves the
-source non-negative. ``MlpRnn.state_nonneg`` extends the analysis across
-time steps as a greatest fixpoint. A program whose weights and biases are
-all integers (the counter-machine update) runs as generated straight-line
-code on integer inputs. Outputs and the ``PrecisionReport`` equal those of
+source non-negative, so the counter and stack update nets compute 53 of
+107 and 69 of 142 rows per token. ``MlpRnn.state_nonneg`` extends the
+analysis across time steps as a greatest fixpoint. A program whose
+weights and biases are all integers (the counter-machine update) runs as
+generated straight-line code on integer inputs. Outputs and the ``PrecisionReport`` equal those of
 layer-by-layer evaluation.
 """
 
@@ -39,7 +40,7 @@ from typing import NamedTuple
 from . import kernels
 from .automata import CounterMachine, StackMachine, _all_masks
 from .linalg import RMatrix, RVector
-from .rational import PrecisionReport, Rational
+from .rational import PrecisionReport, Rational, as_rational
 
 _ZERO = Rational(0)
 _ONE = Rational(1)
@@ -208,8 +209,8 @@ class _Rows:
 
     def add(self, terms, bias=_ZERO, name=None) -> int:
         i = len(self.terms)
-        self.terms.append([(j, _coerce(w)) for j, w in terms])
-        self.biases.append(_coerce(bias))
+        self.terms.append([(j, as_rational(w)) for j, w in terms])
+        self.biases.append(as_rational(bias))
         if name is not None:
             self.names[name] = i
         return i
@@ -224,10 +225,6 @@ class _Rows:
                 w.nums[i * self.in_dim + j] = weight.num
                 w.dens[i * self.in_dim + j] = weight.den
         return Layer(weights=w, bias=RVector(self.biases), relu=relu)
-
-
-def _coerce(v) -> Rational:
-    return v if isinstance(v, Rational) else Rational(v)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +243,7 @@ def gadget_eq_zero() -> ReluMlp:
 
 def gadget_threshold(theta=_ZERO) -> ReluMlp:
     """1 iff input >= theta; exact when input >= theta or <= theta - 1/3."""
-    theta = _coerce(theta)
+    theta = as_rational(theta)
     l1 = _Rows(1)
     l1.add([(0, 3)], bias=_ONE - theta * 3)
     l1.add([(0, 3)], bias=-theta * 3)
@@ -276,7 +273,7 @@ def gadget_lut(group_sizes, table) -> ReluMlp:
     row_terms = [[] for _ in range(out_dim)]
     for unit, key in enumerate(keys):
         for o, val in enumerate(table[key]):
-            val = _coerce(val)
+            val = as_rational(val)
             if val != _ZERO:
                 row_terms[o].append((unit, val))
     for o in range(out_dim):

@@ -23,9 +23,13 @@ The steps as values (``OverwriteSpec``, ``HStep``) are its spec-level
 view, built only by ``BlockNet.block_steps``: a ``BlockNet`` specifies
 its router with them as a finite-window function (``window_key`` and
 ``RouterTable``), and ``stream_entries`` yields the same entries block by
-block. ``WfaNet`` tracks any weighted finite automaton's prefix values
-with either family; ``RwkvImmNet`` accumulates a product of streamed 3x3
-matrices in an 18-coordinate state by ping-ponging between two halves.
+block. The four step actions (``apply_overwrite_row``/``_col`` here,
+``apply_h_row``/``_col`` in ``delta_gadgets``) read and write only the
+support, reject a vector of the wrong length with ``ValueError``, and are
+the references the kernels are tested against. ``WfaNet`` tracks any
+weighted finite automaton's prefix values with either family;
+``RwkvImmNet`` accumulates a product of streamed 3x3 matrices in an
+18-coordinate state by ping-ponging between two halves.
 """
 
 from __future__ import annotations
@@ -206,11 +210,6 @@ class RouterEntry:
 
     factor: object
     completion: RVector | None
-
-    @property
-    def params(self) -> RwkvStep:
-        """Head parameters realizing an overwrite ``factor``, built on demand."""
-        return rwkv_params_for_overwrite(self.factor)
 
 
 class BlockMemo:

@@ -5,8 +5,10 @@ reference (brute-force product, automaton run, breadth-first search, dense
 linear algebra) for a number of seeded trials and reports the first
 counterexample, if any, with full token streams and canonical rational
 values so failures replay standalone. A verb checks its size flags and
-does its one-time setup; ``_run_trials`` then runs its per-trial check,
-trial t on the stream ``rng_for(seed, name, t)``.
+does its one-time setup; ``_run_trials`` then checks ``trials`` >= 1 and
+runs its per-trial check, trial t on the stream ``rng_for(seed, name, t)``.
+Every check comes before any draw, and a bad value is a ``ValueError``
+(CLI exit 2).
 """
 
 from __future__ import annotations

@@ -86,7 +86,7 @@ def test_criterion_03_structural_constants():
     assert len(prog) == 694
     net = build_dnet_imm()
     block = tuple([Rational(v) for v in IDENTITY3] * 78)
-    steps = net.superblock_program(block)
+    steps = net.block_steps(block, 0)
     assert len(steps) == SUPERBLOCK_TOKENS == 702
     assert IDENTITY_PAD_STEPS == 8
     assert all(s.is_identity for s in steps[-8:])

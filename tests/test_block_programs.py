@@ -27,8 +27,8 @@ from exactrnn.delta_gadgets import (
     apply_matrix_program,
     build_dnet_imm,
     build_dnet_wfa,
+    HStep,
     dnet_imm_forward,
-    identity_hstep,
 )
 from exactrnn.kernels import nonzeros, run_hsteps, run_overwrites
 from exactrnn.linalg import RMatrix, RVector
@@ -105,7 +105,7 @@ def dnet_imm_reference_steps(net, prev_block):
     """The padded superblock program built from step values: the PAD
     superblock is all identity steps; a full one is the matrix program of
     its product followed by identity pads."""
-    pad = identity_hstep(net.dim)
+    pad = HStep(Rational(0), RVector.zeros(net.dim))
     if prev_block[0] is PAD:
         return [pad] * SUPERBLOCK_TOKENS
     prod = RMatrix.identity(3)

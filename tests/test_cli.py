@@ -147,6 +147,7 @@ def test_report_depth_from_trace_file(tmp_path, capsys):
 @pytest.mark.parametrize("dump, message", [
     ("A 1/1 ; B 1/1\nA 1/0 ; B 1/1\n", "zero denominator"),
     ("A 1/1 ; B 1/1\n\nA 1/1 ; B 1/1\n", "malformed step line"),
+    ("A 1/ ; B 0/1\n", "no denominator"),
 ])
 def test_report_depth_rejects_bad_trace(tmp_path, capsys, dump, message):
     trace = tmp_path / "trace.txt"

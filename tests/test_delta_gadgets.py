@@ -8,6 +8,7 @@ from exactrnn.automata import Wfa, wfa_prefix_values
 from exactrnn.delta_gadgets import (
     DnetImmNet,
     HStep,
+    ModCounter,
     TokenBuffer,
     apply_h_col,
     apply_h_row,
@@ -16,12 +17,9 @@ from exactrnn.delta_gadgets import (
     build_dnet_imm,
     build_dnet_wfa,
     coordinate_scale,
-    column_buffer,
     dnet_imm_forward,
     dnet_wfa_forward,
     h_matrix,
-    identity_hstep,
-    mod2m_counter,
     scaled_add,
     unit_transvection,
     SUPERBLOCK_MATRICES,
@@ -322,7 +320,7 @@ def test_zero_entries_compile_to_identity_ops(n, kind, seed):
 
 @pytest.mark.parametrize("step", [
     HStep(Rational(2), RVector([1, 0, 1])),
-    identity_hstep(3),
+    HStep(Rational(0), RVector.zeros(3)),
 ], ids=["reflection", "identity"])
 @pytest.mark.parametrize("action", [apply_h_row, apply_h_col], ids=["row", "col"])
 def test_h_step_actions_reject_dimension_mismatch(action, step):
@@ -335,7 +333,7 @@ def test_h_step_actions_reject_dimension_mismatch(action, step):
 
 
 def test_counter_two_steps_compose_to_rotation():
-    c = mod2m_counter(4)
+    c = ModCounter(4)
     t = h_matrix(c.odd_step) @ h_matrix(c.even_step)
     p = RMatrix.identity(c.dim)
     for _ in range(4):
@@ -346,7 +344,7 @@ def test_counter_two_steps_compose_to_rotation():
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
 def test_counter_exact_period(m):
-    c = mod2m_counter(m)
+    c = ModCounter(m)
     assert c.exact_period
     states = c.run(4 * m + 3)
     keys = {c._key(s) for s in states[: 2 * m]}
@@ -357,14 +355,14 @@ def test_counter_exact_period(m):
 
 def test_counter_decodes_beyond_one_period():
     m = 3
-    c = mod2m_counter(m)
+    c = ModCounter(m)
     states = c.run(2 * m + 3)
     assert c.decode(states[-1]) == 3
 
 
 @pytest.mark.parametrize("m", [5, 7, 14])
 def test_counter_distinct_states_general_modulus(m):
-    c = mod2m_counter(m)
+    c = ModCounter(m)
     states = c.run(2 * m - 1)
     keys = {c._key(s) for s in states}
     assert len(keys) == 2 * m
@@ -376,7 +374,7 @@ def test_counter_distinct_states_general_modulus(m):
 
 
 def test_buffer_write_then_read():
-    buf = column_buffer(sigma_count=4, slots=3)
+    buf = TokenBuffer(sigma_count=4, slots=3)
     for token in (0, 1, 2):
         buf.write(token)
     assert buf.last_tokens(3) == [2, 1, 0]
@@ -385,7 +383,7 @@ def test_buffer_write_then_read():
 
 def test_buffer_cyclic_overwrites():
     rng = random.Random(8)
-    buf = column_buffer(sigma_count=5, slots=4)
+    buf = TokenBuffer(sigma_count=5, slots=4)
     history = []
     for _ in range(17):
         tok = rng.randrange(5)
@@ -397,7 +395,7 @@ def test_buffer_cyclic_overwrites():
 
 def test_buffer_update_matches_dense_formula():
     # one write step equals S (I - e e^T) + v e^T
-    buf = column_buffer(sigma_count=2, slots=2)
+    buf = TokenBuffer(sigma_count=2, slots=2)
     buf.write(1)
     before = RMatrix(buf.state.tolists())
     e = buf.slot_key(1)
@@ -468,7 +466,7 @@ def test_superblock_constants():
     block = tuple([Rational(1), Rational(0), Rational(0),
                    Rational(0), Rational(1), Rational(0),
                    Rational(0), Rational(0), Rational(1)] * 78)
-    steps = net.superblock_program(block)
+    steps = net.block_steps(block, 0)
     assert len(steps) == 702
     assert sum(1 for s in steps[-8:] if s.is_identity) == 8
 
@@ -529,7 +527,7 @@ def test_program_requires_square():
 
 
 def test_counter_decode_outside_period_raises():
-    c = mod2m_counter(5)  # no exact rational period exists for m = 5
+    c = ModCounter(5)  # no exact rational period exists for m = 5
     assert not c.exact_period
     states = c.run(2 * 5)
     with pytest.raises(ValueError):

@@ -363,12 +363,12 @@ def test_forward_state_equals_head_parameter_transitions():
     for t in range(1, len(word) + 1):
         entry = net.router.query_at(t, word)
         fast = apply_overwrite_row(fast, entry.factor)
-        dense = row_apply(dense, rwkv_transition(entry.params).A)
+        dense = row_apply(dense, rwkv_transition(rwkv_params_for_overwrite(entry.factor)).A)
         assert fast == dense
 
 
 def test_router_entry_params_built_from_factor():
-    # head parameters are derived on demand, not stored in the entry
+    # head parameters are derived from the factor, not stored in the entry
     from dataclasses import fields
 
     rng = random.Random(16)
@@ -376,7 +376,8 @@ def test_router_entry_params_built_from_factor():
     word = [rng.choice(a.alphabet) for _ in range(7)]
     entry = build_rwkv_wfa(a).router.query_at(len(word), word)
     assert [f.name for f in fields(entry)] == ["factor", "completion"]
-    assert entry.params == rwkv_params_for_overwrite(entry.factor)
+    params = rwkv_params_for_overwrite(entry.factor)
+    assert rwkv_transition(params).A == overwrite_matrix(entry.factor)
 
 
 from hypothesis import given, settings, strategies as st

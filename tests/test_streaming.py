@@ -220,7 +220,7 @@ def test_mixed_den_wfa_forward_and_stream_equal_spec(build, forward, wfa, blocks
 
 def test_first_block_streams_the_pad_program():
     net = build_dnet_imm()
-    pad_steps = net.superblock_program((PAD,) * SUPERBLOCK_TOKENS)
+    pad_steps = net.block_steps((PAD,) * SUPERBLOCK_TOKENS, 0)
     factors = [f for f, _ in stream_entries(build_dnet_imm(), [1] * 18)]
     assert factors == list(pad_steps[:18])
     assert all(f.is_identity for f in factors)
