@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -187,24 +188,28 @@ def test_cm_rnn_reset_needs_bound():
         cm_to_mlp_rnn(machine)
 
 
-def test_cm_rnn_reset_with_bound():
-    # alternate counting and resetting; exact while values stay under bound
-    k = 1
+def reset_machine():
+    """One counter: ``c`` counts up, ``r`` resets it."""
     transition = {}
     updates = {}
     for sym, ops in (("c", ("+1",)), ("r", ("x0",))):
-        for mask in _all_masks(k):
+        for mask in _all_masks(1):
             transition[("q", sym, mask)] = "q"
             updates[("q", sym, mask)] = ops
-    machine = CounterMachine(
+    return CounterMachine(
         states=("q",),
         start="q",
         alphabet=("c", "r"),
         n_counters=1,
         transition=transition,
         updates=updates,
-        accepting=frozenset(("q", m) for m in _all_masks(k)),
+        accepting=frozenset(("q", m) for m in _all_masks(1)),
     )
+
+
+def test_cm_rnn_reset_with_bound():
+    # alternate counting and resetting; exact while values stay under bound
+    machine = reset_machine()
     rnn = cm_to_mlp_rnn(machine, reset_bound=1000)
     word = ["c"] * 7 + ["r"] + ["c"] * 3
     _, trace = cm_run(machine, word)
@@ -529,3 +534,75 @@ def test_wrong_input_length_is_rejected(g, delta):
         g(RVector([1] * (dim + delta)))
     with pytest.raises(ValueError, match="takes"):
         g.eval_raw([1] * dim, [1] * (dim + delta))
+
+
+# --- compiled network fingerprints ------------------------------------------------
+
+
+def layers_key(layers):
+    return tuple(
+        (
+            layer.weights.rows,
+            layer.weights.cols,
+            tuple(layer.weights.nums),
+            tuple(layer.weights.dens),
+            tuple(layer.bias.nums),
+            tuple(layer.bias.dens),
+            layer.relu,
+        )
+        for layer in layers
+    )
+
+
+def network_digest(net):
+    """SHA-256 of every layer entry, in row order, of a ``ReluMlp`` or of an
+    ``MlpRnn``'s update and acceptor, plus the latter's h0 and token index."""
+    if isinstance(net, ReluMlp):
+        key = layers_key(net.layers)
+    else:
+        key = (
+            layers_key(net.update.layers),
+            layers_key(net.acceptor.layers),
+            tuple(net.h0.nums),
+            tuple(net.h0.dens),
+            tuple(net.token_index.items()),
+        )
+    return hashlib.sha256(repr(key).encode()).hexdigest()
+
+
+PINNED_NETWORKS = {
+    "conn-cm": (
+        lambda: cm_to_mlp_rnn(build_conn_counter_machine()),
+        "7eb81613aacfa9479b349cf67fbc326525afe5db8f7903152688a1e3c3695fe3",
+    ),
+    "stack-sm": (
+        lambda: sm_to_mlp_rnn(scripted_stack_machine(2, STACK_OP_PAIRS)),
+        "87ded53e7cfc63260394c8c69a0dc7d823463c40ad2e73c7f66aafa794586140",
+    ),
+    "reset-cm": (
+        lambda: cm_to_mlp_rnn(reset_machine(), reset_bound=1000),
+        "8916c83c6c4b130d5536b42bb5446e1d6797c2ed7d682b4c6460911b36469eae",
+    ),
+    "eq-zero": (
+        gadget_eq_zero,
+        "32321f866f91d627e24fc1b4ba031ede62e8ffa7852269aa26198f0014831559",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_NETWORKS))
+def test_compiled_networks_are_pinned(name):
+    build, digest = PINNED_NETWORKS[name]
+    assert network_digest(build()) == digest
+
+
+def test_network_digest_sees_a_reordered_row():
+    g = gadget_eq_zero()
+    first = g.layers[0]
+    w, b = first.weights, first.bias
+    swapped = Layer(
+        weights=RMatrix._raw(w.rows, w.cols, w.nums[1:] + w.nums[:1], w.dens[1:] + w.dens[:1]),
+        bias=RVector._raw(b.nums[1:] + b.nums[:1], b.dens[1:] + b.dens[:1]),
+        relu=first.relu,
+    )
+    assert network_digest(ReluMlp([swapped] + g.layers[1:])) != network_digest(g)
