@@ -103,11 +103,8 @@ def out_of_range_betas(steps, low=_ZERO, high=_TWO) -> list:
     ]
 
 
-def h_matrix(step: HStep, d: int | None = None) -> RMatrix:
-    d = step.dim if d is None else d
-    if step.dim != d:
-        raise ValueError("dimension mismatch")
-    return RMatrix.identity(d) - RMatrix.outer(step.k, step.k).scaled(step.beta)
+def h_matrix(step: HStep) -> RMatrix:
+    return RMatrix.identity(step.dim) - RMatrix.outer(step.k, step.k).scaled(step.beta)
 
 
 def apply_h_row(r: RVector, step: HStep) -> RVector:

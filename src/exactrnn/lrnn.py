@@ -309,7 +309,6 @@ class Recognizer:
     """Linear readout with a strict positivity test; ties reject."""
 
     readout: RVector
-    bos: str = "$"
 
 
 def recognize(r: Recognizer, y: RVector) -> bool:
@@ -334,14 +333,10 @@ def multihead_sublayer(xs, head_outputs, out_proj: RMatrix) -> list:
     return out
 
 
-def ffn_sublayer(xs, w_out: RMatrix, w_in: RMatrix, lnorm=None) -> list:
-    """Residual two-layer ReLU block x + W relu(U lnorm(x)); the default
-    normalization is the identity so rational exactness is preserved."""
-    out = []
-    for x in xs:
-        z = x if lnorm is None else lnorm(x)
-        out.append(x + w_out.apply_col(relu_vec(w_in.apply_col(z))))
-    return out
+def ffn_sublayer(xs, w_out: RMatrix, w_in: RMatrix) -> list:
+    """Residual two-layer ReLU block x + W relu(U x), with no normalization
+    so that rational exactness is preserved."""
+    return [x + w_out.apply_col(relu_vec(w_in.apply_col(x))) for x in xs]
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +346,14 @@ def ffn_sublayer(xs, w_out: RMatrix, w_in: RMatrix, lnorm=None) -> list:
 @dataclass(frozen=True)
 class PdRecognizer:
     """One-layer P-D recurrence plus readout; the row state starts at the
-    automaton's initial weights when the BOS marker is read."""
+    automaton's initial weights and reads one step per symbol of the word,
+    which carries no BOS marker (any symbol outside ``steps`` is a
+    ``ValueError``)."""
 
     dim: int
     steps: dict
     init_row: RVector
     readout: RVector
-    bos: str = "$"
 
     def state_after(self, word) -> RVector:
         row = self.init_row

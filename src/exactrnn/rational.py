@@ -122,7 +122,8 @@ class Rational:
         return self._cmp(other) >= 0
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # an integral value equals its int, so it must hash like it
+        return hash(self.num) if self.den == 1 else hash((self.num, self.den))
 
     def __bool__(self):
         return self.num != 0

@@ -4,6 +4,9 @@ The building blocks are classic piecewise-linear gadgets, used only on
 inputs where their outputs are exactly 0 or 1: an equality-to-zero test and
 a threshold with tolerance 1/3 (valid on integers), finite lookup tables
 realized as AND units over one-hot encodings, and bounded-range selectors.
+Both machine compilers build their finite control, AND units keyed by
+(state, symbol, register flags), through one ``_Control``, and the counter
+zero flags through the same ``_eq_zero_flags`` rows as ``gadget_eq_zero``.
 
 Counter values are carried as a difference of two nonnegative coordinates,
 which makes increments and decrements a single ReLU re-split and avoids
@@ -199,32 +202,47 @@ class ReluMlp:
 
 
 class _Rows:
-    """Sparse layer under construction: rows of (index, weight) terms."""
+    """Sparse layer under construction: rows of (index, weight) terms.
 
-    def __init__(self, in_dim: int):
-        self.in_dim = in_dim
+    ``source`` is the input width, or the ``_Rows`` of the layer below,
+    whose row count is then read when this layer is built.
+    """
+
+    def __init__(self, source):
+        self.source = source
         self.terms = []
         self.biases = []
-        self.names = {}
 
-    def add(self, terms, bias=_ZERO, name=None) -> int:
-        i = len(self.terms)
+    def add(self, terms, bias=_ZERO) -> int:
         self.terms.append([(j, as_rational(w)) for j, w in terms])
         self.biases.append(as_rational(bias))
-        if name is not None:
-            self.names[name] = i
-        return i
+        return len(self.terms) - 1
 
-    def passthrough(self, j: int, name=None) -> int:
-        return self.add([(j, _ONE)], name=name)
+    def passthrough(self, j: int) -> int:
+        return self.add([(j, _ONE)])
+
+    def carry(self, js) -> list:
+        """One passthrough row per index in ``js``; their row indices."""
+        return [self.passthrough(j) for j in js]
 
     def layer(self, relu: bool) -> Layer:
-        w = RMatrix.zeros(len(self.terms), self.in_dim)
+        cols = self.source if isinstance(self.source, int) else len(self.source.terms)
+        w = RMatrix.zeros(len(self.terms), cols)
         for i, row in enumerate(self.terms):
             for j, weight in row:
-                w.nums[i * self.in_dim + j] = weight.num
-                w.dens[i * self.in_dim + j] = weight.den
+                w.nums[i * cols + j] = weight.num
+                w.dens[i * cols + j] = weight.den
         return Layer(weights=w, bias=RVector(self.biases), relu=relu)
+
+
+def _eq_zero_flags(r1: _Rows, r2: _Rows, forms) -> list:
+    """Zero flags relu(1 - 3 relu(f) - 3 relu(-f)), one per linear form f
+    in ``forms`` (lists of (index, weight) terms); exact when each f is 0
+    or has |f| >= 1/3. Adds every relu(f) row, then every relu(-f) row, to
+    ``r1`` and the flags to ``r2``; returns the flag rows."""
+    pos = [r1.add(f) for f in forms]
+    neg = [r1.add([(j, -w) for j, w in f]) for f in forms]
+    return [r2.add([(a, -3), (b, -3)], bias=_ONE) for a, b in zip(pos, neg)]
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +252,8 @@ class _Rows:
 def gadget_eq_zero() -> ReluMlp:
     """1 iff the scalar input is 0; exact when |input| is 0 or >= 1/3."""
     l1 = _Rows(1)
-    l1.add([(0, 1)])
-    l1.add([(0, -1)])
-    l2 = _Rows(2)
-    l2.add([(0, -3), (1, -3)], bias=_ONE)
+    l2 = _Rows(l1)
+    _eq_zero_flags(l1, l2, [[(0, 1)]])
     return ReluMlp([l1.layer(relu=True), l2.layer(relu=True)])
 
 
@@ -247,7 +263,7 @@ def gadget_threshold(theta=_ZERO) -> ReluMlp:
     l1 = _Rows(1)
     l1.add([(0, 3)], bias=_ONE - theta * 3)
     l1.add([(0, 3)], bias=-theta * 3)
-    l2 = _Rows(2)
+    l2 = _Rows(l1)
     l2.add([(0, 1), (1, -1)])
     return ReluMlp([l1.layer(relu=True), l2.layer(relu=False)])
 
@@ -269,7 +285,7 @@ def gadget_lut(group_sizes, table) -> ReluMlp:
     for key in keys:
         terms = [(offsets[g] + idx, 1) for g, idx in enumerate(key)]
         l1.add(terms, bias=Rational(1 - len(group_sizes)))
-    l2 = _Rows(len(keys))
+    l2 = _Rows(l1)
     row_terms = [[] for _ in range(out_dim)]
     for unit, key in enumerate(keys):
         for o, val in enumerate(table[key]):
@@ -292,7 +308,7 @@ def gadget_select(n_branches: int, bound: int = 8) -> ReluMlp:
     for i in range(n_branches):
         l1.add([(n_branches + i, 1), (i, b)], bias=-b)
         l1.add([(n_branches + i, -1), (i, b)], bias=-b)
-    l2 = _Rows(2 * n_branches)
+    l2 = _Rows(l1)
     l2.add([(2 * i, 1) for i in range(n_branches)]
            + [(2 * i + 1, -1) for i in range(n_branches)])
     return ReluMlp([l1.layer(relu=True), l2.layer(relu=False)])
@@ -430,6 +446,78 @@ def _and_units(rows: _Rows, fixed, flags, entries: dict, k: int) -> list:
 
 
 # ---------------------------------------------------------------------------
+# Finite control shared by the machine compilers
+
+
+class _Control:
+    """The finite control of a machine with ``k`` registers (counters or
+    stacks), compiled the same way for both machine families.
+
+    The update input is [state one-hot (nq) | 2k register coordinates |
+    symbol one-hot], and its first ``state_dim`` coordinates are the hidden
+    state. ``ops_table`` maps each (state, symbol, flag mask) key to that
+    transition's register ops.
+    """
+
+    def __init__(self, m, k: int, ops_table: dict):
+        self.m, self.k, self.ops_table = m, k, ops_table
+        self.states = list(m.states)
+        self.sigma = list(m.alphabet)
+        self.qi = {q: i for i, q in enumerate(self.states)}
+        self.nq = len(self.states)
+        self.state_dim = self.nq + 2 * self.k
+        self.in_dim = self.state_dim + len(self.sigma)
+
+    def key_units(self, rows: _Rows, flags) -> list:
+        """AND units over (state, symbol, flag pattern), added to ``rows``.
+
+        ``flags[b]`` is the row of mask bit b's 0/1 flag; the state and
+        symbol one-hots are read at their update-input indices, so the
+        layers below must carry those unchanged. Returns (unit row, next
+        state, register ops) triples.
+        """
+        units = []
+        for q in self.states:
+            for s_idx, sym in enumerate(self.sigma):
+                entries = {}
+                for mask in _all_masks(self.k):
+                    key = (q, sym, mask)
+                    entries[mask] = (self.m.transition[key], self.ops_table[key])
+                fixed = [self.qi[q], self.state_dim + s_idx]
+                units += [(u, *e) for u, e in _and_units(rows, fixed, flags, entries, self.k)]
+        return units
+
+    def next_state(self, rows: _Rows, units) -> list:
+        """Next-state one-hot rows: row p sums the units that move to p."""
+        return [rows.add([(u, 1) for u, nxt, _ in units if nxt == p]) for p in self.states]
+
+    def rnn(self, update, acceptor, h0_registers, read_registers) -> MlpRnn:
+        """The recurrent net from the start state with register coordinates
+        ``h0_registers`` (2k ints). Its ``decode`` checks that the state
+        block is one-hot and returns (state, ``read_registers(h)``)."""
+        states, nq = self.states, self.nq
+        h0 = RVector.zeros(self.state_dim)
+        h0.nums[self.qi[self.m.start]] = 1
+        h0.nums[nq:] = h0_registers
+
+        def decode(h: RVector):
+            nums, dens = h.nums, h.dens
+            hot = [i for i in range(nq) if nums[i] != 0]
+            if len(hot) != 1 or nums[hot[0]] != 1 or dens[hot[0]] != 1:
+                raise AssertionError("state block is not one-hot")
+            return states[hot[0]], read_registers(h)
+
+        return MlpRnn(
+            state_dim=self.state_dim,
+            token_index={sym: i for i, sym in enumerate(self.sigma)},
+            update=update,
+            h0=h0,
+            acceptor=acceptor,
+            decode=decode,
+        )
+
+
+# ---------------------------------------------------------------------------
 # Counter machine compiler
 
 
@@ -437,66 +525,45 @@ def cm_to_mlp_rnn(m: CounterMachine, reset_bound: int | None = None) -> MlpRnn:
     """Compile a counter machine into an exact recurrent ReLU network.
 
     Hidden state: [state one-hot | positive parts | negative parts], with
-    counter i decoded as the difference of its two parts. Machines whose
-    transitions use the reset op on counters of unbounded magnitude need
-    ``reset_bound`` (exactness then holds while |counter| stays below it);
-    machines without resets are exact unconditionally.
+    counter i decoded as the difference of its two parts. The finite
+    control (``_Control``) is keyed by the counters' zero flags; this
+    compiler adds the flags, the counter re-splits and the acceptor.
+    Machines whose transitions use the reset op on counters of unbounded
+    magnitude need ``reset_bound`` (exactness then holds while |counter|
+    stays below it); machines without resets are exact unconditionally.
     """
-    states = list(m.states)
-    sigma = list(m.alphabet)
-    k = m.n_counters
-    nq, ns = len(states), len(sigma)
-    qi = {q: i for i, q in enumerate(states)}
-    state_dim = nq + 2 * k
-    in_dim = state_dim + ns
-
+    ctl = _Control(m, m.n_counters, m.updates)
+    k, nq = ctl.k, ctl.nq
     has_reset = any("x0" in ops for ops in m.updates.values())
     if has_reset and reset_bound is None:
         raise ValueError(
             "machine resets counters; an explicit reset_bound is required"
         )
 
-    # input layout: q 0..nq-1, c+ nq..nq+k-1, c- nq+k..nq+2k-1, x tail
-    q_at = lambda i: i
+    # hidden state: q 0..nq-1, c+ nq..nq+k-1, c- nq+k..nq+2k-1
     cp_at = lambda i: nq + i
     cm_at = lambda i: nq + k + i
-    x_at = lambda s: state_dim + s
+    diffs = [[(cp_at(i), 1), (cm_at(i), -1)] for i in range(k)]
 
-    # L1: passthrough + split differences for the zero tests
-    l1 = _Rows(in_dim)
-    for i in range(state_dim + ns):
-        l1.passthrough(i)
-    a_at = [l1.add([(cp_at(i), 1), (cm_at(i), -1)]) for i in range(k)]
-    b_at = [l1.add([(cp_at(i), -1), (cm_at(i), 1)]) for i in range(k)]
+    # L1, L2: passthrough + zero flags of the counter differences
+    l1 = _Rows(ctl.in_dim)
+    l2 = _Rows(l1)
+    l1.carry(range(ctl.in_dim))
+    l2.carry(range(ctl.in_dim))
+    z_at = _eq_zero_flags(l1, l2, diffs)
 
-    # L2: passthrough + zero flags z_i = relu(1 - 3a - 3b)
-    l2 = _Rows(len(l1.terms))
-    for i in range(state_dim + ns):
-        l2.passthrough(i)
-    z_at = [
-        l2.add([(a_at[i], -3), (b_at[i], -3)], bias=_ONE) for i in range(k)
-    ]
+    # L3: counter parts + key units
+    l3 = _Rows(l2)
+    cp3 = l3.carry(cp_at(i) for i in range(k))
+    cm3 = l3.carry(cm_at(i) for i in range(k))
+    pair_units = ctl.key_units(l3, z_at)
 
-    # per (state, symbol): factor the mask-indexed entries
-    pair_units = []  # (unit row in L3, delta state, ops)
-    l3 = _Rows(len(l2.terms))
-    cp3 = [l3.passthrough(cp_at(i)) for i in range(k)]
-    cm3 = [l3.passthrough(cm_at(i)) for i in range(k)]
-    for q in states:
-        for s_idx, sym in enumerate(sigma):
-            entries = {}
-            for mask in _all_masks(k):
-                key = (q, sym, mask)
-                entries[mask] = (m.transition[key], m.updates[key])
-            units = _and_units(l3, [q_at(qi[q]), x_at(s_idx)], z_at, entries, k)
-            pair_units += [(unit, *entry) for unit, entry in units]
-
-    # L4: next state one-hots and counter re-splits
-    l4 = _Rows(len(l3.terms))
-    for p in states:
-        terms = [(unit, 1) for unit, nxt, _ in pair_units if nxt == p]
-        l4.add(terms)
-    piece_rows = []  # only used when resets are present
+    # L4: next state one-hots and counter re-splits; a reset unit cuts the
+    # moved parts by the bound and adds a copy row that is 0 unless reset
+    l4 = _Rows(l3)
+    ctl.next_state(l4, pair_units)
+    bound = Rational(reset_bound) if has_reset else None
+    new_parts = ([], [])  # per counter, the L4 rows summing to c+' and c-'
     for i in range(k):
         move = []
         reset = []
@@ -507,102 +574,68 @@ def cm_to_mlp_rnn(m: CounterMachine, reset_bound: int | None = None) -> MlpRnn:
                 move.append((unit, -1))
             elif ops[i] == "x0":
                 reset.append(unit)
-        plus = [(cp3[i], 1), (cm3[i], -1)] + move
-        minus = [(cp3[i], -1), (cm3[i], 1)] + [(u, -w) for u, w in move]
-        if not has_reset:
-            l4.add(plus)
-            l4.add(minus)
-        else:
-            bound = Rational(reset_bound)
-            plus_main = l4.add(plus + [(u, -bound) for u in reset])
-            minus_main = l4.add(minus + [(u, -bound) for u in reset])
-            copy_row = l4.add(
-                [(cp3[i], 1)] + [(u, bound) for u in reset], bias=-bound
-            )
-            piece_rows.append((plus_main, minus_main, copy_row))
+        cut = [(u, -bound) for u in reset]
+        plus = l4.add([(cp3[i], 1), (cm3[i], -1)] + move + cut)
+        minus = l4.add([(cp3[i], -1), (cm3[i], 1)] + [(u, -w) for u, w in move] + cut)
+        copy = []
+        if has_reset:
+            copy.append(l4.add([(cp3[i], 1)] + [(u, bound) for u in reset], bias=-bound))
+        new_parts[0].append([plus] + copy)
+        new_parts[1].append([minus] + copy)
 
-    layers = [
-        l1.layer(relu=True),
-        l2.layer(relu=True),
-        l3.layer(relu=True),
-        l4.layer(relu=True),
-    ]
-    if has_reset:
-        l5 = _Rows(len(l4.terms))
-        for p in range(nq):
-            l5.passthrough(p)
-        for i in range(k):
-            plus_main, minus_main, copy_row = piece_rows[i]
-            l5.add([(plus_main, 1), (copy_row, 1)])
-        for i in range(k):
-            plus_main, minus_main, copy_row = piece_rows[i]
-            l5.add([(minus_main, 1), (copy_row, 1)])
-        layers.append(l5.layer(relu=False))
-    else:
-        # reorder L4 rows into [q' | c+' | c-'] with a linear shuffle
-        l5 = _Rows(len(l4.terms))
-        for p in range(nq):
-            l5.passthrough(p)
-        for i in range(k):
-            l5.passthrough(nq + 2 * i)
-        for i in range(k):
-            l5.passthrough(nq + 2 * i + 1)
-        layers.append(l5.layer(relu=False))
-
-    update = ReluMlp(layers)
+    # L5: linear assembly of [q' | c+' | c-']
+    l5 = _Rows(l4)
+    l5.carry(range(nq))
+    for part in new_parts:
+        for rows in part:
+            l5.add([(r, 1) for r in rows])
+    update = ReluMlp(
+        [l1.layer(relu=True), l2.layer(relu=True), l3.layer(relu=True),
+         l4.layer(relu=True), l5.layer(relu=False)]
+    )
 
     # acceptor: zero flags again, then membership units over (state, mask)
-    a1 = _Rows(state_dim)
-    for i in range(nq):
-        a1.passthrough(i)
-    aa = [a1.add([(cp_at(i), 1), (cm_at(i), -1)]) for i in range(k)]
-    ab = [a1.add([(cp_at(i), -1), (cm_at(i), 1)]) for i in range(k)]
-    a2 = _Rows(len(a1.terms))
-    for i in range(nq):
-        a2.passthrough(i)
-    az = [a2.add([(aa[i], -3), (ab[i], -3)], bias=_ONE) for i in range(k)]
-    a3 = _Rows(len(a2.terms))
+    a1 = _Rows(ctl.state_dim)
+    a2 = _Rows(a1)
+    a1.carry(range(nq))
+    a2.carry(range(nq))
+    az = _eq_zero_flags(a1, a2, diffs)
+    a3 = _Rows(a2)
     acc_units = []
-    for q in states:
+    for q in ctl.states:
         accepted = {mask for (qq, mask) in m.accepting if qq == q}
         if not accepted:
             continue
         entries = {mask: (mask in accepted) for mask in _all_masks(k)}
-        acc_units += [unit for unit, _ in _and_units(a3, [qi[q]], az, entries, k)]
-    a4 = _Rows(len(a3.terms))
+        acc_units += [unit for unit, _ in _and_units(a3, [ctl.qi[q]], az, entries, k)]
+    a4 = _Rows(a3)
     a4.add([(u, 1) for u in acc_units], bias=Rational(-1, 2))
     acceptor = ReluMlp(
         [a1.layer(relu=True), a2.layer(relu=True), a3.layer(relu=True), a4.layer(relu=False)]
     )
 
-    h0 = RVector.zeros(state_dim)
-    h0.nums[qi[m.start]] = 1
-
-    def decode(h: RVector):
-        nums, dens = h.nums, h.dens
-        hot = [i for i in range(nq) if nums[i] != 0]
-        if len(hot) != 1 or nums[hot[0]] != 1 or dens[hot[0]] != 1:
-            raise AssertionError("state block is not one-hot")
-        if any(dens[j] != 1 for j in range(nq, nq + 2 * k)):
+    def read_counters(h: RVector):
+        if any(h.dens[j] != 1 for j in range(nq, ctl.state_dim)):
             raise AssertionError("counter part is not an integer")
-        counters = tuple(nums[nq + i] - nums[nq + k + i] for i in range(k))
-        return states[hot[0]], counters
+        return tuple(h.nums[cp_at(i)] - h.nums[cm_at(i)] for i in range(k))
 
-    return MlpRnn(
-        state_dim=state_dim,
-        token_index={sym: i for i, sym in enumerate(sigma)},
-        update=update,
-        h0=h0,
-        acceptor=acceptor,
-        decode=decode,
-    )
+    return ctl.rnn(update, acceptor, (0,) * (2 * k), read_counters)
 
 
 # ---------------------------------------------------------------------------
 # Stack machine compiler
 
-_QUARTER = Rational(1, 4)
 _GATE_BOUND = Rational(8)
+# per branch (L7 order), the new halving value ws * s + bs and mirror value
+# wc * c + bc: (ws, bs, wc, bc)
+_BRANCHES = {
+    "push0": (Rational(1, 2), _ZERO, Rational(1, 4), Rational(1, 4)),
+    "push1": (Rational(1, 2), _ONE, Rational(1, 4), Rational(3, 4)),
+    "noop": (_ONE, _ZERO, _ONE, _ZERO),
+    "pop_empty": (_ONE, _ZERO, _ONE, _ZERO),
+    "pop_b1": (Rational(2), Rational(-2), Rational(4), Rational(-3)),
+    "pop_b0": (Rational(2), _ZERO, Rational(4), -_ONE),
+}
 
 
 def sm_to_mlp_rnn(m: StackMachine) -> MlpRnn:
@@ -612,63 +645,45 @@ def sm_to_mlp_rnn(m: StackMachine) -> MlpRnn:
     The halving encodings are the machine's own stack values and define the
     decoded trace; the mirrors (push maps c to (2v+1)/4 + c/4, starting at
     0) keep a fixed 1/4 gap around the top-bit and emptiness thresholds at
-    any depth, so the branch flags are exact. All stack values live in
-    [0, 4], so branch selection gates with a constant bound.
+    any depth, so the branch flags are exact. The finite control
+    (``_Control``) is keyed by the stacks' table heads; this compiler adds
+    the thresholds, the branch gates and the gated candidates. All stack
+    values live in [0, 4], so branch selection gates with a constant bound.
     """
-    states = list(m.states)
-    sigma = list(m.alphabet)
-    k = m.n_stacks
-    nq, ns = len(states), len(sigma)
-    qi = {q: i for i, q in enumerate(states)}
-    state_dim = nq + 2 * k
-    in_dim = state_dim + ns
-
+    ctl = _Control(m, m.n_stacks, m.stack_ops)
+    k, nq, in_dim = ctl.k, ctl.nq, ctl.in_dim
     s_at = lambda i: nq + i
     c_at = lambda i: nq + k + i
-    x_at = lambda s: state_dim + s
 
     # L1: passthrough + threshold pieces and emptiness flags from mirrors
     l1 = _Rows(in_dim)
-    for i in range(in_dim):
-        l1.passthrough(i)
+    l1.carry(range(in_dim))
     p1 = [l1.add([(c_at(i), 4)], bias=Rational(-2)) for i in range(k)]
     p2 = [l1.add([(c_at(i), 4)], bias=Rational(-3)) for i in range(k)]
     e1 = [l1.add([(c_at(i), -4)], bias=_ONE) for i in range(k)]
 
     # L2: head bits h = p1 - p2, table heads th = h + e
-    l2 = _Rows(len(l1.terms))
-    for i in range(in_dim):
-        l2.passthrough(i)
-    e2 = [l2.passthrough(e1[i]) for i in range(k)]
+    l2 = _Rows(l1)
+    l2.carry(range(in_dim))
+    e2 = l2.carry(e1)
     h2 = [l2.add([(p1[i], 1), (p2[i], -1)]) for i in range(k)]
     th2 = [l2.add([(p1[i], 1), (p2[i], -1), (e1[i], 1)]) for i in range(k)]
 
     # L3: key units over (state, symbol, table-head pattern)
-    l3 = _Rows(len(l2.terms))
-    s3 = [l3.passthrough(s_at(i)) for i in range(k)]
-    c3 = [l3.passthrough(c_at(i)) for i in range(k)]
-    e3 = [l3.passthrough(e2[i]) for i in range(k)]
-    h3 = [l3.passthrough(h2[i]) for i in range(k)]
-    pair_units = []
-    for q in states:
-        for s_idx, sym in enumerate(sigma):
-            entries = {}
-            for heads in _all_masks(k):
-                key = (q, sym, heads)
-                entries[heads] = (m.transition[key], m.stack_ops[key])
-            units = _and_units(l3, [qi[q], x_at(s_idx)], th2, entries, k)
-            pair_units += [(unit, *entry) for unit, entry in units]
+    l3 = _Rows(l2)
+    s3 = l3.carry(s_at(i) for i in range(k))
+    c3 = l3.carry(c_at(i) for i in range(k))
+    e3 = l3.carry(e2)
+    h3 = l3.carry(h2)
+    pair_units = ctl.key_units(l3, th2)
 
     # L4: next state, per-stack op one-hots; carry s, c, h, e
-    l4 = _Rows(len(l3.terms))
-    q4 = [
-        l4.add([(unit, 1) for unit, nxt, _ in pair_units if nxt == p])
-        for p in states
-    ]
-    s4 = [l4.passthrough(s3[i]) for i in range(k)]
-    c4 = [l4.passthrough(c3[i]) for i in range(k)]
-    e4 = [l4.passthrough(e3[i]) for i in range(k)]
-    h4 = [l4.passthrough(h3[i]) for i in range(k)]
+    l4 = _Rows(l3)
+    q4 = ctl.next_state(l4, pair_units)
+    s4 = l4.carry(s3)
+    c4 = l4.carry(c3)
+    e4 = l4.carry(e3)
+    h4 = l4.carry(h3)
     u4 = {}
     for i in range(k):
         for op in ("push0", "push1", "pop", "noop"):
@@ -676,98 +691,47 @@ def sm_to_mlp_rnn(m: StackMachine) -> MlpRnn:
             u4[(i, op)] = l4.add(rows)
 
     # L5: branch gates; carry q', s, c
-    l5 = _Rows(len(l4.terms))
-    q5 = [l5.passthrough(q4[p]) for p in range(nq)]
-    s5 = [l5.passthrough(s4[i]) for i in range(k)]
-    c5 = [l5.passthrough(c4[i]) for i in range(k)]
+    l5 = _Rows(l4)
+    q5 = l5.carry(q4)
+    s5 = l5.carry(s4)
+    c5 = l5.carry(c4)
     gates = {}
     for i in range(k):
-        gates[(i, "push0")] = l5.passthrough(u4[(i, "push0")])
-        gates[(i, "push1")] = l5.passthrough(u4[(i, "push1")])
-        gates[(i, "noop")] = l5.passthrough(u4[(i, "noop")])
-        gates[(i, "pop_empty")] = l5.add(
-            [(u4[(i, "pop")], 1), (e4[i], 1)], bias=-_ONE
-        )
-        gates[(i, "pop_b1")] = l5.add(
-            [(u4[(i, "pop")], 1), (h4[i], 1)], bias=-_ONE
-        )
-        gates[(i, "pop_b0")] = l5.add(
-            [(u4[(i, "pop")], 1), (h4[i], -1), (e4[i], -1)]
-        )
+        for op in ("push0", "push1", "noop"):
+            gates[(i, op)] = l5.passthrough(u4[(i, op)])
+        pop = u4[(i, "pop")]
+        gates[(i, "pop_empty")] = l5.add([(pop, 1), (e4[i], 1)], bias=-_ONE)
+        gates[(i, "pop_b1")] = l5.add([(pop, 1), (h4[i], 1)], bias=-_ONE)
+        gates[(i, "pop_b0")] = l5.add([(pop, 1), (h4[i], -1), (e4[i], -1)])
 
-    # candidate linear forms per branch: (s terms, s bias, c terms, c bias)
-    def branch_forms(i):
-        return {
-            "push0": (((s5[i], Rational(1, 2)),), _ZERO,
-                      ((c5[i], _QUARTER),), _QUARTER),
-            "push1": (((s5[i], Rational(1, 2)),), _ONE,
-                      ((c5[i], _QUARTER),), Rational(3, 4)),
-            "noop": (((s5[i], 1),), _ZERO, ((c5[i], 1),), _ZERO),
-            "pop_empty": (((s5[i], 1),), _ZERO, ((c5[i], 1),), _ZERO),
-            "pop_b1": (((s5[i], 2),), Rational(-2), ((c5[i], 4),), Rational(-3)),
-            "pop_b0": (((s5[i], 2),), _ZERO, ((c5[i], 4),), -_ONE),
-        }
-
-    # L6: gated candidates
-    l6 = _Rows(len(l5.terms))
-    q6 = [l6.passthrough(q5[p]) for p in range(nq)]
+    # L6: each branch's candidate values, gated to 0 unless its gate is 1
+    l6 = _Rows(l5)
+    q6 = l6.carry(q5)
     cand = {}
     for i in range(k):
-        for branch, (s_terms, s_bias, c_terms, c_bias) in branch_forms(i).items():
-            g = gates[(i, branch)]
-            cand[(i, branch, "s")] = l6.add(
-                list(s_terms) + [(g, _GATE_BOUND)], bias=s_bias - _GATE_BOUND
-            )
-            cand[(i, branch, "c")] = l6.add(
-                list(c_terms) + [(g, _GATE_BOUND)], bias=c_bias - _GATE_BOUND
-            )
+        for branch, (ws, bs, wc, bc) in _BRANCHES.items():
+            g = (gates[(i, branch)], _GATE_BOUND)
+            cand[(i, branch, "s")] = l6.add([(s5[i], ws), g], bias=bs - _GATE_BOUND)
+            cand[(i, branch, "c")] = l6.add([(c5[i], wc), g], bias=bc - _GATE_BOUND)
 
     # L7: assemble new state
-    l7 = _Rows(len(l6.terms))
-    for p in range(nq):
-        l7.passthrough(q6[p])
-    branches = ("push0", "push1", "noop", "pop_empty", "pop_b1", "pop_b0")
-    for i in range(k):
-        l7.add([(cand[(i, br, "s")], 1) for br in branches])
-    for i in range(k):
-        l7.add([(cand[(i, br, "c")], 1) for br in branches])
+    l7 = _Rows(l6)
+    l7.carry(q6)
+    for part in ("s", "c"):
+        for i in range(k):
+            l7.add([(cand[(i, br, part)], 1) for br in _BRANCHES])
 
     update = ReluMlp(
-        [
-            l1.layer(relu=True),
-            l2.layer(relu=True),
-            l3.layer(relu=True),
-            l4.layer(relu=True),
-            l5.layer(relu=True),
-            l6.layer(relu=True),
-            l7.layer(relu=False),
-        ]
+        [l1.layer(relu=True), l2.layer(relu=True), l3.layer(relu=True),
+         l4.layer(relu=True), l5.layer(relu=True), l6.layer(relu=True),
+         l7.layer(relu=False)]
     )
 
-    a1 = _Rows(state_dim)
-    a1.add(
-        [(qi[q], 1) for q in states if q in m.accepting], bias=Rational(-1, 2)
-    )
+    a1 = _Rows(ctl.state_dim)
+    a1.add([(ctl.qi[q], 1) for q in ctl.states if q in m.accepting], bias=Rational(-1, 2))
     acceptor = ReluMlp([a1.layer(relu=False)])
 
-    h0 = RVector.zeros(state_dim)
-    h0.nums[qi[m.start]] = 1
-    for i in range(k):
-        h0.nums[nq + i] = 1  # halving encodings start at the empty value 1
-
-    def decode(h: RVector):
-        nums, dens = h.nums, h.dens
-        hot = [i for i in range(nq) if nums[i] != 0]
-        if len(hot) != 1 or nums[hot[0]] != 1 or dens[hot[0]] != 1:
-            raise AssertionError("state block is not one-hot")
-        stacks = tuple(h[nq + i] for i in range(k))
-        return states[hot[0]], stacks
-
-    return MlpRnn(
-        state_dim=state_dim,
-        token_index={sym: i for i, sym in enumerate(sigma)},
-        update=update,
-        h0=h0,
-        acceptor=acceptor,
-        decode=decode,
+    # halving encodings start at the empty value 1, mirrors at 0
+    return ctl.rnn(
+        update, acceptor, (1,) * k + (0,) * k, lambda h: tuple(h[s_at(i)] for i in range(k))
     )

@@ -8,7 +8,6 @@ asserted against wall-clock time.
 import hashlib
 import json
 import math
-import sys
 import time
 from itertools import product
 
@@ -45,12 +44,10 @@ from exactrnn.rwkv_gadgets import build_rwkv_imm, rwkv_imm_forward
 from exactrnn.verify import (
     STACK_OP_PAIRS,
     random_dwfa,
-    verify_cm_rnn,
     verify_dnet_wfa,
     verify_reduction,
     verify_rwkv_wfa,
     verify_scan_depth,
-    verify_sm_rnn,
 )
 from exactrnn.automata import wfa_eval
 

@@ -71,6 +71,11 @@ def test_comparisons_and_hash():
     assert Rational(1, 2) <= Rational(2, 4) <= Rational(1, 2)
     assert hash(Rational(2, 4)) == hash(Rational(1, 2))
     assert Rational(3) == 3 and Rational(1, 2) != 1
+    for n in (-7, -1, 0, 1, 3, 2**70):
+        assert hash(Rational(n)) == hash(n) and hash(Rational(2 * n, 2)) == hash(n)
+        assert Rational(n) in {n} and n in {Rational(n)}
+        assert {n: "int"}[Rational(n)] == "int"
+    assert Rational(3, 2) not in {1, 2, 3}
 
 
 def test_parse_round_trip():
