@@ -13,7 +13,8 @@ needs a canonical value (Bareiss 1968).
 
 ``compile_int_affine`` turns an all-integer ``sparse_affine`` program into
 generated straight-line Python, one line per op, for callers that run it
-once per token on integer inputs.
+once per token on integer inputs; the same code can also count the value
+bits of chosen registers.
 """
 
 from math import gcd, lcm
@@ -346,17 +347,38 @@ def _int_literal(v: int) -> str:
     return str(v) if v.bit_length() < 4096 else hex(v)
 
 
-def compile_int_affine(ops, in_dim):
+def _sum_lines(lines, name, parts):
+    """Assign the sum of ``parts`` (source text) to ``name``, in lines of
+    at most ``_TERMS_PER_LINE`` terms."""
+    assign = "="
+    for i in range(0, len(parts), _TERMS_PER_LINE):
+        lines.append(f"    {name} {assign} " + " + ".join(parts[i : i + _TERMS_PER_LINE]))
+        assign = "+="
+
+
+def _is_register(r, n) -> bool:
+    return type(r) is int and 0 <= r < n
+
+
+def compile_int_affine(ops, in_dim, out, observed):
     """``sparse_affine`` over ``in_dim`` inputs, generated as straight-line
     code for integer inputs, or ``None`` when the program is not all-integer.
 
     The returned function takes the input nums, whose dens must all be 1,
-    and returns the register file's nums; every den is 1. Op t becomes
-    ``r{in_dim+t} = w * r{c} + ... + b``, followed by a clamp when it has a
-    ReLU, with the same ints as ``sparse_affine`` computes. ``None`` unless
-    every weight, bias and den is an ``int``, every den is 1 and every term
-    reads an earlier register, so only int literals and register numbers
-    reach the generated source.
+    and returns ``(values, max_bits, total_bits)``: ``values`` are the nums
+    of registers ``out``, every den being 1; ``max_bits`` is the largest
+    ``value_bits`` of the ``observed`` (register, count) pairs and
+    ``total_bits`` the sum of their ``value_bits``, each times its count
+    (0 and 0 when nothing is observed). Op t becomes ``r{in_dim+t} = w *
+    r{c} + ... + b``, followed by a clamp when it has a ReLU, with the same
+    ints as ``sparse_affine`` computes. At den 1, ``value_bits(n)`` is
+    ``n.bit_length() + 1``, zero included, since ``bit_length`` ignores the
+    sign.
+
+    ``None`` unless every weight, bias and den is an ``int``, every den is
+    1, every term reads an earlier register, and ``out`` and ``observed``
+    name existing registers with ``int`` counts, so only int literals and
+    register numbers reach the generated source.
     """
     lines = ["def run(x):"]
     if in_dim:
@@ -367,19 +389,30 @@ def compile_int_affine(ops, in_dim):
             return None
         parts = []
         for c, a, b in terms:
-            if not (type(c) is type(a) is type(b) is int and b == 1 and 0 <= c < k):
+            if not (type(a) is type(b) is int and b == 1 and _is_register(c, k)):
                 return None
             parts.append(f"r{c}" if a == 1 else f"{_int_literal(a)} * r{c}")
         if bn or not parts:
             parts.append(_int_literal(bn))
-        assign = "="
-        for i in range(0, len(parts), _TERMS_PER_LINE):
-            lines.append(f"    r{k} {assign} " + " + ".join(parts[i : i + _TERMS_PER_LINE]))
-            assign = "+="
+        _sum_lines(lines, f"r{k}", parts)
         if relu:
             lines.append(f"    if r{k} < 0: r{k} = 0")
         k += 1
-    lines.append("    return [" + ", ".join(f"r{i}" for i in range(k)) + "]")
-    namespace = {"__builtins__": {}}
+    if not all(_is_register(r, k) for r in out):
+        return None
+    if not all(_is_register(r, k) and type(n) is int for r, n in observed):
+        return None
+    # b{i} is the bit_length of observed register i, so its value_bits is
+    # b{i} + 1
+    total = [_int_literal(sum(n for _, n in observed))]
+    for i, (r, n) in enumerate(observed):
+        lines.append(f"    b{i} = r{r}.bit_length()")
+        total.append(f"b{i}" if n == 1 else f"{_int_literal(n)} * b{i}")
+    bits = "".join(f"b{i}, " for i in range(len(observed)))
+    lines.append(f"    m = max(({bits})) + 1" if observed else "    m = 0")
+    _sum_lines(lines, "t", total)
+    values = "[" + ", ".join(f"r{r}" for r in out) + "]"
+    lines.append(f"    return {values}, m, t")
+    namespace = {"__builtins__": {}, "max": max}
     exec(compile("\n".join(lines), "<compile_int_affine>", "exec"), namespace)
     return namespace["run"]

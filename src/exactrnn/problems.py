@@ -114,19 +114,20 @@ def encode_conn_unary(inst: SortedDetConnInstance) -> list:
 
 
 def decode_conn_unary(tokens) -> SortedDetConnInstance:
+    """Inverse of ``encode_conn_unary``; ``ValueError`` on any token other
+    than the four one-character tokens, or a malformed block structure."""
     if not tokens or tokens[0] != BOS or tokens[-1] != END:
         raise ValueError("stream must be delimited by BOS and end marker")
-    blocks = []
-    count = 0
-    for tok in tokens[1:-1]:
-        if tok == MARK:
-            count += 1
-        elif tok == SEP:
-            blocks.append(count)
-            count = 0
-        else:
-            raise ValueError(f"unexpected token {tok!r}")
-    blocks.append(count)
+    try:
+        text = "".join(tokens)
+    except TypeError:  # a token that is not a str
+        text = ""
+    # every token is one character, and each one between BOS and END a
+    # mark or a separator, so the text between them splits into the blocks
+    if list(text) != list(tokens) or text.count(MARK) + text.count(SEP) != len(text) - 2:
+        bad = next(tok for tok in tokens[1:-1] if tok != MARK and tok != SEP)
+        raise ValueError(f"unexpected token {bad!r}")
+    blocks = [len(run) for run in text[1:-1].split(SEP)]
     if len(blocks) % 2 != 0:
         raise ValueError("malformed block structure")
     s, t = blocks[0], blocks[-1]

@@ -28,10 +28,12 @@ which such a copy row reuses its source's register whenever that leaves
 every value unchanged: its layer has no ReLU, or a sign analysis proves the
 source non-negative, so the counter and stack update nets compute 53 of
 107 and 69 of 142 rows per token. ``MlpRnn.state_nonneg`` extends the
-analysis across time steps as a greatest fixpoint. A program whose
-weights and biases are all integers (the counter-machine update) runs as
-generated straight-line code on integer inputs. Outputs and the ``PrecisionReport`` equal those of
-layer-by-layer evaluation.
+analysis across time steps as a greatest fixpoint. ``run_mlp_rnn`` runs
+an update whose weights and biases are all integers (the counter-machine
+update) on integer states as generated straight-line code, which also
+counts the run's value bits: at den 1, ``value_bits(n)`` is
+``n.bit_length() + 1``. Outputs and the ``PrecisionReport`` equal those
+of layer-by-layer evaluation.
 """
 
 from __future__ import annotations
@@ -69,7 +71,9 @@ class _Program(NamedTuple):
     coordinate, ``observed`` pairs every register that stands for some
     layer output with the number of layer outputs it stands for, and
     ``out_nonneg`` holds the output coordinates proven non-negative.
-    ``int_run`` is ``kernels.compile_int_affine`` of the ops, set by
+    ``int_run`` and ``int_step`` are ``kernels.compile_int_affine`` of the
+    ops, returning the ``out`` registers with the bits of no register and
+    of the ``observed`` ones, for ``run_mlp_rnn``; both are set by
     ``ReluMlp.program`` only (``None`` from ``_compile``).
     """
 
@@ -79,6 +83,7 @@ class _Program(NamedTuple):
     observed: tuple
     out_nonneg: frozenset
     int_run: object = None
+    int_step: object = None
 
 
 def _compile(layers, nonneg) -> _Program:
@@ -138,14 +143,14 @@ class ReluMlp:
     fills the first registers. A copy row (one weight 1, bias 0) reuses its
     source's register when its layer has no ReLU or its source is known to
     be non-negative, since ReLU is then the identity; every other row
-    appends one register computed by ``kernels.sparse_affine``, or, when
-    every weight, bias and input is an integer, by the program's generated
-    straight-line code (``kernels.compile_int_affine``, built once per
-    ``nonneg``), which computes the same ints. A register is known
-    non-negative when it is in ``nonneg``, holds a ReLU output, or holds a
-    no-ReLU row with a non-negative bias and positive weights on
+    appends one register computed by ``kernels.sparse_affine``. A register
+    is known non-negative when it is in ``nonneg``, holds a ReLU output, or
+    holds a no-ReLU row with a non-negative bias and positive weights on
     non-negative registers. ``MlpRnn.update_nonneg`` gives the assumption
-    that holds at every step of a recurrence.
+    that holds at every step of a recurrence. When every weight and bias is
+    an integer, ``program`` also builds, once per ``nonneg``, the generated
+    straight-line code (``kernels.compile_int_affine``) that ``run_mlp_rnn``
+    runs on integer states; it computes the same ints.
 
     Outputs equal those of layer-by-layer evaluation, and the observed
     registers, each counted once per layer output it stands for, are that
@@ -169,7 +174,14 @@ class ReluMlp:
         prog = self._programs.get(nonneg)
         if prog is None:
             prog = _compile(self.layers, nonneg)
-            prog = prog._replace(int_run=kernels.compile_int_affine(prog.ops, prog.in_dim))
+            int_run = kernels.compile_int_affine(prog.ops, prog.in_dim, prog.out, ())
+            if int_run is not None:
+                prog = prog._replace(
+                    int_run=int_run,
+                    int_step=kernels.compile_int_affine(
+                        prog.ops, prog.in_dim, prog.out, prog.observed
+                    ),
+                )
             self._programs[nonneg] = prog
         return prog
 
@@ -187,11 +199,7 @@ class ReluMlp:
                 f"input has {len(nums)} nums and {len(dens)} dens;"
                 f" the network takes {prog.in_dim}"
             )
-        if prog.int_run is not None and dens.count(1) == len(dens):
-            rn = prog.int_run(nums)
-            rd = [1] * len(rn)
-        else:
-            rn, rd = kernels.sparse_affine(prog.ops, nums, dens)
+        rn, rd = kernels.sparse_affine(prog.ops, nums, dens)
         if observe is not None:
             observe(rn, rd, prog.observed)
         return [rn[r] for r in prog.out], [rd[r] for r in prog.out]
@@ -366,7 +374,16 @@ class MlpRunResult:
 
 def run_mlp_rnn(rnn: MlpRnn, tokens, track_precision: bool = True) -> MlpRunResult:
     """Exact forward pass; optionally measures every intermediate value
-    (all post-activation layer outputs plus the running state)."""
+    (all post-activation layer outputs plus the running state).
+
+    When the update program is all-integer and ``h0`` is integer, every
+    state is integer, and each token runs the program's generated code
+    directly: ``int_step``, which returns the new state with the token's
+    largest and total value bits, computed as ``n.bit_length() + 1``
+    (``value_bits`` at den 1), or ``int_run`` when nothing is measured.
+    Otherwise each token runs ``eval_raw`` with an observer. ``h0`` and the
+    acceptor are always measured by the observer.
+    """
     max_bits = 0
     total_bits = 0
 
@@ -380,23 +397,36 @@ def run_mlp_rnn(rnn: MlpRnn, tokens, track_precision: bool = True) -> MlpRunResu
                 max_bits = b
 
     n_tokens = len(rnn.token_index)
-    if not len(rnn.h0) == rnn.state_dim == rnn.update.in_dim - n_tokens:
+    d = rnn.state_dim
+    if not len(rnn.h0) == d == rnn.update.in_dim - n_tokens:
         raise ValueError("state/input dimension mismatch")
     watcher = observe if track_precision else None
     if track_precision:
-        observe(rnn.h0.nums, rnn.h0.dens, tuple((i, 1) for i in range(rnn.state_dim)))
+        observe(rnn.h0.nums, rnn.h0.dens, tuple((i, 1) for i in range(d)))
     update, update_nonneg = rnn.update, rnn.update_nonneg
     nums, dens = list(rnn.h0.nums), list(rnn.h0.dens)
+    prog = update.program(update_nonneg)
+    step = None
+    if prog.int_run is not None and dens.count(1) == d:
+        step = prog.int_step if track_precision else prog.int_run
+    hots = {tok: [int(j == i) for j in range(n_tokens)] for tok, i in rnn.token_index.items()}
+    ones = [1] * n_tokens
     states = [RVector._raw(nums, dens)]
     for tok in tokens:
         try:
-            hot = rnn.token_index[tok]
+            hot = hots[tok]
         except KeyError:
             raise ValueError(f"unknown token {tok!r}") from None
-        xn = nums + [0] * n_tokens
-        xd = dens + [1] * n_tokens
-        xn[rnn.state_dim + hot] = 1
-        nums, dens = update.eval_raw(xn, xd, observe=watcher, nonneg=update_nonneg)
+        if step is not None:
+            nums, b, t = step(nums + hot)
+            dens = [1] * d
+            total_bits += t
+            if b > max_bits:
+                max_bits = b
+        else:
+            nums, dens = update.eval_raw(
+                nums + hot, dens + ones, observe=watcher, nonneg=update_nonneg
+            )
         states.append(RVector._raw(nums, dens))
     on, od = rnn.acceptor.eval_raw(nums, dens, observe=watcher, nonneg=rnn.state_nonneg)
     accept = on[0] > 0

@@ -358,16 +358,6 @@ def imm_entries(tokens_oldest_first) -> tuple:
     return nums, dens
 
 
-def imm_matrices(tokens_oldest_first) -> list:
-    """3x3 matrices of nine row-major tokens each; a PAD matrix is the
-    identity."""
-    nums, dens = imm_entries(tokens_oldest_first)
-    return [
-        RMatrix._raw(3, 3, nums[base : base + 9], dens[base : base + 9])
-        for base in range(0, len(nums), 9)
-    ]
-
-
 def imm_forward(net, stream, run) -> list:
     """Nine row-major product entries from a streamed 3x3-product net: each
     block's program runs in place on the row with one call of kernel

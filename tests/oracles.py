@@ -8,7 +8,9 @@ from fractions import Fraction
 from itertools import product
 
 from exactrnn.problems import ImmModInstance, _check_imm_mod, _size_bounds, mat3_det_mod
+from exactrnn.linalg import RMatrix
 from exactrnn.rational import Rational
+from exactrnn.rwkv_gadgets import PAD
 
 
 def to_frac(q: Rational) -> Fraction:
@@ -62,6 +64,17 @@ def wfa_path_sum(wfa, word) -> Fraction:
             weight *= mats[sym][path[step]][path[step + 1]]
         total += weight * omega[path[-1]]
     return total
+
+
+def imm_matrices(tokens_oldest_first) -> list:
+    """3x3 matrices of nine row-major tokens each; a PAD token stands for
+    its entry of the identity matrix, so a PAD matrix is the identity."""
+    matrices = []
+    for base in range(0, len(tokens_oldest_first), 9):
+        chunk = tokens_oldest_first[base : base + 9]
+        entries = [int(k % 4 == 0) if tok is PAD else tok for k, tok in enumerate(chunk)]
+        matrices.append(RMatrix([entries[0:3], entries[3:6], entries[6:9]]))
+    return matrices
 
 
 def imm_running_products(matrices, mod=None, clip=None) -> list:

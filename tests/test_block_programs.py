@@ -42,12 +42,11 @@ from exactrnn.rwkv_gadgets import (
     build_rwkv_imm,
     build_rwkv_wfa,
     factor_apply_matrix,
-    imm_matrices,
     rwkv_imm_forward,
 )
 from exactrnn.verify import random_wfa
 
-from oracles import frac_matmul
+from oracles import frac_matmul, imm_matrices
 
 TOKEN_KINDS = {
     "unit": (-1, 0, 1),

@@ -35,6 +35,7 @@ from exactrnn.verify import random_wfa
 
 from oracles import (
     frac_vec_mat,
+    imm_matrices,
     mat_to_frac,
     matrix_program_steps,
     support_of,
@@ -475,7 +476,7 @@ def test_superblock_product_equals_9x9_product():
     # the 3x3 product embedded once equals the product of the embeddings,
     # with PAD chunks standing for identity matrices
     from exactrnn.delta_gadgets import DnetImmNet
-    from exactrnn.rwkv_gadgets import PAD, imm_matrices
+    from exactrnn.rwkv_gadgets import PAD
 
     rng = random.Random(16)
     net = build_dnet_imm()

@@ -2,7 +2,8 @@
 chain against a fold of the generic matrix product (and how much of a
 mixed-den chain that fold runs), a fraction-free chain against the same
 fold, the column kernels against the spec-level column actions of the
-gadget steps, and generated integer programs against ``sparse_affine``."""
+gadget steps, and generated integer programs against ``sparse_affine``
+and their bit counts against ``precision_of``."""
 
 import random
 from fractions import Fraction
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from exactrnn import kernels
 from exactrnn.delta_gadgets import HStep, apply_h_col, h_matrix
 from exactrnn.linalg import RVector
-from exactrnn.rational import Rational
+from exactrnn.rational import PrecisionReport, Rational, precision_of
 from exactrnn.rwkv_gadgets import OverwriteSpec, apply_overwrite_col, overwrite_matrix
 
 
@@ -282,7 +283,40 @@ def test_compiled_int_program_equals_sparse_affine(case):
     ops, x = case
     want_n, want_d = kernels.sparse_affine(ops, x, [1] * len(x))
     assert want_d == [1] * len(want_d)
-    assert kernels.compile_int_affine(ops, len(x))(x) == want_n
+    run = kernels.compile_int_affine(ops, len(x), range(len(x) + len(ops)), ())
+    assert run(x) == (want_n, 0, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_programs(), st.data())
+@example(((), [-4]), None)
+@example((_CHAIN, [7]), None)
+def test_counted_int_program_equals_sparse_affine_and_precision_of(case, data):
+    """With ``out`` and ``observed``, the generated code returns those
+    registers and the ``precision_of`` the observed values, each repeated
+    as often as its count."""
+    ops, x = case
+    regs = st.integers(0, len(x) + len(ops) - 1)
+    if data is None:  # an explicit example: every register, counted once, twice, ...
+        out = list(range(len(x) + len(ops)))
+        observed = [(r, r + 1) for r in out]
+    else:
+        out = data.draw(st.lists(regs, max_size=6))
+        observed = data.draw(st.lists(st.tuples(regs, st.integers(1, 4)), max_size=8))
+    want_n, _ = kernels.sparse_affine(ops, x, [1] * len(x))
+    got, max_bits, total_bits = kernels.compile_int_affine(ops, len(x), out, observed)(x)
+    assert got == [want_n[r] for r in out]
+    counted = [Rational(want_n[r]) for r, k in observed for _ in range(k)]
+    assert PrecisionReport(max_bits, total_bits) == precision_of(counted)
+
+
+def test_counted_int_program_sums_more_than_one_line_of_bits():
+    n = 450  # more observed registers than terms on one generated line
+    observed = [(r, r % 3 + 1) for r in range(n)]
+    x = [(-1) ** r * 7 ** (r % 40) for r in range(n)]
+    got, max_bits, total_bits = kernels.compile_int_affine((), n, (), observed)(x)
+    counted = [Rational(x[r]) for r, k in observed for _ in range(k)]
+    assert got == [] and PrecisionReport(max_bits, total_bits) == precision_of(counted)
 
 
 def test_compiled_int_program_runs_a_5000_term_row():
@@ -290,7 +324,7 @@ def test_compiled_int_program_runs_a_5000_term_row():
     ops = ((tuple((c, c - 2500, 1) for c in range(n)), -7, 1, False),
            (((n, -1, 1), (0, 3 ** 20000, 1)), 1, 1, True))
     x = [(-1) ** c * c for c in range(n)]
-    got = kernels.compile_int_affine(ops, n)(x)
+    got, _, _ = kernels.compile_int_affine(ops, n, range(n + 2), ())(x)
     assert got == kernels.sparse_affine(ops, x, [1] * n)[0]
     assert got[n] == sum((c - 2500) * v for c, v in enumerate(x)) - 7
 
@@ -322,5 +356,20 @@ class _SourceInt(int):
 def test_compile_int_affine_rejects_non_integer_programs(monkeypatch, op):
     ran = []
     monkeypatch.setattr(kernels, "exec", lambda *args: ran.append(args), raising=False)
-    assert kernels.compile_int_affine((op,), 1) is None
+    assert kernels.compile_int_affine((op,), 1, (0,), ()) is None
+    assert ran == []
+
+
+@pytest.mark.parametrize(
+    "out, observed",
+    [((2,), ()), ((-1,), ()), ((_SourceInt(0),), ()), ((), ((2, 1),)),
+     ((), ((_SourceInt(0), 1),)), ((), ((0, _SourceInt(1)),)), ((), ((0, 1.0),))],
+    ids=["out-missing", "out-negative", "out-subclass", "observed-missing",
+         "observed-subclass", "count-subclass", "count-float"],
+)
+def test_compile_int_affine_rejects_unknown_registers_and_counts(monkeypatch, out, observed):
+    ran = []
+    monkeypatch.setattr(kernels, "exec", lambda *args: ran.append(args), raising=False)
+    op = (((0, 2, 1),), 0, 1, False)  # registers 0 and 1
+    assert kernels.compile_int_affine((op,), 1, out, observed) is None
     assert ran == []

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -78,6 +79,16 @@ def test_decode_rejects_malformed():
         decode_conn_unary(["0", "|", "0", "#"])
     with pytest.raises(ValueError):
         decode_conn_unary(["$", "0", "|", "0", "|", "0", "#"])
+
+
+@pytest.mark.parametrize(
+    "bad", ["00", "0|", "", "x", 0, None, ["0"]],
+    ids=["two-marks", "mark-and-separator", "empty", "unknown", "int", "none", "list"],
+)
+def test_decode_rejects_tokens_other_than_marks_and_separators(bad):
+    """A token that joins into valid text ("00") is still rejected, by name."""
+    with pytest.raises(ValueError, match="unexpected token " + re.escape(repr(bad))):
+        decode_conn_unary(["$", "0", "|", bad, "|", "0", "|", "0", "#"])
 
 
 def test_instance_validation():

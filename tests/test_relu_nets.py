@@ -1,9 +1,10 @@
+import dataclasses
 import hashlib
 import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exactrnn import kernels
 from exactrnn.automata import (
@@ -466,6 +467,61 @@ def test_negative_state_through_relu_copy_matches_reference(word):
     assert res.precision == report
 
 
+_INTS = st.integers(-2, 2)
+
+
+@st.composite
+def int_rnns(draw):
+    """An all-integer update (so it runs generated code) whose last layer
+    has no ReLU, so states and h0 go negative, and whose ReLU layers mix
+    copy rows (one weight 1, bias 0) with general rows: negative values
+    pass through ReLU copies. The acceptor's bias is -1/2. Returns the net
+    and a word."""
+    state_dim = draw(st.integers(1, 3))
+    symbols = "abc"[: draw(st.integers(1, 3))]
+    dim = state_dim + len(symbols)
+    layers = []
+    depth = draw(st.integers(1, 3))
+    for level in range(depth):
+        last = level == depth - 1
+        rows, bias = [], []
+        for _ in range(state_dim if last else draw(st.integers(1, 5))):
+            row = [0] * dim
+            if draw(st.booleans()):
+                row[draw(st.integers(0, dim - 1))] = 1
+                bias.append(0)
+            else:
+                for j, w in draw(st.lists(st.tuples(st.integers(0, dim - 1), _INTS), max_size=3)):
+                    row[j] = w
+                bias.append(draw(_INTS))
+            rows.append(row)
+        layers.append(Layer(RMatrix(rows), RVector(bias), relu=not last and draw(st.booleans())))
+        dim = len(rows)
+    weights = draw(st.lists(_INTS, min_size=state_dim, max_size=state_dim))
+    rnn = MlpRnn(
+        state_dim=state_dim,
+        token_index={sym: i for i, sym in enumerate(symbols)},
+        update=ReluMlp(layers),
+        h0=RVector(draw(st.lists(st.integers(-3, 3), min_size=state_dim, max_size=state_dim))),
+        acceptor=ReluMlp([Layer(RMatrix([weights]), RVector([Rational(-1, 2)]), relu=False)]),
+    )
+    return rnn, draw(st.text(symbols, max_size=10))
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_rnns())
+@example((_negative_state_rnn(), "ddidd"))
+def test_integer_nets_count_bits_in_generated_code_like_reference(case):
+    rnn, word = case
+    assert rnn.update.program(rnn.update_nonneg).int_step is not None
+    accept, states, report = reference_run(rnn, word)
+    for track in (True, False):
+        res = run_mlp_rnn(rnn, word, track_precision=track)
+        assert res.accept == accept
+        assert [list(h) for h in res.states] == states
+        assert res.precision == (report if track else None)
+
+
 @pytest.mark.parametrize("fam", ["cm", "sm"])
 def test_machine_nets_match_reference_precision(fam):
     rng = random.Random(8)
@@ -493,17 +549,35 @@ def test_copy_rows_are_not_computed():
     assert len(sm.update.program(sm.update_nonneg).ops) <= 69
 
 
-def test_integer_program_runs_generated_code_only_on_integer_input():
-    g = gadget_eq_zero()  # integer weights and biases
-    prog = g.program()
-    assert prog.int_run is not None
+def test_integer_program_runs_generated_code_only_on_integer_input(monkeypatch):
+    """``run_mlp_rnn`` runs an all-integer update's generated code when
+    ``h0`` is integer and ``eval_raw`` otherwise, with the reference's
+    results either way."""
     calls = []
-    g._programs[frozenset()] = prog._replace(
-        int_run=lambda x: calls.append(x) or prog.int_run(x)
-    )
-    assert g.eval_raw([1], [3]) == ([0], [1]) and calls == []
-    assert g.eval_raw([-5], [2]) == ([0], [1]) and calls == []
-    assert g.eval_raw([0], [1]) == ([1], [1]) and calls == [[0]]
+    program = ReluMlp.program
+
+    def counting(self, *args):
+        prog = program(self, *args)
+        if prog.int_run is None:
+            return prog
+        return prog._replace(
+            int_run=lambda x: calls.append("int_run") or prog.int_run(x),
+            int_step=lambda x: calls.append("int_step") or prog.int_step(x),
+        )
+
+    monkeypatch.setattr(ReluMlp, "program", counting)
+    integer = _negative_state_rnn()
+    rational = dataclasses.replace(integer, h0=RVector([Rational(1, 2), Rational(0)]))
+    for rnn, int_calls in ((integer, ["int_step"] * 3 + ["int_run"] * 3), (rational, [])):
+        accept, states, report = reference_run(rnn, "did")
+        for track in (True, False):
+            res = run_mlp_rnn(rnn, "did", track_precision=track)
+            assert res.accept == accept
+            assert [list(h) for h in res.states] == states
+            assert res.precision == (report if track else None)
+        assert calls == int_calls
+        calls.clear()
+    assert gadget_eq_zero().program().int_run is not None
     assert gadget_threshold(Rational(1, 2)).program().int_run is None
 
 
@@ -511,9 +585,9 @@ def test_generated_code_is_built_once_per_program_and_never_for_signs(monkeypatc
     built = []
     compile_int_affine = kernels.compile_int_affine
 
-    def counting(ops, in_dim):
+    def counting(ops, in_dim, *counted):
         built.append(ops)
-        return compile_int_affine(ops, in_dim)
+        return compile_int_affine(ops, in_dim, *counted)
 
     monkeypatch.setattr(kernels, "compile_int_affine", counting)
     rnn = cm_to_mlp_rnn(build_conn_counter_machine())
@@ -522,8 +596,9 @@ def test_generated_code_is_built_once_per_program_and_never_for_signs(monkeypatc
     for _ in range(2):
         run_mlp_rnn(rnn, encode_conn_unary(inst))
     update, acceptor = rnn.update.program(rnn.update_nonneg), rnn.acceptor.program(rnn.state_nonneg)
-    assert built == [update.ops, acceptor.ops]
-    assert update.int_run is not None and acceptor.int_run is None  # bias -1/2
+    assert built == [update.ops, update.ops, acceptor.ops]  # int_run, int_step
+    assert update.int_run is not None and update.int_step is not None
+    assert acceptor.int_run is None and acceptor.int_step is None  # bias -1/2
 
 
 @pytest.mark.parametrize("g", [gadget_eq_zero(), gadget_select(2)], ids=["eq_zero", "select2"])
