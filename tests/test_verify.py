@@ -1,5 +1,7 @@
 """The trial driver shared by every verify verb."""
 
+import hashlib
+
 import pytest
 
 from exactrnn import verify
@@ -20,6 +22,29 @@ def test_run_trials_draws_each_trial_from_its_own_stream():
     assert draws == [rng_for(7, "name", t).random() for t in range(3)]
     assert verify._run_trials("name", 4, 7, lambda rng, t: None) == (
         verify.VerifyResult("name", 4, True)
+    )
+
+
+def test_seeded_draws_are_pinned(monkeypatch):
+    # PASS lines do not depend on the draws, so this pins the draws
+    # themselves: every stream a run opens, with its label and its state
+    # once the run is done, for every verb at seeds 0-2
+    streams = []
+    rng_for = verify.rng_for
+
+    def keep(*key):
+        rng = rng_for(*key)
+        streams.append((key, rng))
+        return rng
+
+    monkeypatch.setattr(verify, "rng_for", keep)
+    for verb in sorted(verify.REGISTRY):
+        for seed in range(3):
+            assert main(["verify", verb, "--seed", str(seed), "--trials", "2"]) == 0
+    states = repr([(key, rng.getstate()) for key, rng in streams]).encode()
+    assert len(streams) == 63  # 10 verbs x 3 seeds x 2 trials, and scan-depth's depth streams
+    assert hashlib.sha256(states).hexdigest() == (
+        "27290fb9d53282e26da037e82df4287194a8c6ed463f833bd4f0e6ea1da419e3"
     )
 
 
