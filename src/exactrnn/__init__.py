@@ -32,7 +32,6 @@ from .lrnn import (
     DeltaNetStep,
     LinStep,
     PdStep,
-    Recognizer,
     RwkvStep,
     ScanStats,
     deltanet_transition,
@@ -43,7 +42,6 @@ from .lrnn import (
     pd_closed_form,
     pd_transition,
     pd_tree_product,
-    recognize,
     rwkv_transition,
 )
 from .rwkv_gadgets import (

@@ -2,19 +2,19 @@
 measure scan depth and value precision.
 
 Exit codes: 0 all checks passed, 1 a counterexample was found, 2 usage or
-configuration error. All randomness derives from one 64-bit seed
+configuration error, 3 any other failure (``error: <Type>: <message>``,
+with no traceback). All randomness derives from one 64-bit seed
 (``--seed``, defaulting to the EXACTRNN_SEED environment variable, then 0).
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import os
 import sys
 import tempfile
 
-from .verify import REGISTRY
+from . import verify
 
 
 def _default_seed() -> int:
@@ -44,17 +44,10 @@ def build_parser() -> argparse.ArgumentParser:
     # a flag the user leaves out is absent, so the verb's own default holds
     ver = sub.add_parser("verify", help="run a construction against its oracle",
                          argument_default=argparse.SUPPRESS)
-    ver.add_argument("construction", choices=sorted(REGISTRY))
-    ver.add_argument("--trials", type=int)
+    ver.add_argument("construction", choices=sorted(verify.REGISTRY))
     ver.add_argument("--seed", type=int)
-    ver.add_argument("--states", type=int)
-    ver.add_argument("--alphabet", type=int)
-    ver.add_argument("--len", dest="length", type=int)
-    ver.add_argument("--blocks", type=int)
-    ver.add_argument("--nodes", type=int)
-    ver.add_argument("--mlp-trials", dest="mlp_trials", type=int)
-    ver.add_argument("--dim", type=int)
-    ver.add_argument("--words", type=int)
+    for name in dict.fromkeys(name for verb in verify.REGISTRY.values() for name in verb.flags):
+        ver.add_argument(verify.flag_of(name), type=int)
 
     gen = sub.add_parser("gen", help="generate a dataset file")
     gen.add_argument("task", choices=["conn", "imm-mod", "imm-z"])
@@ -79,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dep = repsub.add_parser("depth", help="scan depth vs sequential steps")
     dep.add_argument("--n-list", default="16,64,256,1024,4096")
-    dep.add_argument("--dim", type=int, default=2)
+    dep.add_argument("--dim", type=int, default=2, help=f"1 to {verify.MAX_SCAN_DIM}")
     dep.add_argument("--seed", type=int, default=None)
     dep.add_argument("--trace", default=None,
                      help="step-dump file to measure instead of random traces")
@@ -114,24 +107,13 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _flag(dest: str) -> str:
-    """The CLI flag that sets parameter ``dest``."""
-    return "--len" if dest == "length" else "--" + dest.replace("_", "-")
-
-
 def cmd_verify(args) -> int:
     flags = {key: value for key, value in vars(args).items() if key != "command"}
-    description, runner = REGISTRY[flags.pop("construction")]
-    seed = flags.setdefault("seed", _default_seed())
-    signature = inspect.signature(runner)
-    try:
-        signature.bind(**flags)
-    except TypeError:
-        extra = ", ".join(_flag(k) for k in flags if k not in signature.parameters)
-        raise ValueError(f"verify {args.construction} does not take {extra}") from None
-    result = runner(**flags)
+    name = flags.pop("construction")
+    seed = flags.pop("seed", _default_seed())
+    result = verify.run_trials(name, seed, **flags)
     if result.passed:
-        print(f"PASS {result.name} trials={result.trials} seed={seed}  # {description}")
+        print(f"PASS {name} trials={result.trials} seed={seed}  # {verify.REGISTRY[name].about}")
         return 0
     print(f"FAIL {result.name} after trial {result.trials} seed={seed}")
     print(result.counterexample)
@@ -147,7 +129,8 @@ def cmd_gen(args) -> int:
         for key in ("p", "m", "q_k", "clip", "balanced")
         if getattr(args, key) is not None
     }
-    extra = ", ".join(_flag(key) for key in options if key not in _TASK_OPTIONS[args.task])
+    taken = _TASK_OPTIONS[args.task]
+    extra = ", ".join(verify.flag_of(key) for key in options if key not in taken)
     if extra:
         raise ValueError(f"gen {args.task} does not take {extra}")
     lines = generate_dataset(args.task, args.count, args.size_range, seed, **options)
@@ -158,10 +141,11 @@ def cmd_gen(args) -> int:
 
 def cmd_report_depth(args) -> int:
     from .lrnn import lrnn_run_scan, parse_steps
-    from .verify import random_linstep
     from .problems import rng_for
 
     seed = args.seed if args.seed is not None else _default_seed()
+    if not 1 <= args.dim <= verify.MAX_SCAN_DIM:
+        raise ValueError(f"--dim must be in 1..{verify.MAX_SCAN_DIM}, got {args.dim}")
     rows = ["n,scan_depth,sequential_steps"]
     if args.trace:
         with open(args.trace) as handle:
@@ -171,7 +155,7 @@ def cmd_report_depth(args) -> int:
     else:
         for n in _parse_sizes(args.n_list):
             rng = rng_for(seed, "report-depth", n)
-            steps = [random_linstep(rng, args.dim) for _ in range(n)]
+            steps = [verify.random_linstep(rng, args.dim) for _ in range(n)]
             _, stats = lrnn_run_scan(steps)
             rows.append(f"{n},{stats.depth},{n - 1}")
     _emit("\n".join(rows) + "\n", args.out)
@@ -183,7 +167,6 @@ def precision_points(task: str, sizes, seed: int):
     from .automata import build_conn_counter_machine, scripted_stack_machine
     from .problems import SortedDetConnInstance, encode_conn_unary, rng_for
     from .relu_nets import cm_to_mlp_rnn, run_mlp_rnn, sm_to_mlp_rnn
-    from .verify import STACK_OP_PAIRS
 
     points = []
     if task == "conn":
@@ -193,7 +176,7 @@ def precision_points(task: str, sizes, seed: int):
             res = run_mlp_rnn(rnn, encode_conn_unary(inst), track_precision=True)
             points.append((n, res.precision.max_value_bits))
     else:
-        rnn = sm_to_mlp_rnn(scripted_stack_machine(2, STACK_OP_PAIRS))
+        rnn = sm_to_mlp_rnn(scripted_stack_machine(2, verify.STACK_OP_PAIRS))
         ops = ("push0", "push1", "pop", "noop")
         weights = (3, 3, 1, 1)
         for n in sizes:
@@ -235,6 +218,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     return 2
 
 

@@ -284,18 +284,6 @@ class RelaxedPermutation:
             m.nums[t * d + j] = 1
         return m
 
-    @classmethod
-    def from_matrix(cls, m: RMatrix) -> "RelaxedPermutation":
-        if m.rows != m.cols:
-            raise ValueError("not square")
-        target = []
-        for j in range(m.cols):
-            hits = [i for i in range(m.rows) if m[i, j] != Rational(0)]
-            if len(hits) != 1 or m[hits[0], j] != Rational(1):
-                raise ValueError("not a column-one-hot 0-1 matrix")
-            target.append(hits[0])
-        return cls(tuple(target))
-
 
 def perm_compose(p: RelaxedPermutation, q: RelaxedPermutation) -> RelaxedPermutation:
     """Composition matching matrix product: P(p) @ P(q) = P(perm_compose(p, q))."""

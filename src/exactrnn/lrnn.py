@@ -5,9 +5,8 @@ matrices (rank-one additive terms are stored dense). Three evaluation
 strategies are provided - sequential, convolutional (direct unrolled sums),
 and a balanced prefix scan with combine/depth metering - plus the
 structured step families (diagonal-plus-rank-one and permutation-diagonal),
-sublayer plumbing, threshold recognition, and the compilation of
-column-deterministic weighted automata into one-layer permutation-diagonal
-recognizers.
+and the compilation of column-deterministic weighted automata into
+one-layer permutation-diagonal recognizers.
 """
 
 from __future__ import annotations
@@ -298,45 +297,6 @@ def pd_row_apply(r: RVector, s: PdStep) -> RVector:
         nums.append(n)
         dens.append(dd)
     return RVector._raw(nums, dens)
-
-
-# ---------------------------------------------------------------------------
-# Sublayers and recognition
-
-
-@dataclass(frozen=True)
-class Recognizer:
-    """Linear readout with a strict positivity test; ties reject."""
-
-    readout: RVector
-
-
-def recognize(r: Recognizer, y: RVector) -> bool:
-    return r.readout.dot(y) > _ZERO
-
-
-def relu_vec(v: RVector) -> RVector:
-    return RVector._raw(
-        [n if n > 0 else 0 for n in v.nums],
-        [d if n > 0 else 1 for n, d in zip(v.nums, v.dens)],
-    )
-
-
-def multihead_sublayer(xs, head_outputs, out_proj: RMatrix) -> list:
-    """Residual mix x_t + O . concat(per-head outputs at t)."""
-    out = []
-    for t, x in enumerate(xs):
-        joined = head_outputs[0][t]
-        for h in head_outputs[1:]:
-            joined = joined.concat(h[t])
-        out.append(x + out_proj.apply_col(joined))
-    return out
-
-
-def ffn_sublayer(xs, w_out: RMatrix, w_in: RMatrix) -> list:
-    """Residual two-layer ReLU block x + W relu(U x), with no normalization
-    so that rational exactness is preserved."""
-    return [x + w_out.apply_col(relu_vec(w_in.apply_col(x))) for x in xs]
 
 
 # ---------------------------------------------------------------------------

@@ -452,6 +452,8 @@ _BOS_JSON, _MARK_JSON, _SEP_JSON = (_encode(tok) + "," for tok in (BOS, MARK, SE
 _END_JSON = _encode(END)
 _ENTRY_JSON = {e: _encode(e) for e in (-1, 0, 1)}  # matrix entries
 
+MAX_CONN_SIZE = 2048  # the largest conn size_range hi (see generate_dataset)
+
 # each task's generator options and their defaults
 _TASK_OPTIONS = {
     "conn": {"p": 0.5},
@@ -496,13 +498,19 @@ def generate_dataset(task: str, count: int, size_range, seed: int, **options) ->
     """Produce ``count`` JSONL lines for one task, deterministically.
 
     The task, its options, ``count`` and ``size_range`` are all checked
-    before any draw. Conn labels alternate 1, 0, ...; imm-z with
-    ``balanced`` alternates 0, 1, ...
+    before any draw. A conn line holds about 4 n^2 bytes of tokens, so its
+    size is at most ``MAX_CONN_SIZE`` = 2048: 17 MB a line, and 70 MB peak
+    RSS to write one (CPython 3.11, x86-64). Conn labels alternate 1, 0,
+    ...; imm-z with ``balanced`` alternates 0, 1, ...
     """
     opts = _task_options(task, options)
     if count < 0:
         raise ValueError(f"count must be >= 0, not {count}")
-    _size_bounds(size_range)
+    lo, hi = _size_bounds(size_range)
+    if task == "conn" and hi > MAX_CONN_SIZE:
+        raise ValueError(
+            f"conn size range (--range) must have hi <= {MAX_CONN_SIZE}, got {lo},{hi}"
+        )
     lines = []
     for idx in range(count):
         rng = rng_for(seed, task, idx)

@@ -1,59 +1,66 @@
-"""Construction-vs-oracle verification registry.
+"""Construction-vs-oracle verification: one record per verb.
 
-Each named verification runs one construction against an independent
-reference (brute-force product, automaton run, breadth-first search, dense
-linear algebra) for a number of seeded trials and reports the first
-counterexample, if any, with full token streams and canonical rational
-values so failures replay standalone. A verb checks its size flags and
-does its one-time setup; ``_run_trials`` then checks ``trials`` >= 1 and
-runs its per-trial check, trial t on the stream ``rng_for(seed, name, t)``.
-Every check comes before any draw, and a bad value is a ``ValueError``
-(CLI exit 2).
+``REGISTRY`` maps each verb to a ``Verb``: a description, its flags as
+(default, lower bound, upper bound), ``draw(rng, trial, sizes)`` for one
+trial's instance, ``run(instance)`` for the construction's outputs, and
+``oracle(instance)`` for those of an independent reference (brute-force
+product, automaton run, breadth-first search, dense linear algebra).
+``run_trials`` checks every flag before any draw (a ``ValueError``, CLI
+exit 2), draws trial t from ``rng_for(seed, name, t)`` and compares the
+outputs with tolerance 0. The first mismatch, or exception raised by
+``run``, is a counterexample: the trial, the first differing output (or
+the exception's type), and the instance as canonical JSON with "num/den"
+rationals, so that it replays standalone. Any other exception propagates
+(CLI exit 3).
+
+Upper bounds sit only on flags that size a dense d x d structure or a
+long stream; trial counts and lengths that only cost time are unbounded.
+Each bound keeps one trial, at the verb's other defaults, under a 256 MB
+budget (peak RSS, CPython 3.11, x86-64):
+
+- ``pd-product --dim`` <= 1024: dense d x d products, about 95 MB
+  (extrapolated from d = 400 at 89 bytes per entry);
+- ``dwfa-pd --states`` <= 1024: three dense n x n symbol matrices, 70 MB;
+- ``scan-depth --dim`` <= ``MAX_SCAN_DIM`` = 64, which also bounds
+  ``report depth --dim``: d x d steps and states, 95 MB at ``--len`` 64,
+  linear in the length (in n for ``report depth``);
+- ``cm-rnn --nodes`` <= 16384: up to 18 tokens per node, and a network
+  state per token, 225 MB.
 """
 
 from __future__ import annotations
 
+import functools
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Callable
 
 from .automata import (
-    Wfa,
-    build_conn_counter_machine,
-    cm_run,
-    scripted_stack_machine,
-    sm_run,
-    wfa_eval,
-    wfa_prefix_values,
-    wfa_is_deterministic,
+    Wfa, build_conn_counter_machine, cm_run, scripted_stack_machine, sm_run, wfa_eval,
+    wfa_is_deterministic, wfa_prefix_values,
 )
 from .delta_gadgets import (
     apply_matrix_program, build_dnet_imm, build_dnet_wfa, dnet_imm_forward, dnet_wfa_forward
 )
 from .linalg import RMatrix, RVector, RelaxedPermutation
 from .lrnn import (
-    LinStep,
-    PdStep,
-    dwfa_to_pd,
-    lrnn_run_scan,
-    lrnn_run_sequential,
-    pd_closed_form,
+    LinStep, PdStep, dwfa_to_pd, lrnn_run_scan, lrnn_run_sequential, pd_closed_form,
     pd_tree_product,
 )
 from .problems import (
-    IDENTITY3,
-    conn_oracle,
-    encode_conn_unary,
-    mat3_mul,
-    random_sorted_instance,
-    reachable,
-    reduce_to_sorted,
-    rng_for,
+    IDENTITY3, conn_oracle, encode_conn_unary, mat3_mul, random_sorted_instance, reachable,
+    reduce_to_sorted, rng_for,
 )
 from .rational import Rational
 from .relu_nets import cm_to_mlp_rnn, run_mlp_rnn, sm_to_mlp_rnn
 from .rwkv_gadgets import build_rwkv_imm, build_rwkv_wfa, rwkv_imm_forward, rwkv_wfa_forward
 
 WFA_ENTRIES = [Rational(-1), Rational(-1, 2), Rational(0), Rational(1, 2), Rational(1)]
+MAX_SCAN_DIM = 64
+# the lengths of scan-depth's dimension-1 traces, drawn once per run from
+# the stream keyed "depth"
+DEPTH_LENGTHS = (1024, 4096)
 
 
 @dataclass
@@ -62,6 +69,22 @@ class VerifyResult:
     trials: int
     passed: bool
     counterexample: str | None = None
+
+
+@dataclass(frozen=True)
+class Verb:
+    """One verb: ``flags`` maps each flag's name ("mlp_trials" for
+    ``--mlp-trials``) to (default, lower bound, upper bound or None).
+    ``where(instance, i)``, if given, says what output i is; ``extra``
+    names streams drawn once after the trials."""
+
+    about: str
+    flags: dict
+    draw: Callable
+    run: Callable
+    oracle: Callable
+    where: Callable | None = None
+    extra: tuple = ()
 
 
 _SYMBOLS = "abcdefgh"
@@ -74,18 +97,17 @@ def _check_wfa_size(n_states: int, n_symbols: int):
         raise ValueError(f"n_symbols must be in 1..{len(_SYMBOLS)}, got {n_symbols}")
 
 
+def _random_matrix(rng, d: int) -> RMatrix:
+    return RMatrix([[rng.choice(WFA_ENTRIES) for _ in range(d)] for _ in range(d)])
+
+
 def random_wfa(rng, n_states: int, n_symbols: int) -> Wfa:
     """Automaton over the first ``n_symbols`` letters of "abcdefgh", entries
     drawn from ``WFA_ENTRIES``; ``ValueError`` unless n_states >= 1 and
     1 <= n_symbols <= 8."""
     _check_wfa_size(n_states, n_symbols)
     sigma = tuple(_SYMBOLS[:n_symbols])
-    mats = {
-        s: RMatrix(
-            [[rng.choice(WFA_ENTRIES) for _ in range(n_states)] for _ in range(n_states)]
-        )
-        for s in sigma
-    }
+    mats = {s: _random_matrix(rng, n_states) for s in sigma}
     alpha = RVector([rng.choice(WFA_ENTRIES) for _ in range(n_states)])
     omega = RVector([rng.choice(WFA_ENTRIES) for _ in range(n_states)])
     return Wfa(n_states, sigma, mats, alpha, omega)
@@ -115,173 +137,157 @@ def random_dwfa(rng, n_states: int, n_symbols: int) -> Wfa:
     return wfa
 
 
-def _check_at_least(flag: str, value: int, low: int):
-    """A verb's size flag, checked before any draw: ``ValueError`` naming
-    the flag unless ``value`` >= ``low``."""
-    if value < low:
-        raise ValueError(f"{flag} must be >= {low}, got {value}")
+def flag_of(name: str) -> str:
+    """The CLI flag of a flag or option name: "mlp_trials" -> "--mlp-trials"."""
+    return "--" + name.replace("_", "-")
 
 
-def _check_verb_sizes(states, length, alphabet=None):
-    """The size flags of a verb that draws automata, checked before any
-    draw: ``ValueError`` naming the flag."""
-    _check_at_least("--states", states, 1)
-    if alphabet is not None and not 1 <= alphabet <= len(_SYMBOLS):
-        raise ValueError(f"--alphabet must be in 1..{len(_SYMBOLS)}, got {alphabet}")
-    if length is not None:
-        _check_at_least("--len", length, 0)
+def _plain(value):
+    """The JSON form of what ``json`` cannot encode itself: a rational as
+    its "num/den" string, a matrix or vector as lists of those, and a
+    dataclass as a dict of its fields."""
+    if isinstance(value, Rational):
+        return str(value)
+    if isinstance(value, RMatrix):
+        return value.tolists()
+    if isinstance(value, RVector):
+        return list(value)
+    if is_dataclass(value):
+        return {f.name: getattr(value, f.name) for f in fields(value)}
+    raise TypeError(f"no JSON form for {type(value).__name__}")
 
 
-def _dump_stream(word) -> str:
-    return " ".join(str(tok) for tok in word)
+def _canonical(value) -> str:
+    return json.dumps(value, default=_plain, sort_keys=True, separators=(",", ":"))
 
 
-def _dump_wfa(a: Wfa) -> str:
-    lines = [f"states={a.n_states} alphabet={list(a.alphabet)}"]
-    lines.append("alpha=" + str(a.alpha))
-    lines.append("omega=" + str(a.omega))
-    for sym in a.alphabet:
-        lines.append(f"M[{sym!r}]=" + str(a.matrices[sym]))
-    return "\n".join(lines)
+# the one-time builds, each made at most once per run: run_trials clears them
+_dnet_imm = functools.cache(build_dnet_imm)
+_conn_machine = functools.cache(build_conn_counter_machine)
+_conn_rnn = functools.cache(lambda: cm_to_mlp_rnn(_conn_machine()))
+_stack_machine = functools.cache(lambda: scripted_stack_machine(2, STACK_OP_PAIRS))
+_stack_rnn = functools.cache(lambda: sm_to_mlp_rnn(_stack_machine()))
+_BUILDS = (_dnet_imm, _conn_machine, _conn_rnn, _stack_machine, _stack_rnn)
 
 
-def _run_trials(name, trials, seed, check) -> VerifyResult:
-    """The trial protocol of every verb: trial t calls ``check(rng, t)`` on
-    its own stream ``rng_for(seed, name, t)``, and the first counterexample
-    text it returns (``None`` when the trial passes) ends the run. Checks
-    ``trials`` >= 1 first."""
-    _check_at_least("--trials", trials, 1)
-    for trial in range(trials):
-        text = check(rng_for(seed, name, trial), trial)
-        if text is not None:
-            return VerifyResult(name, trial + 1, False, text)
+def _sizes(name: str, verb: Verb, flags: dict) -> dict:
+    """Every flag of ``verb``, given or default; ``ValueError`` naming a
+    flag the verb does not take or a value out of bounds."""
+    extra = ", ".join(flag_of(key) for key in flags if key not in verb.flags)
+    if extra:
+        raise ValueError(f"verify {name} does not take {extra}")
+    sizes = {}
+    for key, (default, low, high) in verb.flags.items():
+        value = sizes[key] = flags.get(key, default)
+        if value is not None and not low <= value <= (value if high is None else high):
+            bounds = f">= {low}" if high is None else f"in {low}..{high}"
+            raise ValueError(f"{flag_of(key)} must be {bounds}, got {value}")
+    return sizes
+
+
+def _difference(verb: Verb, instance, got, want) -> str:
+    if len(got) != len(want):
+        return f"expected {len(want)} outputs, got {len(got)}"
+    i = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+    where = verb.where(instance, i) if verb.where else f"output {i}"
+    return f"{where}: expected {_canonical(want[i])} actual {_canonical(got[i])}"
+
+
+def run_trials(name: str, seed: int = 0, **flags) -> VerifyResult:
+    """Run verb ``name`` with ``flags`` (the rest at their defaults): trial t
+    draws its instance from ``rng_for(seed, name, t)``, then the verb's
+    extra streams follow. The first trial whose outputs differ from the
+    oracle's, or whose ``run`` raises, ends the run with a counterexample."""
+    verb = REGISTRY[name]
+    sizes = _sizes(name, verb, flags)
+    for build in _BUILDS:
+        build.cache_clear()
+    trials = sizes["trials"]
+    for trial in (*range(trials), *verb.extra):
+        instance = verb.draw(rng_for(seed, name, trial), trial, sizes)
+        try:
+            got = list(verb.run(instance))
+        except MemoryError:
+            raise
+        except Exception as exc:
+            text = f"run raised {type(exc).__name__}: {exc}"
+        else:
+            want = list(verb.oracle(instance))
+            if got == want:
+                continue
+            text = _difference(verb, instance, got, want)
+        done = trial + 1 if isinstance(trial, int) else trials
+        text = f"trial {trial}: {text}\ninstance {_canonical(instance)}"
+        return VerifyResult(name, done, False, text)
     return VerifyResult(name, trials, True)
 
 
-def _wfa_mismatch(trial, a: Wfa, word, got, locate=lambda t: "") -> str | None:
-    """The counterexample for network prefix values ``got`` on ``word``, or
-    ``None`` when they equal the automaton's; ``locate(t)`` says where in
-    the network the first wrong prefix, number t + 1, falls. Prefix value
-    lists of different lengths are a counterexample that names both."""
-    want = wfa_prefix_values(a, word)
-    if got == want:
-        return None
-    head = f"trial {trial}: word={_dump_stream(word)}\n"
-    if len(got) != len(want):
-        return head + f"expected {len(want)} prefix values, got {len(got)}\n" + _dump_wfa(a)
-    t = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
-    return head + f"prefix {t + 1}{locate(t)}: expected {want[t]} actual {got[t]}\n" + _dump_wfa(a)
+def _draw_rwkv_wfa(rng, trial, sizes):
+    n = rng.randint(1, sizes["states"])
+    wfa = random_wfa(rng, n, rng.randint(1, sizes["alphabet"]))
+    max_len = sizes["len"] if sizes["len"] is not None else 6 * (2 * n)
+    return {"wfa": wfa, "word": [rng.choice(wfa.alphabet) for _ in range(rng.randint(0, max_len))]}
 
 
-def _imm_mismatch(trial, stream, got, header="") -> str | None:
-    """The counterexample for a network's product entries ``got`` on
-    ``stream``, or ``None`` when they equal the brute-force product."""
-    p = IDENTITY3
+def _draw_dnet_wfa(rng, trial, sizes):
+    n = rng.randint(1, sizes["states"])
+    wfa = random_wfa(rng, n, rng.randint(1, sizes["alphabet"]))
+    block = 8 * n * n + 5 * n + 1  # the length of the net's block program
+    length = sizes["len"] if sizes["len"] is not None else 2 * block + rng.randint(1, 12)
+    return {"wfa": wfa, "word": [rng.choice(wfa.alphabet) for _ in range(length)]}
+
+
+def _dnet_prefix(instance, t: int) -> str:
+    program = apply_matrix_program(RMatrix.identity(instance["wfa"].n_states))
+    m = len(program)
+    return (f"prefix {t + 1} (phase {program.phase_of(t % m)},"
+            f" program step {t % m + 1} of block {t // m + 1})")
+
+
+def _prefix_values(instance):
+    return wfa_prefix_values(instance["wfa"], instance["word"])
+
+
+def _draw_imm(rng, trial, sizes):
+    return {"stream": [rng.choice((-1, 0, 1)) for _ in range(9 * rng.randint(1, sizes["blocks"]))]}
+
+
+def _draw_dnet_imm(rng, trial, sizes):
+    # trial 0 streams exactly --blocks matrices, so from 79 on it runs a
+    # compiled 78-matrix superblock program
+    n = rng.randint(1, sizes["blocks"]) if trial else sizes["blocks"]
+    return {"stream": [rng.choice((-1, 0, 1)) for _ in range(9 * n)]}
+
+
+def _imm_product(instance):
+    stream, p = instance["stream"], IDENTITY3
     for base in range(0, len(stream), 9):
         p = mat3_mul(p, tuple(stream[base : base + 9]))
-    want = [Rational(e) for e in p]
-    if got == want:
-        return None
-    return (
-        f"trial {trial}: {header}stream={_dump_stream(stream)}\n"
-        f"expected {[str(v) for v in want]}\nactual   {[str(v) for v in got]}"
-    )
+    return list(p)
 
 
-# ---------------------------------------------------------------------------
-# Verifiers
+def _draw_cm(rng, trial, sizes):
+    graph = random_sorted_instance(rng, max_n=sizes["nodes"])
+    return {"graph": graph, "network": trial < sizes["mlp_trials"]}
 
 
-def verify_rwkv_wfa(trials=50, seed=0, states=3, alphabet=3, length=None):
-    _check_verb_sizes(states, length, alphabet)
-
-    def check(rng, trial):
-        n = rng.randint(1, states)
-        a = random_wfa(rng, n, rng.randint(1, alphabet))
-        max_len = length if length is not None else 6 * (2 * n)
-        word = [rng.choice(a.alphabet) for _ in range(rng.randint(0, max_len))]
-        return _wfa_mismatch(trial, a, word, rwkv_wfa_forward(build_rwkv_wfa(a), word))
-
-    return _run_trials("rwkv-wfa", trials, seed, check)
+def _run_cm(instance):
+    """The machine's decision; on network trials, the net's and its trace."""
+    stream = encode_conn_unary(instance["graph"])
+    accept, _ = cm_run(_conn_machine(), stream)
+    if not instance["network"]:
+        return [accept]
+    rnn = _conn_rnn()
+    res = run_mlp_rnn(rnn, stream, track_precision=False)
+    return [accept, res.accept, *map(rnn.decode, res.states)]
 
 
-def verify_dnet_wfa(trials=50, seed=0, states=3, alphabet=3, length=None):
-    _check_verb_sizes(states, length, alphabet)
-
-    def check(rng, trial):
-        n = rng.randint(1, states)
-        a = random_wfa(rng, n, rng.randint(1, alphabet))
-        m = 8 * n * n + 5 * n + 1
-        max_len = length if length is not None else 2 * m + rng.randint(1, 12)
-        word = [rng.choice(a.alphabet) for _ in range(max_len)]
-
-        def locate(t):
-            phase = apply_matrix_program(RMatrix.identity(n)).phase_of(t % m)
-            return f" (phase {phase}, program step {t % m + 1} of block {t // m + 1})"
-
-        return _wfa_mismatch(trial, a, word, dnet_wfa_forward(build_dnet_wfa(a), word), locate)
-
-    return _run_trials("dnet-wfa", trials, seed, check)
-
-
-def verify_rwkv_imm(trials=20, seed=0, blocks=20):
-    _check_at_least("--blocks", blocks, 1)
-
-    def check(rng, trial):
-        stream = [rng.choice((-1, 0, 1)) for _ in range(9 * rng.randint(1, blocks))]
-        return _imm_mismatch(trial, stream, rwkv_imm_forward(build_rwkv_imm(), stream))
-
-    return _run_trials("rwkv-imm", trials, seed, check)
-
-
-def verify_dnet_imm(trials=3, seed=0, blocks=100):
-    """Trial 0 streams exactly ``blocks`` matrices, so from 79 on it runs a
-    compiled 78-matrix superblock program; later trials draw 1..blocks."""
-    _check_at_least("--blocks", blocks, 1)
-    net = build_dnet_imm()
-
-    def check(rng, trial):
-        n = rng.randint(1, blocks) if trial else blocks
-        stream = [rng.choice((-1, 0, 1)) for _ in range(9 * n)]
-        got = dnet_imm_forward(net, stream)
-        return _imm_mismatch(trial, stream, got, f"{len(stream) // 9} matrices\n")
-
-    return _run_trials("dnet-imm", trials, seed, check)
-
-
-def verify_cm_rnn(trials=200, seed=0, nodes=200, mlp_trials=20):
-    _check_at_least("--nodes", nodes, 2)
-    _check_at_least("--mlp-trials", mlp_trials, 0)
-    machine = build_conn_counter_machine()
-    rnn = cm_to_mlp_rnn(machine)
-
-    def check(rng, trial):
-        inst = random_sorted_instance(rng, max_n=nodes)
-        stream = encode_conn_unary(inst)
-        want = conn_oracle(inst)
-        got, trace = cm_run(machine, stream)
-        if got != want:
-            return (
-                f"trial {trial}: instance={inst}\nstream={_dump_stream(stream)}\n"
-                f"expected {int(want)} actual {int(got)}"
-            )
-        if trial >= mlp_trials:
-            return None
-        res = run_mlp_rnn(rnn, stream, track_precision=False)
-        if res.accept != want:
-            return (
-                f"trial {trial}: network decision {int(res.accept)}"
-                f" != oracle {int(want)}\nstream={_dump_stream(stream)}"
-            )
-        for t, (h, conf) in enumerate(zip(res.states, trace)):
-            if rnn.decode(h) != conf:
-                return (
-                    f"trial {trial}: trace diverges at step {t}:"
-                    f" machine {conf} network {rnn.decode(h)}\n"
-                    f"stream={_dump_stream(stream)}"
-                )
-
-    return _run_trials("cm-rnn", trials, seed, check)
+def _cm_oracle(instance):
+    want = conn_oracle(instance["graph"])
+    if not instance["network"]:
+        return [want]
+    _, trace = cm_run(_conn_machine(), encode_conn_unary(instance["graph"]))
+    return [want, want, *trace]
 
 
 STACK_OP_PAIRS = tuple(
@@ -316,31 +322,21 @@ def _encode_bits(bits) -> Rational:
     return s
 
 
-def verify_sm_rnn(trials=50, seed=0, length=100):
-    _check_at_least("--len", length, 0)
-    machine = scripted_stack_machine(2, STACK_OP_PAIRS)
-    rnn = sm_to_mlp_rnn(machine)
+def _draw_sm(rng, trial, sizes):
+    return {"program": [rng.choice(STACK_OP_PAIRS) for _ in range(sizes["len"])]}
 
-    def check(rng, trial):
-        prog = [rng.choice(STACK_OP_PAIRS) for _ in range(length)]
-        _, trace = sm_run(machine, prog)
-        for t, ((_, stacks), want) in enumerate(zip(trace, symbolic_stack_oracle(prog))):
-            if stacks != want:
-                return (
-                    f"trial {trial}: symbolic oracle diverges at step {t}\n"
-                    f"program={_dump_stream(prog)}\n"
-                    f"expected {tuple(str(v) for v in want)}"
-                    f" actual {tuple(str(v) for v in stacks)}"
-                )
-        res = run_mlp_rnn(rnn, prog, track_precision=False)
-        for t, (h, conf) in enumerate(zip(res.states, trace)):
-            if rnn.decode(h) != conf:
-                return (
-                    f"trial {trial}: network trace diverges at step {t}\n"
-                    f"program={_dump_stream(prog)}"
-                )
 
-    return _run_trials("sm-rnn", trials, seed, check)
+def _run_sm(instance):
+    """The machine's encoded stacks at every step, then the net's trace."""
+    _, trace = sm_run(_stack_machine(), instance["program"])
+    rnn = _stack_rnn()
+    res = run_mlp_rnn(rnn, instance["program"], track_precision=False)
+    return [*(stacks for _, stacks in trace), *map(rnn.decode, res.states)]
+
+
+def _sm_oracle(instance):
+    _, trace = sm_run(_stack_machine(), instance["program"])
+    return [*symbolic_stack_oracle(instance["program"]), *trace]
 
 
 def random_pd_step(rng, d: int) -> PdStep:
@@ -349,47 +345,36 @@ def random_pd_step(rng, d: int) -> PdStep:
     return PdStep(pi, diag)
 
 
-def verify_pd_product(trials=200, seed=0, dim=5, length=64):
-    _check_at_least("--dim", dim, 1)
-    _check_at_least("--len", length, 1)
-
-    def check(rng, trial):
-        d = rng.randint(1, dim)
-        n = rng.randint(1, length)
-        steps = [random_pd_step(rng, d) for _ in range(n)]
-        dense = RMatrix.identity(d)
-        for s in steps:
-            dense = dense @ s.to_matrix()
-        closed = pd_closed_form(steps).to_matrix()
-        tree = pd_tree_product(steps)[0].to_matrix()
-        if closed != dense or tree != dense:
-            return (
-                f"trial {trial}: d={d} n={n}\nsteps={steps}\n"
-                f"dense={dense}\nclosed={closed}\ntree={tree}"
-            )
-
-    return _run_trials("pd-product", trials, seed, check)
+def _draw_pd(rng, trial, sizes):
+    d = rng.randint(1, sizes["dim"])
+    return {"steps": [random_pd_step(rng, d) for _ in range(rng.randint(1, sizes["len"]))]}
 
 
-def verify_dwfa_pd(trials=20, seed=0, states=4, words=500, length=24):
-    _check_verb_sizes(states, length)
-    _check_at_least("--words", words, 1)
+def _run_pd(instance):
+    steps = instance["steps"]
+    return [pd_closed_form(steps).to_matrix(), pd_tree_product(steps)[0].to_matrix()]
 
-    def check(rng, trial):
-        a = random_dwfa(rng, rng.randint(1, states), rng.randint(1, 3))
-        rec = dwfa_to_pd(a)
-        for w_idx in range(words):
-            word = [rng.choice(a.alphabet) for _ in range(rng.randint(0, length))]
-            value = wfa_eval(a, word)
-            want = value > Rational(0)
-            got = rec.accepts(word)
-            if got != want:
-                return (
-                    f"trial {trial} word {w_idx}: word={_dump_stream(word)}\n"
-                    f"value={value} expected accept={want} actual={got}\n" + _dump_wfa(a)
-                )
 
-    return _run_trials("dwfa-pd", trials, seed, check)
+def _pd_dense(instance):
+    steps = instance["steps"]
+    dense = RMatrix.identity(steps[0].pi.dim)
+    for s in steps:
+        dense = dense @ s.to_matrix()
+    return [dense, dense]
+
+
+def _draw_dwfa(rng, trial, sizes):
+    wfa = random_dwfa(rng, rng.randint(1, sizes["states"]), rng.randint(1, 3))
+    words = [
+        [rng.choice(wfa.alphabet) for _ in range(rng.randint(0, sizes["len"]))]
+        for _ in range(sizes["words"])
+    ]
+    return {"wfa": wfa, "words": words}
+
+
+def _run_dwfa(instance):
+    rec = dwfa_to_pd(instance["wfa"])
+    return [rec.accepts(word) for word in instance["words"]]
 
 
 def random_det_graph(rng, max_n=12):
@@ -405,99 +390,117 @@ def random_det_graph(rng, max_n=12):
     return n, tuple(edges), s, t
 
 
-def verify_reduction(trials=500, seed=0):
-    def check(rng, trial):
-        n, edges, s, t = random_det_graph(rng)
-        inst = reduce_to_sorted(n, edges, s, t)
-        want = reachable(edges, s, t)
-        got = conn_oracle(inst)
-        bfs_out = reachable(inst.edges, inst.s, inst.t)
-        sources = [i for i, _ in inst.edges]
-        sorted_ok = all(a < b for a, b in zip(sources, sources[1:]))
-        if got != want or bfs_out != want or not sorted_ok:
-            return (
-                f"trial {trial}: graph n={n} edges={edges} s={s} t={t}\n"
-                f"expected {want} chased {got} bfs {bfs_out} sorted {sorted_ok}"
-            )
+def _draw_reduction(rng, trial, sizes):
+    n, edges, s, t = random_det_graph(rng)
+    return {"n": n, "edges": edges, "s": s, "t": t}
 
-    return _run_trials("reduction", trials, seed, check)
+
+def _run_reduction(instance):
+    """Chased and breadth-first reachability after the reduction, and sortedness."""
+    inst = reduce_to_sorted(instance["n"], instance["edges"], instance["s"], instance["t"])
+    sources = [i for i, _ in inst.edges]
+    return [
+        conn_oracle(inst),
+        reachable(inst.edges, inst.s, inst.t),
+        all(a < b for a, b in zip(sources, sources[1:])),
+    ]
+
+
+def _reduction_oracle(instance):
+    want = reachable(instance["edges"], instance["s"], instance["t"])
+    return [want, want, True]
 
 
 def random_linstep(rng, d: int) -> LinStep:
-    a = RMatrix([[rng.choice(WFA_ENTRIES) for _ in range(d)] for _ in range(d)])
-    b = RMatrix([[rng.choice(WFA_ENTRIES) for _ in range(d)] for _ in range(d)])
-    return LinStep(a, b)
+    return LinStep(_random_matrix(rng, d), _random_matrix(rng, d))
 
 
-def verify_scan_depth(trials=200, seed=0, dim=4, length=64, depth_lengths=(1024, 4096)):
-    name = "scan-depth"
-    _check_at_least("--dim", dim, 1)
-    _check_at_least("--len", length, 1)
+def _draw_scan(rng, trial, sizes):
+    if trial == "depth":
+        return {"traces": [[random_linstep(rng, 1) for _ in range(n)] for n in DEPTH_LENGTHS]}
+    d = rng.randint(1, sizes["dim"])
+    return {"traces": [[random_linstep(rng, d) for _ in range(rng.randint(1, sizes["len"]))]]}
 
-    def check(rng, trial):
-        d = rng.randint(1, dim)
-        n = rng.randint(1, length)
-        steps = [random_linstep(rng, d) for _ in range(n)]
-        seq = lrnn_run_sequential(steps)
-        scan, stats = lrnn_run_scan(steps)
-        bound = 2 * math.ceil(math.log2(n)) if n > 1 else 0
-        if scan != seq:
-            return f"trial {trial}: scan != sequential at n={n} d={d}"
-        if stats.depth > bound:
-            return f"trial {trial}: depth {stats.depth} exceeds bound {bound} at n={n}"
 
-    result = _run_trials(name, trials, seed, check)
-    if not result.passed:
-        return result
-    rng = rng_for(seed, name, "depth")
-    for n in depth_lengths:
-        _, stats = lrnn_run_scan([random_linstep(rng, 1) for _ in range(n)])
-        bound = 2 * math.ceil(math.log2(n))
-        if stats.depth > bound:
-            text = f"depth {stats.depth} exceeds bound {bound} at n={n}"
-            return VerifyResult(name, trials, False, text)
-    return result
+def _depth_bound(n: int) -> int:
+    return 2 * math.ceil(math.log2(n)) if n > 1 else 0
 
+
+def _run_scan(instance):
+    """Per trace, the scan states and then the combine depth, raised to
+    the bound 2*ceil(log2 n) so that it equals the bound when within it."""
+    out = []
+    for steps in instance["traces"]:
+        states, stats = lrnn_run_scan(steps)
+        out += [*states, max(stats.depth, _depth_bound(len(steps)))]
+    return out
+
+
+def _scan_oracle(instance):
+    out = []
+    for steps in instance["traces"]:
+        out += [*lrnn_run_sequential(steps), _depth_bound(len(steps))]
+    return out
+
+
+_WFA_FLAGS = {"trials": (50, 1, None), "states": (3, 1, None),
+              "alphabet": (3, 1, len(_SYMBOLS)), "len": (None, 0, None)}
 
 REGISTRY = {
-    "rwkv-wfa": (
-        "coordinate-overwrite network tracks weighted-automaton prefix values",
-        verify_rwkv_wfa,
+    "rwkv-wfa": Verb(
+        "coordinate-overwrite network tracks weighted-automaton prefix values", _WFA_FLAGS,
+        _draw_rwkv_wfa,
+        lambda inst: rwkv_wfa_forward(build_rwkv_wfa(inst["wfa"]), inst["word"]),
+        _prefix_values,
     ),
-    "rwkv-imm": (
+    "rwkv-imm": Verb(
         "18-coordinate overwrite network computes iterated 3x3 products",
-        verify_rwkv_imm,
+        {"trials": (20, 1, None), "blocks": (20, 1, None)},
+        _draw_imm, lambda inst: rwkv_imm_forward(build_rwkv_imm(), inst["stream"]), _imm_product,
     ),
-    "dnet-wfa": (
-        "symmetric-step network tracks weighted-automaton prefix values",
-        verify_dnet_wfa,
+    "dnet-wfa": Verb(
+        "symmetric-step network tracks weighted-automaton prefix values", _WFA_FLAGS,
+        _draw_dnet_wfa,
+        lambda inst: dnet_wfa_forward(build_dnet_wfa(inst["wfa"]), inst["word"]),
+        _prefix_values,
+        where=_dnet_prefix,
     ),
-    "dnet-imm": (
+    "dnet-imm": Verb(
         "19-coordinate symmetric-step network computes iterated 3x3 products",
-        verify_dnet_imm,
+        {"trials": (3, 1, None), "blocks": (100, 1, None)},
+        _draw_dnet_imm, lambda inst: dnet_imm_forward(_dnet_imm(), inst["stream"]), _imm_product,
     ),
-    "cm-rnn": (
+    "cm-rnn": Verb(
         "counter machine solves connectivity; ReLU network mirrors its trace",
-        verify_cm_rnn,
+        {"trials": (200, 1, None), "nodes": (200, 2, 16384), "mlp_trials": (20, 0, None)},
+        _draw_cm, _run_cm, _cm_oracle,
     ),
-    "sm-rnn": (
+    "sm-rnn": Verb(
         "stack encodings match list oracle; ReLU network mirrors the machine",
-        verify_sm_rnn,
+        {"trials": (50, 1, None), "len": (100, 0, None)},
+        _draw_sm, _run_sm, _sm_oracle,
     ),
-    "pd-product": (
+    "pd-product": Verb(
         "permutation-diagonal closed form and tree product match dense products",
-        verify_pd_product,
+        {"trials": (200, 1, None), "dim": (5, 1, 1024), "len": (64, 1, None)},
+        _draw_pd, _run_pd, _pd_dense,
     ),
-    "dwfa-pd": (
+    "dwfa-pd": Verb(
         "compiled one-layer recognizer matches automaton threshold decisions",
-        verify_dwfa_pd,
+        {"trials": (20, 1, None), "states": (4, 1, 1024), "words": (500, 1, None),
+         "len": (24, 0, None)},
+        _draw_dwfa, _run_dwfa,
+        lambda inst: [wfa_eval(inst["wfa"], word) > Rational(0) for word in inst["words"]],
     ),
-    "reduction": (
+    "reduction": Verb(
         "layered copy reduction preserves reachability and sortedness",
-        verify_reduction,
+        {"trials": (500, 1, None)},
+        _draw_reduction, _run_reduction, _reduction_oracle,
     ),
-    "scan-depth": (
+    "scan-depth": Verb(
         "balanced scan equals sequential evaluation within the depth bound",
-        verify_scan_depth,
+        {"trials": (200, 1, None), "dim": (4, 1, MAX_SCAN_DIM), "len": (64, 1, None)},
+        _draw_scan, _run_scan, _scan_oracle,
+        extra=("depth",),
     ),
 }

@@ -1,14 +1,16 @@
 """Independent reference implementations used only by the tests.
 
-Everything here is built on ``fractions.Fraction`` and plain loops so the
-oracles share no code path with the package's rational kernels.
+The oracles are built on ``fractions.Fraction`` and plain loops so that
+they share no code path with the package's rational kernels. The helpers
+at the end (a permutation read back from its matrix, sublayer plumbing and
+threshold recognition) are test-only code on the package's own types.
 """
 
 from fractions import Fraction
 from itertools import product
 
 from exactrnn.problems import ImmModInstance, _check_imm_mod, _size_bounds, mat3_det_mod
-from exactrnn.linalg import RMatrix
+from exactrnn.linalg import RMatrix, RelaxedPermutation, RVector
 from exactrnn.rational import Rational
 from exactrnn.rwkv_gadgets import PAD
 
@@ -162,3 +164,45 @@ def matrix_program_steps(p) -> list:
     for j in range(n):
         steps += transvection(n + j, j)
     return steps
+
+
+def perm_from_matrix(m: RMatrix) -> RelaxedPermutation:
+    """The relaxed permutation of a column-one-hot 0-1 matrix."""
+    if m.rows != m.cols:
+        raise ValueError("not square")
+    target = []
+    for j in range(m.cols):
+        hits = [i for i in range(m.rows) if m[i, j] != Rational(0)]
+        if len(hits) != 1 or m[hits[0], j] != Rational(1):
+            raise ValueError("not a column-one-hot 0-1 matrix")
+        target.append(hits[0])
+    return RelaxedPermutation(tuple(target))
+
+
+# Sublayer plumbing around a recurrence's outputs, and threshold recognition
+
+
+def recognize(readout: RVector, y: RVector) -> bool:
+    """A linear readout's strict positivity test; ties reject."""
+    return readout.dot(y) > Rational(0)
+
+
+def relu_vec(v: RVector) -> RVector:
+    return RVector([max(x, Rational(0)) for x in v])
+
+
+def multihead_sublayer(xs, head_outputs, out_proj: RMatrix) -> list:
+    """Residual mix x_t + O . concat(per-head outputs at t)."""
+    out = []
+    for t, x in enumerate(xs):
+        joined = head_outputs[0][t]
+        for h in head_outputs[1:]:
+            joined = joined.concat(h[t])
+        out.append(x + out_proj.apply_col(joined))
+    return out
+
+
+def ffn_sublayer(xs, w_out: RMatrix, w_in: RMatrix) -> list:
+    """Residual two-layer ReLU block x + W relu(U x), with no normalization
+    so that rational exactness is preserved."""
+    return [x + w_out.apply_col(relu_vec(w_in.apply_col(x))) for x in xs]

@@ -41,14 +41,8 @@ from exactrnn.problems import (
 from exactrnn.rational import Rational
 from exactrnn.relu_nets import cm_to_mlp_rnn, run_mlp_rnn, sm_to_mlp_rnn
 from exactrnn.rwkv_gadgets import build_rwkv_imm, rwkv_imm_forward
-from exactrnn.verify import (
-    STACK_OP_PAIRS,
-    random_dwfa,
-    verify_dnet_wfa,
-    verify_reduction,
-    verify_rwkv_wfa,
-    verify_scan_depth,
-)
+from exactrnn import verify
+from exactrnn.verify import STACK_OP_PAIRS, random_dwfa, run_trials
 from exactrnn.automata import wfa_eval
 
 
@@ -65,14 +59,14 @@ def _report(num, description, start, budget):
 
 def test_criterion_01_rwkv_wfa_simulation():
     start = time.time()
-    result = verify_rwkv_wfa(trials=50, seed=101, states=3, alphabet=3)
+    result = run_trials("rwkv-wfa", seed=101, trials=50, states=3, alphabet=3)
     assert result.passed, result.counterexample
     _report(1, "overwrite network equals automaton on every prefix", start, 60)
 
 
 def test_criterion_02_dnet_wfa_simulation():
     start = time.time()
-    result = verify_dnet_wfa(trials=50, seed=102, states=3, alphabet=3)
+    result = run_trials("dnet-wfa", seed=102, trials=50, states=3, alphabet=3)
     assert result.passed, result.counterexample
     _report(2, "symmetric-step network equals automaton on every prefix", start, 120)
 
@@ -229,9 +223,7 @@ def test_criterion_08_pd_algebra():
         assert pd_closed_form(pd_seq).to_matrix() == pd_multiply(head, pd_seq[-1]).to_matrix()
 
     # 200 random larger cases
-    from exactrnn.verify import verify_pd_product
-
-    result = verify_pd_product(trials=200, seed=108, dim=5, length=64)
+    result = run_trials("pd-product", seed=108, trials=200, dim=5, len=64)
     assert result.passed, result.counterexample
 
     # recognizer decisions against automaton values
@@ -245,18 +237,17 @@ def test_criterion_08_pd_algebra():
     _report(8, "closed form, tree product, and recognizer all exact", start, 120)
 
 
-def test_criterion_09_scan_equivalence_and_depth():
+def test_criterion_09_scan_equivalence_and_depth(monkeypatch):
     start = time.time()
-    result = verify_scan_depth(
-        trials=200, seed=109, dim=4, length=64, depth_lengths=(1024, 2048, 4096)
-    )
+    monkeypatch.setattr(verify, "DEPTH_LENGTHS", (1024, 2048, 4096))
+    result = run_trials("scan-depth", seed=109, trials=200, dim=4, len=64)
     assert result.passed, result.counterexample
     _report(9, "scan equals sequential; depth within 2*ceil(log2 n)", start, 60)
 
 
 def test_criterion_10_reduction_soundness():
     start = time.time()
-    result = verify_reduction(trials=500, seed=110)
+    result = run_trials("reduction", seed=110, trials=500)
     assert result.passed, result.counterexample
     _report(10, "layered reduction preserves reachability, stays sorted", start, 30)
 

@@ -1,5 +1,4 @@
 import hashlib
-import inspect
 import json
 import subprocess
 import sys
@@ -24,12 +23,10 @@ def test_verify_reports_counterexample(capsys, monkeypatch):
     from exactrnn import verify as verify_mod
     from exactrnn.verify import VerifyResult
 
-    def broken(**kwargs):
-        return VerifyResult("pd-product", 3, False, "expected 1/2 actual 1/3")
+    def broken(name, seed, **flags):
+        return VerifyResult(name, 3, False, "expected 1/2 actual 1/3")
 
-    monkeypatch.setitem(
-        verify_mod.REGISTRY, "pd-product", ("broken for testing", broken)
-    )
+    monkeypatch.setattr(verify_mod, "run_trials", broken)
     assert run_cli(["verify", "pd-product"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "expected 1/2 actual 1/3" in out
@@ -41,17 +38,17 @@ def test_verify_passes_exactly_the_flags_set(monkeypatch):
 
     seen = []
 
-    def double(**kwargs):
-        seen.append(kwargs)
-        return VerifyResult("pd-product", 1, True)
+    def double(name, seed, **flags):
+        seen.append((name, seed, flags))
+        return VerifyResult(name, 1, True)
 
-    monkeypatch.setitem(verify_mod.REGISTRY, "pd-product", ("double", double))
+    monkeypatch.setattr(verify_mod, "run_trials", double)
     monkeypatch.delenv("EXACTRNN_SEED", raising=False)
     assert run_cli(["verify", "pd-product", "--blocks", "3", "--len", "2"]) == 0
-    assert seen == [{"seed": 0, "blocks": 3, "length": 2}]
+    assert seen == [("pd-product", 0, {"blocks": 3, "len": 2})]
 
 
-# a flag each verb leaves out, with the parameter it would set
+# a flag each verb leaves out, with its name in the verbs' flag tables
 _FLAGS = (("--states", "states"), ("--blocks", "blocks"), ("--mlp-trials", "mlp_trials"))
 
 
@@ -59,8 +56,7 @@ _FLAGS = (("--states", "states"), ("--blocks", "blocks"), ("--mlp-trials", "mlp_
 def test_verify_rejects_a_flag_the_verb_does_not_take(capsys, monkeypatch, verb):
     from exactrnn import verify as verify_mod
 
-    taken = inspect.signature(REGISTRY[verb][1]).parameters
-    flag = next(flag for flag, dest in _FLAGS if dest not in taken)
+    flag = next(flag for flag, name in _FLAGS if name not in REGISTRY[verb].flags)
     draws = []
     monkeypatch.setattr(verify_mod, "rng_for", lambda *key: draws.append(key))
     assert run_cli(["verify", verb, flag, "1"]) == 2
@@ -127,6 +123,18 @@ def test_report_depth_csv(capsys):
     assert [r[0] for r in rows] == ["8", "64"]
     assert int(rows[0][1]) <= 6 and int(rows[1][1]) <= 12
     assert [int(r[2]) for r in rows] == [7, 63]
+
+
+@pytest.mark.parametrize("dim", ["0", "65", "100000"])
+def test_report_depth_rejects_dim_out_of_bounds(capsys, monkeypatch, dim):
+    from exactrnn import problems
+
+    draws = []
+    monkeypatch.setattr(problems, "rng_for", lambda *key: draws.append(key))
+    assert run_cli(["report", "depth", "--dim", dim]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --dim must be in 1..64, got {dim}\n"
+    assert captured.out == "" and draws == []
 
 
 def test_report_depth_from_trace_file(tmp_path, capsys):
@@ -237,16 +245,31 @@ def test_gen_imm_z_rejects_clip_below_one(capsys, tmp_path, clip):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("size_range", ["0,0", "5,3"])
-@pytest.mark.parametrize("task", ["conn", "imm-mod", "imm-z"])
-def test_gen_rejects_bad_size_range(capsys, tmp_path, task, size_range):
+@pytest.mark.parametrize("task, size_range", [
+    (task, size_range) for task in ("conn", "imm-mod", "imm-z") for size_range in ("0,0", "5,3")
+] + [
+    # the conn stream is quadratic in the size, so its size has a ceiling
+    ("conn", "1,2049"), ("conn", "1000000,1000000"),
+])
+def test_gen_rejects_bad_size_range(capsys, monkeypatch, tmp_path, task, size_range):
+    from exactrnn import problems
+
+    draws = []
+    monkeypatch.setattr(problems, "rng_for", lambda *key: draws.append(key))
     out = tmp_path / "out.jsonl"
     code = run_cli([
         "gen", task, "--count", "2", f"--range={size_range}", "--out", str(out),
     ])
     assert code == 2
-    assert "size range" in capsys.readouterr().err
-    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "size range" in err
+    assert not out.exists() and draws == []
+
+
+def test_gen_conn_takes_the_largest_size(tmp_path):
+    out = tmp_path / "conn.jsonl"
+    assert run_cli(["gen", "conn", "--count", "1", "--range", "2048,2048", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["meta"]["n"] == 2049
 
 
 @pytest.mark.parametrize("task", ["conn", "imm-mod", "imm-z"])
@@ -356,13 +379,26 @@ def test_report_rejects_non_positive_sizes(capsys, kind, sizes):
     ("cm-rnn", ["--nodes", "1"], "--nodes"),
     ("cm-rnn", ["--mlp-trials", "-3"], "--mlp-trials"),
     ("sm-rnn", ["--len", "-1"], "--len"),
+    # one past each upper bound, and far past it
+    ("dwfa-pd", ["--states", "1025"], "--states"),
+    ("dwfa-pd", ["--states", "100000"], "--states"),
+    ("pd-product", ["--dim", "1025"], "--dim"),
+    ("pd-product", ["--dim", "100000"], "--dim"),
+    ("scan-depth", ["--dim", "65"], "--dim"),
+    ("scan-depth", ["--dim", "100000"], "--dim"),
+    ("cm-rnn", ["--nodes", "16385"], "--nodes"),
+    ("cm-rnn", ["--nodes", "100000000"], "--nodes"),
 ])
-def test_wfa_verbs_reject_bad_sizes(capsys, verb, flags, flag):
+def test_wfa_verbs_reject_bad_sizes(capsys, monkeypatch, verb, flags, flag):
     # every verb's size flags; the automaton verbs' came first, hence the name
+    from exactrnn import verify
+
+    draws = []
+    monkeypatch.setattr(verify, "rng_for", lambda *key: draws.append(key))
     assert run_cli(["verify", verb, "--trials", "1", *flags]) == 2
     captured = capsys.readouterr()
-    assert flag in captured.err
-    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} must be") and flags[1] in captured.err
+    assert captured.out == "" and draws == []
 
 
 @pytest.mark.parametrize("n_states, n_symbols", [(0, 2), (-1, 2), (2, 0), (2, 9)])

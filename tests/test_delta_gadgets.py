@@ -235,7 +235,7 @@ def test_verify_counterexample_names_the_program_phase(monkeypatch, t, phase):
         return out
 
     monkeypatch.setattr(verify, "dnet_wfa_forward", off_by_one_at_t)
-    result = verify.verify_dnet_wfa(trials=1, seed=0, states=1, alphabet=1, length=28)
+    result = verify.run_trials("dnet-wfa", seed=0, trials=1, states=1, alphabet=1, len=28)
     assert not result.passed
     assert f"(phase {phase}, program step {t % 14 + 1} of block {t // 14 + 1})" in (
         result.counterexample

@@ -13,7 +13,7 @@ from exactrnn.linalg import (
 )
 from exactrnn.rational import Rational
 
-from oracles import frac_matmul, frac_vec_mat, mat_to_frac, to_frac, vec_to_frac
+from oracles import frac_matmul, frac_vec_mat, mat_to_frac, perm_from_matrix, to_frac, vec_to_frac
 
 
 def rand_matrix(rng, rows, cols):
@@ -148,4 +148,4 @@ def test_perm_range_checked():
 
 def test_perm_matrix_round_trip():
     p = RelaxedPermutation((2, 0, 0))
-    assert RelaxedPermutation.from_matrix(p.to_matrix()) == p
+    assert perm_from_matrix(p.to_matrix()) == p

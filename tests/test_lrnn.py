@@ -9,28 +9,26 @@ from exactrnn.lrnn import (
     DeltaNetStep,
     LinStep,
     PdStep,
-    Recognizer,
     RwkvStep,
     combine_steps,
     deltanet_transition,
     dump_steps,
     dwfa_to_pd,
-    ffn_sublayer,
     lrnn_run_conv,
     lrnn_run_scan,
     lrnn_run_sequential,
-    multihead_sublayer,
     parse_steps,
     pd_closed_form,
     pd_multiply,
     pd_row_apply,
     pd_transition,
     pd_tree_product,
-    recognize,
     rwkv_transition,
 )
 from exactrnn.rational import Rational
 from exactrnn.rwkv_gadgets import OverwriteSpec, overwrite_matrix
+
+from oracles import ffn_sublayer, multihead_sublayer, recognize
 
 VALS = [Rational(-1), Rational(-1, 2), Rational(0), Rational(1, 2), Rational(1), Rational(2)]
 
@@ -311,10 +309,10 @@ def test_pd_transition_shapes():
 
 
 def test_recognize_strict_threshold():
-    r = Recognizer(readout=RVector.basis(0, 2))
-    assert recognize(r, RVector([1, 5]))
-    assert not recognize(r, RVector([0, 5]))  # ties reject
-    assert not recognize(r, RVector([-1, 5]))
+    readout = RVector.basis(0, 2)
+    assert recognize(readout, RVector([1, 5]))
+    assert not recognize(readout, RVector([0, 5]))  # ties reject
+    assert not recognize(readout, RVector([-1, 5]))
 
 
 def test_multihead_zero_weights_identity():
@@ -449,8 +447,7 @@ def test_gadget_network_through_sublayer_plumbing():
     xs = [RVector.zeros(1) for _ in word]
     heads = [[RVector([v]) for v in outputs]]
     ys = multihead_sublayer(xs, heads, RMatrix.identity(1))
-    rec = Recognizer(readout=RVector.basis(0, 1))
-    assert recognize(rec, ys[-1]) == (wfa_eval(a, word) > Rational(0))
+    assert recognize(RVector.basis(0, 1), ys[-1]) == (wfa_eval(a, word) > Rational(0))
 
 
 def test_linstep_from_vector_embedding():
