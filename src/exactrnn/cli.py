@@ -87,12 +87,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_atomic(path: str, text: str):
+def _write_atomic(path: str, chunks):
+    """Write the strings ``chunks``, in order, to a temporary file beside
+    ``path`` as they come, then rename it to ``path``; on any error the
+    temporary file is removed and ``path`` is left as it was."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-exactrnn-")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -102,7 +105,7 @@ def _write_atomic(path: str, text: str):
 
 def _emit(text: str, out: str | None):
     if out:
-        _write_atomic(out, text)
+        _write_atomic(out, (text,))
     else:
         sys.stdout.write(text)
 
@@ -121,7 +124,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    from .problems import _TASK_OPTIONS, generate_dataset
+    from .problems import _TASK_OPTIONS, _dataset_lines
 
     seed = args.seed if args.seed is not None else _default_seed()
     options = {
@@ -133,8 +136,9 @@ def cmd_gen(args) -> int:
     extra = ", ".join(verify.flag_of(key) for key in options if key not in taken)
     if extra:
         raise ValueError(f"gen {args.task} does not take {extra}")
-    lines = generate_dataset(args.task, args.count, args.size_range, seed, **options)
-    _write_atomic(args.out, "".join(line + "\n" for line in lines))
+    lines = _dataset_lines(args.task, args.count, args.size_range, seed, **options)
+    # map holds no line past its write, so one line is in memory at a time
+    _write_atomic(args.out, map("{}\n".format, lines))
     print(f"wrote {args.count} {args.task} instances to {args.out} (seed={seed})")
     return 0
 

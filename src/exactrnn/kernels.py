@@ -347,6 +347,11 @@ def _int_literal(v: int) -> str:
     return str(v) if v.bit_length() < 4096 else hex(v)
 
 
+def _times(n, name) -> str:
+    """Source text of ``n * name``, for an int ``n``."""
+    return name if n == 1 else f"{_int_literal(n)} * {name}"
+
+
 def _sum_lines(lines, name, parts):
     """Assign the sum of ``parts`` (source text) to ``name``, in lines of
     at most ``_TERMS_PER_LINE`` terms."""
@@ -360,7 +365,7 @@ def _is_register(r, n) -> bool:
     return type(r) is int and 0 <= r < n
 
 
-def compile_int_affine(ops, in_dim, out, observed):
+def compile_int_affine(ops, in_dim, out, observed, binary):
     """``sparse_affine`` over ``in_dim`` inputs, generated as straight-line
     code for integer inputs, or ``None`` when the program is not all-integer.
 
@@ -375,10 +380,20 @@ def compile_int_affine(ops, in_dim, out, observed):
     ``n.bit_length() + 1``, zero included, since ``bit_length`` ignores the
     sign.
 
+    ``binary`` names observed registers that the caller guarantees hold 0
+    or 1 on every input the function is run on (``MlpRnn.binary_registers``
+    proves this for a recurrence). Such a register's ``bit_length`` is its
+    own value, so the code adds it to the count without a call: the
+    weighted sum ``tb`` of the binary registers with positive counts is
+    non-zero exactly when one of them is 1, and ``tb and 1`` stands for
+    all of them in ``max``. On a binary register that holds another value
+    the bit counts are wrong; ``values`` never depend on ``binary``.
+
     ``None`` unless every weight, bias and den is an ``int``, every den is
-    1, every term reads an earlier register, and ``out`` and ``observed``
-    name existing registers with ``int`` counts, so only int literals and
-    register numbers reach the generated source.
+    1, every term reads an earlier register, ``out`` and ``observed`` name
+    existing registers with ``int`` counts, and every ``binary`` register
+    is an observed one, so only int literals and register numbers reach
+    the generated source.
     """
     lines = ["def run(x):"]
     if in_dim:
@@ -391,7 +406,7 @@ def compile_int_affine(ops, in_dim, out, observed):
         for c, a, b in terms:
             if not (type(a) is type(b) is int and b == 1 and _is_register(c, k)):
                 return None
-            parts.append(f"r{c}" if a == 1 else f"{_int_literal(a)} * r{c}")
+            parts.append(_times(a, f"r{c}"))
         if bn or not parts:
             parts.append(_int_literal(bn))
         _sum_lines(lines, f"r{k}", parts)
@@ -402,14 +417,26 @@ def compile_int_affine(ops, in_dim, out, observed):
         return None
     if not all(_is_register(r, k) and type(n) is int for r, n in observed):
         return None
-    # b{i} is the bit_length of observed register i, so its value_bits is
-    # b{i} + 1
+    binary = frozenset(binary)
+    if not all(_is_register(r, k) for r in binary) or binary - {r for r, _ in observed}:
+        return None
+    # value_bits is bit_length + 1: b{i} is the bit_length of the i-th
+    # observed register that is not binary (or has a count below 1), and a
+    # binary register's bit_length is the register itself, summed into tb
+    ones = [(r, n) for r, n in observed if r in binary and n > 0]
+    rest = [(r, n) for r, n in observed if not (r in binary and n > 0)]
     total = [_int_literal(sum(n for _, n in observed))]
-    for i, (r, n) in enumerate(observed):
+    bits = []
+    for i, (r, n) in enumerate(rest):
         lines.append(f"    b{i} = r{r}.bit_length()")
-        total.append(f"b{i}" if n == 1 else f"{_int_literal(n)} * b{i}")
-    bits = "".join(f"b{i}, " for i in range(len(observed)))
-    lines.append(f"    m = max(({bits})) + 1" if observed else "    m = 0")
+        bits.append(f"b{i}")
+        total.append(_times(n, f"b{i}"))
+    if ones:
+        # a sum of positive counts of 0/1 registers: non-zero iff one is 1
+        _sum_lines(lines, "tb", [_times(n, f"r{r}") for r, n in ones])
+        bits.append("tb and 1")
+        total.append("tb")
+    lines.append(f"    m = max(({', '.join(bits)},)) + 1" if bits else "    m = 0")
     _sum_lines(lines, "t", total)
     values = "[" + ", ".join(f"r{r}" for r in out) + "]"
     lines.append(f"    return {values}, m, t")

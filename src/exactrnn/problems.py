@@ -466,12 +466,14 @@ def record_to_line(fields: dict, inst) -> str:
     """One dataset line: ``fields`` (every key sorting before "tokens")
     plus the token array of ``inst``, a conn instance or a matrix instance
     with entries -1, 0 and 1."""
+    # the token text is built once and copied once, into the line
     if isinstance(inst, SortedDetConnInstance):
-        blocks = _SEP_JSON.join([_MARK_JSON * c for c in _conn_blocks(inst)])
-        tokens = f"[{_BOS_JSON}{blocks}{_END_JSON}]"
+        head, tail = _BOS_JSON, _END_JSON
+        body = _SEP_JSON.join([_MARK_JSON * c for c in _conn_blocks(inst)])
     else:
-        tokens = f"[{','.join(map(_ENTRY_JSON.__getitem__, inst.tokens()))}]"
-    return f'{_encode(fields)[:-1]},"tokens":{tokens}}}'
+        head = tail = ""
+        body = ",".join(map(_ENTRY_JSON.__getitem__, inst.tokens()))
+    return f'{_encode(fields)[:-1]},"tokens":[{head}{body}{tail}]}}'
 
 
 def _task_options(task: str, options: dict) -> dict:
@@ -499,10 +501,17 @@ def generate_dataset(task: str, count: int, size_range, seed: int, **options) ->
 
     The task, its options, ``count`` and ``size_range`` are all checked
     before any draw. A conn line holds about 4 n^2 bytes of tokens, so its
-    size is at most ``MAX_CONN_SIZE`` = 2048: 17 MB a line, and 70 MB peak
-    RSS to write one (CPython 3.11, x86-64). Conn labels alternate 1, 0,
-    ...; imm-z with ``balanced`` alternates 0, 1, ...
+    size is at most ``MAX_CONN_SIZE`` = 2048: 17 MB a line. ``exactrnn gen``
+    writes each line as it is drawn, so writing ten such lines peaks at
+    about 70 MB RSS, as one does (CPython 3.11, x86-64). Conn labels
+    alternate 1, 0, ...; imm-z with ``balanced`` alternates 0, 1, ...
     """
+    return list(_dataset_lines(task, count, size_range, seed, **options))
+
+
+def _dataset_lines(task: str, count: int, size_range, seed: int, **options):
+    """``generate_dataset``'s checks, then an iterator over its lines, each
+    drawn when it is asked for, so that a writer holds one at a time."""
     opts = _task_options(task, options)
     if count < 0:
         raise ValueError(f"count must be >= 0, not {count}")
@@ -511,24 +520,25 @@ def generate_dataset(task: str, count: int, size_range, seed: int, **options) ->
         raise ValueError(
             f"conn size range (--range) must have hi <= {MAX_CONN_SIZE}, got {lo},{hi}"
         )
-    lines = []
-    for idx in range(count):
-        rng = rng_for(seed, task, idx)
-        if task == "conn":
-            label = idx % 2 == 0
-            inst = gen_conn(size_range, opts["p"], label, rng)
-            meta = {"n": inst.n, "s": inst.s, "t": inst.t, "edges": inst.edges, "seed": seed}
-            fields = {"label": int(label), "meta": meta, "task": task}
-        elif task == "imm-mod":
-            inst = gen_imm_mod(size_range, opts["m"], opts["q_k"], rng)
-            meta = {"T": inst.T, "m": inst.m, "q_k": inst.q_k, "seed": seed}
-            fields = {"meta": meta, "targets": imm_mod_oracle(inst), "task": task}
-        else:
-            want = idx % 2 if opts["balanced"] else opts["want_label"]
-            inst = gen_imm_z(size_range, rng, clip=opts["clip"], want_label=want)
-            meta = {"T": inst.T, "seed": seed}
-            if inst.clip is not None:
-                meta["clip"] = inst.clip
-            fields = {"label": imm_z_oracle(inst), "meta": meta, "task": task}
-        lines.append(record_to_line(fields, inst))
-    return lines
+    return (_dataset_line(task, idx, size_range, seed, opts) for idx in range(count))
+
+
+def _dataset_line(task, idx, size_range, seed, opts) -> str:
+    rng = rng_for(seed, task, idx)
+    if task == "conn":
+        label = idx % 2 == 0
+        inst = gen_conn(size_range, opts["p"], label, rng)
+        meta = {"n": inst.n, "s": inst.s, "t": inst.t, "edges": inst.edges, "seed": seed}
+        fields = {"label": int(label), "meta": meta, "task": task}
+    elif task == "imm-mod":
+        inst = gen_imm_mod(size_range, opts["m"], opts["q_k"], rng)
+        meta = {"T": inst.T, "m": inst.m, "q_k": inst.q_k, "seed": seed}
+        fields = {"meta": meta, "targets": imm_mod_oracle(inst), "task": task}
+    else:
+        want = idx % 2 if opts["balanced"] else opts["want_label"]
+        inst = gen_imm_z(size_range, rng, clip=opts["clip"], want_label=want)
+        meta = {"T": inst.T, "seed": seed}
+        if inst.clip is not None:
+            meta["clip"] = inst.clip
+        fields = {"label": imm_z_oracle(inst), "meta": meta, "task": task}
+    return record_to_line(fields, inst)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -272,6 +273,40 @@ def test_gen_conn_takes_the_largest_size(tmp_path):
     assert json.loads(out.read_text())["meta"]["n"] == 2049
 
 
+def test_gen_holds_one_line_at_a_time(tmp_path):
+    """Eight conn records of size 256 (about 270 kB a line) peak under three
+    lines of traced memory: a line is joined, then copied into its write,
+    and no other line is held (holding all eight took 25 lines)."""
+    out = tmp_path / "conn.jsonl"
+    gen = ["gen", "conn", "--range", "256,256", "--seed", "3", "--out", str(out)]
+    assert run_cli(gen + ["--count", "0"]) == 0  # imports and parser, untraced
+    tracemalloc.start()
+    try:
+        assert run_cli(gen + ["--count", "8"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = out.read_text().splitlines()
+    assert len(lines) == 8 and peak < 3 * max(map(len, lines))
+
+
+def test_gen_failing_mid_stream_leaves_no_file(tmp_path, monkeypatch):
+    from exactrnn import problems
+
+    line = problems._dataset_line
+
+    def failing(task, idx, *args):
+        if idx == 2:
+            raise RuntimeError("drawn twice")
+        return line(task, idx, *args)
+
+    monkeypatch.setattr(problems, "_dataset_line", failing)
+    out = tmp_path / "conn.jsonl"
+    out.write_text("kept\n")
+    assert run_cli(["gen", "conn", "--count", "4", "--range", "2,5", "--out", str(out)]) == 3
+    assert out.read_text() == "kept\n" and [p.name for p in tmp_path.iterdir()] == ["conn.jsonl"]
+
+
 @pytest.mark.parametrize("task", ["conn", "imm-mod", "imm-z"])
 def test_gen_zero_count_still_checks_size_range(capsys, tmp_path, task):
     out = tmp_path / "out.jsonl"
@@ -322,7 +357,7 @@ def test_gen_passes_only_the_flags_given(monkeypatch, tmp_path):
     from exactrnn import problems
 
     seen = []
-    monkeypatch.setattr(problems, "generate_dataset",
+    monkeypatch.setattr(problems, "_dataset_lines",
                         lambda *args, **options: seen.append(options) or [])
     out = str(tmp_path / "out.jsonl")
     for task, flags in (("conn", []), ("imm-mod", ["--q-k", "3"]), ("imm-z", ["--balanced"])):

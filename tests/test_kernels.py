@@ -283,7 +283,7 @@ def test_compiled_int_program_equals_sparse_affine(case):
     ops, x = case
     want_n, want_d = kernels.sparse_affine(ops, x, [1] * len(x))
     assert want_d == [1] * len(want_d)
-    run = kernels.compile_int_affine(ops, len(x), range(len(x) + len(ops)), ())
+    run = kernels.compile_int_affine(ops, len(x), range(len(x) + len(ops)), (), ())
     assert run(x) == (want_n, 0, 0)
 
 
@@ -304,7 +304,7 @@ def test_counted_int_program_equals_sparse_affine_and_precision_of(case, data):
         out = data.draw(st.lists(regs, max_size=6))
         observed = data.draw(st.lists(st.tuples(regs, st.integers(1, 4)), max_size=8))
     want_n, _ = kernels.sparse_affine(ops, x, [1] * len(x))
-    got, max_bits, total_bits = kernels.compile_int_affine(ops, len(x), out, observed)(x)
+    got, max_bits, total_bits = kernels.compile_int_affine(ops, len(x), out, observed, ())(x)
     assert got == [want_n[r] for r in out]
     counted = [Rational(want_n[r]) for r, k in observed for _ in range(k)]
     assert PrecisionReport(max_bits, total_bits) == precision_of(counted)
@@ -314,9 +314,65 @@ def test_counted_int_program_sums_more_than_one_line_of_bits():
     n = 450  # more observed registers than terms on one generated line
     observed = [(r, r % 3 + 1) for r in range(n)]
     x = [(-1) ** r * 7 ** (r % 40) for r in range(n)]
-    got, max_bits, total_bits = kernels.compile_int_affine((), n, (), observed)(x)
+    got, max_bits, total_bits = kernels.compile_int_affine((), n, (), observed, ())(x)
     counted = [Rational(x[r]) for r, k in observed for _ in range(k)]
     assert got == [] and PrecisionReport(max_bits, total_bits) == precision_of(counted)
+
+
+def _counted(ops, x, out, observed, binary):
+    got, max_bits, total_bits = kernels.compile_int_affine(ops, len(x), out, observed, binary)(x)
+    return got, PrecisionReport(max_bits, total_bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_programs(), st.data())
+def test_binary_registers_count_like_sparse_affine_and_precision_of(case, data):
+    """Observed registers that hold 0 or 1 may be named ``binary``: the
+    results are still those of ``sparse_affine`` and ``precision_of``."""
+    ops, x = case
+    want_n, _ = kernels.sparse_affine(ops, x, [1] * len(x))
+    regs = st.integers(0, len(want_n) - 1)
+    zero_one = [r for r, v in enumerate(want_n) if v in (0, 1)]
+    if zero_one:  # draw the 0/1 registers often
+        regs = regs | st.sampled_from(zero_one)
+    out = data.draw(st.lists(regs, max_size=6))
+    observed = data.draw(st.lists(st.tuples(regs, st.integers(1, 4)), max_size=8))
+    candidates = sorted({r for r, _ in observed} & set(zero_one))
+    binary = data.draw(st.sets(st.sampled_from(candidates))) if candidates else set()
+    counted = [Rational(want_n[r]) for r, k in observed for _ in range(k)]
+    assert _counted(ops, x, out, observed, binary) == ([want_n[r] for r in out], precision_of(counted))
+
+
+# registers: x = [1, 0, 5], r3 = relu(r0 - r1) = 1, r4 = relu(r1 - r0) = 0,
+# r5 = 2 r2 - 3 = 7
+_BITS_OPS = ((((0, 1, 1), (1, -1, 1)), 0, 1, True), (((1, 1, 1), (0, -1, 1)), 0, 1, True),
+             (((2, 2, 1),), -3, 1, False))
+
+
+@pytest.mark.parametrize(
+    "observed, binary",
+    [(((0, 1), (1, 2), (3, 3), (4, 1)), {0, 1, 3, 4}), (((1, 2), (4, 1)), {1, 4}),
+     (((0, 1), (2, 2), (5, 1), (3, 1)), set()), (((3, 1), (2, 1), (3, 2)), {3}),
+     ((), set())],
+    ids=["every-observed-binary", "all-binary-are-0", "none-binary", "binary-observed-twice",
+         "nothing-observed"],
+)
+def test_binary_registers_with_every_none_or_nothing_observed(observed, binary):
+    x = [1, 0, 5]
+    want_n, _ = kernels.sparse_affine(_BITS_OPS, x, [1] * 3)
+    assert want_n == [1, 0, 5, 1, 0, 7]
+    counted = [Rational(want_n[r]) for r, k in observed for _ in range(k)]
+    want = (want_n, precision_of(counted) if observed else PrecisionReport(0, 0))
+    assert _counted(_BITS_OPS, x, range(6), observed, binary) == want
+
+
+@pytest.mark.parametrize("count", [0, -2])
+def test_binary_register_with_a_count_below_one_counts_as_without_binary(count):
+    """A count below 1 keeps the register's ``bit_length`` in ``max``, as
+    when no register is binary."""
+    observed = ((3, count), (5, 1))
+    x = [1, 0, 5]
+    assert _counted(_BITS_OPS, x, (), observed, {3}) == _counted(_BITS_OPS, x, (), observed, ())
 
 
 def test_compiled_int_program_runs_a_5000_term_row():
@@ -324,7 +380,7 @@ def test_compiled_int_program_runs_a_5000_term_row():
     ops = ((tuple((c, c - 2500, 1) for c in range(n)), -7, 1, False),
            (((n, -1, 1), (0, 3 ** 20000, 1)), 1, 1, True))
     x = [(-1) ** c * c for c in range(n)]
-    got, _, _ = kernels.compile_int_affine(ops, n, range(n + 2), ())(x)
+    got, _, _ = kernels.compile_int_affine(ops, n, range(n + 2), (), ())(x)
     assert got == kernels.sparse_affine(ops, x, [1] * n)[0]
     assert got[n] == sum((c - 2500) * v for c, v in enumerate(x)) - 7
 
@@ -356,7 +412,7 @@ class _SourceInt(int):
 def test_compile_int_affine_rejects_non_integer_programs(monkeypatch, op):
     ran = []
     monkeypatch.setattr(kernels, "exec", lambda *args: ran.append(args), raising=False)
-    assert kernels.compile_int_affine((op,), 1, (0,), ()) is None
+    assert kernels.compile_int_affine((op,), 1, (0,), (), ()) is None
     assert ran == []
 
 
@@ -371,5 +427,18 @@ def test_compile_int_affine_rejects_unknown_registers_and_counts(monkeypatch, ou
     ran = []
     monkeypatch.setattr(kernels, "exec", lambda *args: ran.append(args), raising=False)
     op = (((0, 2, 1),), 0, 1, False)  # registers 0 and 1
-    assert kernels.compile_int_affine((op,), 1, out, observed) is None
+    assert kernels.compile_int_affine((op,), 1, out, observed, ()) is None
+    assert ran == []
+
+
+@pytest.mark.parametrize(
+    "binary",
+    [(1,), (2,), (-1,), (_SourceInt(0),), (0, 1)],
+    ids=["not-observed", "missing", "negative", "subclass", "one-not-observed"],
+)
+def test_compile_int_affine_rejects_binary_registers_it_cannot_count(monkeypatch, binary):
+    ran = []
+    monkeypatch.setattr(kernels, "exec", lambda *args: ran.append(args), raising=False)
+    op = (((0, 2, 1),), 0, 1, False)  # registers 0 and 1; only 0 is observed
+    assert kernels.compile_int_affine((op,), 1, (1,), ((0, 1),), binary) is None
     assert ran == []

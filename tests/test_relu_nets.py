@@ -1,14 +1,16 @@
 import dataclasses
 import hashlib
 import math
+import operator
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from exactrnn import kernels
+from exactrnn import kernels, relu_nets
 from exactrnn.automata import (
     CounterMachine,
+    StackMachine,
     build_conn_counter_machine,
     cm_run,
     scripted_stack_machine,
@@ -20,7 +22,9 @@ from exactrnn.problems import (
     SortedDetConnInstance,
     conn_oracle,
     encode_conn_unary,
+    gen_conn,
     random_sorted_instance,
+    rng_for,
 )
 from exactrnn.rational import Rational, precision_of
 from exactrnn.relu_nets import (
@@ -165,6 +169,49 @@ def test_rnn_decode_rejects_fractional_one_hot(compile_net):
     rnn.decode(h)
     hot = h.nums.index(1)
     h.dens[hot] = 2  # 1/2 where the one-hot block needs 1
+    with pytest.raises(AssertionError, match="one-hot"):
+        rnn.decode(h)
+
+
+def two_state_net(compile_net):
+    """States p (start) and q swap on every symbol; one counter counts up,
+    or one stack pushes 0."""
+    keys = [(q, "x", (v,)) for q in ("p", "q") for v in (0, 1)]
+    if compile_net == "cm":
+        machine = CounterMachine(
+            states=("p", "q"), start="p", alphabet=("x",), n_counters=1,
+            transition={key: "pq"[key[0] == "p"] for key in keys},
+            updates={key: ("+1",) for key in keys}, accepting=frozenset(),
+        )
+        return cm_to_mlp_rnn(machine)
+    machine = StackMachine(
+        states=("p", "q"), start="p", alphabet=("x",), n_stacks=1,
+        transition={key: "pq"[key[0] == "p"] for key in keys},
+        stack_ops={key: ("push0",) for key in keys}, accepting=frozenset(),
+    )
+    return sm_to_mlp_rnn(machine)
+
+
+# (control state -> num/den) changes to the state block [1, 0] of state p
+_NOT_ONE_HOT = {
+    "two-hot": {1: (1, 1)},
+    "half-in-the-cold-state": {1: (1, 2)},
+    "hot-is-2": {0: (2, 1)},
+    "hot-is-1/2-and-cold-is-1": {0: (1, 2), 1: (1, 1)},
+    "none-hot": {0: (0, 1)},
+    "negative-cold-state": {1: (-1, 1)},
+}
+
+
+@pytest.mark.parametrize("compile_net", ["cm", "sm"])
+@pytest.mark.parametrize("change", _NOT_ONE_HOT.values(), ids=_NOT_ONE_HOT)
+def test_rnn_decode_rejects_a_state_block_that_is_not_one_hot(compile_net, change):
+    rnn = two_state_net(compile_net)
+    states = run_mlp_rnn(rnn, "xx").states
+    assert [rnn.decode(h)[0] for h in states] == ["p", "q", "p"]
+    h = RVector._raw(list(rnn.h0.nums), list(rnn.h0.dens))
+    for i, (num, den) in change.items():
+        h.nums[i], h.dens[i] = num, den
     with pytest.raises(AssertionError, match="one-hot"):
         rnn.decode(h)
 
@@ -592,13 +639,91 @@ def test_generated_code_is_built_once_per_program_and_never_for_signs(monkeypatc
     monkeypatch.setattr(kernels, "compile_int_affine", counting)
     rnn = cm_to_mlp_rnn(build_conn_counter_machine())
     assert rnn.state_nonneg and built == []
-    inst = random_sorted_instance(random.Random(3), 6)
+    tokens = encode_conn_unary(random_sorted_instance(random.Random(3), 6))
+    run_mlp_rnn(rnn, tokens, track_precision=False)
+    assert "binary_registers" not in vars(rnn)  # the range analysis waits for tracking
     for _ in range(2):
-        run_mlp_rnn(rnn, encode_conn_unary(inst))
+        run_mlp_rnn(rnn, tokens)
     update, acceptor = rnn.update.program(rnn.update_nonneg), rnn.acceptor.program(rnn.state_nonneg)
-    assert built == [update.ops, update.ops, acceptor.ops]  # int_run, int_step
+    counting_binary = rnn.update.program(rnn.update_nonneg, rnn.binary_registers)
+    # int_run, int_step, the acceptor's refusal, int_step on the proven 0/1 registers
+    assert built == [update.ops, update.ops, acceptor.ops, update.ops]
     assert update.int_run is not None and update.int_step is not None
+    assert counting_binary.int_step not in (None, update.int_step)
     assert acceptor.int_run is None and acceptor.int_step is None  # bias -1/2
+
+
+# --- range analysis: registers proven to hold 0 or 1 ---------------------------
+
+
+def unproven_binary_registers(rnn, tokens):
+    """The registers ``rnn.binary_registers`` claims that hold anything but 0
+    or 1 at some step of ``tokens``, found by running every step through
+    the update program's whole register file."""
+    prog = rnn.update.program(rnn.update_nonneg)
+    run = kernels.compile_int_affine(
+        prog.ops, prog.in_dim, range(prog.in_dim + len(prog.ops)), (), ()
+    )
+    claimed = sorted(rnn.binary_registers)
+    if not claimed:
+        return set()
+    values = operator.itemgetter(*claimed, claimed[0])  # a tuple even for one register
+    n_tokens = len(rnn.token_index)
+    hots = {tok: [int(j == i) for j in range(n_tokens)] for tok, i in rnn.token_index.items()}
+    h, bad = list(rnn.h0.nums), set()
+    for tok in tokens:
+        regs, _, _ = run(h + hots[tok])
+        if not {0, 1}.issuperset(values(regs)):
+            bad.update(r for r in claimed if regs[r] not in (0, 1))
+        h = [regs[r] for r in prog.out]
+    return bad
+
+
+def relu_trace_conn_streams(seed):
+    """The cm streams of one seed of the benchmark's ``relu-trace``
+    workload: every conn size from 2 to 60 twice, labels alternating."""
+    sizes = range(2, 61)
+    streams = []
+    for k in range(2 * len(sizes)):
+        n = sizes[k * 23 % len(sizes)]
+        inst = gen_conn((n, n), 0.5, k % 2 == 0, rng_for(seed, "relu-trace", "cm", k))
+        streams.append(encode_conn_unary(inst))
+    return streams
+
+
+def test_conn_net_registers_proven_binary_hold_0_or_1():
+    rnn = cm_to_mlp_rnn(build_conn_counter_machine())
+    observed = {r for r, _ in rnn.update.program(rnn.update_nonneg).observed}
+    assert rnn.binary_registers <= observed and len(rnn.binary_registers) >= 54
+    for tokens in relu_trace_conn_streams(1):
+        assert unproven_binary_registers(rnn, tokens) == set()
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_rnns())
+@example((_negative_state_rnn(), "ddidd"))
+def test_integer_net_registers_proven_binary_hold_0_or_1(case):
+    rnn, word = case
+    assert unproven_binary_registers(rnn, word) == set()
+
+
+def test_registers_that_leave_0_and_1_are_not_claimed():
+    rnn = _negative_state_rnn()  # x and r start at 0; x goes negative, r past 1
+    prog = rnn.update.program(rnn.update_nonneg)
+    assert not rnn.binary_registers & {0, 1, *prog.out}
+    assert unproven_binary_registers(rnn, "ddiiii") == set()
+
+
+def test_range_analysis_proves_nothing_past_its_caps_or_off_integers(monkeypatch):
+    conn = cm_to_mlp_rnn(build_conn_counter_machine())
+    assert conn.binary_registers
+    rational = RVector([Rational(1, 2)] + list(conn.h0)[1:])
+    assert dataclasses.replace(conn, h0=rational).binary_registers == frozenset()
+    assert sm_to_mlp_rnn(scripted_stack_machine(2, STACK_OP_PAIRS)).binary_registers == frozenset()
+    for cap in ("_RANGE_LEAVES", "_RANGE_STATES"):
+        with monkeypatch.context() as patch:
+            patch.setattr(relu_nets, cap, 2)
+            assert dataclasses.replace(conn).binary_registers == frozenset()
 
 
 @pytest.mark.parametrize("g", [gadget_eq_zero(), gadget_select(2)], ids=["eq_zero", "select2"])
