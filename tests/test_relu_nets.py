@@ -691,6 +691,66 @@ def relu_trace_conn_streams(seed):
     return streams
 
 
+def _run_digest(runs):
+    """SHA-256 over ``(rnn, tokens)`` runs of (accept, states,
+    ``PrecisionReport``) of the tracked run, with the untracked run's
+    accept and states checked against it."""
+    digest = hashlib.sha256()
+    for rnn, tokens in runs:
+        res = run_mlp_rnn(rnn, tokens)
+        bare = run_mlp_rnn(rnn, tokens, track_precision=False)
+        states = [(tuple(h.nums), tuple(h.dens)) for h in res.states]
+        assert bare.accept == res.accept and bare.precision is None
+        assert [(tuple(h.nums), tuple(h.dens)) for h in bare.states] == states
+        digest.update(repr((res.accept, states, res.precision)).encode())
+    return digest.hexdigest()
+
+
+def _pinned_conn_runs():
+    rnn = cm_to_mlp_rnn(build_conn_counter_machine())
+    return [(rnn, tokens) for tokens in relu_trace_conn_streams(1)]
+
+
+def _pinned_reset_runs():
+    rnn = cm_to_mlp_rnn(reset_machine(), reset_bound=1000)
+    words = ["", "r", "c", "c" * 7 + "r" + "c" * 3, "rrcrc", "c" * 40 + "r" + "c" * 99 + "rr" + "c" * 3]
+    return [(rnn, list(word)) for word in words]
+
+
+def _pinned_stack_runs():
+    rnn = sm_to_mlp_rnn(scripted_stack_machine(2, STACK_OP_PAIRS))
+    runs = []
+    for k in range(20):
+        rng = rng_for(1, "relu-trace", "sm", k)
+        runs.append((rnn, [rng.choice(STACK_OP_PAIRS) for _ in range(150)]))
+    return runs
+
+
+PINNED_RUNS = {
+    "conn-streams": (
+        _pinned_conn_runs,
+        "352e47280f3b26e9b160db7194e7bd9ba64933632cf69a24c977f0ba44bbddd6",
+    ),
+    "reset-cm": (
+        _pinned_reset_runs,
+        "b0c6a2f1ce1b5a99c68c1fc939465280fd81efb7e00af99fc4105ac26ed4b9d7",
+    ),
+    "stack-programs": (
+        _pinned_stack_runs,
+        "f5618079070b5911a1a221a5d45382b01a0b1e4b3916ba57d2ec098a69dc2e0b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_run_results_are_pinned(name):
+    """Accept, every state and the value bits of the tracked run, for the
+    benchmark's seed-1 cm streams, the reset net on fixed words and 20
+    seeded 150-op stack programs."""
+    runs, digest = PINNED_RUNS[name]
+    assert _run_digest(runs()) == digest
+
+
 def test_conn_net_registers_proven_binary_hold_0_or_1():
     rnn = cm_to_mlp_rnn(build_conn_counter_machine())
     observed = {r for r, _ in rnn.update.program(rnn.update_nonneg).observed}
