@@ -90,10 +90,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _write_atomic(path: str, chunks):
     """Write the strings ``chunks``, in order, to a temporary file beside
     ``path`` as they come, then rename it to ``path``; on any error the
-    temporary file is removed and ``path`` is left as it was."""
+    temporary file is removed and ``path`` is left as it was. The file
+    gets the mode ``open`` would give a new file, 0o666 less the umask
+    (``mkstemp`` makes it 0o600)."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-exactrnn-")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
             handle.writelines(chunks)
         os.replace(tmp, path)

@@ -28,21 +28,28 @@ which such a copy row reuses its source's register whenever that leaves
 every value unchanged: its layer has no ReLU, or a sign analysis proves the
 source non-negative, so the counter and stack update nets compute 53 of
 107 and 69 of 142 rows per token. ``MlpRnn.state_nonneg`` extends the
-analysis across time steps as a greatest fixpoint. ``run_mlp_rnn`` runs
-an update whose weights and biases are all integers (the counter-machine
-update) on integer states as generated straight-line code, which also
-counts the run's value bits: at den 1, ``value_bits(n)`` is
-``n.bit_length() + 1``. Most of the counter net's registers are flags,
-one-hots and AND units, and ``MlpRnn.binary_registers`` proves them 0 or 1
-at every step, 55 of the 70 observed registers of the conn net, so that
-the code counts each of them as its own bit length, without a call. That
-proof is an interval abstract interpretation (Cousot & Cousot 1977) of
-the update from ``h0`` over every token, run once per net on its first
-tracked run; it is made exact by splitting into cases on each register
-whose interval is [0, 1], which holds exactly 0 or 1 because every
-register of an all-integer program on integer inputs is an integer.
-Outputs and the ``PrecisionReport`` equal those of layer-by-layer
-evaluation.
+analysis across time steps as a greatest fixpoint.
+
+``run_mlp_rnn`` runs an update whose weights and biases are all integers
+(the counter-machine update) on integer states as generated straight-line
+code, one function per token (``MlpRnn.token_steps``), which also counts
+the run's value bits: at den 1, ``value_bits(n)`` is ``n.bit_length() +
+1``. Most of the counter net's registers are flags, one-hots and AND
+units, and once the token is known many of them are constant: an AND unit
+keyed by another symbol is 0. ``MlpRnn.token_ranges`` proves, per token,
+which registers hold one int at every step that reads it, 26 to 31 of the
+conn net's 53 computed ones and the token one-hot, and which others hold 0
+or 1. Each token's function is the update specialized to it (partial
+evaluation, Jones, Gomard & Sestoft 1993): it has no line for a constant
+register, folds the terms that read one into the bias, adds their value
+bits as a constant, and counts each 0/1 register as its own bit length,
+without a call. The proof is an interval abstract interpretation (Cousot &
+Cousot 1977) of the update from ``h0`` over every token, run once per net
+on its first integer run; it is made exact by splitting into cases on
+each register whose interval is [0, 1], which holds exactly 0 or 1
+because every register of an all-integer program on integer inputs is an
+integer. Outputs and the ``PrecisionReport`` equal those of
+layer-by-layer evaluation.
 """
 
 from __future__ import annotations
@@ -81,11 +88,6 @@ class _Program(NamedTuple):
     coordinate, ``observed`` pairs every register that stands for some
     layer output with the number of layer outputs it stands for, and
     ``out_nonneg`` holds the output coordinates proven non-negative.
-    ``int_run`` and ``int_step`` are ``kernels.compile_int_affine`` of the
-    ops, returning the ``out`` registers with the bits of no register and
-    of the ``observed`` ones, for ``run_mlp_rnn``; ``int_step`` counts the
-    registers ``ReluMlp.program`` was given as ``binary`` as 0 or 1. Both
-    are set by ``ReluMlp.program`` only (``None`` from ``_compile``).
     """
 
     in_dim: int
@@ -93,8 +95,6 @@ class _Program(NamedTuple):
     out: tuple
     observed: tuple
     out_nonneg: frozenset
-    int_run: object = None
-    int_step: object = None
 
 
 def _compile(layers, nonneg) -> _Program:
@@ -158,11 +158,8 @@ class ReluMlp:
     is known non-negative when it is in ``nonneg``, holds a ReLU output, or
     holds a no-ReLU row with a non-negative bias and positive weights on
     non-negative registers. ``MlpRnn.update_nonneg`` gives the assumption
-    that holds at every step of a recurrence. When every weight and bias is
-    an integer, ``program`` also builds, once per ``nonneg`` and set of
-    registers proven 0 or 1, the generated straight-line code
-    (``kernels.compile_int_affine``) that ``run_mlp_rnn`` runs on integer
-    states; it computes the same ints.
+    that holds at every step of a recurrence, and ``MlpRnn.token_steps``
+    the generated code that ``run_mlp_rnn`` runs instead on integer states.
 
     Outputs equal those of layer-by-layer evaluation, and the observed
     registers, each counted once per layer output it stands for, are that
@@ -181,29 +178,11 @@ class ReluMlp:
     def out_dim(self) -> int:
         return self.layers[-1].weights.rows
 
-    def program(self, nonneg=_NO_SIGNS, binary=frozenset()) -> _Program:
-        """The compiled program for inputs non-negative on ``nonneg``. Its
-        ``int_step`` counts each register in ``binary`` (observed registers
-        the caller guarantees hold 0 or 1, see ``MlpRnn.binary_registers``)
-        as its own bit length."""
-        prog = self._programs.get((nonneg, binary))
+    def program(self, nonneg=_NO_SIGNS) -> _Program:
+        """The compiled program for inputs non-negative on ``nonneg``."""
+        prog = self._programs.get(nonneg)
         if prog is None:
-            if binary:
-                prog = self.program(nonneg)
-                if prog.int_run is not None:
-                    prog = prog._replace(int_step=kernels.compile_int_affine(
-                        prog.ops, prog.in_dim, prog.out, prog.observed, binary
-                    ))
-            else:
-                prog = _compile(self.layers, nonneg)
-                args = prog.ops, prog.in_dim, prog.out
-                int_run = kernels.compile_int_affine(*args, (), ())
-                if int_run is not None:
-                    prog = prog._replace(
-                        int_run=int_run,
-                        int_step=kernels.compile_int_affine(*args, prog.observed, ()),
-                    )
-            self._programs[(nonneg, binary)] = prog
+            prog = self._programs[nonneg] = _compile(self.layers, nonneg)
         return prog
 
     def eval_raw(self, nums, dens, observe=None, nonneg=_NO_SIGNS):
@@ -347,10 +326,15 @@ def gadget_select(n_branches: int, bound: int = 8) -> ReluMlp:
 # Recurrent wrapper
 
 
-# The range analysis of ``MlpRnn.binary_registers`` proves nothing once it
-# has run more leaves, or reached more finite states, in one pass than this.
+# The range analysis of ``MlpRnn.token_ranges`` proves nothing beyond the
+# token one-hot once it has run more leaves, or reached more finite states,
+# in one pass than this.
 _RANGE_LEAVES = 1 << 14
 _RANGE_STATES = 1 << 10
+
+# a register's value over leaves where it held 0 in some and 1 in others
+_BIT = "0 or 1"
+_BITS = (0, 1, _BIT)
 
 
 def _leaves(ops, x):
@@ -396,22 +380,25 @@ def _leaves(ops, x):
         yield regs
 
 
-def _explore(ops, out, registers, state, finite, hots):
-    """One pass of ``MlpRnn.binary_registers``: run ``ops`` abstractly on
+def _explore(ops, out, state, finite, hots):
+    """One pass of ``MlpRnn.token_ranges``: run ``ops`` abstractly on
     ``state`` and every token one-hot in ``hots``, for every value of the
     ``finite`` coordinates reachable from their values in ``state``; the
     other coordinates of ``state`` hold their intervals.
 
     Returns the finite coordinates that come out as 0 or 1 in every leaf
-    (stopping at the first leaf where one does not) and the ``registers``
-    that are 0 or 1 in every leaf, or ``(None, None)`` past the caps.
+    (stopping at the first leaf where one does not) and, per token, each
+    register's value over that token's leaves: the int it holds in all of
+    them, ``_BIT`` when it holds 0 or 1 in each, or anything else; or
+    ``(None, None)`` past the caps.
     """
     start = tuple(state[i] for i in finite)
     seen, todo, leaves = {start}, [start], 0
+    merged = [None] * len(hots)
     while todo:
         for i, v in zip(finite, todo.pop()):
             state[i] = v
-        for hot in hots:
+        for j, hot in enumerate(hots):
             for regs in _leaves(ops, state + hot):
                 leaves += 1
                 if leaves > _RANGE_LEAVES:
@@ -419,13 +406,17 @@ def _explore(ops, out, registers, state, finite, hots):
                 nxt = tuple(regs[out[i]] for i in finite)
                 if not all(v in (0, 1) for v in nxt):
                     return [i for i, v in zip(finite, nxt) if v in (0, 1)], None
-                registers = [r for r in registers if regs[r] in (0, 1)]
+                had = merged[j]
+                merged[j] = regs if had is None else [
+                    a if a == b else _BIT if a in _BITS and b in _BITS else None
+                    for a, b in zip(had, regs)
+                ]
                 if nxt not in seen:
                     seen.add(nxt)
                     todo.append(nxt)
         if len(seen) > _RANGE_STATES:
             return None, None
-    return finite, registers
+    return finite, merged
 
 
 @dataclass(frozen=True)
@@ -433,10 +424,11 @@ class MlpRnn:
     """State recurrence h_t = update([h_{t-1} | onehot(x_t)]).
 
     ``decode`` (attached by the compilers) maps a hidden state back to the
-    simulated machine's configuration. Frozen, because ``state_nonneg`` and
-    ``binary_registers``, the coordinates proven non-negative and the
-    registers proven 0 or 1 at every step, are derived from ``update`` and
-    ``h0`` once.
+    simulated machine's configuration. Frozen, because ``state_nonneg``,
+    ``token_ranges`` and ``token_steps``, the coordinates proven
+    non-negative, the registers proven constant or 0 or 1 per token, and
+    the update's generated code for each token, are derived from
+    ``update`` and ``h0`` once, lazily: building a net runs none of them.
     """
 
     state_dim: int
@@ -469,10 +461,13 @@ class MlpRnn:
         return self.state_nonneg | frozenset(range(self.state_dim, self.update.in_dim))
 
     @cached_property
-    def binary_registers(self) -> frozenset:
-        """Observed registers of ``update.program(update_nonneg)`` that hold
-        0 or 1 at every step; empty unless that program is all-integer and
-        ``h0`` is integer.
+    def token_ranges(self):
+        """Per token index, ``(known, binary)`` for the update program
+        ``update.program(update_nonneg)``: ``known`` maps every register
+        from the token one-hot on that holds one int at every step that
+        reads the token to that int, and ``binary`` holds the other
+        observed registers that hold 0 or 1 at those steps. ``None`` unless
+        that program is all-integer and ``h0`` is integer.
 
         A range analysis, run once: the program runs abstractly
         (``_leaves``) on every token one-hot, with each state coordinate
@@ -482,28 +477,57 @@ class MlpRnn:
         but a concrete 0 or 1 in some leaf is made free, and the analysis
         restarts (a greatest fixpoint), so the reachable finite values are
         closed under the update and, by induction on t, every h_t is
-        covered. A register is binary when it is 0 or 1 in every leaf of
-        every reachable case. Past a fixed number of leaves or finite
-        states the analysis proves nothing.
+        covered. A register is known for a token when it holds one int in
+        every leaf of every reachable case of that token, and binary when
+        it holds 0 or 1 in each. Past a fixed number of leaves or finite
+        states the analysis proves nothing, and only the one-hot is known.
         """
         d, nums = self.state_dim, self.h0.nums
         prog = self.update.program(self.update_nonneg)
-        if prog.int_run is None or self.h0.dens.count(1) != d:
-            return frozenset()
+        integer = all(bd == 1 and all(b == 1 for *_, b in terms) for terms, _, bd, _ in prog.ops)
+        if not integer or self.h0.dens.count(1) != d:
+            return None
         n_tokens = prog.in_dim - d
         hots = [[int(j == i) for j in range(n_tokens)] for i in range(n_tokens)]
-        observed = [r for r, _ in prog.observed]
         finite = [i for i in range(d) if nums[i] in (0, 1)]
         while True:
             state = [(0, None) if i in self.state_nonneg else (None, None) for i in range(d)]
             for i in finite:
                 state[i] = nums[i]
-            kept, registers = _explore(prog.ops, prog.out, observed, state, finite, hots)
+            kept, merged = _explore(prog.ops, prog.out, state, finite, hots)
             if kept is None:
-                return frozenset()
+                return tuple((dict(enumerate(hot, d)), frozenset()) for hot in hots)
             if kept == finite:
-                return frozenset(registers)
+                break
             finite = kept
+        ranges = []
+        for values in merged:
+            known = {r: v for r, v in enumerate(values) if r >= d and type(v) is int}
+            binary = frozenset(
+                r for r, _ in prog.observed if r not in known and values[r] in _BITS
+            )
+            ranges.append((known, binary))
+        return tuple(ranges)
+
+    @cached_property
+    def token_steps(self):
+        """Per token, the update's generated code for integer states:
+        ``kernels.compile_int_affine`` of ``update.program(update_nonneg)``
+        with the token's ``token_ranges``, a function of the state nums
+        that returns the next state's nums and the max and total value bits
+        of the step's observed registers. ``None`` when ``token_ranges``
+        is."""
+        ranges = self.token_ranges
+        if ranges is None:
+            return None
+        prog = self.update.program(self.update_nonneg)
+        steps = {}
+        for tok, i in self.token_index.items():
+            known, binary = ranges[i]
+            steps[tok] = kernels.compile_int_affine(
+                prog.ops, prog.in_dim, prog.out, prog.observed, binary, known
+            )
+        return steps
 
 
 @dataclass
@@ -518,15 +542,14 @@ def run_mlp_rnn(rnn: MlpRnn, tokens, track_precision: bool = True) -> MlpRunResu
     (all post-activation layer outputs plus the running state).
 
     When the update program is all-integer and ``h0`` is integer, every
-    state is integer, and each token runs the program's generated code
-    directly: ``int_step``, which returns the new state with the token's
+    state is integer, and each token runs its function in
+    ``rnn.token_steps`` on the state nums, tracked or not: the update
+    specialized to that token, which returns the new state with the step's
     largest and total value bits, computed as ``n.bit_length() + 1``
-    (``value_bits`` at den 1), or ``int_run`` when nothing is measured.
-    The ``int_step`` counts each register in ``rnn.binary_registers`` as
-    its own bit length; that range analysis runs on a net's first tracked
-    run, never on untracked ones. Otherwise each token runs ``eval_raw``
-    with an observer. ``h0`` and the acceptor are always measured by the
-    observer.
+    (``value_bits`` at den 1); an untracked run ignores the bits. The range
+    analysis and code generation behind ``token_steps`` run on a net's
+    first such run. Otherwise each token runs ``eval_raw`` with an
+    observer. ``h0`` and the acceptor are always measured by the observer.
     """
     max_bits = 0
     total_bits = 0
@@ -547,32 +570,27 @@ def run_mlp_rnn(rnn: MlpRnn, tokens, track_precision: bool = True) -> MlpRunResu
     watcher = observe if track_precision else None
     if track_precision:
         observe(rnn.h0.nums, rnn.h0.dens, tuple((i, 1) for i in range(d)))
-    update, update_nonneg = rnn.update, rnn.update_nonneg
     nums, dens = list(rnn.h0.nums), list(rnn.h0.dens)
-    prog = update.program(update_nonneg)
-    step = None
-    if prog.int_run is not None and dens.count(1) == d:
-        if track_precision:
-            step = update.program(update_nonneg, rnn.binary_registers).int_step
-        else:
-            step = prog.int_run
-    hots = {tok: [int(j == i) for j in range(n_tokens)] for tok, i in rnn.token_index.items()}
-    ones = [1] * n_tokens
     states = [RVector._raw(nums, dens)]
+    steps = rnn.token_steps
+    integer = steps is not None
+    if not integer:  # each token maps to its one-hot instead
+        steps = {tok: [int(j == i) for j in range(n_tokens)] for tok, i in rnn.token_index.items()}
+        ones = [1] * n_tokens
     for tok in tokens:
         try:
-            hot = hots[tok]
+            step = steps[tok]
         except KeyError:
             raise ValueError(f"unknown token {tok!r}") from None
-        if step is not None:
-            nums, b, t = step(nums + hot)
+        if integer:
+            nums, b, t = step(nums)
             dens = [1] * d
             total_bits += t
             if b > max_bits:
                 max_bits = b
         else:
-            nums, dens = update.eval_raw(
-                nums + hot, dens + ones, observe=watcher, nonneg=update_nonneg
+            nums, dens = rnn.update.eval_raw(
+                nums + step, dens + ones, observe=watcher, nonneg=rnn.update_nonneg
             )
         states.append(RVector._raw(nums, dens))
     on, od = rnn.acceptor.eval_raw(nums, dens, observe=watcher, nonneg=rnn.state_nonneg)

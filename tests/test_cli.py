@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -305,6 +307,21 @@ def test_gen_failing_mid_stream_leaves_no_file(tmp_path, monkeypatch):
     out.write_text("kept\n")
     assert run_cli(["gen", "conn", "--count", "4", "--range", "2,5", "--out", str(out)]) == 3
     assert out.read_text() == "kept\n" and [p.name for p in tmp_path.iterdir()] == ["conn.jsonl"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+@pytest.mark.parametrize("command", [
+    ["gen", "conn", "--count", "2", "--range", "2,5"],
+    ["report", "precision", "--task", "stack", "--n-list", "4"],
+], ids=["gen", "report-precision"])
+def test_out_file_mode_follows_the_umask(tmp_path, command, umask, mode):
+    out = tmp_path / "out.txt"
+    old = os.umask(umask)
+    try:
+        assert run_cli(command + ["--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == mode
 
 
 @pytest.mark.parametrize("task", ["conn", "imm-mod", "imm-z"])

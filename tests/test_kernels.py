@@ -375,6 +375,44 @@ def test_binary_register_with_a_count_below_one_counts_as_without_binary(count):
     assert _counted(_BITS_OPS, x, (), observed, {3}) == _counted(_BITS_OPS, x, (), observed, ())
 
 
+@settings(max_examples=300, deadline=None)
+@given(int_programs(), st.data())
+@example((_CHAIN, [7]), None)
+@example((_NO_TERMS, [5]), None)
+def test_known_registers_fold_like_sparse_affine_and_precision_of(case, data):
+    """Registers, inputs or ops, named ``known`` with the ints they hold
+    get no line; the function takes the other inputs, and the results are
+    still those of ``sparse_affine`` and ``precision_of``."""
+    ops, x = case
+    want_n, _ = kernels.sparse_affine(ops, x, [1] * len(x))
+    regs = range(len(want_n))
+    if data is None:  # an explicit example: every register known, observed and out
+        known, out, observed, binary = set(regs), list(regs), [(r, 1) for r in regs], set()
+    else:
+        known = data.draw(st.sets(st.sampled_from(regs)))
+        out = data.draw(st.lists(st.sampled_from(regs), max_size=6))
+        observed = data.draw(st.lists(st.tuples(st.sampled_from(regs), st.integers(1, 4)),
+                                      max_size=8))
+        zero_one = sorted({r for r, _ in observed if want_n[r] in (0, 1)})
+        binary = data.draw(st.sets(st.sampled_from(zero_one))) if zero_one else set()
+    run = kernels.compile_int_affine(
+        ops, len(x), out, observed, binary, {r: want_n[r] for r in known}
+    )
+    got, max_bits, total_bits = run([v for i, v in enumerate(x) if i not in known])
+    assert got == [want_n[r] for r in out]
+    counted = [Rational(want_n[r]) for r, k in observed for _ in range(k)]
+    want = precision_of(counted) if observed else PrecisionReport(0, 0)
+    assert PrecisionReport(max_bits, total_bits) == want
+
+
+def test_known_registers_get_no_line():
+    """r3 = relu(r0 - r1) and r5 = 2 r2 - 3 with r0 = 1 and r3 = 1 known:
+    r3 is folded out of the code, r0 out of the inputs."""
+    run = kernels.compile_int_affine(_BITS_OPS, 3, range(6), (), (), {0: 1, 3: 1})
+    assert run([0, 5]) == ([1, 0, 5, 1, 0, 7], 0, 0)
+    assert "r3" not in run.__code__.co_varnames and "r0" not in run.__code__.co_varnames
+
+
 def test_compiled_int_program_runs_a_5000_term_row():
     n = 5000
     ops = ((tuple((c, c - 2500, 1) for c in range(n)), -7, 1, False),
@@ -428,6 +466,20 @@ def test_compile_int_affine_rejects_unknown_registers_and_counts(monkeypatch, ou
     monkeypatch.setattr(kernels, "exec", lambda *args: ran.append(args), raising=False)
     op = (((0, 2, 1),), 0, 1, False)  # registers 0 and 1
     assert kernels.compile_int_affine((op,), 1, out, observed, ()) is None
+    assert ran == []
+
+
+@pytest.mark.parametrize(
+    "known",
+    [{2: 0}, {-1: 0}, {_SourceInt(0): 0}, {0: _SourceInt(0)}, {0: 1.0}, {0: True}],
+    ids=["missing", "negative", "register-subclass", "value-subclass", "value-float",
+         "value-bool"],
+)
+def test_compile_int_affine_rejects_known_registers_it_cannot_fold(monkeypatch, known):
+    ran = []
+    monkeypatch.setattr(kernels, "exec", lambda *args: ran.append(args), raising=False)
+    op = (((0, 2, 1),), 0, 1, False)  # registers 0 and 1
+    assert kernels.compile_int_affine((op,), 1, (1,), ((0, 1),), (), known) is None
     assert ran == []
 
 

@@ -560,7 +560,7 @@ def int_rnns(draw):
 @example((_negative_state_rnn(), "ddidd"))
 def test_integer_nets_count_bits_in_generated_code_like_reference(case):
     rnn, word = case
-    assert rnn.update.program(rnn.update_nonneg).int_step is not None
+    assert rnn.token_steps is not None
     accept, states, report = reference_run(rnn, word)
     for track in (True, False):
         res = run_mlp_rnn(rnn, word, track_precision=track)
@@ -596,26 +596,29 @@ def test_copy_rows_are_not_computed():
     assert len(sm.update.program(sm.update_nonneg).ops) <= 69
 
 
+def _one_hot_ranges(rnn):
+    """``token_ranges`` that know the token one-hot and nothing else."""
+    d, n_tokens = rnn.state_dim, len(rnn.token_index)
+    return tuple(
+        ({d + j: int(j == i) for j in range(n_tokens)}, frozenset()) for i in range(n_tokens)
+    )
+
+
 def test_integer_program_runs_generated_code_only_on_integer_input(monkeypatch):
-    """``run_mlp_rnn`` runs an all-integer update's generated code when
-    ``h0`` is integer and ``eval_raw`` otherwise, with the reference's
-    results either way."""
+    """``run_mlp_rnn`` runs an all-integer update's generated code, the one
+    function of each token whether tracked or not, when ``h0`` is integer,
+    and ``eval_raw`` otherwise, with the reference's results either way."""
     calls = []
-    program = ReluMlp.program
+    compile_int_affine = kernels.compile_int_affine
 
-    def counting(self, *args):
-        prog = program(self, *args)
-        if prog.int_run is None:
-            return prog
-        return prog._replace(
-            int_run=lambda x: calls.append("int_run") or prog.int_run(x),
-            int_step=lambda x: calls.append("int_step") or prog.int_step(x),
-        )
+    def counting(*args):
+        run, hot = compile_int_affine(*args), tuple(args[5][r] for r in (2, 3))
+        return lambda x: calls.append(hot) or run(x)
 
-    monkeypatch.setattr(ReluMlp, "program", counting)
-    integer = _negative_state_rnn()
+    monkeypatch.setattr(kernels, "compile_int_affine", counting)
+    integer = _negative_state_rnn()  # state x, r; tokens d, i at registers 2, 3
     rational = dataclasses.replace(integer, h0=RVector([Rational(1, 2), Rational(0)]))
-    for rnn, int_calls in ((integer, ["int_step"] * 3 + ["int_run"] * 3), (rational, [])):
+    for rnn, int_calls in ((integer, [(1, 0), (0, 1), (1, 0)] * 2), (rational, [])):
         accept, states, report = reference_run(rnn, "did")
         for track in (True, False):
             res = run_mlp_rnn(rnn, "did", track_precision=track)
@@ -624,57 +627,78 @@ def test_integer_program_runs_generated_code_only_on_integer_input(monkeypatch):
             assert res.precision == (report if track else None)
         assert calls == int_calls
         calls.clear()
-    assert gadget_eq_zero().program().int_run is not None
-    assert gadget_threshold(Rational(1, 2)).program().int_run is None
+    for gadget, integral in ((gadget_eq_zero(), True), (gadget_threshold(Rational(1, 2)), False)):
+        prog = gadget.program()
+        run = compile_int_affine(prog.ops, prog.in_dim, prog.out, (), ())
+        assert (run is not None) == integral
 
 
 def test_generated_code_is_built_once_per_program_and_never_for_signs(monkeypatch):
+    """One compile per token of a net, on its first run, tracked or not;
+    none when it is built, and none for a net with a rational update (sm),
+    for the acceptors or for a rational ``h0``."""
     built = []
     compile_int_affine = kernels.compile_int_affine
 
-    def counting(ops, in_dim, *counted):
-        built.append(ops)
-        return compile_int_affine(ops, in_dim, *counted)
+    def counting(ops, in_dim, out, observed, binary, known):
+        built.append((ops, known))
+        return compile_int_affine(ops, in_dim, out, observed, binary, known)
 
     monkeypatch.setattr(kernels, "compile_int_affine", counting)
     rnn = cm_to_mlp_rnn(build_conn_counter_machine())
-    assert rnn.state_nonneg and built == []
+    stack = sm_to_mlp_rnn(scripted_stack_machine(2, STACK_OP_PAIRS))
+    assert rnn.state_nonneg and stack.state_nonneg and built == []
+    assert "token_ranges" not in vars(rnn)  # the range analysis waits for a run
     tokens = encode_conn_unary(random_sorted_instance(random.Random(3), 6))
     run_mlp_rnn(rnn, tokens, track_precision=False)
-    assert "binary_registers" not in vars(rnn)  # the range analysis waits for tracking
     for _ in range(2):
         run_mlp_rnn(rnn, tokens)
-    update, acceptor = rnn.update.program(rnn.update_nonneg), rnn.acceptor.program(rnn.state_nonneg)
-    counting_binary = rnn.update.program(rnn.update_nonneg, rnn.binary_registers)
-    # int_run, int_step, the acceptor's refusal, int_step on the proven 0/1 registers
-    assert built == [update.ops, update.ops, acceptor.ops, update.ops]
-    assert update.int_run is not None and update.int_step is not None
-    assert counting_binary.int_step not in (None, update.int_step)
-    assert acceptor.int_run is None and acceptor.int_step is None  # bias -1/2
+    update = rnn.update.program(rnn.update_nonneg)
+    assert [ops for ops, _ in built] == [update.ops] * len(rnn.token_index)
+    ranges = rnn.token_ranges
+    assert [known for _, known in built] == [ranges[i][0] for i in rnn.token_index.values()]
+    for (known, _), (one_hot, _) in zip(ranges, _one_hot_ranges(rnn)):
+        assert one_hot.items() <= known.items()
+    assert list(rnn.token_steps) == list(rnn.token_index)
+    built.clear()
+    rational = dataclasses.replace(rnn, h0=RVector([Rational(1, 2)] + list(rnn.h0)[1:]))
+    for net, word in ((stack, [STACK_OP_PAIRS[0]] * 3), (rational, tokens[:3])):
+        for track in (True, False):
+            run_mlp_rnn(net, word, track_precision=track)
+        assert net.token_steps is None
+    assert built == []
 
 
-# --- range analysis: registers proven to hold 0 or 1 ---------------------------
+# --- range analysis: registers proven constant or 0 or 1 per token ----------------
 
 
-def unproven_binary_registers(rnn, tokens):
-    """The registers ``rnn.binary_registers`` claims that hold anything but 0
-    or 1 at some step of ``tokens``, found by running every step through
-    the update program's whole register file."""
+def unproven_token_ranges(rnn, tokens):
+    """The registers that ``rnn.token_ranges`` claims for some token, as an
+    int that its step folds or as a 0 or 1, that hold anything else at a
+    step of ``tokens`` that reads the token, found by running every step
+    through the update program's whole register file."""
+    ranges = rnn.token_ranges
+    if ranges is None:
+        return set()
     prog = rnn.update.program(rnn.update_nonneg)
     run = kernels.compile_int_affine(
         prog.ops, prog.in_dim, range(prog.in_dim + len(prog.ops)), (), ()
     )
-    claimed = sorted(rnn.binary_registers)
-    if not claimed:
-        return set()
-    values = operator.itemgetter(*claimed, claimed[0])  # a tuple even for one register
     n_tokens = len(rnn.token_index)
-    hots = {tok: [int(j == i) for j in range(n_tokens)] for tok, i in rnn.token_index.items()}
+    checks = []
+    for i, (known, binary) in enumerate(ranges):
+        claimed = sorted(known) + sorted(binary)
+        values = operator.itemgetter(*claimed, 0)  # a tuple even for one register
+        want = tuple(known[r] for r in sorted(known))
+        checks.append(([int(j == i) for j in range(n_tokens)], values, want, known, binary))
     h, bad = list(rnn.h0.nums), set()
     for tok in tokens:
-        regs, _, _ = run(h + hots[tok])
-        if not {0, 1}.issuperset(values(regs)):
-            bad.update(r for r in claimed if regs[r] not in (0, 1))
+        hot, values, want, known, binary = checks[rnn.token_index[tok]]
+        regs, _, _ = run(h + hot)
+        got = values(regs)
+        if got[: len(want)] != want or not {0, 1}.issuperset(got[len(want) : -1]):
+            bad.update(r for r, v in known.items() if regs[r] != v)
+            bad.update(r for r in binary if regs[r] not in (0, 1))
         h = [regs[r] for r in prog.out]
     return bad
 
@@ -752,38 +776,68 @@ def test_run_results_are_pinned(name):
 
 
 def test_conn_net_registers_proven_binary_hold_0_or_1():
+    """Per token, the conn net's step folds 26 or more of its 53 computed
+    registers, and 55 of its 70 observed ones are folded or counted as 0
+    or 1; every claim holds on the benchmark's seed-1 streams, and on the
+    reset net's pinned words."""
     rnn = cm_to_mlp_rnn(build_conn_counter_machine())
-    observed = {r for r, _ in rnn.update.program(rnn.update_nonneg).observed}
-    assert rnn.binary_registers <= observed and len(rnn.binary_registers) >= 54
+    prog = rnn.update.program(rnn.update_nonneg)
+    assert len(prog.ops) == 53
+    observed = {r for r, _ in prog.observed}
+    assert len(rnn.token_ranges) == len(rnn.token_index)
+    for known, binary in rnn.token_ranges:
+        assert binary <= observed - known.keys()
+        assert sum(r >= prog.in_dim for r in known) >= 26
+        assert len(observed & (known.keys() | binary)) >= 55
     for tokens in relu_trace_conn_streams(1):
-        assert unproven_binary_registers(rnn, tokens) == set()
+        assert unproven_token_ranges(rnn, tokens) == set()
+    runs = _pinned_reset_runs()
+    assert runs[0][0].token_ranges != _one_hot_ranges(runs[0][0])
+    for reset, word in runs:
+        assert unproven_token_ranges(reset, word) == set()
 
 
 @settings(max_examples=200, deadline=None)
 @given(int_rnns())
 @example((_negative_state_rnn(), "ddidd"))
 def test_integer_net_registers_proven_binary_hold_0_or_1(case):
+    """Every register a token's step folds holds the folded int, and every
+    one it counts as 0 or 1 holds 0 or 1, at each step of a random word."""
     rnn, word = case
-    assert unproven_binary_registers(rnn, word) == set()
+    assert rnn.token_ranges is not None
+    assert unproven_token_ranges(rnn, word) == set()
 
 
 def test_registers_that_leave_0_and_1_are_not_claimed():
     rnn = _negative_state_rnn()  # x and r start at 0; x goes negative, r past 1
     prog = rnn.update.program(rnn.update_nonneg)
-    assert not rnn.binary_registers & {0, 1, *prog.out}
-    assert unproven_binary_registers(rnn, "ddiiii") == set()
+    for known, binary in rnn.token_ranges:
+        assert not (known.keys() | binary) & {0, 1, *prog.out}
+    assert unproven_token_ranges(rnn, "ddiiii") == set()
 
 
 def test_range_analysis_proves_nothing_past_its_caps_or_off_integers(monkeypatch):
+    """Past either cap each token's step folds only its one-hot, with the
+    reference's results; off integers there is no analysis to run."""
     conn = cm_to_mlp_rnn(build_conn_counter_machine())
-    assert conn.binary_registers
+    one_hots = _one_hot_ranges(conn)
+    for (known, binary), (one_hot, _) in zip(conn.token_ranges, one_hots):
+        assert known.items() > one_hot.items() and binary
     rational = RVector([Rational(1, 2)] + list(conn.h0)[1:])
-    assert dataclasses.replace(conn, h0=rational).binary_registers == frozenset()
-    assert sm_to_mlp_rnn(scripted_stack_machine(2, STACK_OP_PAIRS)).binary_registers == frozenset()
+    assert dataclasses.replace(conn, h0=rational).token_ranges is None
+    assert sm_to_mlp_rnn(scripted_stack_machine(2, STACK_OP_PAIRS)).token_ranges is None
+    tokens = encode_conn_unary(random_sorted_instance(random.Random(4), 6))
+    accept, states, report = reference_run(conn, tokens)
     for cap in ("_RANGE_LEAVES", "_RANGE_STATES"):
         with monkeypatch.context() as patch:
             patch.setattr(relu_nets, cap, 2)
-            assert dataclasses.replace(conn).binary_registers == frozenset()
+            capped = dataclasses.replace(conn)
+            assert capped.token_ranges == one_hots
+            for track in (True, False):
+                res = run_mlp_rnn(capped, tokens, track_precision=track)
+                assert res.accept == accept
+                assert [list(h) for h in res.states] == states
+                assert res.precision == (report if track else None)
 
 
 @pytest.mark.parametrize("g", [gadget_eq_zero(), gadget_select(2)], ids=["eq_zero", "select2"])
