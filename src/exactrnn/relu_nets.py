@@ -48,7 +48,28 @@ Cousot 1977) of the update from ``h0`` over every token, run once per net
 on its first integer run; it is made exact by splitting into cases on
 each register whose interval is [0, 1], which holds exactly 0 or 1
 because every register of an all-integer program on integer inputs is an
-integer. Outputs and the ``PrecisionReport`` equal those of
+integer.
+
+Every other update, the stack-machine net's with its rational weights and
+any net with a rational ``h0``, runs one cell of its state space at a time.
+A ReLU net is piecewise affine: in a cell where every ReLU has a fixed
+sign, a step is an affine map, the step of a linear RNN (Montufar et al.
+2014). ``MlpRnn.cells`` holds one lazily built decision tree per token.
+Each node tests one state coordinate against a rational threshold, and
+each leaf is the update specialized to the closed box that the tests leave,
+built by one symbolic pass in the manner of symbolic intervals with input
+splitting (ReluVal, Wang et al. 2018): each register is an exact affine form
+in the state, a ReLU the box decides is 0 or the identity, an undecided
+ReLU over one state coordinate splits the box at its breakpoint on the
+current state's side, and any other stays a ReLU op; constant registers
+fold, and their value bits are constants of the leaf. No static proof
+gives these boxes for the stack net, whose exactness rests on the relation
+between each stack's halving value and its mirror (no interval box is
+inductive under pop), so the walk down the tree checks the box premise at
+every step. The stack net's 69 ops become leaves of 4 to 14. Past
+``_CELL_LEAVES`` leaves per net, a token's unsplit leaf, specialized to the
+root box alone, serves every state that reaches an unbuilt branch, so
+memory stays bounded. Outputs and the ``PrecisionReport`` equal those of
 layer-by-layer evaluation.
 """
 
@@ -62,7 +83,7 @@ from typing import NamedTuple
 from . import kernels
 from .automata import CounterMachine, StackMachine, _all_masks
 from .linalg import RMatrix, RVector
-from .rational import PrecisionReport, Rational, as_rational
+from .rational import PrecisionReport, Rational, as_rational, value_bits
 
 _ZERO = Rational(0)
 _ONE = Rational(1)
@@ -158,8 +179,9 @@ class ReluMlp:
     is known non-negative when it is in ``nonneg``, holds a ReLU output, or
     holds a no-ReLU row with a non-negative bias and positive weights on
     non-negative registers. ``MlpRnn.update_nonneg`` gives the assumption
-    that holds at every step of a recurrence, and ``MlpRnn.token_steps``
-    the generated code that ``run_mlp_rnn`` runs instead on integer states.
+    that holds at every step of a recurrence; ``run_mlp_rnn`` runs its
+    update per token instead, as ``MlpRnn.token_steps`` on integer states
+    and as the leaves of ``MlpRnn.cells`` otherwise.
 
     Outputs equal those of layer-by-layer evaluation, and the observed
     registers, each counted once per layer output it stands for, are that
@@ -331,6 +353,9 @@ def gadget_select(n_branches: int, bound: int = 8) -> ReluMlp:
 # in one pass than this.
 _RANGE_LEAVES = 1 << 14
 _RANGE_STATES = 1 << 10
+# ``MlpRnn.cells`` builds at most this many cell leaves per net; past it, a
+# state that reaches an unbuilt branch runs its token's unsplit leaf.
+_CELL_LEAVES = 1 << 10
 
 # a register's value over leaves where it held 0 in some and 1 in others
 _BIT = "0 or 1"
@@ -419,16 +444,196 @@ def _explore(ops, out, state, finite, hots):
     return finite, merged
 
 
+class _Leaf(NamedTuple):
+    """An update program specialized to one token and one closed box of the
+    state space (see ``MlpRnn.cells``): ``kernels.sparse_affine`` ops over
+    the state alone, the register of each next-state coordinate, the
+    (register, layer-output count) pairs of the observed registers that are
+    not constant on the box, and the largest and total value bits of those
+    that are."""
+
+    ops: tuple
+    out: tuple
+    observed: tuple
+    max_bits: int
+    total_bits: int
+
+
+def _bounds(coefs, const, box):
+    """Least and greatest value of ``const + sum(u * x[v])`` over ``box``,
+    an interval per register with ``None`` for an unbounded end."""
+    lo = hi = const
+    for v, u in coefs.items():
+        a, b = box[v] if u > 0 else box[v][::-1]
+        lo = None if lo is None or a is None else lo + u * a
+        hi = None if hi is None or b is None else hi + u * b
+    return lo, hi
+
+
+def _cell(prog, token, box, state=None):
+    """The update program ``prog`` over [state | token one-hot] specialized
+    to the token index ``token`` and a closed box of the state space:
+    ``(leaf, path)``.
+
+    ``box`` is an interval per state coordinate, with ``None`` for an
+    unbounded end. One symbolic pass keeps each register as an exact affine
+    form ``(coefs, const)`` over the leaf's registers: the state, then one
+    per leaf op. A ReLU whose sign the box decides is 0 or the identity.
+    When ``state`` (its nums and dens) is given, an undecided ReLU that
+    reads one state coordinate alone splits the box at the coordinate's
+    breakpoint: a new node ``[v, tn, td, None, None]`` tests x[v] <= tn /
+    td, the box narrows to the side that ``state`` takes, and ``path``
+    lists each new node with that child's index (see ``_narrow``). Any
+    other undecided ReLU becomes a leaf op, whose interval the box bounds.
+    The ``_Leaf`` computes each observed register that is not constant (a
+    form with one weight 1 and no constant is its register) and each
+    next-state coordinate, and identical ops share one register; it is
+    exact for every state in the narrowed box.
+    """
+    d = len(box)
+    forms = [({i: _ONE}, _ZERO) for i in range(d)]
+    forms += [({}, _ONE if j == token else _ZERO) for j in range(prog.in_dim - d)]
+    bounds = list(box)
+    ops, regs, path = [], {}, []
+
+    def emit(coefs, const, relu):
+        terms = tuple((v, u.num, u.den) for v, u in sorted(coefs.items()))
+        op = (terms, const.num, const.den, relu)
+        if op not in regs:
+            regs[op] = d + len(ops)
+            ops.append(op)
+        return regs[op]
+
+    for terms, bn, bd, relu in prog.ops:
+        coefs, const = {}, Rational._make(bn, bd)
+        for c, a, b in terms:
+            w = Rational._make(a, b)
+            fc, k = forms[c]
+            if k:
+                const += w * k
+            for v, u in fc.items():
+                coefs[v] = coefs[v] + w * u if v in coefs else w * u
+        coefs = {v: u for v, u in coefs.items() if u}
+        if relu and not coefs:
+            const = max(const, _ZERO)
+        while relu and coefs:
+            lo, hi = _bounds(coefs, const, bounds)
+            if hi is not None and hi <= 0:
+                coefs, const = {}, _ZERO
+            elif lo is None or lo < 0:
+                if state is not None and len(coefs) == 1 and next(iter(coefs)) < d:
+                    ((v, u),) = coefs.items()
+                    t = -const / u
+                    node = [v, t.num, t.den, None, None]
+                    path.append((node, _narrow(bounds, node, *state)))
+                    continue
+                r = emit(coefs, const, True)
+                if r == len(bounds):
+                    bounds.append((_ZERO, hi))
+                coefs, const = {r: _ONE}, _ZERO
+            break
+        forms.append((coefs, const))
+
+    def register(r):
+        coefs, const = forms[r]
+        if not const and len(coefs) == 1:
+            ((v, u),) = coefs.items()
+            if u == 1:
+                return v
+        return emit(coefs, const, False)
+
+    counts, max_bits, total_bits = {}, 0, 0
+    for r, k in prog.observed:
+        coefs, const = forms[r]
+        if coefs:
+            reg = register(r)
+            counts[reg] = counts.get(reg, 0) + k
+        else:
+            b = value_bits(const)
+            total_bits += b * k
+            max_bits = max(max_bits, b)
+    out = tuple(register(r) for r in prog.out)
+    leaf = _Leaf(tuple(ops), out, tuple(sorted(counts.items())), max_bits, total_bits)
+    return leaf, path
+
+
+def _narrow(box, node, nums, dens) -> int:
+    """Narrow ``box`` to the side of ``node``'s test that the state
+    ``nums``/``dens`` takes; returns that child's index in ``node``."""
+    v, tn, td = node[:3]
+    lo, hi = box[v]
+    t = Rational._make(tn, td)
+    if nums[v] * td <= tn * dens[v]:
+        box[v] = (lo, t)
+        return 3
+    box[v] = (t, hi)
+    return 4
+
+
+class _Cells:
+    """The lazily built decision trees of ``MlpRnn.cells``.
+
+    ``trees[i]`` is token i's tree: ``None`` before it is built, a
+    ``_Leaf``, or a node ``[v, tn, td, left, right]`` whose state goes
+    ``left`` when x[v] <= tn / td and ``right`` otherwise; an unbuilt child
+    is ``None``. ``leaves`` counts the cell leaves built; identical leaves
+    are one object.
+    """
+
+    def __init__(self, prog, root):
+        n_tokens = prog.in_dim - len(root)
+        self.prog, self.root = prog, root
+        self.trees = [None] * n_tokens
+        self.unsplit = [None] * n_tokens
+        self.leaves = 0
+        self._shared = {}
+
+    def leaf(self, i, nums, dens) -> _Leaf:
+        """Token i's leaf for the state ``nums``/``dens``, whose walk down
+        the tree ends at an unbuilt child: the branch it reaches is built,
+        one node per split and then the leaf; past ``_CELL_LEAVES``, the
+        token's unsplit leaf (specialized to the root box alone) takes the
+        child's place."""
+        box = list(self.root)
+        parent, side = self.trees, i
+        while parent[side] is not None:
+            parent = parent[side]
+            side = _narrow(box, parent, nums, dens)
+        if self.leaves >= _CELL_LEAVES:
+            if self.unsplit[i] is None:
+                self.unsplit[i] = _cell(self.prog, i, self.root)[0]
+            leaf = self.unsplit[i]
+        else:
+            leaf, path = _cell(self.prog, i, box, (nums, dens))
+            # the box is the last split on each coordinate and side
+            last = {(node[0], child): node for node, child in path}
+            for (_, child), node in last.items():
+                parent[side] = parent = node
+                side = child
+            share = self._shared.setdefault
+            leaf = leaf._replace(
+                ops=tuple(share(op, op) for op in leaf.ops),
+                out=share(leaf.out, leaf.out),
+                observed=share(leaf.observed, leaf.observed),
+            )
+            leaf = share(leaf, leaf)
+            self.leaves += 1
+        parent[side] = leaf
+        return leaf
+
+
 @dataclass(frozen=True)
 class MlpRnn:
     """State recurrence h_t = update([h_{t-1} | onehot(x_t)]).
 
     ``decode`` (attached by the compilers) maps a hidden state back to the
     simulated machine's configuration. Frozen, because ``state_nonneg``,
-    ``token_ranges`` and ``token_steps``, the coordinates proven
-    non-negative, the registers proven constant or 0 or 1 per token, and
-    the update's generated code for each token, are derived from
-    ``update`` and ``h0`` once, lazily: building a net runs none of them.
+    ``token_ranges``, ``token_steps`` and ``cells``, the coordinates proven
+    non-negative, the registers proven constant or 0 or 1 per token, the
+    update's generated code for each token, and its per-token decision
+    trees of affine leaves, are derived from ``update`` and ``h0`` once,
+    lazily: building a net runs none of them, and ``cells`` grows its trees
+    one branch at a time as states reach them.
     """
 
     state_dim: int
@@ -529,6 +734,27 @@ class MlpRnn:
             )
         return steps
 
+    @cached_property
+    def cells(self) -> _Cells:
+        """The update program ``update.program(update_nonneg)`` as one
+        lazily built decision tree per token, for the runs that do not use
+        ``token_steps``.
+
+        The root box bounds each state coordinate below by 0 when it is in
+        ``state_nonneg`` and leaves it free otherwise, so it holds every
+        h_t. A tree's node tests one state coordinate against a rational
+        threshold, and its leaves are ``_cell``s of the update on the box
+        the tests leave, exact for every state in that box; the walk down
+        the tree checks that premise at every step. A leaf is built when a
+        state first reaches its branch, at most ``_CELL_LEAVES`` of them per
+        net."""
+        prog = self.update.program(self.update_nonneg)
+        root = tuple(
+            (_ZERO, None) if i in self.state_nonneg else (None, None)
+            for i in range(self.state_dim)
+        )
+        return _Cells(prog, root)
+
 
 @dataclass
 class MlpRunResult:
@@ -548,8 +774,13 @@ def run_mlp_rnn(rnn: MlpRnn, tokens, track_precision: bool = True) -> MlpRunResu
     largest and total value bits, computed as ``n.bit_length() + 1``
     (``value_bits`` at den 1); an untracked run ignores the bits. The range
     analysis and code generation behind ``token_steps`` run on a net's
-    first such run. Otherwise each token runs ``eval_raw`` with an
-    observer. ``h0`` and the acceptor are always measured by the observer.
+    first such run. Otherwise each token walks its tree in ``rnn.cells``
+    with the state, with integer cross-multiplied comparisons, building the
+    branch a state reaches first, and runs the leaf's ops through
+    ``kernels.sparse_affine`` on the state alone; the observer counts the
+    leaf's non-constant observed registers, and the leaf adds the value bits
+    of the constant ones. ``h0`` and the acceptor (``eval_raw``) are always
+    measured by the observer.
     """
     max_bits = 0
     total_bits = 0
@@ -567,16 +798,15 @@ def run_mlp_rnn(rnn: MlpRnn, tokens, track_precision: bool = True) -> MlpRunResu
     d = rnn.state_dim
     if not len(rnn.h0) == d == rnn.update.in_dim - n_tokens:
         raise ValueError("state/input dimension mismatch")
-    watcher = observe if track_precision else None
     if track_precision:
         observe(rnn.h0.nums, rnn.h0.dens, tuple((i, 1) for i in range(d)))
     nums, dens = list(rnn.h0.nums), list(rnn.h0.dens)
     states = [RVector._raw(nums, dens)]
     steps = rnn.token_steps
     integer = steps is not None
-    if not integer:  # each token maps to its one-hot instead
-        steps = {tok: [int(j == i) for j in range(n_tokens)] for tok, i in rnn.token_index.items()}
-        ones = [1] * n_tokens
+    if not integer:
+        steps, cells = rnn.token_index, rnn.cells
+        trees = cells.trees
     for tok in tokens:
         try:
             step = steps[tok]
@@ -585,15 +815,26 @@ def run_mlp_rnn(rnn: MlpRnn, tokens, track_precision: bool = True) -> MlpRunResu
         if integer:
             nums, b, t = step(nums)
             dens = [1] * d
-            total_bits += t
-            if b > max_bits:
-                max_bits = b
         else:
-            nums, dens = rnn.update.eval_raw(
-                nums + step, dens + ones, observe=watcher, nonneg=rnn.update_nonneg
-            )
+            node = trees[step]
+            while type(node) is list:
+                v = node[0]
+                node = node[3] if nums[v] * node[2] <= node[1] * dens[v] else node[4]
+            if node is None:
+                node = cells.leaf(step, nums, dens)
+            ops, out, observed, b, t = node
+            rn, rd = kernels.sparse_affine(ops, nums, dens)
+            if track_precision:
+                observe(rn, rd, observed)
+            nums = [rn[r] for r in out]
+            dens = [rd[r] for r in out]
+        total_bits += t
+        if b > max_bits:
+            max_bits = b
         states.append(RVector._raw(nums, dens))
-    on, od = rnn.acceptor.eval_raw(nums, dens, observe=watcher, nonneg=rnn.state_nonneg)
+    on, od = rnn.acceptor.eval_raw(
+        nums, dens, observe=observe if track_precision else None, nonneg=rnn.state_nonneg
+    )
     accept = on[0] > 0
     report = PrecisionReport(max_bits, total_bits) if track_precision else None
     return MlpRunResult(accept=accept, states=states, precision=report)

@@ -21,6 +21,10 @@ budget (peak RSS, CPython 3.11, x86-64):
 - ``pd-product --dim`` <= 1024: dense d x d products, about 95 MB
   (extrapolated from d = 400 at 89 bytes per entry);
 - ``dwfa-pd --states`` <= 1024: three dense n x n symbol matrices, 70 MB;
+- ``rwkv-wfa --states`` and ``dnet-wfa --states`` <= 20: dnet-wfa's default
+  word has 2(8n^2 + 5n + 1) tokens, and the run and the oracle each hold a
+  prefix value per token whose bits grow with the prefix, 106 MB at n = 20
+  (30 and 55 MB at n = 12 and 16);
 - ``scan-depth --dim`` <= ``MAX_SCAN_DIM`` = 64, which also bounds
   ``report depth --dim``: d x d steps and states, 95 MB at ``--len`` 64,
   linear in the length (in n for ``report depth``);
@@ -443,7 +447,7 @@ def _scan_oracle(instance):
     return out
 
 
-_WFA_FLAGS = {"trials": (50, 1, None), "states": (3, 1, None),
+_WFA_FLAGS = {"trials": (50, 1, None), "states": (3, 1, 20),
               "alphabet": (3, 1, len(_SYMBOLS)), "len": (None, 0, None)}
 
 REGISTRY = {

@@ -440,6 +440,10 @@ def test_report_rejects_non_positive_sizes(capsys, kind, sizes):
     ("scan-depth", ["--dim", "100000"], "--dim"),
     ("cm-rnn", ["--nodes", "16385"], "--nodes"),
     ("cm-rnn", ["--nodes", "100000000"], "--nodes"),
+    ("rwkv-wfa", ["--states", "21"], "--states"),
+    ("rwkv-wfa", ["--states", "100000"], "--states"),
+    ("dnet-wfa", ["--states", "21"], "--states"),
+    ("dnet-wfa", ["--states", "100000"], "--states"),
 ])
 def test_wfa_verbs_reject_bad_sizes(capsys, monkeypatch, verb, flags, flag):
     # every verb's size flags; the automaton verbs' came first, hence the name

@@ -3,6 +3,7 @@ import hashlib
 import math
 import operator
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -517,14 +518,11 @@ def test_negative_state_through_relu_copy_matches_reference(word):
 _INTS = st.integers(-2, 2)
 
 
-@st.composite
-def int_rnns(draw):
-    """An all-integer update (so it runs generated code) whose last layer
-    has no ReLU, so states and h0 go negative, and whose ReLU layers mix
-    copy rows (one weight 1, bias 0) with general rows: negative values
-    pass through ReLU copies. The acceptor's bias is -1/2. Returns the net
-    and a word."""
-    state_dim = draw(st.integers(1, 3))
+def _draw_rnn(draw, values, h0):
+    """A net whose update layers take their weights and biases from
+    ``values`` and mix copy rows with general rows, and whose last layer
+    has no ReLU, from ``h0``, with an acceptor of bias -1/2; and a word."""
+    state_dim = len(h0)
     symbols = "abc"[: draw(st.integers(1, 3))]
     dim = state_dim + len(symbols)
     layers = []
@@ -538,9 +536,9 @@ def int_rnns(draw):
                 row[draw(st.integers(0, dim - 1))] = 1
                 bias.append(0)
             else:
-                for j, w in draw(st.lists(st.tuples(st.integers(0, dim - 1), _INTS), max_size=3)):
+                for j, w in draw(st.lists(st.tuples(st.integers(0, dim - 1), values), max_size=3)):
                     row[j] = w
-                bias.append(draw(_INTS))
+                bias.append(draw(values))
             rows.append(row)
         layers.append(Layer(RMatrix(rows), RVector(bias), relu=not last and draw(st.booleans())))
         dim = len(rows)
@@ -549,10 +547,36 @@ def int_rnns(draw):
         state_dim=state_dim,
         token_index={sym: i for i, sym in enumerate(symbols)},
         update=ReluMlp(layers),
-        h0=RVector(draw(st.lists(st.integers(-3, 3), min_size=state_dim, max_size=state_dim))),
+        h0=RVector(h0),
         acceptor=ReluMlp([Layer(RMatrix([weights]), RVector([Rational(-1, 2)]), relu=False)]),
     )
     return rnn, draw(st.text(symbols, max_size=10))
+
+
+@st.composite
+def int_rnns(draw):
+    """An all-integer update (so it runs generated code) whose last layer
+    has no ReLU, so states and h0 go negative, and whose ReLU layers mix
+    copy rows (one weight 1, bias 0) with general rows: negative values
+    pass through ReLU copies. The acceptor's bias is -1/2. Returns the net
+    and a word."""
+    state_dim = draw(st.integers(1, 3))
+    h0 = draw(st.lists(st.integers(-3, 3), min_size=state_dim, max_size=state_dim))
+    return _draw_rnn(draw, _INTS, h0)
+
+
+_HALVES = st.builds(Rational, st.sampled_from((-3, -1, 1, 3)), st.just(2))
+
+
+@st.composite
+def rational_rnns(draw):
+    """``int_rnns`` with ``_SMALL`` rational weights and biases and a
+    rational ``h0`` whose first coordinate is a half-integer, so the update
+    runs cell by cell (``MlpRnn.cells``) whatever the weights; states go
+    negative, and ReLUs read one state coordinate, several, or none."""
+    state_dim = draw(st.integers(1, 3))
+    h0 = [draw(_HALVES)] + draw(st.lists(_SMALL, min_size=state_dim - 1, max_size=state_dim - 1))
+    return _draw_rnn(draw, _SMALL, h0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -567,6 +591,56 @@ def test_integer_nets_count_bits_in_generated_code_like_reference(case):
         assert res.accept == accept
         assert [list(h) for h in res.states] == states
         assert res.precision == (report if track else None)
+
+
+def _two_cell_rnn():
+    """State (x, y): tokens d and i move x by -1/2 and +1, across the
+    breakpoint of relu(x) and relu(-x), while relu(x + y - 1/2) reads two
+    state coordinates, so it stays a ReLU op in a leaf whose box leaves its
+    sign open."""
+    half = Rational(1, 2)
+    # L1 (ReLU) over [x, y, d, i]: x+, x-, relu(x + y - 1/2), relu(y), d, i
+    l1 = Layer(
+        RMatrix([[1, 0, 0, 0], [-1, 0, 0, 0], [1, 1, 0, 0],
+                 [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+        RVector([0, 0, -half, 0, 0, 0]),
+        relu=True,
+    )
+    # L2 (no ReLU): x' = x+ - x- - d/2 + i, y' = relu(x + y - 1/2) - relu(y)/3 + d
+    l2 = Layer(
+        RMatrix([[1, -1, 0, 0, -half, 1], [0, 0, 1, Rational(-1, 3), 1, 0]]),
+        RVector.zeros(2),
+        relu=False,
+    )
+    acceptor = ReluMlp([Layer(RMatrix([[1, 1]]), RVector([-half]), relu=False)])
+    return MlpRnn(
+        state_dim=2,
+        token_index={"d": 0, "i": 1},
+        update=ReluMlp([l1, l2]),
+        h0=RVector([-half, Rational(1, 3)]),
+        acceptor=acceptor,
+    )
+
+
+@pytest.mark.parametrize("cap", [relu_nets._CELL_LEAVES, 1, 0])
+@settings(max_examples=200, deadline=None)
+@given(rational_rnns())
+@example((_two_cell_rnn(), "ddidiiiddd"))
+def test_rational_nets_run_cell_by_cell_like_reference(cap, case):
+    """Tracked and untracked runs equal the reference with the leaf cap at
+    its value, at 1 (the first leaf built, then unsplit leaves) and at 0
+    (every token runs its unsplit leaf)."""
+    rnn, word = case
+    rnn = dataclasses.replace(rnn)  # no trees from another cap
+    accept, states, report = reference_run(rnn, word)
+    with mock.patch.object(relu_nets, "_CELL_LEAVES", cap):
+        for track in (True, False):
+            res = run_mlp_rnn(rnn, word, track_precision=track)
+            assert res.accept == accept
+            assert [list(h) for h in res.states] == states
+            assert res.precision == (report if track else None)
+    assert rnn.token_steps is None
+    assert rnn.cells.leaves <= cap
 
 
 @pytest.mark.parametrize("fam", ["cm", "sm"])
@@ -838,6 +912,60 @@ def test_range_analysis_proves_nothing_past_its_caps_or_off_integers(monkeypatch
                 assert res.accept == accept
                 assert [list(h) for h in res.states] == states
                 assert res.precision == (report if track else None)
+
+
+# --- cells: rational updates as one affine leaf per box of the state space -----
+
+
+def _leaves(node):
+    """The leaves of a tree of ``MlpRnn.cells``."""
+    if type(node) is list:
+        return _leaves(node[3]) + _leaves(node[4])
+    return [] if node is None else [node]
+
+
+def test_cells_are_built_lazily_and_never_for_integer_nets():
+    """Building a net builds no tree, and an integer net never builds one;
+    the stack net's leaves, built as its states reach them, run 4 to 14 of
+    the update's 69 ops."""
+    conn = cm_to_mlp_rnn(build_conn_counter_machine())
+    stack = sm_to_mlp_rnn(scripted_stack_machine(2, STACK_OP_PAIRS))
+    assert "cells" not in vars(conn) and "cells" not in vars(stack)
+    tokens = encode_conn_unary(random_sorted_instance(random.Random(3), 6))
+    for track in (True, False):
+        run_mlp_rnn(conn, tokens, track_precision=track)
+    assert "cells" not in vars(conn)
+    run_mlp_rnn(stack, [STACK_OP_PAIRS[0]])
+    assert stack.cells.leaves == 1
+    for _, word in _pinned_stack_runs():
+        run_mlp_rnn(stack, word)
+    leaves = [leaf for tree in stack.cells.trees for leaf in _leaves(tree)]
+    assert len(leaves) == stack.cells.leaves <= relu_nets._CELL_LEAVES
+    assert len(stack.update.program(stack.update_nonneg).ops) == 69
+    assert max(len(leaf.ops) for leaf in leaves) <= 14
+
+
+def test_cell_leaves_stay_under_the_cap_on_a_long_stream(monkeypatch):
+    """A 3000-op stack program builds at most ``_CELL_LEAVES`` leaves, and
+    with the cap at 4 the results are unchanged and equal the reference on
+    a prefix."""
+    machine = scripted_stack_machine(2, STACK_OP_PAIRS)
+    rng = rng_for(7, "cells")
+    word = [rng.choice(STACK_OP_PAIRS) for _ in range(3000)]
+    rnn = sm_to_mlp_rnn(machine)
+    res = run_mlp_rnn(rnn, word)
+    assert [rnn.decode(h) for h in res.states] == sm_run(machine, word)[1]
+    assert rnn.cells.leaves <= relu_nets._CELL_LEAVES
+    monkeypatch.setattr(relu_nets, "_CELL_LEAVES", 4)
+    capped = dataclasses.replace(rnn)
+    assert run_mlp_rnn(capped, word) == res
+    assert capped.cells.leaves == 4
+    prefix = word[:40]
+    accept, states, report = reference_run(capped, prefix)
+    res = run_mlp_rnn(capped, prefix)
+    assert res.accept == accept
+    assert [list(h) for h in res.states] == states
+    assert res.precision == report
 
 
 @pytest.mark.parametrize("g", [gadget_eq_zero(), gadget_select(2)], ids=["eq_zero", "select2"])
