@@ -410,6 +410,21 @@ def test_generate_dataset_bytes_pinned(task, kwargs, digest):
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "kwargs, digest",
+    [
+        ({}, "5520ad1d1a7e688eb1417890bc169934e8ab715159876c1839eedd828a2f4d13"),
+        ({"balanced": True},
+         "2b5a0e60568d30c170041a0063f5108a5f7d2b14af9eacc412bda65d5450276f"),
+    ],
+    ids=["imm-z", "imm-z-balanced"],
+)
+def test_generate_dataset_large_imm_z_bytes_pinned(kwargs, digest):
+    # every try draws 5400 to 7200 entries, far past one bounded block of words
+    lines = generate_dataset("imm-z", 20, (600, 800), seed=113, **kwargs)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
 _DATASET_OPTIONS = {
     "conn": st.fixed_dictionaries({}, optional={"p": st.sampled_from([0.1, 0.5, 0.9])}),
     "imm-mod": st.fixed_dictionaries({
