@@ -359,9 +359,9 @@ def _check_imm_mod(m: int, q_k: int) -> None:
         raise ValueError(f"q_k must index a 3x3 entry (0..8), got {q_k}")
 
 
-# gen_imm_mod draws at most this many MT words per call, so its buffers
-# stay bounded for any T.
-_IMM_MOD_WORDS_PER_DRAW = 4096
+# gen_imm_mod and gen_imm_z draw at most this many Mersenne Twister words
+# per getrandbits call, so their buffers stay bounded for any T.
+_WORDS_PER_DRAW = 4096
 _TOP_CODE = bytes(b >> 6 for b in range(256))  # word's top byte -> 2-bit code
 _REDRAWN = bytes(range(0xC0, 0x100))  # top bytes whose code is 3
 # codes of 6 and of 3 consecutive entries -> those entries (code - 1)
@@ -389,7 +389,7 @@ def gen_imm_mod(T_range, m: int, q_k: int, rng: random.Random) -> ImmModInstance
     mats = []
     codes = b""  # codes of the next candidate's first entries (< 9)
     while len(mats) < T:
-        n = min(9 * (T - len(mats)) - len(codes), _IMM_MOD_WORDS_PER_DRAW)
+        n = min(9 * (T - len(mats)) - len(codes), _WORDS_PER_DRAW)
         words = rng.getrandbits(32 * n).to_bytes(4 * n, "little")
         codes += words[3::4].translate(_TOP_CODE, _REDRAWN)
         full = len(codes) - len(codes) % 9
@@ -403,6 +403,53 @@ def gen_imm_mod(T_range, m: int, q_k: int, rng: random.Random) -> ImmModInstance
 
 ENTRY_WEIGHTS = (45, 10, 45)  # sampling weights for entries -1, 0, 1
 _ENTRY_CUM_WEIGHTS = tuple(accumulate(ENTRY_WEIGHTS))
+
+
+def _threshold(cum) -> int:
+    """The least N in [0, 2**53] whose ``random() * total`` in ``choices``,
+    ``N / 2**53 * total``, is >= cum: found by bisection on that float
+    expression, so that its rounding is reproduced, not assumed."""
+    total = _ENTRY_CUM_WEIGHTS[-1] + 0.0
+    lo, hi = 0, 2**53
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid / 2**53 * total >= cum:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+# entry -1 below _T1, 0 below _T2, else 1, for the 53-bit N of one random()
+_T1, _T2 = (_threshold(c) for c in _ENTRY_CUM_WEIGHTS[:2])
+_UNDECIDED = 2  # code of a top byte in which _T1 or _T2 falls
+# first word's top byte (bits 45..52 of N) -> signed entry byte, or _UNDECIDED
+_TOP_ENTRY = bytes(
+    _UNDECIDED if top in (_T1 >> 45, _T2 >> 45)
+    else 0xFF if top < _T1 >> 45 else 0 if top < _T2 >> 45 else 1
+    for top in range(256)
+)
+
+
+def _imm_z_entries(rng: random.Random, k: int) -> bytearray:
+    """The k entries of ``rng.choices((-1, 0, 1), cum_weights=
+    _ENTRY_CUM_WEIGHTS, k=k)`` as signed bytes, drawn from the same words."""
+    out = bytearray()
+    while k:
+        n = min(k, _WORDS_PER_DRAW // 2)
+        k -= n
+        words = rng.getrandbits(64 * n).to_bytes(8 * n, "little")
+        base = len(out)
+        out += words[3::8].translate(_TOP_ENTRY)
+        i = out.find(_UNDECIDED, base)
+        while i >= 0:
+            j = 8 * (i - base)
+            a = int.from_bytes(words[j:j + 4], "little")
+            b = int.from_bytes(words[j + 4:j + 8], "little")
+            N = (a >> 5) * 2**26 + (b >> 6)
+            out[i] = 0xFF if N < _T1 else 0 if N < _T2 else 1
+            i = out.find(_UNDECIDED, i + 1)
+    return out
 
 
 def _check_want_label(want_label) -> None:
@@ -421,14 +468,23 @@ def gen_imm_z(
     is computed from the exact integer product unless a clip cap is set.
     Pass ``want_label`` (0 or 1) to rejection-sample a balanced split.
 
-    Each try draws all 9T entries with one ``rng.choices`` call; it takes
-    one ``random()`` per entry, the same stream as one call per entry.
+    Each try draws T, then the stream of one ``rng.choices((-1, 0, 1),
+    cum_weights=(45, 55, 100), k=9 * T)`` call, a block of Mersenne Twister
+    words at a time. ``choices`` takes one ``random()`` per entry and
+    bisects ``random() * 100.0`` against the cumulative weights, and
+    ``random()`` is ``((a >> 5) * 2**26 + (b >> 6)) / 2**53`` for the next
+    two 32-bit words a and b. So an entry is -1, 0 or 1 as that 53-bit N
+    is below ``_T1``, below ``_T2`` or neither. ``getrandbits(64 * n)`` is
+    the next 2n words, first word least significant, so byte 8i + 3 of its
+    little-endian bytes is the top byte of entry i's a, the top 8 of N's
+    53 bits, which decides the entry unless ``_T1`` or ``_T2`` falls inside
+    it (about 0.8% of entries); those entries are decided from their full N.
     """
     _check_want_label(want_label)
     lo, hi = _size_bounds(T_range)
     for _ in range(max_tries):
         T = rng.randint(lo, hi)
-        flat = rng.choices((-1, 0, 1), cum_weights=_ENTRY_CUM_WEIGHTS, k=9 * T)
+        flat = memoryview(_imm_z_entries(rng, 9 * T)).cast("b")
         mats = tuple(zip(*[iter(flat)] * 9))  # consecutive 9-tuples
         inst = ImmZInstance(T=T, matrices=mats, clip=clip)
         if want_label is None or imm_z_oracle(inst) == want_label:
@@ -540,5 +596,7 @@ def _dataset_line(task, idx, size_range, seed, opts) -> str:
         meta = {"T": inst.T, "seed": seed}
         if inst.clip is not None:
             meta["clip"] = inst.clip
-        fields = {"label": imm_z_oracle(inst), "meta": meta, "task": task}
+        # an instance drawn for a wanted label has that label
+        label = imm_z_oracle(inst) if want is None else want
+        fields = {"label": label, "meta": meta, "task": task}
     return record_to_line(fields, inst)

@@ -25,6 +25,9 @@ budget (peak RSS, CPython 3.11, x86-64):
   word has 2(8n^2 + 5n + 1) tokens, and the run and the oracle each hold a
   prefix value per token whose bits grow with the prefix, 106 MB at n = 20
   (30 and 55 MB at n = 12 and 16);
+- ``rwkv-wfa --len`` and ``dnet-wfa --len`` <= 8192, above every default
+  word (6614 tokens at most): memory grows as about the 2.1-2.4th power of
+  the word's length, about 165 MB at n = 20 by that fit;
 - ``scan-depth --dim`` <= ``MAX_SCAN_DIM`` = 64, which also bounds
   ``report depth --dim``: d x d steps and states, 95 MB at ``--len`` 64,
   linear in the length (in n for ``report depth``);
@@ -448,7 +451,7 @@ def _scan_oracle(instance):
 
 
 _WFA_FLAGS = {"trials": (50, 1, None), "states": (3, 1, 20),
-              "alphabet": (3, 1, len(_SYMBOLS)), "len": (None, 0, None)}
+              "alphabet": (3, 1, len(_SYMBOLS)), "len": (None, 0, 8192)}
 
 REGISTRY = {
     "rwkv-wfa": Verb(

@@ -9,7 +9,9 @@ threshold recognition) are test-only code on the package's own types.
 from fractions import Fraction
 from itertools import product
 
-from exactrnn.problems import ImmModInstance, _check_imm_mod, _size_bounds, mat3_det_mod
+from exactrnn.problems import (
+    ImmModInstance, ImmZInstance, _check_imm_mod, _size_bounds, imm_z_oracle, mat3_det_mod,
+)
 from exactrnn.linalg import RMatrix, RelaxedPermutation, RVector
 from exactrnn.rational import Rational
 from exactrnn.rwkv_gadgets import PAD
@@ -120,6 +122,21 @@ def gen_imm_mod_per_entry(T_range, m: int, q_k: int, rng) -> ImmModInstance:
         if mat3_det_mod(cand, m) != 0:
             mats.append(cand)
     return ImmModInstance(T=T, m=m, q_k=q_k, matrices=tuple(mats))
+
+
+def gen_imm_z_choices(T_range, rng, clip=None, want_label=None, max_tries=10000):
+    """Reference for ``problems.gen_imm_z``: per try, T and then one
+    ``rng.choices`` call for all 9T entries, weights 45/10/45, until the
+    label is ``want_label`` (any label when it is None)."""
+    lo, hi = _size_bounds(T_range)
+    for _ in range(max_tries):
+        T = rng.randint(lo, hi)
+        flat = rng.choices((-1, 0, 1), weights=(45, 10, 45), k=9 * T)
+        mats = tuple(tuple(flat[i:i + 9]) for i in range(0, 9 * T, 9))
+        inst = ImmZInstance(T=T, matrices=mats, clip=clip)
+        if want_label is None or imm_z_oracle(inst) == want_label:
+            return inst
+    raise ValueError("no instance")
 
 
 def matrix_program_steps(p) -> list:

@@ -444,6 +444,10 @@ def test_report_rejects_non_positive_sizes(capsys, kind, sizes):
     ("rwkv-wfa", ["--states", "100000"], "--states"),
     ("dnet-wfa", ["--states", "21"], "--states"),
     ("dnet-wfa", ["--states", "100000"], "--states"),
+    ("rwkv-wfa", ["--len", "8193"], "--len"),
+    ("rwkv-wfa", ["--len", "30000"], "--len"),
+    ("dnet-wfa", ["--len", "8193"], "--len"),
+    ("dnet-wfa", ["--len", "30000"], "--len"),
 ])
 def test_wfa_verbs_reject_bad_sizes(capsys, monkeypatch, verb, flags, flag):
     # every verb's size flags; the automaton verbs' came first, hence the name

@@ -7,7 +7,9 @@ steps). Started from S_0 = alpha_row e_1^T, the sequential and the
 balanced-scan evaluations of the recurrence must both carry the network's
 replayed row in their first column at every position, the scan within the
 2*ceil(log2 n) depth bound; a step dump must measure the same through
-``report depth --trace``.
+``report depth --trace``. The convolutional evaluation, with S_0 folded in
+as the B of a leading step with A = 0, must read every state of a prefix of
+the trace through random queries (its cost grows as the prefix squared).
 """
 
 import math
@@ -17,12 +19,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from exactrnn.cli import main
 from exactrnn.delta_gadgets import HStep, apply_h_row, build_dnet_wfa
-from exactrnn.linalg import RMatrix, RVector
+from exactrnn.linalg import RMatrix, RVector, row_apply
 from exactrnn.lrnn import (
     DeltaNetStep,
     LinStep,
     deltanet_transition,
     dump_steps,
+    lrnn_run_conv,
     lrnn_run_scan,
     lrnn_run_sequential,
     rwkv_transition,
@@ -34,7 +37,7 @@ from exactrnn.rwkv_gadgets import (
     rwkv_params_for_overwrite,
     stream_entries,
 )
-from exactrnn.verify import random_wfa
+from exactrnn.verify import WFA_ENTRIES, random_wfa
 
 
 def lowered(factor) -> LinStep:
@@ -47,7 +50,23 @@ def lowered(factor) -> LinStep:
     return LinStep(row_matrix.transpose(), RMatrix.zeros(row_matrix.rows))
 
 
-def check_lowered_stream(net, tokens, apply_row, trace_dir):
+def check_conv(steps, s0, states, rng):
+    """``lrnn_run_conv`` over S_0 as the B of a leading step with A = 0, then
+    ``steps``, reads S_0 and then ``states`` through random queries."""
+    d = s0.rows
+    n = len(steps) + 1
+
+    def draw():
+        return [RVector([rng.choice(WFA_ENTRIES) for _ in range(d)]) for _ in range(n)]
+
+    queries, inputs = draw(), draw()
+    conv = lrnn_run_conv([LinStep(RMatrix.zeros(d), s0), *steps], queries, inputs)
+    for t, state in enumerate([s0, *states[: n - 1]]):
+        want = inputs[t] + row_apply(queries[t], state)
+        assert conv[t] == want, f"conv output differs at position {t}"
+
+
+def check_lowered_stream(net, tokens, apply_row, trace_dir, conv_steps):
     factors = [factor for factor, _ in stream_entries(net, tokens)]
     steps = [lowered(f) for f in factors]
     e_1 = RVector.basis(0, len(net.initial_row))
@@ -63,6 +82,7 @@ def check_lowered_stream(net, tokens, apply_row, trace_dir):
     n = len(steps)
     if n:
         assert stats.depth <= 2 * math.ceil(math.log2(n))
+    check_conv(steps[:conv_steps], s0, sequential, random.Random(n))
 
     trace = trace_dir / "steps.txt"
     out = trace_dir / "depth.csv"
@@ -86,7 +106,7 @@ def wfa_case(n_states, cut, seed, block_len):
 def test_rwkv_wfa_lowered_steps_agree(tmp_path_factory, n_states, cut, seed):
     wfa, word = wfa_case(n_states, cut, seed, 2 * n_states)
     check_lowered_stream(build_rwkv_wfa(wfa), word, apply_overwrite_row,
-                         tmp_path_factory.mktemp("rwkv-wfa"))
+                         tmp_path_factory.mktemp("rwkv-wfa"), conv_steps=None)
 
 
 @settings(max_examples=8, deadline=None)
@@ -96,7 +116,7 @@ def test_rwkv_wfa_lowered_steps_agree(tmp_path_factory, n_states, cut, seed):
 def test_dnet_wfa_lowered_steps_agree(tmp_path_factory, n_states, cut, seed):
     wfa, word = wfa_case(n_states, cut, seed, 8 * n_states * n_states + 5 * n_states + 1)
     check_lowered_stream(build_dnet_wfa(wfa), word, apply_h_row,
-                         tmp_path_factory.mktemp("dnet-wfa"))
+                         tmp_path_factory.mktemp("dnet-wfa"), conv_steps=48)
 
 
 @settings(max_examples=6, deadline=None)
@@ -105,5 +125,6 @@ def test_dnet_wfa_lowered_steps_agree(tmp_path_factory, n_states, cut, seed):
 def test_rwkv_imm_lowered_steps_agree(tmp_path_factory, matrices, seed):
     rng = random.Random(seed)
     stream = [rng.choice((-1, 0, 1)) for _ in range(9 * matrices)]
+    # conv on one matrix and the start of the next: dimension 18 is costly
     check_lowered_stream(build_rwkv_imm(), stream, apply_overwrite_row,
-                         tmp_path_factory.mktemp("rwkv-imm"))
+                         tmp_path_factory.mktemp("rwkv-imm"), conv_steps=12)

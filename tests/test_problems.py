@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import json
 import random
@@ -29,7 +30,7 @@ from exactrnn.problems import (
     split_seed,
 )
 
-from oracles import gen_imm_mod_per_entry, imm_running_products
+from oracles import gen_imm_mod_per_entry, gen_imm_z_choices, imm_running_products
 
 
 # --- connectivity oracle and encoding --------------------------------------------
@@ -220,8 +221,14 @@ def test_gen_imm_mod_invertible_matrices():
     assert all(mat3_det_mod(m, 3) != 0 for m in inst.matrices)
 
 
+def _random_of(a: int, b: int) -> float:
+    """``random()`` of the two 32-bit words a, b (CPython's genrand_res53)."""
+    return ((a >> 5) * 2**26 + (b >> 6)) / 2**53
+
+
 def test_mersenne_twister_word_facts():
-    # gen_imm_mod reads choice((-1, 0, 1)) draws from whole 32-bit words
+    # gen_imm_mod reads choice((-1, 0, 1)) draws from whole 32-bit words,
+    # gen_imm_z the random() calls of choices from pairs of them
     n = 5
     a, b = random.Random(12), random.Random(12)
     block = a.getrandbits(32 * n)
@@ -236,6 +243,12 @@ def test_mersenne_twister_word_facts():
         "getrandbits(2) is no longer the top two bits of one 32-bit word;"
         " gen_imm_mod's block draws are invalid"
     )
+    a, b = random.Random(14), random.Random(14)
+    pairs = [(a.random(), b.getrandbits(32), b.getrandbits(32)) for _ in range(64)]
+    assert all(x == _random_of(w0, w1) for x, w0, w1 in pairs), (
+        "random() no longer reads two successive 32-bit words;"
+        " gen_imm_z's block draws are invalid"
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -248,11 +261,99 @@ def test_mersenne_twister_word_facts():
 @example(seed=0, m=5, q_k=0, size=(1, 1))
 @example(seed=1, m=2, q_k=8, size=(600, 600))  # 5400 entries: past one block of words
 def test_gen_imm_mod_consumes_the_per_entry_stream(seed, m, q_k, size):
-    from exactrnn.problems import _IMM_MOD_WORDS_PER_DRAW
+    from exactrnn.problems import _WORDS_PER_DRAW
 
-    assert 9 * 600 > _IMM_MOD_WORDS_PER_DRAW
+    assert 9 * 600 > _WORDS_PER_DRAW
     fast, ref = random.Random(seed), random.Random(seed)
     assert gen_imm_mod(size, m, q_k, fast) == gen_imm_mod_per_entry(size, m, q_k, ref)
+    assert fast.getstate() == ref.getstate()
+
+
+class _CountingRandom(random.Random):
+    """A ``random.Random`` that records the size of each ``getrandbits``."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.bits = []
+
+    def getrandbits(self, k):
+        self.bits.append(k)
+        return super().getrandbits(k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), k=st.integers(1, 5000))
+@example(seed=0, k=1)
+@example(seed=1, k=2048)  # one full block of 4096 words
+@example(seed=2, k=2049)
+@example(seed=3, k=9 * 600)
+def test_imm_z_entries_are_the_choices_stream(seed, k):
+    from exactrnn.problems import _WORDS_PER_DRAW, _imm_z_entries
+
+    assert 2 * 5000 > _WORDS_PER_DRAW  # k entries take 2k words
+    fast, ref = _CountingRandom(seed), random.Random(seed)
+    entries = list(memoryview(_imm_z_entries(fast, k)).cast("b"))
+    assert entries == ref.choices((-1, 0, 1), weights=(45, 10, 45), k=k)
+    assert fast.getstate() == ref.getstate()
+    assert max(fast.bits) <= 32 * _WORDS_PER_DRAW  # the buffers stay bounded
+
+
+class _Words:
+    """A stand-in rng whose ``getrandbits`` returns the given 32-bit words,
+    first word least significant."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def getrandbits(self, bits):
+        assert bits == 32 * len(self.words)
+        return sum(w << (32 * i) for i, w in enumerate(self.words))
+
+
+def _flip(cum: float) -> int:
+    """The least 53-bit N with N / 2**53 * 100.0 >= cum, found by stepping
+    through the N near cum / 100 * 2**53."""
+    n = int(cum / 100 * 2**53) - 64
+    while n / 2**53 * 100.0 < cum:
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("cum, top", [(45, 115), (55, 140)])
+def test_imm_z_entries_decide_undecided_top_bytes_exactly(cum, top):
+    from exactrnn.problems import _imm_z_entries
+
+    flip = _flip(cum)
+    assert flip >> 45 == top and (flip - 1) >> 45 == top
+    rng = random.Random(cum)
+    ns = [flip + d for d in range(-4, 5)]
+    ns += [top << 45, (top + 1 << 45) - 1]  # the ends of the top byte
+    ns += [(top << 45) + rng.randrange(2**45) for _ in range(32)]
+    words = []
+    for n in ns:
+        # N's 53 bits with random low bits below them in each word
+        words += [(n >> 26) << 5 | rng.randrange(32), (n & (2**26 - 1)) << 6 | rng.randrange(64)]
+    got = list(memoryview(_imm_z_entries(_Words(words), len(ns))).cast("b"))
+    want = [
+        (-1, 0, 1)[bisect.bisect_right((45, 55, 100), _random_of(a, b) * 100.0, 0, 2)]
+        for a, b in zip(words[::2], words[1::2])
+    ]
+    assert got == want
+    below, above = (-1, 0) if cum == 45 else (0, 1)
+    assert (got[3], got[4]) == (below, above)  # flip - 1 and flip
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    want=st.sampled_from([None, 0, 1]),
+    size=st.integers(1, 300).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo, 300))),
+)
+@example(seed=0, want=0, size=(1, 1))
+@example(seed=1, want=1, size=(250, 300))  # every try past one block of words
+def test_gen_imm_z_consumes_the_choices_stream(seed, want, size):
+    fast, ref = random.Random(seed), random.Random(seed)
+    assert gen_imm_z(size, fast, want_label=want) == gen_imm_z_choices(size, ref, want_label=want)
     assert fast.getstate() == ref.getstate()
 
 
