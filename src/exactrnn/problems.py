@@ -431,7 +431,7 @@ _TOP_ENTRY = bytes(
 )
 
 
-def _imm_z_entries(rng: random.Random, k: int) -> bytearray:
+def _imm_z_entries(rng: random.Random, k: int) -> memoryview:
     """The k entries of ``rng.choices((-1, 0, 1), cum_weights=
     _ENTRY_CUM_WEIGHTS, k=k)`` as signed bytes, drawn from the same words."""
     out = bytearray()
@@ -449,7 +449,7 @@ def _imm_z_entries(rng: random.Random, k: int) -> bytearray:
             N = (a >> 5) * 2**26 + (b >> 6)
             out[i] = 0xFF if N < _T1 else 0 if N < _T2 else 1
             i = out.find(_UNDECIDED, i + 1)
-    return out
+    return memoryview(out).cast("b")
 
 
 def _check_want_label(want_label) -> None:
@@ -484,8 +484,7 @@ def gen_imm_z(
     lo, hi = _size_bounds(T_range)
     for _ in range(max_tries):
         T = rng.randint(lo, hi)
-        flat = memoryview(_imm_z_entries(rng, 9 * T)).cast("b")
-        mats = tuple(zip(*[iter(flat)] * 9))  # consecutive 9-tuples
+        mats = tuple(zip(*[iter(_imm_z_entries(rng, 9 * T))] * 9))  # 9-tuples
         inst = ImmZInstance(T=T, matrices=mats, clip=clip)
         if want_label is None or imm_z_oracle(inst) == want_label:
             return inst
