@@ -26,8 +26,8 @@ budget (peak RSS, CPython 3.11, x86-64):
   prefix value per token whose bits grow with the prefix, 106 MB at n = 20
   (30 and 55 MB at n = 12 and 16);
 - ``rwkv-wfa --len`` and ``dnet-wfa --len`` <= 8192, above every default
-  word (6614 tokens at most): memory grows as about the 2.1-2.4th power of
-  the word's length, about 165 MB at n = 20 by that fit;
+  word (6614 tokens at most): memory grows faster than the word, and one
+  dnet-wfa trial at n = 20 and 8192 tokens peaked at 113 MB;
 - ``scan-depth --dim`` <= ``MAX_SCAN_DIM`` = 64, which also bounds
   ``report depth --dim``: d x d steps and states, 95 MB at ``--len`` 64,
   linear in the length (in n for ``report depth``);
