@@ -512,6 +512,25 @@ def test_generate_dataset_bytes_pinned(task, kwargs, digest):
 
 
 @pytest.mark.parametrize(
+    "size_range, kwargs, digest",
+    [
+        # default options: also pinned on the CLI's output by the CI workflow
+        ((100, 400), {},
+         "0de4738c7c18ce2b01e92b83a8385184003c1b0314cb05da62860ef854c9c00d"),
+        ((100, 400), {"p": 0.9},
+         "6ef5292bc3c316d7723a936c14b6f08e21eb22200b1977863b747da107c65a2c"),
+        # two vertices: every negative record has no edges
+        ((1, 1), {},
+         "8e2b8084f4041f6368ab2614b560bddfb5d5ac64d84d2a68e8ebf30cf0a1e925"),
+    ],
+    ids=["conn-100-400", "conn-100-400-p0.9", "conn-1-1"],
+)
+def test_generate_dataset_conn_bytes_pinned(size_range, kwargs, digest):
+    lines = generate_dataset("conn", 40, size_range, seed=113, **kwargs)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "kwargs, digest",
     [
         ({}, "5520ad1d1a7e688eb1417890bc169934e8ab715159876c1839eedd828a2f4d13"),
