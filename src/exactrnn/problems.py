@@ -190,20 +190,32 @@ def gen_conn(n_range, p: float, label: bool, rng: random.Random) -> SortedDetCon
     for positive instances. Remaining vertices join the first bucket
     independently with probability p. A drawn size of n yields n+1 vertices
     (ids 1..n+1) and the query runs from the first to the last.
+
+    After the draw, one pass from the last vertex back to the first gives
+    each vertex its edge to the next member of its own bucket. That pass
+    meets the sources in decreasing order, so its edges, reversed, are
+    sorted.
     """
     _check_p(p)
     lo, hi = _size_bounds(n_range)
     v = rng.randint(lo, hi) + 1  # vertices 1..v; query is 1 -> v
-    bucket = [False] * (v + 1)
-    bucket[1] = True
-    bucket[v] = label
-    for node in range(2, v):
-        bucket[node] = rng.random() < p
+    rand = rng.random
+    # whether each vertex, 1..v in order, is in the first bucket
+    inside = [True, *[rand() < p for _ in range(v - 2)], label]
+    next_in = next_out = 0  # the next member of each bucket; 0 before any
     edges = []
-    for flag in (True, False):
-        members = [node for node in range(1, v + 1) if bucket[node] == flag]
-        edges += [(a, b) for a, b in zip(members, members[1:])]
-    inst = SortedDetConnInstance(n=v, s=1, t=v, edges=tuple(sorted(edges)))
+    append = edges.append
+    for node, flag in zip(range(v, 0, -1), reversed(inside)):
+        if flag:
+            if next_in:
+                append((node, next_in))
+            next_in = node
+        else:
+            if next_out:
+                append((node, next_out))
+            next_out = node
+    edges.reverse()
+    inst = SortedDetConnInstance(n=v, s=1, t=v, edges=tuple(edges))
     if conn_oracle(inst) != label:
         raise AssertionError("generator produced an instance with the wrong label")
     return inst
@@ -497,10 +509,12 @@ def gen_imm_z(
 # ---------------------------------------------------------------------------
 # Dataset records. A line is canonical JSON: sorted keys, no spaces, the
 # same bytes for the same seed. "tokens" sorts after every other key of
-# every record, so the writer encodes the other fields and appends the
-# token array last, rendered from fixed JSON fragments: a conn array as
-# one repeated mark fragment per block of the unary stream, without
-# building the token list; a matrix array entry by entry.
+# every record, so the writer renders the other fields first and appends
+# the token array last. A conn record is rendered whole from fixed JSON
+# fragments: its label, meta and task in their sorted order, then its
+# tokens as one repeated mark fragment per block of the unary stream,
+# without building the token list. A matrix record's other fields go
+# through the JSON encoder, and its tokens are rendered entry by entry.
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _BOS_JSON, _MARK_JSON, _SEP_JSON = (_encode(tok) + "," for tok in (BOS, MARK, SEP))
@@ -518,17 +532,22 @@ _TASK_OPTIONS = {
 
 
 def record_to_line(fields: dict, inst) -> str:
-    """One dataset line: ``fields`` (every key sorting before "tokens")
-    plus the token array of ``inst``, a conn instance or a matrix instance
-    with entries -1, 0 and 1."""
+    """One dataset line for ``inst``, a conn instance or a matrix instance
+    with entries -1, 0 and 1. For a conn instance ``fields`` is
+    ``{"label": .., "seed": ..}``, and the line's meta holds the instance's
+    n, s, t and edges next to that seed. For a matrix instance ``fields``
+    holds every key of the record but "tokens", each sorting before it."""
     # the token text is built once and copied once, into the line
     if isinstance(inst, SortedDetConnInstance):
-        head, tail = _BOS_JSON, _END_JSON
+        edges = ",".join([f"[{i},{j}]" for i, j in inst.edges])
         body = _SEP_JSON.join([_MARK_JSON * c for c in _conn_blocks(inst)])
-    else:
-        head = tail = ""
-        body = ",".join(map(_ENTRY_JSON.__getitem__, inst.tokens()))
-    return f'{_encode(fields)[:-1]},"tokens":[{head}{body}{tail}]}}'
+        return (
+            f'{{"label":{fields["label"]},"meta":{{"edges":[{edges}],"n":{inst.n},'
+            f'"s":{inst.s},"seed":{fields["seed"]},"t":{inst.t}}},"task":"conn",'
+            f'"tokens":[{_BOS_JSON}{body}{_END_JSON}]}}'
+        )
+    body = ",".join(map(_ENTRY_JSON.__getitem__, inst.tokens()))
+    return f'{_encode(fields)[:-1]},"tokens":[{body}]}}'
 
 
 def _task_options(task: str, options: dict) -> dict:
@@ -583,8 +602,7 @@ def _dataset_line(task, idx, size_range, seed, opts) -> str:
     if task == "conn":
         label = idx % 2 == 0
         inst = gen_conn(size_range, opts["p"], label, rng)
-        meta = {"n": inst.n, "s": inst.s, "t": inst.t, "edges": inst.edges, "seed": seed}
-        fields = {"label": int(label), "meta": meta, "task": task}
+        fields = {"label": int(label), "seed": seed}
     elif task == "imm-mod":
         inst = gen_imm_mod(size_range, opts["m"], opts["q_k"], rng)
         meta = {"T": inst.T, "m": inst.m, "q_k": inst.q_k, "seed": seed}

@@ -10,7 +10,8 @@ from fractions import Fraction
 from itertools import product
 
 from exactrnn.problems import (
-    ImmModInstance, ImmZInstance, _check_imm_mod, _size_bounds, imm_z_oracle, mat3_det_mod,
+    ImmModInstance, ImmZInstance, SortedDetConnInstance, _check_imm_mod, _check_p,
+    _size_bounds, conn_oracle, imm_z_oracle, mat3_det_mod,
 )
 from exactrnn.linalg import RMatrix, RelaxedPermutation, RVector
 from exactrnn.rational import Rational
@@ -102,6 +103,28 @@ def imm_running_products(matrices, mod=None, clip=None) -> list:
         p = nxt
         out.append(p)
     return out
+
+
+def gen_conn_two_scans(n_range, p: float, label: bool, rng) -> SortedDetConnInstance:
+    """Reference for ``problems.gen_conn``: the buckets drawn in the same
+    order, then one scan per bucket for its members, consecutive members
+    zipped into edges, and the edges of both buckets sorted."""
+    _check_p(p)
+    lo, hi = _size_bounds(n_range)
+    v = rng.randint(lo, hi) + 1  # vertices 1..v; query is 1 -> v
+    bucket = [False] * (v + 1)
+    bucket[1] = True
+    bucket[v] = label
+    for node in range(2, v):
+        bucket[node] = rng.random() < p
+    edges = []
+    for flag in (True, False):
+        members = [node for node in range(1, v + 1) if bucket[node] == flag]
+        edges += [(a, b) for a, b in zip(members, members[1:])]
+    inst = SortedDetConnInstance(n=v, s=1, t=v, edges=tuple(sorted(edges)))
+    if conn_oracle(inst) != label:
+        raise AssertionError("generator produced an instance with the wrong label")
+    return inst
 
 
 def gen_imm_mod_per_entry(T_range, m: int, q_k: int, rng) -> ImmModInstance:

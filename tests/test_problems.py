@@ -25,12 +25,15 @@ from exactrnn.problems import (
     IDENTITY3,
     random_sorted_instance,
     reachable,
+    record_to_line,
     reduce_to_sorted,
     rng_for,
     split_seed,
 )
 
-from oracles import gen_imm_mod_per_entry, gen_imm_z_choices, imm_running_products
+from oracles import (
+    gen_conn_two_scans, gen_imm_mod_per_entry, gen_imm_z_choices, imm_running_products,
+)
 
 
 # --- connectivity oracle and encoding --------------------------------------------
@@ -176,6 +179,23 @@ def test_gen_conn_rejects_bad_probability():
     rng = random.Random(5)
     with pytest.raises(ValueError):
         gen_conn((2, 5), 1.0, True, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    size=st.integers(1, 300).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo, 300))),
+    p=st.sampled_from([0.1, 0.5, 0.9]),
+    label=st.booleans(),
+)
+@example(seed=0, size=(1, 1), p=0.5, label=False)  # two vertices, no edge
+@example(seed=0, size=(1, 1), p=0.5, label=True)
+@example(seed=1, size=(1, 2), p=0.1, label=False)
+@example(seed=1, size=(1, 2), p=0.9, label=True)
+def test_gen_conn_matches_two_scans(seed, size, p, label):
+    fast, ref = random.Random(seed), random.Random(seed)
+    assert gen_conn(size, p, label, fast) == gen_conn_two_scans(size, p, label, ref)
+    assert fast.getstate() == ref.getstate()
 
 
 def test_gen_imm_mod_oracle():
@@ -565,6 +585,8 @@ _DATASET_CASES = st.sampled_from(sorted(_DATASET_OPTIONS)).flatmap(
 # size range (1, 1) draws two vertices: negative conn instances are edgeless
 @example(case=("conn", {}), seed=0, lo=1, width=0)
 @example(case=("imm-z", {"clip": 1}), seed=0, lo=1, width=0)
+@example(case=("conn", {}), seed=2**64 - 1, lo=1, width=12)
+@example(case=("imm-mod", {"m": 7, "q_k": 8}), seed=2**64 - 1, lo=1, width=12)
 @given(
     case=_DATASET_CASES,
     seed=st.integers(0, 2**64 - 1),
@@ -585,6 +607,26 @@ def test_dataset_lines_are_canonical_json(case, seed, lo, width):
             )
             assert rec["tokens"] == encode_conn_unary(inst)
             assert rec["label"] == int(conn_oracle(inst))
+
+
+@pytest.mark.parametrize("label, inst", [
+    (0, SortedDetConnInstance(n=2, s=1, t=2, edges=())),
+    # a tuple's repr would end this edge list in a comma
+    (1, SortedDetConnInstance(n=2, s=1, t=2, edges=((1, 2),))),
+    (1, gen_conn((300, 300), 0.5, True, random.Random(7))),
+], ids=["no-edge", "one-edge", "many-edges"])
+def test_conn_line_is_canonical_json(label, inst):
+    seed = 2**64 - 1
+    line = record_to_line({"label": label, "seed": seed}, inst)
+    rec = json.loads(line)
+    assert line == json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    assert rec == {
+        "label": label,
+        "meta": {"edges": [list(e) for e in inst.edges], "n": inst.n, "s": inst.s,
+                 "seed": seed, "t": inst.t},
+        "task": "conn",
+        "tokens": encode_conn_unary(inst),
+    }
 
 
 @pytest.mark.parametrize("task, options, message", [
