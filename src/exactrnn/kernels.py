@@ -13,9 +13,8 @@ needs a canonical value (Bareiss 1968).
 
 ``compile_int_affine`` turns an all-integer ``sparse_affine`` program into
 generated straight-line Python, one line per op, for callers that run it
-once per token on integer inputs; it folds the registers the caller knows
-to be constant, and the same code counts the value bits of chosen
-registers.
+once per step on integer inputs; the same code counts the value bits of
+chosen registers.
 """
 
 from math import gcd, lcm
@@ -366,26 +365,22 @@ def _is_register(r, n) -> bool:
     return type(r) is int and 0 <= r < n
 
 
-def compile_int_affine(ops, in_dim, out, observed, binary, known=()):
+def compile_int_affine(ops, in_dim, out, observed, binary, folded=(0, 0)):
     """``sparse_affine`` over ``in_dim`` inputs, generated as straight-line
     code for integer inputs, or ``None`` when the program is not all-integer.
 
-    ``known`` maps registers, inputs or ops, to the ints the caller
-    guarantees they hold on every input the function is run on
-    (``MlpRnn.token_ranges`` proves these per token for a recurrence). The
-    code has no line for a known register: a term that reads one is folded
-    into its op's bias, and an ``out`` register that is known returns its
-    int. The returned function takes the nums of the input registers that
-    are not known, in order, whose dens must all be 1, and returns
-    ``(values, max_bits, total_bits)``: ``values`` are the nums of
-    registers ``out``, every den being 1; ``max_bits`` is the largest
-    ``value_bits`` of the ``observed`` (register, count) pairs and
-    ``total_bits`` the sum of their ``value_bits``, each times its count
-    (0 and 0 when nothing is observed). Op t becomes ``r{in_dim+t} = w *
-    r{c} + ... + b``, followed by a clamp when it has a ReLU, with the same
-    ints as ``sparse_affine`` computes. At den 1, ``value_bits(n)`` is
-    ``n.bit_length() + 1``, zero included, since ``bit_length`` ignores the
-    sign; the bits of a known register are a constant of the code.
+    The returned function takes the nums of the input registers, whose dens
+    must all be 1, and returns ``(values, max_bits, total_bits)``:
+    ``values`` are the nums of registers ``out``, every den being 1;
+    ``max_bits`` is the largest ``value_bits`` of the ``observed``
+    (register, count) pairs and ``total_bits`` the sum of their
+    ``value_bits``, each times its count (0 and 0 when nothing is observed).
+    ``folded`` is the largest and total value bits of values the caller
+    folded out of the program, which the results include. Op t becomes
+    ``r{in_dim+t} = w * r{c} + ... + b``, followed by a clamp when it has a
+    ReLU, with the same ints as ``sparse_affine`` computes. At den 1,
+    ``value_bits(n)`` is ``n.bit_length() + 1``, zero included, since
+    ``bit_length`` ignores the sign.
 
     ``binary`` names observed registers that the caller guarantees hold 0
     or 1 on every input the function is run on. Such a register's
@@ -393,24 +388,20 @@ def compile_int_affine(ops, in_dim, out, observed, binary, known=()):
     without a call: the weighted sum ``tb`` of the binary registers with
     positive counts is non-zero exactly when one of them is 1, and ``tb
     and 1`` stands for all of them in ``max``. On a binary register that
-    holds another value the bit counts are wrong, and on a known register
-    that holds another value every result is.
+    holds another value the bit counts are wrong.
 
     ``None`` unless every weight, bias and den is an ``int``, every den is
     1, every term reads an earlier register, ``out`` and ``observed`` name
     existing registers with ``int`` counts, every ``binary`` register is
-    an observed one, and every ``known`` register exists and maps to an
-    ``int``, so only int literals and register numbers reach the generated
-    source.
+    an observed one, and ``folded`` is two ``int``s, so only int literals
+    and register numbers reach the generated source.
     """
-    known = dict(known)
-    size = in_dim + len(ops)
-    if not all(_is_register(r, size) and type(v) is int for r, v in known.items()):
+    fold_max, fold_total = folded
+    if not type(fold_max) is type(fold_total) is int:
         return None
-    inputs = [f"r{i}, " for i in range(in_dim) if i not in known]
     lines = ["def run(x):"]
-    if inputs:
-        lines.append("    " + "".join(inputs) + "= x")
+    if in_dim:
+        lines.append("    " + "".join(f"r{i}, " for i in range(in_dim)) + "= x")
     k = in_dim
     for terms, bn, bd, relu in ops:
         if type(bn) is not int or type(bd) is not int or bd != 1:
@@ -419,16 +410,12 @@ def compile_int_affine(ops, in_dim, out, observed, binary, known=()):
         for c, a, b in terms:
             if not (type(a) is type(b) is int and b == 1 and _is_register(c, k)):
                 return None
-            if c in known:
-                bn += a * known[c]
-            else:
-                parts.append(_times(a, f"r{c}"))
-        if k not in known:
-            if bn or not parts:
-                parts.append(_int_literal(bn))
-            _sum_lines(lines, f"r{k}", parts)
-            if relu:
-                lines.append(f"    if r{k} < 0: r{k} = 0")
+            parts.append(_times(a, f"r{c}"))
+        if bn or not parts:
+            parts.append(_int_literal(bn))
+        _sum_lines(lines, f"r{k}", parts)
+        if relu:
+            lines.append(f"    if r{k} < 0: r{k} = 0")
         k += 1
     if not all(_is_register(r, k) for r in out):
         return None
@@ -438,14 +425,12 @@ def compile_int_affine(ops, in_dim, out, observed, binary, known=()):
     if not all(_is_register(r, k) for r in binary) or binary - {r for r, _ in observed}:
         return None
     # value_bits is bit_length + 1: b{i} is the bit_length of the i-th
-    # observed register that is neither known nor binary (or has a count
-    # below 1), a binary register's bit_length is the register itself,
-    # summed into tb, and a known register's is a constant
-    fixed = [(known[r].bit_length(), n) for r, n in observed if r in known]
-    ones = [(r, n) for r, n in observed if r not in known and r in binary and n > 0]
-    rest = [(r, n) for r, n in observed if r not in known and not (r in binary and n > 0)]
-    total = [_int_literal(sum(n for _, n in observed) + sum(b * n for b, n in fixed))]
-    bits = [str(max(b for b, _ in fixed))] if fixed else []
+    # observed register that is not binary (or has a count below 1), and a
+    # binary register's bit_length is the register itself, summed into tb
+    ones = [(r, n) for r, n in observed if r in binary and n > 0]
+    rest = [(r, n) for r, n in observed if not (r in binary and n > 0)]
+    total = [_int_literal(sum(n for _, n in observed) + fold_total)]
+    bits = [_int_literal(fold_max - 1)] if fold_max else []
     for i, (r, n) in enumerate(rest):
         lines.append(f"    b{i} = r{r}.bit_length()")
         bits.append(f"b{i}")
@@ -455,10 +440,11 @@ def compile_int_affine(ops, in_dim, out, observed, binary, known=()):
         _sum_lines(lines, "tb", [_times(n, f"r{r}") for r, n in ones])
         bits.append("tb and 1")
         total.append("tb")
-    lines.append(f"    m = max(({', '.join(bits)},)) + 1" if bits else "    m = 0")
+    # a list, not a tuple: CPython 3.11 keeps each freed 20-item tuple on
+    # a free list that it never takes from, up to 2000 of them
+    lines.append(f"    m = max([{', '.join(bits)}]) + 1" if bits else "    m = 0")
     _sum_lines(lines, "t", total)
-    values = ", ".join(_int_literal(known[r]) if r in known else f"r{r}" for r in out)
-    lines.append(f"    return [{values}], m, t")
+    lines.append(f"    return [{', '.join(f'r{r}' for r in out)}], m, t")
     namespace = {"__builtins__": {}, "max": max}
     exec(compile("\n".join(lines), "<compile_int_affine>", "exec"), namespace)
     return namespace["run"]

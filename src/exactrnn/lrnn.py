@@ -29,11 +29,8 @@ _ZERO = Rational(0)
 
 @dataclass(frozen=True)
 class LinStep:
-    """One step of the recurrence S_t = A S_{t-1} + B.
-
-    The additive term is a full d x d matrix; a plain vector b is embedded
-    as the matrix b e_1^T (first column b, zero elsewhere).
-    """
+    """One step of the recurrence S_t = A S_{t-1} + B; the additive term
+    is a full d x d matrix."""
 
     A: RMatrix
     B: RMatrix
@@ -46,14 +43,6 @@ class LinStep:
     @property
     def dim(self) -> int:
         return self.A.rows
-
-    @classmethod
-    def from_vector(cls, A: RMatrix, b: RVector) -> "LinStep":
-        d = A.rows
-        if len(b) != d:
-            raise ValueError("vector length mismatch")
-        e1 = RVector.basis(0, d)
-        return cls(A, RMatrix.outer(b, e1))
 
 
 def combine_steps(first: LinStep, second: LinStep) -> LinStep:

@@ -30,47 +30,42 @@ source non-negative, so the counter and stack update nets compute 53 of
 107 and 69 of 142 rows per token. ``MlpRnn.state_nonneg`` extends the
 analysis across time steps as a greatest fixpoint.
 
-``run_mlp_rnn`` runs an update whose weights and biases are all integers
-(the counter-machine update) on integer states as generated straight-line
-code, one function per token (``MlpRnn.token_steps``), which also counts
-the run's value bits: at den 1, ``value_bits(n)`` is ``n.bit_length() +
-1``. Most of the counter net's registers are flags, one-hots and AND
-units, and once the token is known many of them are constant: an AND unit
-keyed by another symbol is 0. ``MlpRnn.token_ranges`` proves, per token,
-which registers hold one int at every step that reads it, 26 to 31 of the
-conn net's 53 computed ones and the token one-hot, and which others hold 0
-or 1. Each token's function is the update specialized to it (partial
-evaluation, Jones, Gomard & Sestoft 1993): it has no line for a constant
-register, folds the terms that read one into the bias, adds their value
-bits as a constant, and counts each 0/1 register as its own bit length,
-without a call. The proof is an interval abstract interpretation (Cousot &
-Cousot 1977) of the update from ``h0`` over every token, run once per net
-on its first integer run; it is made exact by splitting into cases on
-each register whose interval is [0, 1], which holds exactly 0 or 1
-because every register of an all-integer program on integer inputs is an
-integer.
-
-Every other update, the stack-machine net's with its rational weights and
-any net with a rational ``h0``, runs one cell of its state space at a time.
+``run_mlp_rnn`` runs every update one cell of its state space at a time.
 A ReLU net is piecewise affine: in a cell where every ReLU has a fixed
 sign, a step is an affine map, the step of a linear RNN (Montufar et al.
 2014). ``MlpRnn.cells`` holds one lazily built decision tree per token.
-Each node tests one state coordinate against a rational threshold, and
-each leaf is the update specialized to the closed box that the tests leave,
-built by one symbolic pass in the manner of symbolic intervals with input
-splitting (ReluVal, Wang et al. 2018): each register is an exact affine form
-in the state, a ReLU the box decides is 0 or the identity, an undecided
-ReLU over one state coordinate splits the box at its breakpoint on the
-current state's side, and any other stays a ReLU op; constant registers
-fold, and their value bits are constants of the leaf. No static proof
-gives these boxes for the stack net, whose exactness rests on the relation
-between each stack's halving value and its mirror (no interval box is
-inductive under pop), so the walk down the tree checks the box premise at
-every step. The stack net's 69 ops become leaves of 4 to 14. Past
-``_CELL_LEAVES`` leaves per net, a token's unsplit leaf, specialized to the
-root box alone, serves every state that reaches an unbuilt branch, so
-memory stays bounded. Outputs and the ``PrecisionReport`` equal those of
-layer-by-layer evaluation.
+Each node tests one state coordinate against a threshold, and each leaf is
+the update specialized to the closed box that the tests leave (partial
+evaluation, Jones, Gomard & Sestoft 1993), built by one symbolic pass in
+the manner of symbolic intervals with input splitting (ReluVal, Wang et
+al. 2018): each register is an exact affine form in the state, a ReLU the
+box decides is 0 or the identity, an undecided ReLU over one state
+coordinate splits the box at its breakpoint on the current state's side,
+and any other stays a ReLU op; constant registers fold, and their value
+bits are constants of the leaf. No static proof gives these boxes for the
+stack net, whose exactness rests on the relation between each stack's
+halving value and its mirror (no interval box is inductive under pop), so
+the walk down the tree checks the box premise at every step. The stack
+net's 69 ops become leaves of 4 to 14. Past ``_CELL_LEAVES`` leaves per
+net, a token's unsplit leaf, specialized to the root box alone, serves
+every state that reaches an unbuilt branch, so memory stays bounded.
+Outputs and the ``PrecisionReport`` equal those of layer-by-layer
+evaluation.
+
+An update whose weights and biases are all integers (the counter-machine
+update), from an integer ``h0``, has integer states and registers, so its
+boxes are integer ones, and more ReLUs split them: one that reads a state
+coordinate and registers the box bounds to [0, 1] (the flags and AND
+units of a finite control) splits at the integer threshold that decides
+it, and a coordinate left at [0, 1] is split once more, which pins it to
+0 or 1 and folds it. A one-hot control state is then a constant of each
+leaf, and the conn net's 53 ops become leaves of 11 to 17. Each leaf is
+compiled once, when it is built, to straight-line code
+(``kernels.compile_int_affine``) that also counts the step's value bits:
+at den 1, ``value_bits(n)`` is ``n.bit_length() + 1``, and a register the
+box bounds to [0, 1] counts as its own bit length, without a call. Each
+token's tree is one generated function of nested threshold tests that
+calls the leaf the state reaches, regenerated when a leaf is added.
 """
 
 from __future__ import annotations
@@ -180,8 +175,7 @@ class ReluMlp:
     holds a no-ReLU row with a non-negative bias and positive weights on
     non-negative registers. ``MlpRnn.update_nonneg`` gives the assumption
     that holds at every step of a recurrence; ``run_mlp_rnn`` runs its
-    update per token instead, as ``MlpRnn.token_steps`` on integer states
-    and as the leaves of ``MlpRnn.cells`` otherwise.
+    update per token and cell instead, as the leaves of ``MlpRnn.cells``.
 
     Outputs equal those of layer-by-layer evaluation, and the observed
     registers, each counted once per layer output it stands for, are that
@@ -348,100 +342,9 @@ def gadget_select(n_branches: int, bound: int = 8) -> ReluMlp:
 # Recurrent wrapper
 
 
-# The range analysis of ``MlpRnn.token_ranges`` proves nothing beyond the
-# token one-hot once it has run more leaves, or reached more finite states,
-# in one pass than this.
-_RANGE_LEAVES = 1 << 14
-_RANGE_STATES = 1 << 10
 # ``MlpRnn.cells`` builds at most this many cell leaves per net; past it, a
 # state that reaches an unbuilt branch runs its token's unsplit leaf.
 _CELL_LEAVES = 1 << 10
-
-# a register's value over leaves where it held 0 in some and 1 in others
-_BIT = "0 or 1"
-_BITS = (0, 1, _BIT)
-
-
-def _leaves(ops, x):
-    """The register files of an abstract run of the all-integer
-    ``kernels.sparse_affine`` program ``ops`` on ``x``, one per leaf.
-
-    A register holds an int or an integer interval ``(lo, hi)``, with
-    ``None`` for an unbounded end; a ReLU clamps the interval at 0. Every
-    register of an all-integer program on integer inputs is an integer, so
-    a register whose interval is exactly [0, 1] holds 0 or 1, and the run
-    forks into the two: every concrete run follows some leaf, and a
-    register that is an int in a leaf holds that int on every concrete
-    run that follows it.
-    """
-    todo = [(0, list(x))]
-    while todo:
-        start, regs = todo.pop()
-        for t in range(start, len(ops)):
-            terms, lo, _, relu = ops[t]
-            hi = lo
-            for c, w, _ in terms:
-                v = regs[c]
-                if type(v) is int:
-                    a = b = w * v
-                else:
-                    a, b = v if w > 0 else v[::-1]
-                    a = None if a is None else w * a
-                    b = None if b is None else w * b
-                lo = None if lo is None or a is None else lo + a
-                hi = None if hi is None or b is None else hi + b
-            if relu:
-                if hi is not None and hi <= 0:
-                    lo = hi = 0
-                elif lo is None or lo < 0:
-                    lo = 0
-            if lo is not None and lo == hi:
-                regs.append(lo)
-            elif lo == 0 and hi == 1:
-                todo.append((t + 1, regs + [1]))
-                regs.append(0)
-            else:
-                regs.append((lo, hi))
-        yield regs
-
-
-def _explore(ops, out, state, finite, hots):
-    """One pass of ``MlpRnn.token_ranges``: run ``ops`` abstractly on
-    ``state`` and every token one-hot in ``hots``, for every value of the
-    ``finite`` coordinates reachable from their values in ``state``; the
-    other coordinates of ``state`` hold their intervals.
-
-    Returns the finite coordinates that come out as 0 or 1 in every leaf
-    (stopping at the first leaf where one does not) and, per token, each
-    register's value over that token's leaves: the int it holds in all of
-    them, ``_BIT`` when it holds 0 or 1 in each, or anything else; or
-    ``(None, None)`` past the caps.
-    """
-    start = tuple(state[i] for i in finite)
-    seen, todo, leaves = {start}, [start], 0
-    merged = [None] * len(hots)
-    while todo:
-        for i, v in zip(finite, todo.pop()):
-            state[i] = v
-        for j, hot in enumerate(hots):
-            for regs in _leaves(ops, state + hot):
-                leaves += 1
-                if leaves > _RANGE_LEAVES:
-                    return None, None
-                nxt = tuple(regs[out[i]] for i in finite)
-                if not all(v in (0, 1) for v in nxt):
-                    return [i for i, v in zip(finite, nxt) if v in (0, 1)], None
-                had = merged[j]
-                merged[j] = regs if had is None else [
-                    a if a == b else _BIT if a in _BITS and b in _BITS else None
-                    for a, b in zip(had, regs)
-                ]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    todo.append(nxt)
-        if len(seen) > _RANGE_STATES:
-            return None, None
-    return finite, merged
 
 
 class _Leaf(NamedTuple):
@@ -449,14 +352,16 @@ class _Leaf(NamedTuple):
     state space (see ``MlpRnn.cells``): ``kernels.sparse_affine`` ops over
     the state alone, the register of each next-state coordinate, the
     (register, layer-output count) pairs of the observed registers that are
-    not constant on the box, and the largest and total value bits of those
-    that are."""
+    not constant on the box, the largest and total value bits of those
+    that are, and, on an integer box, the observed registers that the box
+    bounds to [0, 1]."""
 
     ops: tuple
     out: tuple
     observed: tuple
     max_bits: int
     total_bits: int
+    binary: frozenset
 
 
 def _bounds(coefs, const, box):
@@ -470,39 +375,103 @@ def _bounds(coefs, const, box):
     return lo, hi
 
 
-def _cell(prog, token, box, state=None):
+def _in_unit(bound) -> bool:
+    lo, hi = bound
+    return lo is not None and hi is not None and lo >= 0 and hi <= 1
+
+
+def _threshold(coefs, const, box, d, integer, nums, dens):
+    """The split of ``box`` for an undecided relu(``const`` + sum(u *
+    x[v])) and the state ``nums``/``dens``: ``(v, t)`` for the test x[v] <=
+    t, or ``None``.
+
+    The form must read one state coordinate v and, on an integer box, may
+    read registers whose intervals lie in [0, 1] as well. Over those, the
+    ReLU is decided (0 or the identity) for x[v] <= a and for x[v] > b,
+    with a = b on a rational box, and integers a <= b + 1 on an integer
+    one, whose right side of x[v] <= t is x[v] >= t + 1. The split at a or
+    b puts the state on a decided side when it is on one; a state between
+    them cuts the box down towards [a + 1, b], where the ReLU stays an op.
+    """
+    read = [c for c in coefs if c < d]
+    if len(read) != 1:
+        return None
+    v = read[0]
+    rest = {c: u for c, u in coefs.items() if c != v}
+    if rest and not (integer and all(_in_unit(box[c]) for c in rest)):
+        return None
+    u = coefs[v]
+    lo, hi = _bounds(rest, const, box)
+    if u < 0:
+        lo, hi = hi, lo
+    a, b = -hi / u, -lo / u
+    if integer:
+        a, b = Rational(a.num // a.den), Rational(-(-b.num // b.den) - 1)
+    x = Rational._make(nums[v], dens[v])
+    xlo, xhi = box[v]
+    if x <= a:
+        return v, a
+    if x > b:
+        return v, b
+    if xlo is None or xlo <= a:
+        return v, a
+    if xhi is None or xhi > b:
+        return v, b
+    return None
+
+
+def _cell(prog, token, box, state=None, integer=False):
     """The update program ``prog`` over [state | token one-hot] specialized
     to the token index ``token`` and a closed box of the state space:
     ``(leaf, path)``.
 
     ``box`` is an interval per state coordinate, with ``None`` for an
-    unbounded end. One symbolic pass keeps each register as an exact affine
-    form ``(coefs, const)`` over the leaf's registers: the state, then one
-    per leaf op. A ReLU whose sign the box decides is 0 or the identity.
-    When ``state`` (its nums and dens) is given, an undecided ReLU that
-    reads one state coordinate alone splits the box at the coordinate's
-    breakpoint: a new node ``[v, tn, td, None, None]`` tests x[v] <= tn /
-    td, the box narrows to the side that ``state`` takes, and ``path``
-    lists each new node with that child's index (see ``_narrow``). Any
-    other undecided ReLU becomes a leaf op, whose interval the box bounds.
-    The ``_Leaf`` computes each observed register that is not constant (a
-    form with one weight 1 and no constant is its register) and each
-    next-state coordinate, and identical ops share one register; it is
-    exact for every state in the narrowed box.
+    unbounded end, of integers when ``integer`` (every state and register
+    is then an integer). One symbolic pass keeps each register as an exact
+    affine form ``(coefs, const)`` over the leaf's registers: the state,
+    then one per leaf op; a state coordinate that the box pins to one value
+    folds into the constant. A ReLU whose sign the box decides is 0 or the
+    identity. When ``state`` (its nums and dens) is given, an undecided ReLU
+    may split the box (see ``_threshold``): a new node ``[v, tn, td, None,
+    None]`` tests x[v] <= tn / td, the box narrows to the side that
+    ``state`` takes, and ``path`` lists each new node with that child's
+    index (see ``_narrow``); on an integer box, a coordinate left at [0, 1]
+    is split once more at 0, which pins it. Any other undecided ReLU becomes
+    a leaf op, whose interval the box bounds. The ``_Leaf`` computes each
+    observed register that is not constant (a form with one weight 1 and no
+    constant is its register) and each next-state coordinate, and identical
+    ops share one register; it is exact for every state in the narrowed box.
     """
     d = len(box)
     forms = [({i: _ONE}, _ZERO) for i in range(d)]
     forms += [({}, _ONE if j == token else _ZERO) for j in range(prog.in_dim - d)]
     bounds = list(box)
+    gap = _ONE if integer else _ZERO
     ops, regs, path = [], {}, []
+
+    def fold(coefs, const):
+        kept = {}
+        for v, u in coefs.items():
+            lo, hi = bounds[v]
+            if lo is not None and lo == hi:
+                const += u * lo
+            elif u:
+                kept[v] = u
+        return kept, const
 
     def emit(coefs, const, relu):
         terms = tuple((v, u.num, u.den) for v, u in sorted(coefs.items()))
         op = (terms, const.num, const.den, relu)
         if op not in regs:
+            lo, hi = _bounds(coefs, const, bounds)
+            bounds.append((_ZERO, hi) if relu else (lo, hi))
             regs[op] = d + len(ops)
             ops.append(op)
         return regs[op]
+
+    def split(v, t):
+        node = [v, t.num, t.den, None, None]
+        path.append((node, _narrow(bounds, node, *state, gap)))
 
     for terms, bn, bd, relu in prog.ops:
         coefs, const = {}, Rational._make(bn, bd)
@@ -513,29 +482,26 @@ def _cell(prog, token, box, state=None):
                 const += w * k
             for v, u in fc.items():
                 coefs[v] = coefs[v] + w * u if v in coefs else w * u
-        coefs = {v: u for v, u in coefs.items() if u}
-        if relu and not coefs:
-            const = max(const, _ZERO)
-        while relu and coefs:
-            lo, hi = _bounds(coefs, const, bounds)
-            if hi is not None and hi <= 0:
-                coefs, const = {}, _ZERO
-            elif lo is None or lo < 0:
-                if state is not None and len(coefs) == 1 and next(iter(coefs)) < d:
-                    ((v, u),) = coefs.items()
-                    t = -const / u
-                    node = [v, t.num, t.den, None, None]
-                    path.append((node, _narrow(bounds, node, *state)))
-                    continue
-                r = emit(coefs, const, True)
-                if r == len(bounds):
-                    bounds.append((_ZERO, hi))
-                coefs, const = {r: _ONE}, _ZERO
+        while True:
+            coefs, const = fold(coefs, const)
+            if relu and not coefs:
+                const = max(const, _ZERO)
+            elif relu:
+                lo, hi = _bounds(coefs, const, bounds)
+                if hi is not None and hi <= 0:
+                    coefs, const = {}, _ZERO
+                elif lo is None or lo < 0:
+                    cut = state and _threshold(coefs, const, bounds, d, integer, *state)
+                    if cut:
+                        split(*cut)
+                        if integer and bounds[cut[0]] == (_ZERO, _ONE):
+                            split(cut[0], _ZERO)
+                        continue
+                    coefs, const = {emit(coefs, const, True): _ONE}, _ZERO
             break
         forms.append((coefs, const))
 
-    def register(r):
-        coefs, const = forms[r]
+    def register(coefs, const):
         if not const and len(coefs) == 1:
             ((v, u),) = coefs.items()
             if u == 1:
@@ -544,30 +510,56 @@ def _cell(prog, token, box, state=None):
 
     counts, max_bits, total_bits = {}, 0, 0
     for r, k in prog.observed:
-        coefs, const = forms[r]
+        coefs, const = fold(*forms[r])
         if coefs:
-            reg = register(r)
+            reg = register(coefs, const)
             counts[reg] = counts.get(reg, 0) + k
         else:
             b = value_bits(const)
             total_bits += b * k
             max_bits = max(max_bits, b)
-    out = tuple(register(r) for r in prog.out)
-    leaf = _Leaf(tuple(ops), out, tuple(sorted(counts.items())), max_bits, total_bits)
-    return leaf, path
+    out = tuple(register(*fold(*forms[r])) for r in prog.out)
+    observed = tuple(sorted(counts.items()))
+    binary = frozenset(r for r, _ in observed if integer and _in_unit(bounds[r]))
+    return _Leaf(tuple(ops), out, observed, max_bits, total_bits, binary), path
 
 
-def _narrow(box, node, nums, dens) -> int:
+def _narrow(box, node, nums, dens, gap) -> int:
     """Narrow ``box`` to the side of ``node``'s test that the state
-    ``nums``/``dens`` takes; returns that child's index in ``node``."""
+    ``nums``/``dens`` takes; returns that child's index in ``node``. The
+    right side of x[v] <= t starts at t + ``gap``: 1 on an integer box, 0
+    on a rational one."""
     v, tn, td = node[:3]
     lo, hi = box[v]
     t = Rational._make(tn, td)
     if nums[v] * td <= tn * dens[v]:
         box[v] = (lo, t)
         return 3
-    box[v] = (t, hi)
+    box[v] = (t + gap, hi)
     return 4
+
+
+def _walk_lines(node, names) -> list:
+    """Unindented source lines of the walk down ``node``, a tree of integer
+    thresholds, for the state ``x``: they return the run of the leaf that x
+    reaches, by the name ``names`` gives it (one is added for a new leaf),
+    or ``None`` at an unbuilt child. Each test nests the side with fewer
+    lines and continues with the other, so the nesting stays below log2 of
+    the line count, however deep the tree."""
+    if type(node) is not list:
+        if node is None:
+            return ["return None"]
+        return [f"return {names.setdefault(node, f'f{len(names)}')}(x)"]
+    v, t, _, left, right = node
+    inner, rest = _walk_lines(left, names), _walk_lines(right, names)
+    test = f"x[{v}] <= {t}"
+    if len(inner) > len(rest):
+        inner, rest, test = rest, inner, f"x[{v}] > {t}"
+    return [f"if {test}:", *(" " + line for line in inner), *rest]
+
+
+def _unbuilt(x):
+    return None
 
 
 class _Cells:
@@ -577,16 +569,23 @@ class _Cells:
     ``_Leaf``, or a node ``[v, tn, td, left, right]`` whose state goes
     ``left`` when x[v] <= tn / td and ``right`` otherwise; an unbuilt child
     is ``None``. ``leaves`` counts the cell leaves built; identical leaves
-    are one object.
+    are one object. On an integer net, ``runs`` maps each leaf to its
+    ``kernels.compile_int_affine`` function, compiled when the leaf is
+    built, and ``walks[i]`` is token i's tree as one generated function of
+    the state nums, regenerated when a leaf is added to the tree: it
+    returns the run of the leaf that the state reaches, or ``None`` at an
+    unbuilt child. ``walks`` is ``None`` on any other net.
     """
 
-    def __init__(self, prog, root):
+    def __init__(self, prog, root, integer):
         n_tokens = prog.in_dim - len(root)
-        self.prog, self.root = prog, root
+        self.prog, self.root, self.integer = prog, root, integer
         self.trees = [None] * n_tokens
         self.unsplit = [None] * n_tokens
         self.leaves = 0
         self._shared = {}
+        self.runs = {}
+        self.walks = [_unbuilt] * n_tokens if integer else None
 
     def leaf(self, i, nums, dens) -> _Leaf:
         """Token i's leaf for the state ``nums``/``dens``, whose walk down
@@ -594,31 +593,51 @@ class _Cells:
         one node per split and then the leaf; past ``_CELL_LEAVES``, the
         token's unsplit leaf (specialized to the root box alone) takes the
         child's place."""
+        gap = _ONE if self.integer else _ZERO
         box = list(self.root)
         parent, side = self.trees, i
         while parent[side] is not None:
             parent = parent[side]
-            side = _narrow(box, parent, nums, dens)
+            side = _narrow(box, parent, nums, dens, gap)
         if self.leaves >= _CELL_LEAVES:
             if self.unsplit[i] is None:
-                self.unsplit[i] = _cell(self.prog, i, self.root)[0]
+                unsplit, _ = _cell(self.prog, i, self.root, None, self.integer)
+                self.unsplit[i] = self._share(unsplit)
             leaf = self.unsplit[i]
         else:
-            leaf, path = _cell(self.prog, i, box, (nums, dens))
+            leaf, path = _cell(self.prog, i, box, (nums, dens), self.integer)
             # the box is the last split on each coordinate and side
             last = {(node[0], child): node for node, child in path}
             for (_, child), node in last.items():
                 parent[side] = parent = node
                 side = child
-            share = self._shared.setdefault
-            leaf = leaf._replace(
-                ops=tuple(share(op, op) for op in leaf.ops),
-                out=share(leaf.out, leaf.out),
-                observed=share(leaf.observed, leaf.observed),
-            )
-            leaf = share(leaf, leaf)
+            leaf = self._share(leaf)
             self.leaves += 1
         parent[side] = leaf
+        if self.integer:
+            names = {}
+            lines = _walk_lines(self.trees[i], names)
+            namespace = {"__builtins__": {}}
+            namespace.update((name, self.runs[leaf]) for leaf, name in names.items())
+            source = "def walk(x):\n" + "".join(f"    {line}\n" for line in lines)
+            exec(compile(source, "<walk>", "exec"), namespace)
+            self.walks[i] = namespace["walk"]
+        return leaf
+
+    def _share(self, leaf) -> _Leaf:
+        """``leaf`` as the one object of its value, its ops and out shared
+        with the other leaves; compiled once on an integer net."""
+        share = self._shared.setdefault
+        leaf = leaf._replace(
+            ops=tuple(share(op, op) for op in leaf.ops),
+            out=share(leaf.out, leaf.out),
+            observed=share(leaf.observed, leaf.observed),
+        )
+        leaf = share(leaf, leaf)
+        if self.integer and leaf not in self.runs:
+            self.runs[leaf] = kernels.compile_int_affine(
+                leaf.ops, len(self.root), leaf.out, leaf.observed, leaf.binary, leaf[3:5]
+            )
         return leaf
 
 
@@ -627,13 +646,11 @@ class MlpRnn:
     """State recurrence h_t = update([h_{t-1} | onehot(x_t)]).
 
     ``decode`` (attached by the compilers) maps a hidden state back to the
-    simulated machine's configuration. Frozen, because ``state_nonneg``,
-    ``token_ranges``, ``token_steps`` and ``cells``, the coordinates proven
-    non-negative, the registers proven constant or 0 or 1 per token, the
-    update's generated code for each token, and its per-token decision
-    trees of affine leaves, are derived from ``update`` and ``h0`` once,
-    lazily: building a net runs none of them, and ``cells`` grows its trees
-    one branch at a time as states reach them.
+    simulated machine's configuration. Frozen, because ``state_nonneg`` and
+    ``cells``, the coordinates proven non-negative and the update's
+    per-token decision trees of affine leaves, are derived from ``update``
+    and ``h0`` once, lazily: building a net runs neither, and ``cells``
+    grows its trees one branch at a time as states reach them.
     """
 
     state_dim: int
@@ -666,94 +683,30 @@ class MlpRnn:
         return self.state_nonneg | frozenset(range(self.state_dim, self.update.in_dim))
 
     @cached_property
-    def token_ranges(self):
-        """Per token index, ``(known, binary)`` for the update program
-        ``update.program(update_nonneg)``: ``known`` maps every register
-        from the token one-hot on that holds one int at every step that
-        reads the token to that int, and ``binary`` holds the other
-        observed registers that hold 0 or 1 at those steps. ``None`` unless
-        that program is all-integer and ``h0`` is integer.
-
-        A range analysis, run once: the program runs abstractly
-        (``_leaves``) on every token one-hot, with each state coordinate
-        either finite, a 0 or 1 in ``h0`` whose reachable values are
-        explored from ``h0``, or free, an interval given by
-        ``state_nonneg``. A finite coordinate that comes out as anything
-        but a concrete 0 or 1 in some leaf is made free, and the analysis
-        restarts (a greatest fixpoint), so the reachable finite values are
-        closed under the update and, by induction on t, every h_t is
-        covered. A register is known for a token when it holds one int in
-        every leaf of every reachable case of that token, and binary when
-        it holds 0 or 1 in each. Past a fixed number of leaves or finite
-        states the analysis proves nothing, and only the one-hot is known.
-        """
-        d, nums = self.state_dim, self.h0.nums
-        prog = self.update.program(self.update_nonneg)
-        integer = all(bd == 1 and all(b == 1 for *_, b in terms) for terms, _, bd, _ in prog.ops)
-        if not integer or self.h0.dens.count(1) != d:
-            return None
-        n_tokens = prog.in_dim - d
-        hots = [[int(j == i) for j in range(n_tokens)] for i in range(n_tokens)]
-        finite = [i for i in range(d) if nums[i] in (0, 1)]
-        while True:
-            state = [(0, None) if i in self.state_nonneg else (None, None) for i in range(d)]
-            for i in finite:
-                state[i] = nums[i]
-            kept, merged = _explore(prog.ops, prog.out, state, finite, hots)
-            if kept is None:
-                return tuple((dict(enumerate(hot, d)), frozenset()) for hot in hots)
-            if kept == finite:
-                break
-            finite = kept
-        ranges = []
-        for values in merged:
-            known = {r: v for r, v in enumerate(values) if r >= d and type(v) is int}
-            binary = frozenset(
-                r for r, _ in prog.observed if r not in known and values[r] in _BITS
-            )
-            ranges.append((known, binary))
-        return tuple(ranges)
-
-    @cached_property
-    def token_steps(self):
-        """Per token, the update's generated code for integer states:
-        ``kernels.compile_int_affine`` of ``update.program(update_nonneg)``
-        with the token's ``token_ranges``, a function of the state nums
-        that returns the next state's nums and the max and total value bits
-        of the step's observed registers. ``None`` when ``token_ranges``
-        is."""
-        ranges = self.token_ranges
-        if ranges is None:
-            return None
-        prog = self.update.program(self.update_nonneg)
-        steps = {}
-        for tok, i in self.token_index.items():
-            known, binary = ranges[i]
-            steps[tok] = kernels.compile_int_affine(
-                prog.ops, prog.in_dim, prog.out, prog.observed, binary, known
-            )
-        return steps
-
-    @cached_property
     def cells(self) -> _Cells:
         """The update program ``update.program(update_nonneg)`` as one
-        lazily built decision tree per token, for the runs that do not use
-        ``token_steps``.
+        lazily built decision tree per token.
 
         The root box bounds each state coordinate below by 0 when it is in
         ``state_nonneg`` and leaves it free otherwise, so it holds every
-        h_t. A tree's node tests one state coordinate against a rational
-        threshold, and its leaves are ``_cell``s of the update on the box
-        the tests leave, exact for every state in that box; the walk down
-        the tree checks that premise at every step. A leaf is built when a
-        state first reaches its branch, at most ``_CELL_LEAVES`` of them per
-        net."""
+        h_t. A tree's node tests one state coordinate against a threshold,
+        and its leaves are ``_cell``s of the update on the box the tests
+        leave, exact for every state in that box; the walk down the tree
+        checks that premise at every step. A leaf is built when a state
+        first reaches its branch, at most ``_CELL_LEAVES`` of them per net.
+        The net is integer when the program is all-integer and ``h0`` is
+        integer: every h_t is then integer, the boxes and thresholds are
+        integer, and each leaf and each tree is generated code (see
+        ``_Cells``)."""
         prog = self.update.program(self.update_nonneg)
         root = tuple(
             (_ZERO, None) if i in self.state_nonneg else (None, None)
             for i in range(self.state_dim)
         )
-        return _Cells(prog, root)
+        integer = self.h0.dens.count(1) == self.state_dim and all(
+            bd == 1 and all(b == 1 for *_, b in terms) for terms, _, bd, _ in prog.ops
+        )
+        return _Cells(prog, root, integer)
 
 
 @dataclass
@@ -767,20 +720,18 @@ def run_mlp_rnn(rnn: MlpRnn, tokens, track_precision: bool = True) -> MlpRunResu
     """Exact forward pass; optionally measures every intermediate value
     (all post-activation layer outputs plus the running state).
 
-    When the update program is all-integer and ``h0`` is integer, every
-    state is integer, and each token runs its function in
-    ``rnn.token_steps`` on the state nums, tracked or not: the update
-    specialized to that token, which returns the new state with the step's
-    largest and total value bits, computed as ``n.bit_length() + 1``
-    (``value_bits`` at den 1); an untracked run ignores the bits. The range
-    analysis and code generation behind ``token_steps`` run on a net's
-    first such run. Otherwise each token walks its tree in ``rnn.cells``
-    with the state, with integer cross-multiplied comparisons, building the
-    branch a state reaches first, and runs the leaf's ops through
+    Each token runs the leaf of its tree in ``rnn.cells`` that the state
+    reaches, building the branch a state reaches first. On an integer net,
+    every state is integer, and the token's generated walk runs the leaf's
+    generated code on the state nums, tracked or not: it returns the new
+    state with the step's largest and total value bits, computed as
+    ``n.bit_length() + 1`` (``value_bits`` at den 1); an untracked run
+    ignores the bits. Otherwise the walk compares with integer
+    cross-multiplication and runs the leaf's ops through
     ``kernels.sparse_affine`` on the state alone; the observer counts the
-    leaf's non-constant observed registers, and the leaf adds the value bits
-    of the constant ones. ``h0`` and the acceptor (``eval_raw``) are always
-    measured by the observer.
+    leaf's non-constant observed registers, and the leaf adds the value
+    bits of the constant ones. ``h0`` and the acceptor (``eval_raw``) are
+    always measured by the observer.
     """
     max_bits = 0
     total_bits = 0
@@ -802,27 +753,28 @@ def run_mlp_rnn(rnn: MlpRnn, tokens, track_precision: bool = True) -> MlpRunResu
         observe(rnn.h0.nums, rnn.h0.dens, tuple((i, 1) for i in range(d)))
     nums, dens = list(rnn.h0.nums), list(rnn.h0.dens)
     states = [RVector._raw(nums, dens)]
-    steps = rnn.token_steps
-    integer = steps is not None
-    if not integer:
-        steps, cells = rnn.token_index, rnn.cells
-        trees = cells.trees
+    index, cells = rnn.token_index, rnn.cells
+    trees, walks = cells.trees, cells.walks
     for tok in tokens:
         try:
-            step = steps[tok]
+            i = index[tok]
         except KeyError:
             raise ValueError(f"unknown token {tok!r}") from None
-        if integer:
-            nums, b, t = step(nums)
+        if walks is not None:
+            res = walks[i](nums)
+            if res is None:
+                cells.leaf(i, nums, dens)
+                res = walks[i](nums)
+            nums, b, t = res
             dens = [1] * d
         else:
-            node = trees[step]
+            node = trees[i]
             while type(node) is list:
                 v = node[0]
                 node = node[3] if nums[v] * node[2] <= node[1] * dens[v] else node[4]
             if node is None:
-                node = cells.leaf(step, nums, dens)
-            ops, out, observed, b, t = node
+                node = cells.leaf(i, nums, dens)
+            ops, out, observed, b, t, _ = node
             rn, rd = kernels.sparse_affine(ops, nums, dens)
             if track_precision:
                 observe(rn, rd, observed)

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from exactrnn import kernels
 from exactrnn.delta_gadgets import HStep, apply_h_col, h_matrix
 from exactrnn.linalg import RVector
-from exactrnn.rational import PrecisionReport, Rational, precision_of
+from exactrnn.rational import PrecisionReport, Rational, precision_of, value_bits
 from exactrnn.rwkv_gadgets import OverwriteSpec, apply_overwrite_col, overwrite_matrix
 
 
@@ -375,42 +375,28 @@ def test_binary_register_with_a_count_below_one_counts_as_without_binary(count):
     assert _counted(_BITS_OPS, x, (), observed, {3}) == _counted(_BITS_OPS, x, (), observed, ())
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(int_programs(), st.data())
-@example((_CHAIN, [7]), None)
 @example((_NO_TERMS, [5]), None)
-def test_known_registers_fold_like_sparse_affine_and_precision_of(case, data):
-    """Registers, inputs or ops, named ``known`` with the ints they hold
-    get no line; the function takes the other inputs, and the results are
-    still those of ``sparse_affine`` and ``precision_of``."""
+def test_folded_bits_count_like_precision_of_the_values_folded_out(case, data):
+    """Values the caller folded out of a program (here, registers dropped
+    from ``observed``) enter the results through ``folded``: their largest
+    and total value bits."""
     ops, x = case
     want_n, _ = kernels.sparse_affine(ops, x, [1] * len(x))
-    regs = range(len(want_n))
-    if data is None:  # an explicit example: every register known, observed and out
-        known, out, observed, binary = set(regs), list(regs), [(r, 1) for r in regs], set()
+    regs = st.sampled_from(range(len(want_n)))
+    if data is None:  # an explicit example: every register folded out
+        observed, folded = [], [(r, 1) for r in range(len(want_n))]
     else:
-        known = data.draw(st.sets(st.sampled_from(regs)))
-        out = data.draw(st.lists(st.sampled_from(regs), max_size=6))
-        observed = data.draw(st.lists(st.tuples(st.sampled_from(regs), st.integers(1, 4)),
-                                      max_size=8))
-        zero_one = sorted({r for r, _ in observed if want_n[r] in (0, 1)})
-        binary = data.draw(st.sets(st.sampled_from(zero_one))) if zero_one else set()
+        observed = data.draw(st.lists(st.tuples(regs, st.integers(1, 4)), max_size=6))
+        folded = data.draw(st.lists(st.tuples(regs, st.integers(1, 4)), min_size=1, max_size=6))
+    bits = [(value_bits(Rational(want_n[r])), k) for r, k in folded]
     run = kernels.compile_int_affine(
-        ops, len(x), out, observed, binary, {r: want_n[r] for r in known}
+        ops, len(x), (), observed, (), (max(b for b, _ in bits), sum(b * k for b, k in bits))
     )
-    got, max_bits, total_bits = run([v for i, v in enumerate(x) if i not in known])
-    assert got == [want_n[r] for r in out]
-    counted = [Rational(want_n[r]) for r, k in observed for _ in range(k)]
-    want = precision_of(counted) if observed else PrecisionReport(0, 0)
-    assert PrecisionReport(max_bits, total_bits) == want
-
-
-def test_known_registers_get_no_line():
-    """r3 = relu(r0 - r1) and r5 = 2 r2 - 3 with r0 = 1 and r3 = 1 known:
-    r3 is folded out of the code, r0 out of the inputs."""
-    run = kernels.compile_int_affine(_BITS_OPS, 3, range(6), (), (), {0: 1, 3: 1})
-    assert run([0, 5]) == ([1, 0, 5, 1, 0, 7], 0, 0)
-    assert "r3" not in run.__code__.co_varnames and "r0" not in run.__code__.co_varnames
+    counted = [Rational(want_n[r]) for r, k in observed + folded for _ in range(k)]
+    got, max_bits, total_bits = run(x)
+    assert got == [] and PrecisionReport(max_bits, total_bits) == precision_of(counted)
 
 
 def test_compiled_int_program_runs_a_5000_term_row():
@@ -470,16 +456,15 @@ def test_compile_int_affine_rejects_unknown_registers_and_counts(monkeypatch, ou
 
 
 @pytest.mark.parametrize(
-    "known",
-    [{2: 0}, {-1: 0}, {_SourceInt(0): 0}, {0: _SourceInt(0)}, {0: 1.0}, {0: True}],
-    ids=["missing", "negative", "register-subclass", "value-subclass", "value-float",
-         "value-bool"],
+    "folded",
+    [(_SourceInt(2), 3), (2, _SourceInt(3)), (2.0, 3), (True, 3)],
+    ids=["max-subclass", "total-subclass", "max-float", "max-bool"],
 )
-def test_compile_int_affine_rejects_known_registers_it_cannot_fold(monkeypatch, known):
+def test_compile_int_affine_rejects_folded_bits_it_cannot_count(monkeypatch, folded):
     ran = []
     monkeypatch.setattr(kernels, "exec", lambda *args: ran.append(args), raising=False)
     op = (((0, 2, 1),), 0, 1, False)  # registers 0 and 1
-    assert kernels.compile_int_affine((op,), 1, (1,), ((0, 1),), (), known) is None
+    assert kernels.compile_int_affine((op,), 1, (1,), ((0, 1),), (), folded) is None
     assert ran == []
 
 

@@ -449,9 +449,3 @@ def test_gadget_network_through_sublayer_plumbing():
     ys = multihead_sublayer(xs, heads, RMatrix.identity(1))
     assert recognize(RVector.basis(0, 1), ys[-1]) == (wfa_eval(a, word) > Rational(0))
 
-
-def test_linstep_from_vector_embedding():
-    a = RMatrix.identity(2)
-    b = RVector([3, 5])
-    step = LinStep.from_vector(a, b)
-    assert step.B == RMatrix([[3, 0], [5, 0]])

@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import math
-import operator
 import random
 from unittest import mock
 
@@ -583,14 +582,20 @@ def rational_rnns(draw):
 @given(int_rnns())
 @example((_negative_state_rnn(), "ddidd"))
 def test_integer_nets_count_bits_in_generated_code_like_reference(case):
+    """Tracked and untracked runs of the generated walks and leaves equal
+    the reference with the leaf cap at its value, at 1 and at 0."""
     rnn, word = case
-    assert rnn.token_steps is not None
     accept, states, report = reference_run(rnn, word)
-    for track in (True, False):
-        res = run_mlp_rnn(rnn, word, track_precision=track)
-        assert res.accept == accept
-        assert [list(h) for h in res.states] == states
-        assert res.precision == (report if track else None)
+    for cap in (relu_nets._CELL_LEAVES, 1, 0):
+        net = dataclasses.replace(rnn)  # no trees from another cap
+        with mock.patch.object(relu_nets, "_CELL_LEAVES", cap):
+            for track in (True, False):
+                res = run_mlp_rnn(net, word, track_precision=track)
+                assert res.accept == accept
+                assert [list(h) for h in res.states] == states
+                assert res.precision == (report if track else None)
+        assert net.cells.walks is not None
+        assert net.cells.leaves <= cap
 
 
 def _two_cell_rnn():
@@ -639,7 +644,7 @@ def test_rational_nets_run_cell_by_cell_like_reference(cap, case):
             assert res.accept == accept
             assert [list(h) for h in res.states] == states
             assert res.precision == (report if track else None)
-    assert rnn.token_steps is None
+    assert rnn.cells.walks is None
     assert rnn.cells.leaves <= cap
 
 
@@ -670,29 +675,22 @@ def test_copy_rows_are_not_computed():
     assert len(sm.update.program(sm.update_nonneg).ops) <= 69
 
 
-def _one_hot_ranges(rnn):
-    """``token_ranges`` that know the token one-hot and nothing else."""
-    d, n_tokens = rnn.state_dim, len(rnn.token_index)
-    return tuple(
-        ({d + j: int(j == i) for j in range(n_tokens)}, frozenset()) for i in range(n_tokens)
-    )
-
-
 def test_integer_program_runs_generated_code_only_on_integer_input(monkeypatch):
-    """``run_mlp_rnn`` runs an all-integer update's generated code, the one
-    function of each token whether tracked or not, when ``h0`` is integer,
-    and ``eval_raw`` otherwise, with the reference's results either way."""
+    """``run_mlp_rnn`` runs an all-integer update as generated code, one
+    leaf function per token whether tracked or not, when ``h0`` is integer,
+    and through ``sparse_affine`` otherwise, with the reference's results
+    either way."""
     calls = []
     compile_int_affine = kernels.compile_int_affine
 
     def counting(*args):
-        run, hot = compile_int_affine(*args), tuple(args[5][r] for r in (2, 3))
-        return lambda x: calls.append(hot) or run(x)
+        run = compile_int_affine(*args)
+        return lambda x: calls.append(len(x)) or run(x)
 
     monkeypatch.setattr(kernels, "compile_int_affine", counting)
-    integer = _negative_state_rnn()  # state x, r; tokens d, i at registers 2, 3
+    integer = _negative_state_rnn()
     rational = dataclasses.replace(integer, h0=RVector([Rational(1, 2), Rational(0)]))
-    for rnn, int_calls in ((integer, [(1, 0), (0, 1), (1, 0)] * 2), (rational, [])):
+    for rnn, int_calls in ((integer, [2] * 6), (rational, [])):
         accept, states, report = reference_run(rnn, "did")
         for track in (True, False):
             res = run_mlp_rnn(rnn, "did", track_precision=track)
@@ -707,74 +705,162 @@ def test_integer_program_runs_generated_code_only_on_integer_input(monkeypatch):
         assert (run is not None) == integral
 
 
+def _leaves(node):
+    """The leaves of a tree of ``MlpRnn.cells``."""
+    if type(node) is list:
+        return _leaves(node[3]) + _leaves(node[4])
+    return [] if node is None else [node]
+
+
+def _depth(node):
+    """The number of tests on the longest path of a tree of ``MlpRnn.cells``."""
+    return 1 + max(_depth(node[3]), _depth(node[4])) if type(node) is list else 0
+
+
 def test_generated_code_is_built_once_per_program_and_never_for_signs(monkeypatch):
-    """One compile per token of a net, on its first run, tracked or not;
-    none when it is built, and none for a net with a rational update (sm),
-    for the acceptors or for a rational ``h0``."""
-    built = []
+    """Building a net generates nothing, nor does its sign analysis. A run
+    of an integer net compiles each leaf once, when it is built, and
+    regenerates a token's walk only when a leaf is added to its tree;
+    nothing is generated for a rational update (sm), a rational ``h0`` or
+    the acceptors."""
+    compiled, walks = [], []
     compile_int_affine = kernels.compile_int_affine
 
-    def counting(ops, in_dim, out, observed, binary, known):
-        built.append((ops, known))
-        return compile_int_affine(ops, in_dim, out, observed, binary, known)
+    def counting(ops, *args):
+        compiled.append(ops)
+        return compile_int_affine(ops, *args)
 
     monkeypatch.setattr(kernels, "compile_int_affine", counting)
+    monkeypatch.setattr(relu_nets, "exec", lambda *args: walks.append(args) or exec(*args),
+                        raising=False)
     rnn = cm_to_mlp_rnn(build_conn_counter_machine())
     stack = sm_to_mlp_rnn(scripted_stack_machine(2, STACK_OP_PAIRS))
-    assert rnn.state_nonneg and stack.state_nonneg and built == []
-    assert "token_ranges" not in vars(rnn)  # the range analysis waits for a run
-    tokens = encode_conn_unary(random_sorted_instance(random.Random(3), 6))
-    run_mlp_rnn(rnn, tokens, track_precision=False)
-    for _ in range(2):
+    assert rnn.state_nonneg and stack.state_nonneg and compiled == walks == []
+    assert "cells" not in vars(rnn)
+    for tokens in relu_trace_conn_streams(1)[:20]:
+        run_mlp_rnn(rnn, tokens, track_precision=False)
         run_mlp_rnn(rnn, tokens)
-    update = rnn.update.program(rnn.update_nonneg)
-    assert [ops for ops, _ in built] == [update.ops] * len(rnn.token_index)
-    ranges = rnn.token_ranges
-    assert [known for _, known in built] == [ranges[i][0] for i in rnn.token_index.values()]
-    for (known, _), (one_hot, _) in zip(ranges, _one_hot_ranges(rnn)):
-        assert one_hot.items() <= known.items()
-    assert list(rnn.token_steps) == list(rnn.token_index)
-    built.clear()
+    # identical leaves are one object, compiled once
+    leaves = {id(leaf): leaf for tree in rnn.cells.trees for leaf in _leaves(tree)}
+    assert len(walks) == rnn.cells.leaves >= len(leaves) > 1
+    assert sorted(compiled) == sorted(leaf.ops for leaf in leaves.values())
+    compiled.clear()
+    walks.clear()
     rational = dataclasses.replace(rnn, h0=RVector([Rational(1, 2)] + list(rnn.h0)[1:]))
-    for net, word in ((stack, [STACK_OP_PAIRS[0]] * 3), (rational, tokens[:3])):
+    for net, word in ((rnn, relu_trace_conn_streams(1)[0]), (stack, [STACK_OP_PAIRS[0]] * 3),
+                      (rational, relu_trace_conn_streams(1)[0][:3])):
         for track in (True, False):
             run_mlp_rnn(net, word, track_precision=track)
-        assert net.token_steps is None
-    assert built == []
+    assert compiled == walks == []
+    assert stack.cells.walks is None and rational.cells.walks is None
 
 
-# --- range analysis: registers proven constant or 0 or 1 per token ----------------
+# --- cells of integer nets: 0/1 registers from the box, bounded trees -------------
 
 
-def unproven_token_ranges(rnn, tokens):
-    """The registers that ``rnn.token_ranges`` claims for some token, as an
-    int that its step folds or as a 0 or 1, that hold anything else at a
-    step of ``tokens`` that reads the token, found by running every step
-    through the update program's whole register file."""
-    ranges = rnn.token_ranges
-    if ranges is None:
-        return set()
-    prog = rnn.update.program(rnn.update_nonneg)
-    run = kernels.compile_int_affine(
-        prog.ops, prog.in_dim, range(prog.in_dim + len(prog.ops)), (), ()
-    )
-    n_tokens = len(rnn.token_index)
-    checks = []
-    for i, (known, binary) in enumerate(ranges):
-        claimed = sorted(known) + sorted(binary)
-        values = operator.itemgetter(*claimed, 0)  # a tuple even for one register
-        want = tuple(known[r] for r in sorted(known))
-        checks.append(([int(j == i) for j in range(n_tokens)], values, want, known, binary))
-    h, bad = list(rnn.h0.nums), set()
-    for tok in tokens:
-        hot, values, want, known, binary = checks[rnn.token_index[tok]]
-        regs, _, _ = run(h + hot)
-        got = values(regs)
-        if got[: len(want)] != want or not {0, 1}.issuperset(got[len(want) : -1]):
-            bad.update(r for r, v in known.items() if regs[r] != v)
-            bad.update(r for r in binary if regs[r] not in (0, 1))
-        h = [regs[r] for r in prog.out]
+def unsound_binary(rnn, tokens):
+    """The (leaf, register) pairs where a leaf of ``rnn.cells`` counts a
+    register as 0 or 1 (``binary``) that holds anything else at a step of
+    ``tokens`` that runs the leaf, found by running the steps of
+    ``run_mlp_rnn(rnn, tokens)`` again through ``sparse_affine``."""
+    states = run_mlp_rnn(rnn, tokens).states
+    bad = set()
+    for tok, h in zip(tokens, states):
+        node = rnn.cells.trees[rnn.token_index[tok]]
+        while type(node) is list:
+            v, tn, td = node[:3]
+            node = node[3] if h.nums[v] * td <= tn * h.dens[v] else node[4]
+        regs, _ = kernels.sparse_affine(node.ops, h.nums, h.dens)
+        bad.update((node, r) for r in node.binary if regs[r] not in (0, 1))
     return bad
+
+
+def test_conn_net_registers_proven_binary_hold_0_or_1():
+    """Every register that a leaf's box proves 0 or 1, and that its code
+    counts so (``binary``), holds 0 or 1 at each step that runs the leaf, on
+    the benchmark's seed-1 streams and the reset net's pinned words; every
+    conn leaf has some. Marking a counter register binary by hand is
+    caught."""
+    rnn = cm_to_mlp_rnn(build_conn_counter_machine())
+    for tokens in relu_trace_conn_streams(1):
+        assert unsound_binary(rnn, tokens) == set()
+    assert all(leaf.binary for tree in rnn.cells.trees for leaf in _leaves(tree))
+    for reset, word in _pinned_reset_runs():
+        assert unsound_binary(reset, word) == set()
+    # c+ of the first of the three counters, a state coordinate that counts
+    counter = rnn.state_dim - 2 * 3
+    tokens = max(relu_trace_conn_streams(1), key=len)
+    for i, tree in enumerate(rnn.cells.trees):
+        rnn.cells.trees[i] = _marked(tree, counter)
+    assert {r for _, r in unsound_binary(rnn, tokens)} == {counter}
+
+
+def _marked(node, register):
+    """A copy of a tree whose leaves count ``register`` as binary."""
+    if type(node) is list:
+        return node[:3] + [_marked(node[3], register), _marked(node[4], register)]
+    return node if node is None else node._replace(binary=node.binary | {register})
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_rnns())
+@example((_negative_state_rnn(), "ddidd"))
+def test_integer_net_registers_proven_binary_hold_0_or_1(case):
+    """Every register a leaf counts as 0 or 1 holds 0 or 1 at each step of a
+    random word that runs the leaf."""
+    rnn, word = case
+    assert unsound_binary(rnn, word) == set()
+
+
+def test_registers_that_leave_0_and_1_are_not_claimed():
+    rnn = _negative_state_rnn()  # x and r start at 0; x goes negative, r past 1
+    assert unsound_binary(rnn, "ddiiii") == set()
+    leaves = [leaf for tree in rnn.cells.trees for leaf in _leaves(tree)]
+    assert len(leaves) > 1
+    for leaf in leaves:
+        assert not leaf.binary & {0, 1, *leaf.out}
+
+
+def test_reset_net_trees_do_not_grow_with_the_count():
+    """Counting to 999, resetting and counting again builds the leaves, and
+    trees as deep, as ten counts do."""
+    shapes = []
+    for count in (10, 999):
+        rnn = cm_to_mlp_rnn(reset_machine(), reset_bound=1000)
+        word = ["c"] * count + ["r"] + ["c"] * count
+        res = run_mlp_rnn(rnn, word)
+        assert rnn.decode(res.states[-1]) == ("q", (count,))
+        shapes.append((rnn.cells.leaves, [_depth(tree) for tree in rnn.cells.trees]))
+    assert shapes[0] == shapes[1]
+    assert shapes[0][0] <= 4 and max(shapes[0][1]) <= 4
+
+
+def _sign_split_rnn(dim):
+    """State x of ``dim`` coordinates from -1, kept by x' = relu(x) -
+    relu(-x): each relu(x_i) splits the box at x_i <= 0, so a token's tree
+    is ``dim`` tests deep."""
+    eye = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    l1 = Layer(RMatrix([row + [0] for row in eye] + [[-w for w in row] + [0] for row in eye]),
+               RVector.zeros(2 * dim), relu=True)
+    l2 = Layer(RMatrix([row + [-w for w in row] for row in eye]), RVector.zeros(dim), relu=False)
+    acceptor = ReluMlp([Layer(RMatrix([[1] * dim]), RVector([Rational(-1, 2)]), relu=False)])
+    return MlpRnn(
+        state_dim=dim,
+        token_index={"x": 0},
+        update=ReluMlp([l1, l2]),
+        h0=RVector([-1] * dim),
+        acceptor=acceptor,
+    )
+
+
+def test_a_walk_deeper_than_the_compilers_nesting_limit_runs():
+    """CPython refuses more than 100 nested blocks; a 120-test walk still
+    compiles, and runs like the reference."""
+    rnn = _sign_split_rnn(120)
+    accept, states, report = reference_run(rnn, "xx")
+    res = run_mlp_rnn(rnn, "xx")
+    assert (res.accept, [list(h) for h in res.states], res.precision) == (accept, states, report)
+    assert _depth(rnn.cells.trees[0]) == 120 and rnn.cells.leaves == 1
 
 
 def relu_trace_conn_streams(seed):
@@ -849,100 +935,29 @@ def test_run_results_are_pinned(name):
     assert _run_digest(runs()) == digest
 
 
-def test_conn_net_registers_proven_binary_hold_0_or_1():
-    """Per token, the conn net's step folds 26 or more of its 53 computed
-    registers, and 55 of its 70 observed ones are folded or counted as 0
-    or 1; every claim holds on the benchmark's seed-1 streams, and on the
-    reset net's pinned words."""
-    rnn = cm_to_mlp_rnn(build_conn_counter_machine())
-    prog = rnn.update.program(rnn.update_nonneg)
-    assert len(prog.ops) == 53
-    observed = {r for r, _ in prog.observed}
-    assert len(rnn.token_ranges) == len(rnn.token_index)
-    for known, binary in rnn.token_ranges:
-        assert binary <= observed - known.keys()
-        assert sum(r >= prog.in_dim for r in known) >= 26
-        assert len(observed & (known.keys() | binary)) >= 55
-    for tokens in relu_trace_conn_streams(1):
-        assert unproven_token_ranges(rnn, tokens) == set()
-    runs = _pinned_reset_runs()
-    assert runs[0][0].token_ranges != _one_hot_ranges(runs[0][0])
-    for reset, word in runs:
-        assert unproven_token_ranges(reset, word) == set()
-
-
-@settings(max_examples=200, deadline=None)
-@given(int_rnns())
-@example((_negative_state_rnn(), "ddidd"))
-def test_integer_net_registers_proven_binary_hold_0_or_1(case):
-    """Every register a token's step folds holds the folded int, and every
-    one it counts as 0 or 1 holds 0 or 1, at each step of a random word."""
-    rnn, word = case
-    assert rnn.token_ranges is not None
-    assert unproven_token_ranges(rnn, word) == set()
-
-
-def test_registers_that_leave_0_and_1_are_not_claimed():
-    rnn = _negative_state_rnn()  # x and r start at 0; x goes negative, r past 1
-    prog = rnn.update.program(rnn.update_nonneg)
-    for known, binary in rnn.token_ranges:
-        assert not (known.keys() | binary) & {0, 1, *prog.out}
-    assert unproven_token_ranges(rnn, "ddiiii") == set()
-
-
-def test_range_analysis_proves_nothing_past_its_caps_or_off_integers(monkeypatch):
-    """Past either cap each token's step folds only its one-hot, with the
-    reference's results; off integers there is no analysis to run."""
-    conn = cm_to_mlp_rnn(build_conn_counter_machine())
-    one_hots = _one_hot_ranges(conn)
-    for (known, binary), (one_hot, _) in zip(conn.token_ranges, one_hots):
-        assert known.items() > one_hot.items() and binary
-    rational = RVector([Rational(1, 2)] + list(conn.h0)[1:])
-    assert dataclasses.replace(conn, h0=rational).token_ranges is None
-    assert sm_to_mlp_rnn(scripted_stack_machine(2, STACK_OP_PAIRS)).token_ranges is None
-    tokens = encode_conn_unary(random_sorted_instance(random.Random(4), 6))
-    accept, states, report = reference_run(conn, tokens)
-    for cap in ("_RANGE_LEAVES", "_RANGE_STATES"):
-        with monkeypatch.context() as patch:
-            patch.setattr(relu_nets, cap, 2)
-            capped = dataclasses.replace(conn)
-            assert capped.token_ranges == one_hots
-            for track in (True, False):
-                res = run_mlp_rnn(capped, tokens, track_precision=track)
-                assert res.accept == accept
-                assert [list(h) for h in res.states] == states
-                assert res.precision == (report if track else None)
-
-
 # --- cells: rational updates as one affine leaf per box of the state space -----
 
 
-def _leaves(node):
-    """The leaves of a tree of ``MlpRnn.cells``."""
-    if type(node) is list:
-        return _leaves(node[3]) + _leaves(node[4])
-    return [] if node is None else [node]
-
-
-def test_cells_are_built_lazily_and_never_for_integer_nets():
-    """Building a net builds no tree, and an integer net never builds one;
-    the stack net's leaves, built as its states reach them, run 4 to 14 of
-    the update's 69 ops."""
+def test_cells_are_built_lazily_and_leaves_are_small():
+    """Building a net builds no tree. The conn net's leaves, built as its
+    states reach them, run 11 to 17 of the update's 53 ops, none of them a
+    plain copy of a register; the stack net's run 4 to 14 of its 69."""
     conn = cm_to_mlp_rnn(build_conn_counter_machine())
     stack = sm_to_mlp_rnn(scripted_stack_machine(2, STACK_OP_PAIRS))
     assert "cells" not in vars(conn) and "cells" not in vars(stack)
-    tokens = encode_conn_unary(random_sorted_instance(random.Random(3), 6))
-    for track in (True, False):
-        run_mlp_rnn(conn, tokens, track_precision=track)
-    assert "cells" not in vars(conn)
     run_mlp_rnn(stack, [STACK_OP_PAIRS[0]])
     assert stack.cells.leaves == 1
-    for _, word in _pinned_stack_runs():
-        run_mlp_rnn(stack, word)
-    leaves = [leaf for tree in stack.cells.trees for leaf in _leaves(tree)]
-    assert len(leaves) == stack.cells.leaves <= relu_nets._CELL_LEAVES
-    assert len(stack.update.program(stack.update_nonneg).ops) == 69
-    assert max(len(leaf.ops) for leaf in leaves) <= 14
+    for net, runs, n_ops, most in ((conn, _pinned_conn_runs(), 53, 17),
+                                   (stack, _pinned_stack_runs(), 69, 14)):
+        for _, word in runs:
+            run_mlp_rnn(net, word)
+        leaves = [leaf for tree in net.cells.trees for leaf in _leaves(tree)]
+        assert len(leaves) == net.cells.leaves <= relu_nets._CELL_LEAVES
+        assert len(net.update.program(net.update_nonneg).ops) == n_ops
+        assert max(len(leaf.ops) for leaf in leaves) <= most
+    copy = lambda op: len(op[0]) == 1 and op[0][0][1:] == (1, 1) and op[1:3] == (0, 1)
+    assert not any(copy(op) for tree in conn.cells.trees for leaf in _leaves(tree)
+                   for op in leaf.ops)
 
 
 def test_cell_leaves_stay_under_the_cap_on_a_long_stream(monkeypatch):
