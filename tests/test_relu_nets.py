@@ -935,6 +935,57 @@ def test_run_results_are_pinned(name):
     assert _run_digest(runs()) == digest
 
 
+def relu_trace_stack_programs(seed):
+    """The sm programs of one seed of the benchmark's ``relu-trace``
+    workload: 118 seeded 150-op programs."""
+    programs = []
+    for k in range(118):
+        rng = rng_for(seed, "relu-trace", "sm", k)
+        programs.append([rng.choice(STACK_OP_PAIRS) for _ in range(150)])
+    return programs
+
+
+def _tree_digest(rnn):
+    """SHA-256 over the sorted distinct leaves of ``rnn.cells`` as plain
+    tuples and every token's tree, with each leaf named by its place in
+    that order."""
+    plain = lambda leaf: (*leaf[:5], tuple(sorted(leaf.binary)))
+    leaves = sorted({plain(leaf) for tree in rnn.cells.trees for leaf in _leaves(tree)})
+
+    def shape(node):
+        if type(node) is list:
+            return (*node[:3], shape(node[3]), shape(node[4]))
+        return None if node is None else leaves.index(plain(node))
+
+    key = (leaves, [shape(tree) for tree in rnn.cells.trees])
+    return hashlib.sha256(repr(key).encode()).hexdigest()
+
+
+PINNED_TREES = {
+    "conn-cm": (
+        lambda: cm_to_mlp_rnn(build_conn_counter_machine()),
+        lambda: relu_trace_conn_streams(1),
+        "d5e635a20d70377f7b0fa232745576919f3d09e14ba3cfeac3c08b7e3b53728c",
+    ),
+    "stack-sm": (
+        lambda: sm_to_mlp_rnn(scripted_stack_machine(2, STACK_OP_PAIRS)),
+        lambda: relu_trace_stack_programs(1),
+        "b34d619a4aeaa5c4d131d4214a6648f3a8da7f1ebece0f7dcc938ba41560eefc",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TREES))
+def test_cell_trees_are_pinned(name):
+    """The leaves and trees that the benchmark's seed-1 ``relu-trace`` pools
+    build."""
+    build, words, digest = PINNED_TREES[name]
+    rnn = build()
+    for word in words():
+        run_mlp_rnn(rnn, word, track_precision=False)
+    assert _tree_digest(rnn) == digest
+
+
 # --- cells: rational updates as one affine leaf per box of the state space -----
 
 
