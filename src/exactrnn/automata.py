@@ -135,7 +135,7 @@ def cm_run(m: CounterMachine, word):
         try:
             nxt = transition[key]
             ops = updates[key]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable symbol
             raise ValueError(f"no transition for {key}") from None
         for i, op in enumerate(ops):
             if op == "+1":
@@ -323,7 +323,7 @@ def sm_run(m: StackMachine, word):
         try:
             nxt = m.transition[key]
             ops = m.stack_ops[key]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable symbol
             raise ValueError(f"no transition for {key}") from None
         stacks = [apply_stack_op(s, op) for s, op in zip(stacks, ops)]
         state = nxt

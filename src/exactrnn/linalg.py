@@ -169,10 +169,6 @@ class RMatrix:
         lo, hi = i * self.cols, (i + 1) * self.cols
         return RVector._raw(self.nums[lo:hi], self.dens[lo:hi])
 
-    def col(self, j: int) -> RVector:
-        idx = range(j, self.rows * self.cols, self.cols)
-        return RVector._raw([self.nums[k] for k in idx], [self.dens[k] for k in idx])
-
     def __eq__(self, other):
         return (
             isinstance(other, RMatrix)

@@ -25,10 +25,9 @@ uses constant-bound gating.
 About half the rows of these nets only carry a value forward, so a
 ``ReluMlp`` runs as a straight-line program over one flat register file in
 which such a copy row reuses its source's register whenever that leaves
-every value unchanged: its layer has no ReLU, or a sign analysis proves the
-source non-negative, so the counter and stack update nets compute 53 of
-107 and 69 of 142 rows per token. ``MlpRnn.state_nonneg`` extends the
-analysis across time steps as a greatest fixpoint.
+every value unchanged without any sign reasoning: its layer has no ReLU,
+or its source is a ReLU op's register. The counter and stack update
+programs keep 70 of 107 and 90 of 142 rows as ops.
 
 ``run_mlp_rnn`` runs every update one cell of its state space at a time.
 A ReLU net is piecewise affine: in a cell where every ReLU has a fixed
@@ -42,13 +41,15 @@ al. 2018): each register is an exact affine form in the state, a ReLU the
 box decides is 0 or the identity, an undecided ReLU over one state
 coordinate splits the box at its breakpoint on the current state's side,
 and any other stays a ReLU op; constant registers fold, and their value
-bits are constants of the leaf. No static proof gives these boxes for the
-stack net, whose exactness rests on the relation between each stack's
-halving value and its mirror (no interval box is inductive under pop), so
-the walk down the tree checks the box premise at every step. The stack
-net's 69 ops become leaves of 4 to 14. Past ``_CELL_LEAVES`` leaves per
-net, a token's unsplit leaf, specialized to the root box alone, serves
-every state that reaches an unbuilt branch, so memory stays bounded.
+bits are constants of the leaf. These boxes are the nets' one sign
+analysis: the root box is the greatest fixpoint ``MlpRnn.state_nonneg``.
+No static proof gives the smaller boxes for the stack net, whose
+exactness rests on the relation between each stack's halving value and
+its mirror (no interval box is inductive under pop), so the walk down the
+tree checks the box premise at every step. The stack net's 90 ops become
+leaves of 4 to 14. Past ``_CELL_LEAVES`` leaves per net, a token's
+unsplit leaf, specialized to the root box alone, serves every state that
+reaches an unbuilt branch, so memory stays bounded.
 Outputs and the ``PrecisionReport`` equal those of layer-by-layer
 evaluation.
 
@@ -59,7 +60,7 @@ coordinate and registers the box bounds to [0, 1] (the flags and AND
 units of a finite control) splits at the integer threshold that decides
 it, and a coordinate left at [0, 1] is split once more, which pins it to
 0 or 1 and folds it. A one-hot control state is then a constant of each
-leaf, and the conn net's 53 ops become leaves of 11 to 17. Each leaf is
+leaf, and the conn net's 70 ops become leaves of 11 to 17. Each leaf is
 compiled once, when it is built, to straight-line code
 (``kernels.compile_int_affine``) that also counts the step's value bits:
 at den 1, ``value_bits(n)`` is ``n.bit_length() + 1``, and a register the
@@ -96,29 +97,27 @@ class Layer:
 
 
 class _Program(NamedTuple):
-    """A ``ReluMlp`` compiled for one input-sign assumption.
+    """A ``ReluMlp`` compiled to a straight-line register program.
 
     ``ops`` are ``kernels.sparse_affine`` ops, one per row that does real
     work; the input fills registers ``0 .. in_dim - 1`` and op ``t`` writes
     register ``in_dim + t``. ``out`` names the register of each output
-    coordinate, ``observed`` pairs every register that stands for some
-    layer output with the number of layer outputs it stands for, and
-    ``out_nonneg`` holds the output coordinates proven non-negative.
+    coordinate, and ``observed`` pairs every register that stands for some
+    layer output with the number of layer outputs it stands for.
     """
 
     in_dim: int
     ops: tuple
     out: tuple
     observed: tuple
-    out_nonneg: frozenset
 
 
-def _compile(layers, nonneg) -> _Program:
-    """Lower ``layers`` to a straight-line register program, assuming the
-    input coordinates in ``nonneg`` are non-negative (see ``ReluMlp``)."""
+def _compile(layers) -> _Program:
+    """Lower ``layers`` to a straight-line register program (see
+    ``ReluMlp``)."""
     in_dim = layers[0].weights.cols
     where = list(range(in_dim))
-    signs = [i in nonneg for i in range(in_dim)]
+    relu_out = [False] * in_dim
     counts = [0] * in_dim
     ops = []
     for layer in layers:
@@ -136,15 +135,13 @@ def _compile(layers, nonneg) -> _Program:
                 len(terms) == 1
                 and terms[0][1:] == (1, 1)
                 and bn == 0
-                and (not relu or signs[terms[0][0]])
+                and (not relu or relu_out[terms[0][0]])
             ):
                 reg = terms[0][0]
             else:
-                reg = len(signs)
+                reg = len(relu_out)
                 ops.append((tuple(terms), bn, bd, relu))
-                signs.append(
-                    relu or (bn >= 0 and all(a > 0 and signs[c] for c, a, _ in terms))
-                )
+                relu_out.append(relu)
                 counts.append(0)
             counts[reg] += 1
             rows.append(reg)
@@ -154,28 +151,20 @@ def _compile(layers, nonneg) -> _Program:
         ops=tuple(ops),
         out=tuple(where),
         observed=tuple((r, k) for r, k in enumerate(counts) if k),
-        out_nonneg=frozenset(i for i, r in enumerate(where) if signs[r]),
     )
-
-
-_NO_SIGNS = frozenset()
 
 
 class ReluMlp:
     """Feedforward stack of affine layers with ReLU on marked layers.
 
-    Evaluation runs a straight-line program over one flat register file,
-    compiled once per set of input coordinates the caller guarantees to be
-    non-negative (``nonneg``, a frozenset; empty unless given). The input
-    fills the first registers. A copy row (one weight 1, bias 0) reuses its
-    source's register when its layer has no ReLU or its source is known to
-    be non-negative, since ReLU is then the identity; every other row
-    appends one register computed by ``kernels.sparse_affine``. A register
-    is known non-negative when it is in ``nonneg``, holds a ReLU output, or
-    holds a no-ReLU row with a non-negative bias and positive weights on
-    non-negative registers. ``MlpRnn.update_nonneg`` gives the assumption
-    that holds at every step of a recurrence; ``run_mlp_rnn`` runs its
-    update per token and cell instead, as the leaves of ``MlpRnn.cells``.
+    Evaluation runs ``program``, a straight-line program over one flat
+    register file, compiled once. The input fills the first registers. A
+    copy row (one weight 1, bias 0) reuses its source's register when its
+    layer has no ReLU or its source is a ReLU op's register, since ReLU is
+    then the identity; every other row appends one register computed by
+    ``kernels.sparse_affine``. ``run_mlp_rnn`` runs a recurrence's update
+    per token and cell instead, as the leaves of ``MlpRnn.cells``, which
+    also reuse a copy's source wherever their box proves it non-negative.
 
     Outputs equal those of layer-by-layer evaluation, and the observed
     registers, each counted once per layer output it stands for, are that
@@ -184,7 +173,6 @@ class ReluMlp:
 
     def __init__(self, layers):
         self.layers = list(layers)
-        self._programs = {}
 
     @property
     def in_dim(self) -> int:
@@ -194,22 +182,19 @@ class ReluMlp:
     def out_dim(self) -> int:
         return self.layers[-1].weights.rows
 
-    def program(self, nonneg=_NO_SIGNS) -> _Program:
-        """The compiled program for inputs non-negative on ``nonneg``."""
-        prog = self._programs.get(nonneg)
-        if prog is None:
-            prog = self._programs[nonneg] = _compile(self.layers, nonneg)
-        return prog
+    @cached_property
+    def program(self) -> _Program:
+        """The compiled program."""
+        return _compile(self.layers)
 
-    def eval_raw(self, nums, dens, observe=None, nonneg=_NO_SIGNS):
+    def eval_raw(self, nums, dens, observe=None):
         """Evaluate on a raw num/den input.
 
-        ``nonneg`` holds input coordinates the caller guarantees to be
-        non-negative. ``observe(nums, dens, observed)``, when given, is
-        called once with the register file and the program's ``observed``
-        (register, layer-output count) pairs.
+        ``observe(nums, dens, observed)``, when given, is called once with
+        the register file and the program's ``observed`` (register,
+        layer-output count) pairs.
         """
-        prog = self.program(nonneg)
+        prog = self.program
         if not len(nums) == len(dens) == prog.in_dim:
             raise ValueError(
                 f"input has {len(nums)} nums and {len(dens)} dens;"
@@ -423,7 +408,7 @@ def _threshold(coefs, const, box, d, integer, nums, dens):
 def _cell(prog, token, box, state=None, integer=False):
     """The update program ``prog`` over [state | token one-hot] specialized
     to the token index ``token`` and a closed box of the state space:
-    ``(leaf, path)``.
+    ``(leaf, path, nonneg)``.
 
     ``box`` is an interval per state coordinate, with ``None`` for an
     unbounded end, of integers when ``integer`` (every state and register
@@ -431,16 +416,20 @@ def _cell(prog, token, box, state=None, integer=False):
     affine form ``(coefs, const)`` over the leaf's registers: the state,
     then one per leaf op; a state coordinate that the box pins to one value
     folds into the constant. A ReLU whose sign the box decides is 0 or the
-    identity. When ``state`` (its nums and dens) is given, an undecided ReLU
-    may split the box (see ``_threshold``): a new node ``[v, tn, td, None,
-    None]`` tests x[v] <= tn / td, the box narrows to the side that
-    ``state`` takes, and ``path`` lists each new node with that child's
-    index (see ``_narrow``); on an integer box, a coordinate left at [0, 1]
-    is split once more at 0, which pins it. Any other undecided ReLU becomes
-    a leaf op, whose interval the box bounds. The ``_Leaf`` computes each
+    identity, and a copy op (one weight-1 term, bias 0) without a ReLU, or
+    of a form the box bounds below by 0, takes its source's form unchanged.
+    When ``state`` (its nums and dens) is given, an undecided ReLU may split
+    the box (see ``_threshold``): a new node ``[v, tn, td, None, None]``
+    tests x[v] <= tn / td, the box narrows to the side that ``state``
+    takes, and ``path`` lists each new node with that child's index (see
+    ``_narrow``); on an integer box, a coordinate left at [0, 1] is split
+    once more at 0, which pins it. Any other undecided ReLU becomes a leaf
+    op, whose interval the box bounds. The ``_Leaf`` computes each
     observed register that is not constant (a form with one weight 1 and no
     constant is its register) and each next-state coordinate, and identical
     ops share one register; it is exact for every state in the narrowed box.
+    ``nonneg`` holds the next-state coordinates that the box bounds below
+    by 0.
     """
     d = len(box)
     forms = [({i: _ONE}, _ZERO) for i in range(d)]
@@ -474,6 +463,12 @@ def _cell(prog, token, box, state=None, integer=False):
         path.append((node, _narrow(bounds, node, *state, gap)))
 
     for terms, bn, bd, relu in prog.ops:
+        if not bn and len(terms) == 1 and terms[0][1:] == (1, 1):
+            form = forms[terms[0][0]]
+            lo = _bounds(*form, bounds)[0] if relu else _ZERO
+            if lo is not None and lo >= 0:
+                forms.append(form)
+                continue
         coefs, const = {}, Rational._make(bn, bd)
         for c, a, b in terms:
             w = Rational._make(a, b)
@@ -521,7 +516,15 @@ def _cell(prog, token, box, state=None, integer=False):
     out = tuple(register(*fold(*forms[r])) for r in prog.out)
     observed = tuple(sorted(counts.items()))
     binary = frozenset(r for r, _ in observed if integer and _in_unit(bounds[r]))
-    return _Leaf(tuple(ops), out, observed, max_bits, total_bits, binary), path
+    nonneg = frozenset(
+        i for i, r in enumerate(out) if bounds[r][0] is not None and bounds[r][0] >= 0
+    )
+    return _Leaf(tuple(ops), out, observed, max_bits, total_bits, binary), path, nonneg
+
+
+def _nonneg_box(nonneg, d) -> tuple:
+    """``d`` state intervals: [0, oo) on ``nonneg``, unbounded elsewhere."""
+    return tuple((_ZERO, None) if i in nonneg else (None, None) for i in range(d))
 
 
 def _narrow(box, node, nums, dens, gap) -> int:
@@ -601,11 +604,11 @@ class _Cells:
             side = _narrow(box, parent, nums, dens, gap)
         if self.leaves >= _CELL_LEAVES:
             if self.unsplit[i] is None:
-                unsplit, _ = _cell(self.prog, i, self.root, None, self.integer)
+                unsplit = _cell(self.prog, i, self.root, None, self.integer)[0]
                 self.unsplit[i] = self._share(unsplit)
             leaf = self.unsplit[i]
         else:
-            leaf, path = _cell(self.prog, i, box, (nums, dens), self.integer)
+            leaf, path, _ = _cell(self.prog, i, box, (nums, dens), self.integer)
             # the box is the last split on each coordinate and side
             last = {(node[0], child): node for node, child in path}
             for (_, child), node in last.items():
@@ -665,27 +668,23 @@ class MlpRnn:
         """State coordinates non-negative at every step.
 
         The greatest set S of coordinates that are non-negative in ``h0``
-        and that the update's sign analysis proves non-negative at its
-        output when S and the token one-hot are non-negative at its input;
-        by induction on t, every h_t is non-negative on S.
+        and that every token's unsplit cell (``_cell`` on the box where S is
+        non-negative, with no state) bounds below by 0 at the output; by
+        induction on t, every h_t lies in that box.
         """
-        tokens = frozenset(range(self.state_dim, self.update.in_dim))
-        s = frozenset(i for i in range(self.state_dim) if self.h0.nums[i] >= 0)
+        prog, d = self.update.program, self.state_dim
+        s = frozenset(i for i in range(d) if self.h0.nums[i] >= 0)
         while True:
-            kept = s & _compile(self.update.layers, s | tokens).out_nonneg
+            box = _nonneg_box(s, d)
+            kept = s.intersection(*(_cell(prog, j, box)[2] for j in range(prog.in_dim - d)))
             if kept == s:
                 return s
             s = kept
 
     @cached_property
-    def update_nonneg(self) -> frozenset:
-        """Update input coordinates non-negative at every step."""
-        return self.state_nonneg | frozenset(range(self.state_dim, self.update.in_dim))
-
-    @cached_property
     def cells(self) -> _Cells:
-        """The update program ``update.program(update_nonneg)`` as one
-        lazily built decision tree per token.
+        """The update's ``program`` as one lazily built decision tree per
+        token.
 
         The root box bounds each state coordinate below by 0 when it is in
         ``state_nonneg`` and leaves it free otherwise, so it holds every
@@ -698,11 +697,8 @@ class MlpRnn:
         integer: every h_t is then integer, the boxes and thresholds are
         integer, and each leaf and each tree is generated code (see
         ``_Cells``)."""
-        prog = self.update.program(self.update_nonneg)
-        root = tuple(
-            (_ZERO, None) if i in self.state_nonneg else (None, None)
-            for i in range(self.state_dim)
-        )
+        prog = self.update.program
+        root = _nonneg_box(self.state_nonneg, self.state_dim)
         integer = self.h0.dens.count(1) == self.state_dim and all(
             bd == 1 and all(b == 1 for *_, b in terms) for terms, _, bd, _ in prog.ops
         )
@@ -731,7 +727,8 @@ def run_mlp_rnn(rnn: MlpRnn, tokens, track_precision: bool = True) -> MlpRunResu
     ``kernels.sparse_affine`` on the state alone; the observer counts the
     leaf's non-constant observed registers, and the leaf adds the value
     bits of the constant ones. ``h0`` and the acceptor (``eval_raw``) are
-    always measured by the observer.
+    always measured by the observer. An unknown or unhashable token is a
+    ``ValueError``.
     """
     max_bits = 0
     total_bits = 0
@@ -758,7 +755,7 @@ def run_mlp_rnn(rnn: MlpRnn, tokens, track_precision: bool = True) -> MlpRunResu
     for tok in tokens:
         try:
             i = index[tok]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable token
             raise ValueError(f"unknown token {tok!r}") from None
         if walks is not None:
             res = walks[i](nums)
@@ -784,9 +781,7 @@ def run_mlp_rnn(rnn: MlpRnn, tokens, track_precision: bool = True) -> MlpRunResu
         if b > max_bits:
             max_bits = b
         states.append(RVector._raw(nums, dens))
-    on, od = rnn.acceptor.eval_raw(
-        nums, dens, observe=observe if track_precision else None, nonneg=rnn.state_nonneg
-    )
+    on, od = rnn.acceptor.eval_raw(nums, dens, observe if track_precision else None)
     accept = on[0] > 0
     report = PrecisionReport(max_bits, total_bits) if track_precision else None
     return MlpRunResult(accept=accept, states=states, precision=report)

@@ -2,12 +2,14 @@
 
 The oracles are built on ``fractions.Fraction`` and plain loops so that
 they share no code path with the package's rational kernels. The helpers
-at the end (a permutation read back from its matrix, sublayer plumbing and
-threshold recognition) are test-only code on the package's own types.
+at the end (a permutation read back from its matrix, sublayer plumbing,
+threshold recognition and a sign analysis of ReLU nets) are test-only code
+on the package's own types.
 """
 
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from exactrnn.problems import (
     ImmModInstance, ImmZInstance, SortedDetConnInstance, _check_imm_mod, _check_p,
@@ -246,3 +248,91 @@ def ffn_sublayer(xs, w_out: RMatrix, w_in: RMatrix) -> list:
     """Residual two-layer ReLU block x + W relu(U x), with no normalization
     so that rational exactness is preserved."""
     return [x + w_out.apply_col(relu_vec(w_in.apply_col(x))) for x in xs]
+
+
+# A sign analysis of ReLU nets: the register program that ``relu_nets``
+# compiled for an input-sign assumption, and the greatest fixpoint of the
+# state coordinates it proves non-negative. Reference for
+# ``MlpRnn.state_nonneg``, whose interval boxes refine the sign domain.
+
+
+class SignProgram(NamedTuple):
+    """A ``ReluMlp`` compiled for one input-sign assumption.
+
+    ``ops`` are ``kernels.sparse_affine`` ops, one per row that does real
+    work; the input fills registers ``0 .. in_dim - 1`` and op ``t`` writes
+    register ``in_dim + t``. ``out`` names the register of each output
+    coordinate, ``observed`` pairs every register that stands for some
+    layer output with the number of layer outputs it stands for, and
+    ``out_proven`` holds the output coordinates proven non-negative.
+    """
+
+    in_dim: int
+    ops: tuple
+    out: tuple
+    observed: tuple
+    out_proven: frozenset
+
+
+def sign_compile(layers, nonneg) -> SignProgram:
+    """Lower ``layers`` to a straight-line register program, assuming the
+    input coordinates in ``nonneg`` are non-negative. A copy row (one
+    weight 1, bias 0) reuses its source's register when its layer has no
+    ReLU or its source is known to be non-negative. A register is known
+    non-negative when it is in ``nonneg``, holds a ReLU output, or holds a
+    no-ReLU row with a non-negative bias and positive weights on
+    non-negative registers."""
+    in_dim = layers[0].weights.cols
+    where = list(range(in_dim))
+    signs = [i in nonneg for i in range(in_dim)]
+    counts = [0] * in_dim
+    ops = []
+    for layer in layers:
+        w, bias, relu = layer.weights, layer.bias, layer.relu
+        rows = []
+        for i in range(w.rows):
+            base = i * w.cols
+            terms = [
+                (where[j], w.nums[base + j], w.dens[base + j])
+                for j in range(w.cols)
+                if w.nums[base + j] != 0
+            ]
+            bn, bd = bias.nums[i], bias.dens[i]
+            if (
+                len(terms) == 1
+                and terms[0][1:] == (1, 1)
+                and bn == 0
+                and (not relu or signs[terms[0][0]])
+            ):
+                reg = terms[0][0]
+            else:
+                reg = len(signs)
+                ops.append((tuple(terms), bn, bd, relu))
+                signs.append(
+                    relu or (bn >= 0 and all(a > 0 and signs[c] for c, a, _ in terms))
+                )
+                counts.append(0)
+            counts[reg] += 1
+            rows.append(reg)
+        where = rows
+    return SignProgram(
+        in_dim=in_dim,
+        ops=tuple(ops),
+        out=tuple(where),
+        observed=tuple((r, k) for r, k in enumerate(counts) if k),
+        out_proven=frozenset(i for i, r in enumerate(where) if signs[r]),
+    )
+
+
+def sign_state_nonneg(rnn) -> frozenset:
+    """The greatest set S of state coordinates of the ``MlpRnn`` ``rnn``
+    that are non-negative in ``h0`` and that ``sign_compile`` proves
+    non-negative at the update's output when S and the token one-hot are
+    non-negative at its input."""
+    tokens = frozenset(range(rnn.state_dim, rnn.update.in_dim))
+    s = frozenset(i for i in range(rnn.state_dim) if rnn.h0.nums[i] >= 0)
+    while True:
+        kept = s & sign_compile(rnn.update.layers, s | tokens).out_proven
+        if kept == s:
+            return s
+        s = kept

@@ -40,6 +40,7 @@ from exactrnn.relu_nets import (
     sm_to_mlp_rnn,
 )
 from exactrnn.verify import STACK_OP_PAIRS
+from oracles import sign_state_nonneg
 
 
 # --- gadget fragments ---------------------------------------------------------
@@ -287,6 +288,24 @@ def test_cm_rnn_unknown_token():
     rnn = cm_to_mlp_rnn(constant_machine(("+0",)))
     with pytest.raises(ValueError):
         run_mlp_rnn(rnn, ["?"])
+
+
+# (run, its machine or net, a token it takes) per runner of a token word
+_TOKEN_RUNS = {
+    "cm-net": (run_mlp_rnn, lambda: cm_to_mlp_rnn(build_conn_counter_machine()), "$"),
+    "sm-net": (run_mlp_rnn, lambda: sm_to_mlp_rnn(scripted_stack_machine(2, STACK_OP_PAIRS)),
+               STACK_OP_PAIRS[0]),
+    "cm-machine": (cm_run, build_conn_counter_machine, "$"),
+    "sm-machine": (sm_run, lambda: scripted_stack_machine(2, STACK_OP_PAIRS), STACK_OP_PAIRS[0]),
+}
+
+
+@pytest.mark.parametrize("runner", _TOKEN_RUNS.values(), ids=_TOKEN_RUNS)
+@pytest.mark.parametrize("bad", [["0"], {"0": 1}, "?"], ids=["list", "dict", "unknown"])
+def test_an_unhashable_or_unknown_token_is_a_value_error(runner, bad):
+    run, build, good = runner
+    with pytest.raises(ValueError, match="unknown token|no transition"):
+        run(build(), [good, bad])
 
 
 # --- stack machine compilation -----------------------------------------------------
@@ -598,6 +617,19 @@ def test_integer_nets_count_bits_in_generated_code_like_reference(case):
         assert net.cells.leaves <= cap
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(int_rnns(), rational_rnns()))
+@example((_negative_state_rnn(), "ddidd"))
+def test_state_nonneg_holds_and_contains_the_sign_analysis(case):
+    """The coordinates the cell boxes prove non-negative include those of
+    the sign analysis, and every state of the reference run is
+    non-negative on them."""
+    rnn, word = case
+    assert rnn.state_nonneg >= sign_state_nonneg(rnn)
+    for h in reference_run(rnn, word)[1]:
+        assert all(h[i] >= Rational(0) for i in rnn.state_nonneg)
+
+
 def _two_cell_rnn():
     """State (x, y): tokens d and i move x by -1/2 and +1, across the
     breakpoint of relu(x) and relu(-x), while relu(x + y - 1/2) reads two
@@ -664,15 +696,29 @@ def test_machine_nets_match_reference_precision(fam):
     assert res.precision == report
 
 
+def _is_copy(op):
+    """Whether a ``sparse_affine`` op is one weight-1 term with bias 0."""
+    return len(op[0]) == 1 and op[0][0][1:] == (1, 1) and op[1:3] == (0, 1)
+
+
 def test_copy_rows_are_not_computed():
     """Rows computed per token by the compiled update programs (107 and 142
-    layer rows, about half of them identity copies)."""
+    layer rows): a copy row is an op unless its layer has no ReLU or its
+    source is a ReLU op, so the programs run 70 and 90 ops. The cell leaves
+    reuse the source of every copy their box proves non-negative, so no
+    leaf op of either net is a plain copy."""
     cm = cm_to_mlp_rnn(build_conn_counter_machine())
     sm = sm_to_mlp_rnn(scripted_stack_machine(2, STACK_OP_PAIRS))
     assert sum(layer.weights.rows for layer in cm.update.layers) == 107
     assert sum(layer.weights.rows for layer in sm.update.layers) == 142
-    assert len(cm.update.program(cm.update_nonneg).ops) <= 53
-    assert len(sm.update.program(sm.update_nonneg).ops) <= 69
+    assert len(cm.update.program.ops) == 70
+    assert len(sm.update.program.ops) == 90
+    for runs in (_pinned_conn_runs(), _pinned_stack_runs()):
+        rnn = runs[0][0]
+        for _, word in runs:
+            run_mlp_rnn(rnn, word, track_precision=False)
+        leaves = [leaf for tree in rnn.cells.trees for leaf in _leaves(tree)]
+        assert leaves and not any(_is_copy(op) for leaf in leaves for op in leaf.ops)
 
 
 def test_integer_program_runs_generated_code_only_on_integer_input(monkeypatch):
@@ -700,7 +746,7 @@ def test_integer_program_runs_generated_code_only_on_integer_input(monkeypatch):
         assert calls == int_calls
         calls.clear()
     for gadget, integral in ((gadget_eq_zero(), True), (gadget_threshold(Rational(1, 2)), False)):
-        prog = gadget.program()
+        prog = gadget.program
         run = compile_int_affine(prog.ops, prog.in_dim, prog.out, (), ())
         assert (run is not None) == integral
 
@@ -991,24 +1037,21 @@ def test_cell_trees_are_pinned(name):
 
 def test_cells_are_built_lazily_and_leaves_are_small():
     """Building a net builds no tree. The conn net's leaves, built as its
-    states reach them, run 11 to 17 of the update's 53 ops, none of them a
-    plain copy of a register; the stack net's run 4 to 14 of its 69."""
+    states reach them, run 11 to 17 of the update's 70 ops; the stack
+    net's run 4 to 14 of its 90."""
     conn = cm_to_mlp_rnn(build_conn_counter_machine())
     stack = sm_to_mlp_rnn(scripted_stack_machine(2, STACK_OP_PAIRS))
     assert "cells" not in vars(conn) and "cells" not in vars(stack)
     run_mlp_rnn(stack, [STACK_OP_PAIRS[0]])
     assert stack.cells.leaves == 1
-    for net, runs, n_ops, most in ((conn, _pinned_conn_runs(), 53, 17),
-                                   (stack, _pinned_stack_runs(), 69, 14)):
+    for net, runs, n_ops, most in ((conn, _pinned_conn_runs(), 70, 17),
+                                   (stack, _pinned_stack_runs(), 90, 14)):
         for _, word in runs:
             run_mlp_rnn(net, word)
         leaves = [leaf for tree in net.cells.trees for leaf in _leaves(tree)]
         assert len(leaves) == net.cells.leaves <= relu_nets._CELL_LEAVES
-        assert len(net.update.program(net.update_nonneg).ops) == n_ops
+        assert len(net.update.program.ops) == n_ops
         assert max(len(leaf.ops) for leaf in leaves) <= most
-    copy = lambda op: len(op[0]) == 1 and op[0][0][1:] == (1, 1) and op[1:3] == (0, 1)
-    assert not any(copy(op) for tree in conn.cells.trees for leaf in _leaves(tree)
-                   for op in leaf.ops)
 
 
 def test_cell_leaves_stay_under_the_cap_on_a_long_stream(monkeypatch):
