@@ -32,7 +32,8 @@ from .rwkv_gadgets import (
     BlockNet,
     WfaNet,
     imm_entries,
-    imm_forward,
+    imm_tokens,
+    stream_blocks,
     wfa_forward,
 )
 
@@ -504,5 +505,14 @@ def build_dnet_imm() -> DnetImmNet:
 
 
 def dnet_imm_forward(net: DnetImmNet, stream) -> list:
-    """Nine row-major entries of the product of the streamed matrices."""
-    return imm_forward(net, stream, run_hsteps)
+    """Nine row-major entries of the product of the streamed matrices: the
+    stream is checked once (``imm_tokens``); each superblock runs one op
+    per token of its predecessor's program in place on the row, with one
+    ``run_hsteps`` call; then ``net.final_readouts`` reads the entries
+    from the row, the final superblock, the one before it and the final
+    superblock's index."""
+    tokens, _ = imm_tokens(stream)
+    nums, dens = list(net.initial_row.nums), list(net.initial_row.dens)
+    for index, prev, block in stream_blocks(tokens, net.block_len):
+        run_hsteps(net.block_program(prev, index), 0, len(block), nums, dens)
+    return net.final_readouts(prev, block, index, nums, dens)

@@ -18,7 +18,11 @@ symmetric step, where ``support`` lists the step vector's nonzeros as
 and run each program in place with one kernel per family
 (``kernels.run_overwrites``, ``kernels.run_hsteps``), so their work per
 token does not grow with the window and their memory does not grow with
-the stream. The program is the only form a net compiles, holds or runs.
+the stream. The 3x3-product forwards check a stream's tokens once
+(``imm_tokens``); the rwkv-imm forward then walks the stream in place,
+nine tokens at a time, and compiles each block with the helper that its
+``block_program`` calls, fed the stream's own tokens when all are ints.
+The program is the only form a net compiles, holds or runs.
 The steps as values (``OverwriteSpec``, ``HStep``) are its spec-level
 view, built only by ``BlockNet.block_steps``: a ``BlockNet`` specifies
 its router with them as a finite-window function (``window_key`` and
@@ -51,6 +55,7 @@ PAD = None  # pre-sequence padding pseudo-symbol
 
 _ONE = Rational(1)
 _INT_ONLY = {int}
+_UNIT_DENS = (1,) * 9
 
 
 @dataclass(frozen=True)
@@ -318,20 +323,22 @@ def wfa_forward(net, word, run) -> list:
     return out
 
 
-def imm_tokens(stream) -> list:
-    """The tokens of a matrix stream, checked: ``ValueError`` on a token
-    that is not an int or a Rational, or on a length that is not a positive
-    multiple of 9. The check tests each distinct token type once; only a
-    stream holding a type that fails it is walked token by token, to name
-    the first bad token."""
+def imm_tokens(stream) -> tuple:
+    """The tokens of a matrix stream, checked, and whether every token is
+    of type int: ``ValueError`` on a token that is not an int or a
+    Rational, or on a length that is not a positive multiple of 9. The
+    check tests each distinct token type once; only a stream holding a
+    type that fails it is walked token by token, to name the first bad
+    token."""
     tokens = stream if isinstance(stream, (list, tuple)) else list(stream)
-    if not all(issubclass(cls, (int, Rational)) for cls in set(map(type, tokens))):
+    types = set(map(type, tokens))
+    if not all(issubclass(cls, (int, Rational)) for cls in types):
         for tok in tokens:
             if not isinstance(tok, (int, Rational)):
                 raise ValueError(f"matrix token must be an int or a Rational, not {tok!r}")
     if not tokens or len(tokens) % 9 != 0:
         raise ValueError("stream length must be a positive multiple of 9")
-    return tokens
+    return tokens, types == _INT_ONLY
 
 
 def imm_entries(tokens_oldest_first) -> tuple:
@@ -356,18 +363,6 @@ def imm_entries(tokens_oldest_first) -> tuple:
             nums.append(int(tok))
             dens.append(1)
     return nums, dens
-
-
-def imm_forward(net, stream, run) -> list:
-    """Nine row-major product entries from a streamed 3x3-product net: each
-    block's program runs in place on the row with one call of kernel
-    ``run``, then ``net.final_readouts`` reads the entries from the row,
-    the final block, the block before it and the final block's index."""
-    tokens = imm_tokens(stream)
-    nums, dens = list(net.initial_row.nums), list(net.initial_row.dens)
-    for index, prev, block in stream_blocks(tokens, net.block_len):
-        run(net.block_program(prev, index), 0, len(block), nums, dens)
-    return net.final_readouts(prev, block, index, nums, dens)
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +541,19 @@ def _column_ops(src, j, n0, d0, n1, d1, n2, d2) -> tuple:
     )
 
 
+def _block_ops(src, an, ad) -> tuple:
+    """The nine overwrite ops that multiply the active half at ``src`` by
+    the 3x3 matrix of row-major entries ``an[k] / ad[k]``, k < 9: op 3i+j
+    writes entry (i, j) of the product into the other half, and its
+    coefficient vector is column j of the matrix placed at row i of the
+    active half, so its support holds at most three entries. Three
+    ``_column_ops`` lookups, one per column."""
+    c0 = _column_ops(src, 0, an[0], ad[0], an[3], ad[3], an[6], ad[6])
+    c1 = _column_ops(src, 1, an[1], ad[1], an[4], ad[4], an[7], ad[7])
+    c2 = _column_ops(src, 2, an[2], ad[2], an[5], ad[5], an[8], ad[8])
+    return c0[0], c1[0], c2[0], c0[1], c1[1], c2[1], c0[2], c1[2], c2[2]
+
+
 class RwkvImmNet(BlockNet):
     """Accumulates the running product of streamed 3x3 matrices.
 
@@ -554,14 +562,18 @@ class RwkvImmNet(BlockNet):
     compute (active half) . B(A^(L-1)) into the inactive half, where B is
     the block-diagonal embedding of the previous block's matrix and padding
     acts as the identity matrix. The halves alternate with block parity.
-    The router key is (t mod 18, last 18 tokens); the forward pass compiles
-    each block's nine overwrite ops once at the block boundary, straight
-    from the previous block's tokens: three lookups, one per column of the
-    previous matrix, in a module-level table (``_column_ops``, an LRU
-    cache of ``COLUMN_TABLE_SIZE`` = 1024 columns) that returns that
-    column's three finished ops. {-1, 0, 1} entries make only 162 distinct
-    columns. Outputs exist only at the final position, where nine
-    completion readouts fold in the final block's matrix.
+    The router key is (t mod 18, last 18 tokens). A block's nine overwrite
+    ops are compiled by ``_block_ops`` from the previous block's entries:
+    three lookups, one per column of the previous matrix, in a
+    module-level table (``_column_ops``, an LRU cache of
+    ``COLUMN_TABLE_SIZE`` = 1024 columns) that returns that column's three
+    finished ops. {-1, 0, 1} entries make only 162 distinct columns.
+    ``block_program`` (the router spec and the final readouts) and
+    ``rwkv_imm_forward`` share that one compile; the forward feeds it the
+    stream's own tokens at each block boundary when every token is an
+    int, and ``imm_entries`` of the block otherwise. Outputs exist only at
+    the final position, where nine completion readouts fold in the final
+    block's matrix.
     """
 
     step = OverwriteSpec
@@ -573,16 +585,9 @@ class RwkvImmNet(BlockNet):
         self.initial_row = vec_i3.concat(RVector.zeros(9))
 
     def block_program(self, prev_block, index) -> tuple:
-        """The nine overwrite ops of block ``index``: op 3i+j writes entry
-        (i, j) of (half index mod 2) . A_prev into the other half. Its
-        coefficient vector is column j of A_prev placed at row i of the
-        active half, so its support holds at most three entries."""
-        an, ad = imm_entries(prev_block)
-        src = 9 * (index % 2)
-        c0 = _column_ops(src, 0, an[0], ad[0], an[3], ad[3], an[6], ad[6])
-        c1 = _column_ops(src, 1, an[1], ad[1], an[4], ad[4], an[7], ad[7])
-        c2 = _column_ops(src, 2, an[2], ad[2], an[5], ad[5], an[8], ad[8])
-        return c0[0], c1[0], c2[0], c0[1], c1[1], c2[1], c0[2], c1[2], c2[2]
+        """The nine overwrite ops of block ``index``, which multiply the
+        half at 9 (index mod 2) by the matrix of ``prev_block``."""
+        return _block_ops(9 * (index % 2), *imm_entries(prev_block))
 
     def final_readouts(self, prev_block, block, index, nums, dens) -> list:
         """Nine row-major product entries read from the row ``nums``/``dens``
@@ -603,5 +608,23 @@ def build_rwkv_imm() -> RwkvImmNet:
 
 
 def rwkv_imm_forward(net: RwkvImmNet, stream) -> list:
-    """Nine row-major entries of the product of the streamed matrices."""
-    return imm_forward(net, stream, run_overwrites)
+    """Nine row-major entries of the product of the streamed matrices.
+
+    The stream is checked once (``imm_tokens``) and walked in place, nine
+    tokens at a time. Each block's nine ops run on the row with one
+    ``run_overwrites`` call; they are ``block_program``'s, compiled by
+    ``_block_ops`` from the previous block's tokens, which are already its
+    entries when every token of the stream is an int. The final block is
+    read out by ``net.final_readouts``."""
+    tokens, all_int = imm_tokens(stream)
+    nums, dens = list(net.initial_row.nums), list(net.initial_row.dens)
+    ops = net.block_program((PAD,) * 9, 0)
+    src = 9
+    for start in range(9, len(tokens), 9):
+        run_overwrites(ops, 0, 9, nums, dens)
+        prev = tokens[start - 9 : start]
+        ops = _block_ops(src, prev, _UNIT_DENS) if all_int else _block_ops(src, *imm_entries(prev))
+        src = 9 - src
+    run_overwrites(ops, 0, 9, nums, dens)
+    last = len(tokens) - 9
+    return net.final_readouts(None, tokens[last:], last // 9, nums, dens)

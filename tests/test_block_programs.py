@@ -10,7 +10,8 @@ block's matrix, so the router spec is unchanged. Also checked: imm streams
 the forwards must reject and the token each error names, bool tokens and
 mixed token types, entries (non-integer, about 10^4 bits) that reach the
 kernels' non-unit-denominator branches, in a compiled superblock or in a
-partial final one, and the rwkv-imm column table's bound.
+partial final one, the rwkv-imm column table's bound, and that the
+rwkv-imm forward runs ``block_program``'s ops on every kind of stream.
 """
 
 import random
@@ -20,6 +21,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from exactrnn import rwkv_gadgets
 from exactrnn.delta_gadgets import (
     SUPERBLOCK_TOKENS,
     DnetImmNet,
@@ -43,6 +45,7 @@ from exactrnn.rwkv_gadgets import (
     build_rwkv_wfa,
     factor_apply_matrix,
     rwkv_imm_forward,
+    stream_blocks,
 )
 from exactrnn.verify import random_wfa
 
@@ -318,6 +321,41 @@ def test_rwkv_imm_column_table_stays_bounded():
     assert after.maxsize == COLUMN_TABLE_SIZE
     assert after.misses - before.misses > COLUMN_TABLE_SIZE
     assert after.currsize <= COLUMN_TABLE_SIZE
+
+
+RWKV_IMM_STREAMS = {
+    "int": (9 * 40, lambda rng: rng.choice((-1, 0, 1))),
+    "bool": (9 * 40, lambda rng: rng.choice((True, False))),
+    "mixed": (9 * 40, lambda rng: rng.choice((-1, 0, 1, True, Rational(2, 3), Rational(-5, 4)))),
+    # about 200 bits: more distinct columns than the column table holds
+    "wide": (9 * 360, lambda rng: rng.getrandbits(200) - rng.getrandbits(199)),
+}
+
+
+@pytest.mark.parametrize("kind", list(RWKV_IMM_STREAMS))
+def test_rwkv_imm_forward_runs_the_router_spec_programs(monkeypatch, kind):
+    # the forward compiles each block's ops from the stream itself; they
+    # must be block_program's, which the router spec and the readout use
+    length, draw = RWKV_IMM_STREAMS[kind]
+    rng = random.Random(71)
+    stream = [draw(rng) for _ in range(length)]
+    runs = []
+
+    def recorded(ops, start, stop, nums, dens):
+        runs.append((ops, start, stop))
+        return run_overwrites(ops, start, stop, nums, dens)
+
+    monkeypatch.setattr(rwkv_gadgets, "run_overwrites", recorded)
+    net = build_rwkv_imm()
+    before = _column_ops.cache_info()
+    assert rwkv_imm_forward(net, stream) == frac_product(stream)
+    after = _column_ops.cache_info()
+    if kind == "wide":
+        assert after.misses - before.misses > COLUMN_TABLE_SIZE
+    assert runs == [
+        (net.block_program(prev, index), 0, len(block))
+        for index, prev, block in stream_blocks(stream, 9)
+    ]
 
 
 @IMM_FORWARDS

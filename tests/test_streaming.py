@@ -7,7 +7,8 @@ checked here: the column steps an automaton net's completions cost per
 block, forwards that neither query the router nor build step values (nor,
 for the 3x3-product nets, a matrix or vector value per token; nor, for the
 automaton nets, a rational matrix product), memory that does not grow
-with the stream, and clean ``ValueError``s on tokens the nets cannot read.
+with the stream, 3x3-product streams given as tuples or one-pass iterators,
+and clean ``ValueError``s on tokens the nets cannot read.
 """
 
 import random
@@ -470,6 +471,19 @@ def test_dnet_imm_ragged_lengths_equal_oracle():
     for length in range(9, 2 * SUPERBLOCK_TOKENS + 1, 9):
         prefix = stream[:length]
         assert dnet_imm_forward(build_dnet_imm(), prefix) == imm_oracle(prefix), length
+
+
+@IMM_FORWARDS
+@pytest.mark.parametrize("tokens", [(-1, 0, 1), (-1, 0, 1, True, False)], ids=["int", "int-bool"])
+@pytest.mark.parametrize("length", [9, 18, SUPERBLOCK_TOKENS, 2 * SUPERBLOCK_TOKENS + 27])
+def test_imm_forwards_read_tuples_and_one_pass_iterators_like_lists(build, forward, tokens, length):
+    # a 9-token stream runs only the PAD program and the final readout
+    rng = random.Random(34)
+    stream = [rng.choice(tokens) for _ in range(length)]
+    want = forward(build(), stream)
+    assert want == imm_oracle(stream)
+    assert forward(build(), tuple(stream)) == want
+    assert forward(build(), (tok for tok in stream)) == want
 
 
 # --- bounded memory -----------------------------------------------------------
