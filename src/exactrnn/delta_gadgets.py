@@ -64,6 +64,9 @@ class HStep:
     k: RVector
     support: tuple = field(default=None, compare=False, repr=False)
 
+    # the family's kernel: a symmetric step's column action is its row action
+    run_rows = run_cols = staticmethod(run_hsteps)
+
     def __post_init__(self):
         if self.support is None:
             object.__setattr__(self, "support", nonzeros(self.k.nums, self.k.dens))
@@ -404,12 +407,12 @@ def build_dnet_wfa(wfa: Wfa) -> WfaNet:
     scratch, temp), blocks of the program length 8n^2+5n+1."""
     n = wfa.n_states
     m = 8 * n * n + 5 * n + 1
-    return WfaNet(wfa, apply_matrix_ops, HStep, run_hsteps, n + 1, m)
+    return WfaNet(wfa, apply_matrix_ops, HStep, n + 1, m)
 
 
 def dnet_wfa_forward(net: WfaNet, word) -> list:
     """Scalar outputs at every position 1..|word|."""
-    return wfa_forward(net, word, run_hsteps)
+    return wfa_forward(net, word)
 
 
 # ---------------------------------------------------------------------------
@@ -482,18 +485,17 @@ class DnetImmNet(BlockNet):
         """The padded 702-op program of the full superblock ``prev_block``."""
         return self._programs(tuple(prev_block))
 
-    def final_readouts(self, prev_block, block, index, nums, dens) -> list:
+    def final_readouts(self, prev_block, block, nums, dens) -> list:
         """Nine row-major product entries read from the row ``nums``/``dens``
         after the final superblock ``block`` (oldest token first, possibly
         partial). The completion of entry j is T (Pi e_j), with T the
         remaining steps of ``prev_block``'s program and Pi the final
         block's product; since row . T u = (row T) . u, the row is finished
-        in place through T once and then multiplied by Pi. ``index`` is
-        unused here."""
+        in place through T once and then multiplied by Pi."""
         tau = len(block)
         if tau % 9 != 0:
             raise ValueError("final readout only at a matrix boundary")
-        ops = self.block_program(prev_block, index)
+        ops = self.block_program(prev_block, None)
         run_hsteps(ops, tau, len(ops), nums, dens)
         pi_final = self.superblock_product(block)
         outn, outd = vec_mat(nums[:9], dens[:9], pi_final.nums, pi_final.dens, 9, 9)
@@ -509,10 +511,9 @@ def dnet_imm_forward(net: DnetImmNet, stream) -> list:
     stream is checked once (``imm_tokens``); each superblock runs one op
     per token of its predecessor's program in place on the row, with one
     ``run_hsteps`` call; then ``net.final_readouts`` reads the entries
-    from the row, the final superblock, the one before it and the final
-    superblock's index."""
+    from the row, the final superblock and the one before it."""
     tokens, _ = imm_tokens(stream)
     nums, dens = list(net.initial_row.nums), list(net.initial_row.dens)
     for index, prev, block in stream_blocks(tokens, net.block_len):
         run_hsteps(net.block_program(prev, index), 0, len(block), nums, dens)
-    return net.final_readouts(prev, block, index, nums, dens)
+    return net.final_readouts(prev, block, nums, dens)

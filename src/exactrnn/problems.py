@@ -263,6 +263,16 @@ def mat3_mul(a, b):
     )
 
 
+def imm_product(stream) -> tuple:
+    """The product of a stream of 3x3 matrices, nine row-major tokens each,
+    oldest first: a sequential fold of ``mat3_mul`` from the identity, the
+    imm nets' oracle."""
+    p = IDENTITY3
+    for base in range(0, len(stream), 9):
+        p = mat3_mul(p, tuple(stream[base : base + 9]))
+    return p
+
+
 def mat3_det_mod(a, m: int) -> int:
     d = (
         a[0] * (a[4] * a[8] - a[5] * a[7])

@@ -14,11 +14,13 @@ The block-streaming recipe is written once here for both step families
 compiles a block into a block program: a tuple of raw op tuples, ``(dst,
 support)`` for an overwrite and ``(beta_num, beta_den, support)`` for a
 symmetric step, where ``support`` lists the step vector's nonzeros as
-``(index, num, den)``. The forward passes hold the row as two int lists
-and run each program in place with one kernel per family
-(``kernels.run_overwrites``, ``kernels.run_hsteps``), so their work per
-token does not grow with the window and their memory does not grow with
-the stream. The 3x3-product forwards check a stream's tokens once
+``(index, num, den)``. Each step class names its family's kernels
+(``run_rows``, ``run_cols``), which run a range of ops in place on a row
+or column held as two int lists. The forward passes run each program
+through them, so their work per token does not grow with the window and
+their memory does not grow with the stream; ``BlockNet.block_transition``
+runs the basis rows through an op range, one token's op or a whole
+block. The 3x3-product forwards check a stream's tokens once
 (``imm_tokens``); the rwkv-imm forward then walks the stream in place,
 nine tokens at a time, and compiles each block with the helper that its
 ``block_program`` calls, fed the stream's own tokens when all are ints.
@@ -71,6 +73,10 @@ class OverwriteSpec:
     dst: int
     c: RVector
     support: tuple = field(default=None, compare=False, repr=False)
+
+    # the family's kernels: row and column actions of a range of ops
+    run_rows = staticmethod(run_overwrites)
+    run_cols = staticmethod(run_overwrite_cols)
 
     def __post_init__(self):
         if not (0 <= self.dst < len(self.c.nums)):
@@ -266,6 +272,21 @@ class BlockNet:
         step, dim = self.step, self.dim
         return [step.from_op(op, dim) for op in self.block_program(prev_block, index)[start:stop]]
 
+    def block_transition(self, prev_block, index, start=0, stop=None) -> RMatrix:
+        """The d x d row-action matrix of ops ``start:stop`` of
+        ``block_program(prev_block, index)``: row i is e_i run through
+        those ops by the step class's row kernel, so d kernel calls and no
+        new arithmetic. A one-op range is the step of one token."""
+        ops, d, run = self.block_program(prev_block, index), self.dim, self.step.run_rows
+        nums, dens = [], []
+        for i in range(d):
+            row, row_dens = [0] * d, [1] * d
+            row[i] = 1
+            run(ops, start, stop, row, row_dens)
+            nums += row
+            dens += row_dens
+        return RMatrix._raw(d, d, nums, dens)
+
     def block_completions(self, block, program):
         """Completions at the positions of the current ``block`` as (nums,
         dens) lists; none for a net that reads out only at the end."""
@@ -309,10 +330,11 @@ def stream_entries(net, tokens):
             yield step, None if u is None else RVector._raw(*u)
 
 
-def wfa_forward(net, word, run) -> list:
+def wfa_forward(net, word) -> list:
     """Scalar outputs at every position of a streamed automaton-tracking
-    net: the row runs one op per token in place through kernel ``run``
-    and is read out against that position's completion."""
+    net: the row runs one op per token in place through its step class's
+    row kernel and is read out against that position's completion."""
+    run = net.step.run_rows
     nums, dens = list(net.initial_row.nums), list(net.initial_row.dens)
     out = []
     for index, prev, block in stream_blocks(list(word), net.block_len):
@@ -380,26 +402,28 @@ class WfaNet(BlockNet):
     at zero), streamed through block L. The completion at position tau is
     T_tau [v | 0]: v is the current block's product so far applied to
     omega, and T_tau = steps[tau] ... steps[m-1] is block L-1's remaining
-    steps as column actions, run in place by the column kernel
-    ``run_cols``. Since [v | 0] is zero past coordinate n, only the first
-    n columns of T_tau matter. Each block takes the cheaper of two ways to
-    finish its L tokens: build those columns once, backwards, in n (m-1)
-    column steps, or replay the m - tau remaining steps at every position,
-    in L m - L (L+1)/2 column steps (m (m-1)/2 on a full block). The
-    block's product is kept fraction-free, as integer rows over one common
-    denominator (see ``block_completions``), from each symbol's matrix and
-    omega, which the net puts over one denominator once, when it is built.
+    steps as column actions, run in place by the step class's column
+    kernel (``step.run_cols``). Since [v | 0] is zero past coordinate n,
+    only the first n columns of T_tau matter. Each block takes the cheaper
+    of two ways to finish its L tokens: build those columns once,
+    backwards, in n (m-1) column steps, or replay the m - tau remaining
+    steps at every position, in L m - L (L+1)/2 column steps (m (m-1)/2 on
+    a full block). The block's product is kept fraction-free, as integer
+    rows over one common denominator (see ``block_completions``), from each
+    symbol's matrix and omega, which the net puts over one denominator
+    once, when it is built.
 
-    ``build_rwkv_wfa``: coordinate overwrites (``factor_apply_ops``,
-    ``kernels.run_overwrite_cols``), 2n steps, scratch width n; m = 2n, so
-    a full block costs n (m-1) either way, and it replays.
-    ``build_dnet_wfa``: symmetric steps (``apply_matrix_ops``;
+    ``build_rwkv_wfa``: coordinate overwrites (``factor_apply_ops``;
+    ``OverwriteSpec`` runs columns with ``kernels.run_overwrite_cols``), 2n
+    steps, scratch width n; m = 2n, so a full block costs n (m-1) either
+    way, and it replays. ``build_dnet_wfa``: symmetric steps
+    (``apply_matrix_ops``; ``HStep`` runs rows and columns with
     ``kernels.run_hsteps``, as their column action is their row action),
     8n^2+5n+1 steps, scratch width n+1 (scratch half and temp); it builds
     suffix columns on every block but a short final one.
     """
 
-    def __init__(self, wfa: Wfa, compile_ops, step, run_cols, scratch: int, block_len: int):
+    def __init__(self, wfa: Wfa, compile_ops, step, scratch: int, block_len: int):
         super().__init__(block_len)
         self.wfa = wfa
         self.n = wfa.n_states
@@ -408,7 +432,6 @@ class WfaNet(BlockNet):
         self.step = step
         self.initial_row = wfa.alpha.concat(RVector.zeros(scratch))
         self._compile_ops = compile_ops
-        self._run_cols = run_cols
         self._programs = BlockMemo(self._compile_block)
         # (block, product) of the last block streamed to its end
         self._product = None
@@ -456,6 +479,7 @@ class WfaNet(BlockNet):
         replay_cost = length * m - length * (length + 1) // 2
         suffix = self._suffix_columns(program) if n * (m - 1) < replay_cost else None
         reverse = program[::-1]  # a column takes the remaining steps newest first
+        run_cols = self.step.run_cols
         omega, omega_den = self._int_omega
         for tau, sym in enumerate(block, start=1):
             self.wfa.matrix(sym)  # ValueError on an unknown symbol
@@ -476,7 +500,7 @@ class WfaNet(BlockNet):
                 un, ud = [0] * dim, [1] * dim
                 for i, x in enumerate(vn):
                     un[i], ud[i] = rnorm(x, vden)
-                self._run_cols(reverse, 0, m - tau, un, ud)
+                run_cols(reverse, 0, m - tau, un, ud)
                 yield un, ud
 
     def _suffix_columns(self, program) -> list:
@@ -484,14 +508,14 @@ class WfaNet(BlockNet):
         row j is T_tau e_j, built backwards from T_m = I: n (m-1) column
         steps per block (Yang et al. 2024, the delta rule's backward suffix
         products)."""
-        m, n, dim = len(program), self.n, self.dim
+        m, n, dim, run_cols = len(program), self.n, self.dim, self.step.run_cols
         nums = [[int(i == j) for i in range(dim)] for j in range(n)]
         dens = [[1] * dim for _ in range(n)]
         suffix = [None] * (m + 1)
         for tau in range(m, 0, -1):
             if tau < m:
                 for j in range(n):
-                    self._run_cols(program, tau, tau + 1, nums[j], dens[j])
+                    run_cols(program, tau, tau + 1, nums[j], dens[j])
             suffix[tau] = [x for col in nums for x in col], [x for col in dens for x in col]
         return suffix
 
@@ -504,18 +528,18 @@ class WfaNet(BlockNet):
             if sym is not PAD:
                 v = self.wfa.matrix(sym).apply_col(v)
         u = v.concat(RVector.zeros(self.dim - self.n))
-        self._run_cols(program[::-1], 0, len(program) - tau, u.nums, u.dens)
+        self.step.run_cols(program[::-1], 0, len(program) - tau, u.nums, u.dens)
         return u
 
 
 def build_rwkv_wfa(wfa: Wfa) -> WfaNet:
     n = wfa.n_states
-    return WfaNet(wfa, factor_apply_ops, OverwriteSpec, run_overwrite_cols, n, 2 * n)
+    return WfaNet(wfa, factor_apply_ops, OverwriteSpec, n, 2 * n)
 
 
 def rwkv_wfa_forward(net: WfaNet, word) -> list:
     """Scalar outputs at every position 1..|word|."""
-    return wfa_forward(net, word, run_overwrites)
+    return wfa_forward(net, word)
 
 
 # ---------------------------------------------------------------------------
@@ -589,12 +613,11 @@ class RwkvImmNet(BlockNet):
         half at 9 (index mod 2) by the matrix of ``prev_block``."""
         return _block_ops(9 * (index % 2), *imm_entries(prev_block))
 
-    def final_readouts(self, prev_block, block, index, nums, dens) -> list:
+    def final_readouts(self, block, index, nums, dens) -> list:
         """Nine row-major product entries read from the row ``nums``/``dens``
         after the final block ``block`` (block ``index``): its dot products
         with the coefficient vectors of the overwrites that the next block
-        would stream, which fold the final block's matrix in.
-        ``prev_block`` is unused here."""
+        would stream, which fold the final block's matrix in."""
         if len(block) != 9:
             raise ValueError("final readout only at a block boundary")
         return [
@@ -627,4 +650,4 @@ def rwkv_imm_forward(net: RwkvImmNet, stream) -> list:
         src = 9 - src
     run_overwrites(ops, 0, 9, nums, dens)
     last = len(tokens) - 9
-    return net.final_readouts(None, tokens[last:], last // 9, nums, dens)
+    return net.final_readouts(tokens[last:], last // 9, nums, dens)

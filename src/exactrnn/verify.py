@@ -56,7 +56,7 @@ from .lrnn import (
     pd_tree_product,
 )
 from .problems import (
-    IDENTITY3, conn_oracle, encode_conn_unary, mat3_mul, random_sorted_instance, reachable,
+    conn_oracle, encode_conn_unary, imm_product, random_sorted_instance, reachable,
     reduce_to_sorted, rng_for,
 )
 from .rational import Rational
@@ -267,10 +267,7 @@ def _draw_dnet_imm(rng, trial, sizes):
 
 
 def _imm_product(instance):
-    stream, p = instance["stream"], IDENTITY3
-    for base in range(0, len(stream), 9):
-        p = mat3_mul(p, tuple(stream[base : base + 9]))
-    return list(p)
+    return list(imm_product(instance["stream"]))
 
 
 def _draw_cm(rng, trial, sizes):

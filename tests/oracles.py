@@ -2,9 +2,10 @@
 
 The oracles are built on ``fractions.Fraction`` and plain loops so that
 they share no code path with the package's rational kernels. The helpers
-at the end (a permutation read back from its matrix, sublayer plumbing,
-threshold recognition and a sign analysis of ReLU nets) are test-only code
-on the package's own types.
+at the end (a gadget net's steps lowered through the head transitions, a
+permutation read back from its matrix, sublayer plumbing, threshold
+recognition and a sign analysis of ReLU nets) are test-only code on the
+package's own types.
 """
 
 from fractions import Fraction
@@ -15,9 +16,11 @@ from exactrnn.problems import (
     ImmModInstance, ImmZInstance, SortedDetConnInstance, _check_imm_mod, _check_p,
     _size_bounds, conn_oracle, imm_z_oracle, mat3_det_mod,
 )
+from exactrnn.delta_gadgets import HStep
 from exactrnn.linalg import RMatrix, RelaxedPermutation, RVector
+from exactrnn.lrnn import DeltaNetStep, LinStep, deltanet_transition, rwkv_transition
 from exactrnn.rational import Rational
-from exactrnn.rwkv_gadgets import PAD
+from exactrnn.rwkv_gadgets import PAD, rwkv_params_for_overwrite, stream_entries
 
 
 def to_frac(q: Rational) -> Fraction:
@@ -206,6 +209,26 @@ def matrix_program_steps(p) -> list:
     for j in range(n):
         steps += transvection(n + j, j)
     return steps
+
+
+def lowered(factor) -> LinStep:
+    """The recurrence step whose column action is the step value
+    ``factor``'s row action: the row-action matrix of its head
+    (``rwkv_transition`` of an overwrite's RWKV parameters,
+    ``deltanet_transition`` of a symmetric step's DeltaNet head with v =
+    0), transposed, with B = 0."""
+    if isinstance(factor, HStep):
+        head = DeltaNetStep(beta=factor.beta, k=factor.k, v=RVector.zeros(factor.dim))
+        row_matrix = deltanet_transition(head).A
+    else:
+        row_matrix = rwkv_transition(rwkv_params_for_overwrite(factor)).A
+    return LinStep(row_matrix.transpose(), RMatrix.zeros(row_matrix.rows))
+
+
+def lowered_stream(net, tokens) -> list:
+    """The per-token steps of a gadget net on ``tokens``, lowered from the
+    router spec's step values (``stream_entries``) by ``lowered``."""
+    return [lowered(factor) for factor, _ in stream_entries(net, tokens)]
 
 
 def perm_from_matrix(m: RMatrix) -> RelaxedPermutation:

@@ -34,7 +34,7 @@ from exactrnn.problems import (
     conn_oracle,
     encode_conn_unary,
     generate_dataset,
-    mat3_mul,
+    imm_product,
     random_sorted_instance,
     rng_for,
 )
@@ -89,22 +89,16 @@ def test_criterion_04_imm_correctness():
     start = time.time()
     rng = rng_for(104, "imm")
 
-    def oracle(stream):
-        p = IDENTITY3
-        for base in range(0, len(stream), 9):
-            p = mat3_mul(p, tuple(stream[base : base + 9]))
-        return p
-
     for _ in range(20):
         stream = [rng.choice((-1, 0, 1)) for _ in range(9 * rng.randint(1, 20))]
-        want = oracle(stream)
+        want = imm_product(stream)
         got = rwkv_imm_forward(build_rwkv_imm(), stream)
         assert got == [Rational(e) for e in want]
         assert (got[0] > Rational(0)) == (want[0] > 0)
     net = build_dnet_imm()
     for blocks in (1, 78, 100, 156):
         stream = [rng.choice((-1, 0, 1)) for _ in range(9 * blocks)]
-        want = oracle(stream)
+        want = imm_product(stream)
         got = dnet_imm_forward(net, stream)
         assert got == [Rational(e) for e in want]
         assert (got[0] > Rational(0)) == (want[0] > 0)

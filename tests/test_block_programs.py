@@ -10,8 +10,11 @@ block's matrix, so the router spec is unchanged. Also checked: imm streams
 the forwards must reject and the token each error names, bool tokens and
 mixed token types, entries (non-integer, about 10^4 bits) that reach the
 kernels' non-unit-denominator branches, in a compiled superblock or in a
-partial final one, the rwkv-imm column table's bound, and that the
-rwkv-imm forward runs ``block_program``'s ops on every kind of stream.
+partial final one, the rwkv-imm column table's bound, that the
+rwkv-imm forward runs ``block_program``'s ops on every kind of stream, and
+that ``block_transition`` composes: a block's transition is the product of
+its ops' transitions, and the imm nets' initial row run through each
+block's transition reads out the forward's product.
 """
 
 import random
@@ -33,7 +36,7 @@ from exactrnn.delta_gadgets import (
     dnet_imm_forward,
 )
 from exactrnn.kernels import nonzeros, run_hsteps, run_overwrites
-from exactrnn.linalg import RMatrix, RVector
+from exactrnn.linalg import RMatrix, RVector, row_apply
 from exactrnn.rational import Rational
 from exactrnn.rwkv_gadgets import (
     COLUMN_TABLE_SIZE,
@@ -187,11 +190,10 @@ def test_wfa_block_program(family, n_states, pad, index, seed, split):
     wfa = random_wfa(rng, n_states, rng.randint(1, 3))
     if family == "rwkv":
         net = build_rwkv_wfa(wfa)
-        program_of, run, apply_row = factor_apply_matrix, run_overwrites, apply_overwrite_row
+        program_of, apply_row = factor_apply_matrix, apply_overwrite_row
     else:
         net = build_dnet_wfa(wfa)
-        program_of = lambda p: apply_matrix_program(p).steps
-        run, apply_row = run_hsteps, apply_h_row
+        program_of, apply_row = (lambda p: apply_matrix_program(p).steps), apply_h_row
     if pad:
         prev = (PAD,) * net.block_len
     else:
@@ -205,7 +207,7 @@ def test_wfa_block_program(family, n_states, pad, index, seed, split):
     program = net.block_program(prev, index)
     assert [s.op for s in steps] == list(program)
     assert_program_runs_like_steps(
-        program, steps, draw_row(seed, net.dim), run, apply_row, split
+        program, steps, draw_row(seed, net.dim), net.step.run_rows, apply_row, split
     )
 
 
@@ -381,3 +383,65 @@ def test_dnet_imm_every_partial_final_superblock_with_a_rational_is_exact():
     for length in range(SUPERBLOCK_TOKENS + 9, 2 * SUPERBLOCK_TOKENS, 9):
         want = frac_product(want + stream[length - 9 : length])
         assert dnet_imm_forward(net, stream[:length]) == want, length
+
+
+# --- block transitions ---------------------------------------------------------
+
+
+def transition_case(net_name, kind):
+    """(net, previous block, index): a block of the net's own length,
+    drawn as in the block-program tests above."""
+    rng = random.Random(net_name + kind)
+    if net_name.endswith("wfa"):
+        wfa = random_wfa(rng, 2, 2)
+        net = (build_rwkv_wfa if net_name == "rwkv-wfa" else build_dnet_wfa)(wfa)
+        if kind == "pad":
+            return net, (PAD,) * net.block_len, 0
+        return net, tuple(rng.choice(wfa.alphabet) for _ in range(net.block_len)), 1
+    net = build_rwkv_imm() if net_name == "rwkv-imm" else build_dnet_imm()
+    return net, draw_block(kind, rng.randrange(10**6), net.block_len), rng.randrange(4)
+
+
+@pytest.mark.parametrize("net_name, kind", [
+    ("rwkv-wfa", "unit"), ("rwkv-wfa", "pad"), ("dnet-wfa", "unit"),
+    ("rwkv-imm", "unit"), ("rwkv-imm", "rational"), ("rwkv-imm", "pad"),
+    ("dnet-imm", "unit"), ("dnet-imm", "rational"),
+])
+def test_block_transition_is_the_product_of_its_ops(net_name, kind):
+    net, prev, index = transition_case(net_name, kind)
+    n_ops = len(net.block_program(prev, index))
+    per_op = [net.block_transition(prev, index, tau, tau + 1) for tau in range(n_ops)]
+    product = RMatrix.identity(net.dim)
+    for tau, step in enumerate(per_op):
+        product = product @ step
+        if tau in (0, n_ops // 2):
+            assert net.block_transition(prev, index, 0, tau + 1) == product
+    assert net.block_transition(prev, index) == product
+    assert net.block_transition(prev, index, 3, 3) == RMatrix.identity(net.dim)
+
+
+def transition_readouts(net, stream) -> list:
+    """An imm net's outputs from the initial row run through each block's
+    transition (the first ``len(block)`` ops of its program; all of them
+    but on a partial final superblock), then ``final_readouts``."""
+    row = net.initial_row
+    for index, prev, block in stream_blocks(stream, net.block_len):
+        row = row_apply(row, net.block_transition(prev, index, 0, len(block)))
+    nums, dens = list(row.nums), list(row.dens)
+    if isinstance(net, DnetImmNet):
+        return net.final_readouts(prev, block, nums, dens)
+    return net.final_readouts(block, index, nums, dens)
+
+
+@IMM_FORWARDS
+@pytest.mark.parametrize("matrices, kind", [
+    (1, "unit"), (1, "rational"), (2, "unit"), (40, "rational"),
+    (79, "unit"), (2 * 78 + 3, "rational"),
+])
+def test_imm_block_transitions_read_out_the_forward(build, forward, matrices, kind):
+    # one matrix streams only the PAD block; 79 is one superblock and one
+    # matrix, whose partial final superblock the dnet readout finishes
+    rng = random.Random(matrices)
+    stream = [rng.choice(TOKEN_KINDS[kind]) for _ in range(9 * matrices)]
+    got = transition_readouts(build(), stream)
+    assert got == forward(build(), stream) == frac_product(stream)

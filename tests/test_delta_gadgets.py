@@ -28,7 +28,7 @@ from exactrnn.delta_gadgets import (
 )
 from exactrnn.kernels import run_hsteps
 from exactrnn.linalg import RMatrix, RVector, row_apply
-from exactrnn.problems import IDENTITY3, mat3_mul
+from exactrnn.problems import IDENTITY3, imm_product
 from exactrnn.rational import Rational
 from exactrnn.rwkv_gadgets import stream_entries
 from exactrnn.verify import random_wfa
@@ -452,13 +452,6 @@ def test_dnet_wfa_short_word_padding_regime():
 # --- iterated product network ---------------------------------------------------------
 
 
-def imm_oracle(stream):
-    p = IDENTITY3
-    for base in range(0, len(stream), 9):
-        p = mat3_mul(p, tuple(stream[base : base + 9]))
-    return [Rational(e) for e in p]
-
-
 def test_superblock_constants():
     assert SUPERBLOCK_MATRICES == 78
     assert SUPERBLOCK_TOKENS == 702
@@ -501,7 +494,7 @@ def test_dnet_imm_small_products():
     net = build_dnet_imm()
     for blocks in (1, 2, 7):
         stream = [rng.choice((-1, 0, 1)) for _ in range(9 * blocks)]
-        assert dnet_imm_forward(net, stream) == imm_oracle(stream)
+        assert dnet_imm_forward(net, stream) == list(imm_product(stream))
 
 
 def test_dnet_imm_rejects_ragged_stream():

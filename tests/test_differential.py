@@ -1,15 +1,19 @@
 """Differential checks on the gadget networks' own per-token transitions.
 
-Each streamed factor is lowered to a ``LinStep`` with B = 0 and A the
-transpose of its row-action matrix (built from the head parameters:
-``rwkv_transition`` for overwrites, ``deltanet_transition`` for symmetric
-steps). Started from S_0 = alpha_row e_1^T, the sequential and the
-balanced-scan evaluations of the recurrence must both carry the network's
-replayed row in their first column at every position, the scan within the
-2*ceil(log2 n) depth bound; a step dump must measure the same through
-``report depth --trace``. The convolutional evaluation, with S_0 folded in
-as the B of a leading step with A = 0, must read every state of a prefix of
-the trace through random queries (its cost grows as the prefix squared).
+The step of token tau of a block is ops tau:tau+1 of the block's program,
+lowered by ``BlockNet.block_transition`` (the step class's row kernel run
+on the basis rows) to its row-action matrix, and then to a ``LinStep``
+with B = 0 and A that matrix's transpose. Per op, that step equals the
+reference lowering of ``oracles.lowered_stream``, which goes from the
+router spec's step values through the RWKV or DeltaNet head transitions.
+Started from S_0 = alpha_row e_1^T, the sequential and the balanced-scan
+evaluations of the recurrence must both carry the network's row, replayed
+through the step actions, in their first column at every position, the
+scan within the 2*ceil(log2 n) depth bound; a step dump must measure the
+same through ``report depth --trace``. The convolutional evaluation, with
+S_0 folded in as the B of a leading step with A = 0, must read every state
+of a prefix of the trace through random queries (its cost grows as the
+prefix squared).
 """
 
 import math
@@ -18,36 +22,33 @@ import random
 from hypothesis import example, given, settings, strategies as st
 
 from exactrnn.cli import main
-from exactrnn.delta_gadgets import HStep, apply_h_row, build_dnet_wfa
+from exactrnn.delta_gadgets import SUPERBLOCK_TOKENS, apply_h_row, build_dnet_imm, build_dnet_wfa
 from exactrnn.linalg import RMatrix, RVector, row_apply
-from exactrnn.lrnn import (
-    DeltaNetStep,
-    LinStep,
-    deltanet_transition,
-    dump_steps,
-    lrnn_run_conv,
-    lrnn_run_scan,
-    lrnn_run_sequential,
-    rwkv_transition,
-)
-from exactrnn.rwkv_gadgets import (
-    apply_overwrite_row,
-    build_rwkv_imm,
-    build_rwkv_wfa,
-    rwkv_params_for_overwrite,
-    stream_entries,
-)
+from exactrnn.lrnn import LinStep, dump_steps, lrnn_run_conv, lrnn_run_scan, lrnn_run_sequential
+from exactrnn.rwkv_gadgets import apply_overwrite_row, build_rwkv_imm, build_rwkv_wfa, stream_blocks
 from exactrnn.verify import WFA_ENTRIES, random_wfa
 
+from oracles import lowered, lowered_stream
 
-def lowered(factor) -> LinStep:
-    """The recurrence step whose column action is the factor's row action."""
-    if isinstance(factor, HStep):
-        head = DeltaNetStep(beta=factor.beta, k=factor.k, v=RVector.zeros(factor.dim))
-        row_matrix = deltanet_transition(head).A
-    else:
-        row_matrix = rwkv_transition(rwkv_params_for_overwrite(factor)).A
-    return LinStep(row_matrix.transpose(), RMatrix.zeros(row_matrix.rows))
+
+def kernel_lowered(net, tokens) -> list:
+    """Each token's step, as its one-op ``block_transition``, transposed,
+    with B = 0."""
+    return [
+        LinStep(net.block_transition(prev, index, tau, tau + 1).transpose(), RMatrix.zeros(net.dim))
+        for index, prev, block in stream_blocks(tokens, net.block_len)
+        for tau in range(len(block))
+    ]
+
+
+def replayed_rows(net, tokens, apply_row) -> list:
+    """The net's row after each token, from its step values."""
+    row, rows = net.initial_row, []
+    for index, prev, block in stream_blocks(tokens, net.block_len):
+        for step in net.block_steps(prev, index, 0, len(block)):
+            row = apply_row(row, step)
+            rows.append(row)
+    return rows
 
 
 def check_conv(steps, s0, states, rng):
@@ -67,15 +68,12 @@ def check_conv(steps, s0, states, rng):
 
 
 def check_lowered_stream(net, tokens, apply_row, trace_dir, conv_steps):
-    factors = [factor for factor, _ in stream_entries(net, tokens)]
-    steps = [lowered(f) for f in factors]
-    e_1 = RVector.basis(0, len(net.initial_row))
+    steps = kernel_lowered(net, tokens)
+    e_1 = RVector.basis(0, net.dim)
     s0 = RMatrix.outer(net.initial_row, e_1)
     sequential = lrnn_run_sequential(steps, s0)
     scanned, stats = lrnn_run_scan(steps, s0)
-    row = net.initial_row
-    for t, factor in enumerate(factors, start=1):
-        row = apply_row(row, factor)
+    for t, row in enumerate(replayed_rows(net, tokens, apply_row), start=1):
         want = RMatrix.outer(row, e_1)
         assert sequential[t - 1] == want, f"sequential state differs at position {t}"
         assert scanned[t - 1] == want, f"scan state differs at position {t}"
@@ -100,31 +98,90 @@ def wfa_case(n_states, cut, seed, block_len):
     return wfa, [rng.choice(wfa.alphabet) for _ in range(length)]
 
 
+def rwkv_wfa_trace(n_states, cut, seed):
+    wfa, word = wfa_case(n_states, cut, seed, 2 * n_states)
+    return build_rwkv_wfa(wfa), word
+
+
+def dnet_wfa_trace(n_states, cut, seed):
+    wfa, word = wfa_case(n_states, cut, seed, 8 * n_states * n_states + 5 * n_states + 1)
+    return build_dnet_wfa(wfa), word
+
+
+def rwkv_imm_trace(matrices, seed):
+    rng = random.Random(seed)
+    return build_rwkv_imm(), [rng.choice((-1, 0, 1)) for _ in range(9 * matrices)]
+
+
+WFA_DRAWS = (st.integers(1, 2), st.integers(0, 10**6), st.integers())
+IMM_DRAWS = (st.integers(1, 4), st.integers())
+
+
 @settings(max_examples=20, deadline=None)
-@given(st.integers(1, 2), st.integers(0, 10**6), st.integers())
+@given(*WFA_DRAWS)
 @example(n_states=2, cut=12, seed=0)
 def test_rwkv_wfa_lowered_steps_agree(tmp_path_factory, n_states, cut, seed):
-    wfa, word = wfa_case(n_states, cut, seed, 2 * n_states)
-    check_lowered_stream(build_rwkv_wfa(wfa), word, apply_overwrite_row,
+    check_lowered_stream(*rwkv_wfa_trace(n_states, cut, seed), apply_overwrite_row,
                          tmp_path_factory.mktemp("rwkv-wfa"), conv_steps=None)
 
 
 @settings(max_examples=8, deadline=None)
-@given(st.integers(1, 2), st.integers(0, 10**6), st.integers())
+@given(*WFA_DRAWS)
 @example(n_states=1, cut=42, seed=0)
 @example(n_states=2, cut=3 * 43, seed=1)
 def test_dnet_wfa_lowered_steps_agree(tmp_path_factory, n_states, cut, seed):
-    wfa, word = wfa_case(n_states, cut, seed, 8 * n_states * n_states + 5 * n_states + 1)
-    check_lowered_stream(build_dnet_wfa(wfa), word, apply_h_row,
+    check_lowered_stream(*dnet_wfa_trace(n_states, cut, seed), apply_h_row,
                          tmp_path_factory.mktemp("dnet-wfa"), conv_steps=48)
 
 
 @settings(max_examples=6, deadline=None)
-@given(st.integers(1, 4), st.integers())
+@given(*IMM_DRAWS)
 @example(matrices=4, seed=0)
 def test_rwkv_imm_lowered_steps_agree(tmp_path_factory, matrices, seed):
-    rng = random.Random(seed)
-    stream = [rng.choice((-1, 0, 1)) for _ in range(9 * matrices)]
     # conv on one matrix and the start of the next: dimension 18 is costly
-    check_lowered_stream(build_rwkv_imm(), stream, apply_overwrite_row,
+    check_lowered_stream(*rwkv_imm_trace(matrices, seed), apply_overwrite_row,
                          tmp_path_factory.mktemp("rwkv-imm"), conv_steps=12)
+
+
+# --- the kernel lowering against the reference -------------------------------------
+
+
+def assert_lowerings_agree(net, tokens):
+    got = kernel_lowered(net, tokens)
+    want = lowered_stream(net, tokens)
+    assert len(got) == len(want) == len(tokens)
+    for t, (g, w) in enumerate(zip(got, want), start=1):
+        assert g == w, f"lowered step differs at position {t}"
+
+
+@settings(max_examples=20, deadline=None)
+@given(*WFA_DRAWS)
+@example(n_states=2, cut=12, seed=0)
+def test_rwkv_wfa_block_transition_equals_reference_lowering(n_states, cut, seed):
+    assert_lowerings_agree(*rwkv_wfa_trace(n_states, cut, seed))
+
+
+@settings(max_examples=8, deadline=None)
+@given(*WFA_DRAWS)
+@example(n_states=1, cut=42, seed=0)
+@example(n_states=2, cut=3 * 43, seed=1)
+def test_dnet_wfa_block_transition_equals_reference_lowering(n_states, cut, seed):
+    assert_lowerings_agree(*dnet_wfa_trace(n_states, cut, seed))
+
+
+@settings(max_examples=6, deadline=None)
+@given(*IMM_DRAWS)
+@example(matrices=4, seed=0)
+def test_rwkv_imm_block_transition_equals_reference_lowering(matrices, seed):
+    assert_lowerings_agree(*rwkv_imm_trace(matrices, seed))
+
+
+def test_dnet_imm_block_transition_equals_reference_lowering():
+    # every op of one compiled superblock program: a stream would reach
+    # them only from its second superblock on, 1404 tokens in
+    rng = random.Random(79)
+    net = build_dnet_imm()
+    prev = tuple(rng.choice((-1, 0, 1)) for _ in range(SUPERBLOCK_TOKENS))
+    for tau, step in enumerate(net.block_steps(prev, 1)):
+        got = LinStep(net.block_transition(prev, 1, tau, tau + 1).transpose(), RMatrix.zeros(net.dim))
+        assert got == lowered(step), f"lowered op {tau} differs"

@@ -19,9 +19,9 @@ from exactrnn.problems import (
     gen_imm_z,
     generate_dataset,
     imm_mod_oracle,
+    imm_product,
     imm_z_oracle,
     is_prime,
-    mat3_mul,
     IDENTITY3,
     random_sorted_instance,
     reachable,
@@ -387,10 +387,17 @@ def test_imm_z_random_against_bigint():
     rng = random.Random(10)
     for _ in range(300):
         inst = gen_imm_z((1, 30), rng)
-        p = IDENTITY3
-        for mat in inst.matrices:
-            p = mat3_mul(p, mat)
+        p = imm_product([x for mat in inst.matrices for x in mat])
         assert imm_z_oracle(inst) == (1 if p[0] == 0 else 0)
+
+
+def test_imm_product_is_the_last_running_product():
+    rng = random.Random(12)
+    for T in (1, 2, 7, 40):
+        stream = [rng.choice((-2, -1, 0, 1, 2)) for _ in range(9 * T)]
+        (*_, last) = imm_running_products([stream[k : k + 9] for k in range(0, 9 * T, 9)])
+        assert imm_product(stream) == tuple(x for row in last for x in row)
+    assert imm_product([]) == IDENTITY3
 
 
 def test_imm_z_clip_agrees_when_small():

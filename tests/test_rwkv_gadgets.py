@@ -5,7 +5,7 @@ import pytest
 from exactrnn.automata import Wfa, wfa_prefix_values
 from exactrnn.linalg import RMatrix, RVector, row_apply
 from exactrnn.lrnn import rwkv_transition
-from exactrnn.problems import IDENTITY3, mat3_mul
+from exactrnn.problems import IDENTITY3, imm_product
 from exactrnn.rational import Rational
 from exactrnn.rwkv_gadgets import (
     OverwriteSpec,
@@ -265,13 +265,6 @@ def test_router_is_function_of_window():
 # --- iterated product network -------------------------------------------------------
 
 
-def imm_oracle(stream):
-    p = IDENTITY3
-    for base in range(0, len(stream), 9):
-        p = mat3_mul(p, tuple(stream[base : base + 9]))
-    return [Rational(e) for e in p]
-
-
 def test_imm_identity_block():
     stream = [1, 0, 0, 0, 1, 0, 0, 0, 1]
     assert rwkv_imm_forward(build_rwkv_imm(), stream) == [Rational(e) for e in IDENTITY3]
@@ -290,7 +283,7 @@ def test_imm_random_streams():
     for _ in range(10):
         blocks = rng.randint(1, 20)
         stream = [rng.choice((-1, 0, 1)) for _ in range(9 * blocks)]
-        assert rwkv_imm_forward(build_rwkv_imm(), stream) == imm_oracle(stream)
+        assert rwkv_imm_forward(build_rwkv_imm(), stream) == list(imm_product(stream))
 
 
 def test_imm_rejects_ragged_stream():
@@ -397,4 +390,4 @@ def test_wfa_net_fuzz(n_states, length, seed):
 def test_imm_net_fuzz(blocks, seed):
     rng = random.Random(seed)
     stream = [rng.choice((-1, 0, 1)) for _ in range(9 * blocks)]
-    assert rwkv_imm_forward(build_rwkv_imm(), stream) == imm_oracle(stream)
+    assert rwkv_imm_forward(build_rwkv_imm(), stream) == list(imm_product(stream))

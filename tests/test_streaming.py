@@ -4,7 +4,7 @@
 router; ``net.router.query_at(t, tokens)`` is the specification it must
 match at every position, also for automata with non-dyadic entries. Also
 checked here: the column steps an automaton net's completions cost per
-block, forwards that neither query the router nor build step values (nor,
+block, either automaton forward on either family's net, forwards that neither query the router nor build step values (nor,
 for the 3x3-product nets, a matrix or vector value per token; nor, for the
 automaton nets, a rational matrix product), memory that does not grow
 with the stream, 3x3-product streams given as tuples or one-pass iterators,
@@ -30,9 +30,9 @@ from exactrnn.delta_gadgets import (
     dnet_imm_forward,
     dnet_wfa_forward,
 )
-from exactrnn.kernels import run_hsteps, run_overwrite_cols
+from exactrnn.kernels import run_hsteps
 from exactrnn.linalg import RMatrix, RVector
-from exactrnn.problems import IDENTITY3, mat3_mul
+from exactrnn.problems import imm_product
 from exactrnn.rational import Rational
 from exactrnn.rwkv_gadgets import (
     PAD,
@@ -153,7 +153,7 @@ def test_dnet_imm_zero_factor_superblocks(zero_product):
     if zero_product:
         matrices[5] = (0,) * 9
     stream = [x for m in matrices for x in m]
-    assert dnet_imm_forward(build_dnet_imm(), stream) == imm_oracle(stream)
+    assert dnet_imm_forward(build_dnet_imm(), stream) == list(imm_product(stream))
     assert_stream_equals_spec(build_dnet_imm, stream)
     # 54 structural zeros of the embedding (81 for a zero product) compile
     # to eight identity ops each, and the 8 pads are identity ops too
@@ -235,20 +235,22 @@ def test_first_block_streams_the_pad_program():
 # --- completion work ----------------------------------------------------------
 
 
-def completion_column_steps(compile_ops, step, run_cols, scratch, block_len, extra=0,
-                            n_states=2):
+def completion_column_steps(compile_ops, step, scratch, block_len, extra=0, n_states=2):
     """Column steps (ops run by the column kernel) spent streaming two full
     blocks and ``extra`` tokens of an ``n_states``-state automaton through
-    ``WfaNet(wfa, compile_ops, step, run_cols, scratch, block_len)``."""
+    ``WfaNet(wfa, compile_ops, step, scratch, block_len)``, counted by a
+    step subclass whose column kernel records each range it runs."""
     ops = []
 
-    def counted(program, start, stop, nums, dens):
-        ops.append(stop - start)
-        return run_cols(program, start, stop, nums, dens)
+    class Counted(step):
+        @staticmethod
+        def run_cols(program, start, stop, nums, dens):
+            ops.append(stop - start)
+            return step.run_cols(program, start, stop, nums, dens)
 
     rng = random.Random(8)
     wfa = random_wfa(rng, n_states, 2)
-    net = WfaNet(wfa, compile_ops, step, counted, scratch, block_len)
+    net = WfaNet(wfa, compile_ops, Counted, scratch, block_len)
     word = [rng.choice(wfa.alphabet) for _ in range(2 * block_len + extra)]
     assert len(list(stream_entries(net, word))) == len(word)
     return sum(ops)
@@ -256,7 +258,7 @@ def completion_column_steps(compile_ops, step, run_cols, scratch, block_len, ext
 
 def test_dnet_wfa_completions_build_suffix_columns_once_per_block():
     n, m = 2, 43
-    steps = completion_column_steps(apply_matrix_ops, HStep, run_hsteps, n + 1, m)
+    steps = completion_column_steps(apply_matrix_ops, HStep, n + 1, m)
     # n (m-1) per block; replaying the remaining steps would take m (m-1)/2
     assert steps <= 2 * n * (m - 1)
 
@@ -267,19 +269,32 @@ def test_wfa_completions_choose_per_block_length():
     # m-1 = 87 remaining steps instead of building 261 columns
     n = 3
     m = 8 * n * n + 5 * n + 1
-    steps = completion_column_steps(apply_matrix_ops, HStep, run_hsteps, n + 1, m, 1, n_states=n)
+    steps = completion_column_steps(apply_matrix_ops, HStep, n + 1, m, 1, n_states=n)
     assert steps == 2 * n * (m - 1) + m - 1 == 609
 
 
 def test_rwkv_wfa_completions_replay_remaining_steps():
     n, m = 2, 4
-    family = (factor_apply_ops, OverwriteSpec, run_overwrite_cols)
+    family = (factor_apply_ops, OverwriteSpec)
     steps = completion_column_steps(*family, n, m)
     # m = 2n: on a full block suffix columns cost n (m-1) = m (m-1)/2 too
     assert steps == 2 * m * (m - 1) // 2
     # a one-token block tells the two apart: m-1 to replay, n (m-1) to build
     steps = completion_column_steps(*family, n, m, 1)
     assert steps == 2 * m * (m - 1) // 2 + m - 1
+
+
+@pytest.mark.parametrize("forward", [dnet_wfa_forward, rwkv_wfa_forward], ids=["dnet", "rwkv"])
+@pytest.mark.parametrize("build", [build_dnet_wfa, build_rwkv_wfa], ids=["dnet-net", "rwkv-net"])
+def test_either_wfa_forward_runs_either_familys_net(build, forward):
+    # a forward runs the kernels that the net's step class names, so it
+    # need not be the forward of the net's own family
+    rng = random.Random(12)
+    for n_states in (1, 2, 3):
+        wfa = random_wfa(rng, n_states, 2)
+        net = build(wfa)
+        word = [rng.choice(wfa.alphabet) for _ in range(2 * net.block_len + 1)]
+        assert forward(net, word) == wfa_prefix_values(wfa, word)
 
 
 @pytest.mark.parametrize("build", [build_dnet_wfa, build_rwkv_wfa], ids=["dnet", "rwkv"])
@@ -424,7 +439,7 @@ def test_imm_forwards_build_no_value_objects_per_token(monkeypatch, build, forwa
         superblocks: [rng.choice((-1, 0, 1)) for _ in range(superblocks * SUPERBLOCK_TOKENS)]
         for superblocks in (1, 2, 4)
     }
-    wants = {superblocks: imm_oracle(stream) for superblocks, stream in streams.items()}
+    wants = {superblocks: list(imm_product(stream)) for superblocks, stream in streams.items()}
     # a first compile builds the program skeleton shared by all nets
     forward(build(), streams[2])
     built = count_value_objects(monkeypatch)
@@ -459,7 +474,7 @@ def test_dnet_imm_final_readout_finishes_the_row_once(monkeypatch):
     monkeypatch.setattr(delta_gadgets, "apply_h_col", no_column_steps)
     rng = random.Random(22)
     stream = [rng.choice((-1, 0, 1)) for _ in range(SUPERBLOCK_TOKENS + 9)]
-    assert dnet_imm_forward(build_dnet_imm(), stream) == imm_oracle(stream)
+    assert dnet_imm_forward(build_dnet_imm(), stream) == list(imm_product(stream))
     assert runs == [(0, SUPERBLOCK_TOKENS), (0, 9), (9, SUPERBLOCK_TOKENS)]
     assert sum(stop - start for start, stop in runs) - len(stream) <= 693
 
@@ -470,7 +485,7 @@ def test_dnet_imm_ragged_lengths_equal_oracle():
     stream = [rng.choice((-1, 0, 1)) for _ in range(2 * SUPERBLOCK_TOKENS)]
     for length in range(9, 2 * SUPERBLOCK_TOKENS + 1, 9):
         prefix = stream[:length]
-        assert dnet_imm_forward(build_dnet_imm(), prefix) == imm_oracle(prefix), length
+        assert dnet_imm_forward(build_dnet_imm(), prefix) == list(imm_product(prefix)), length
 
 
 @IMM_FORWARDS
@@ -481,19 +496,12 @@ def test_imm_forwards_read_tuples_and_one_pass_iterators_like_lists(build, forwa
     rng = random.Random(34)
     stream = [rng.choice(tokens) for _ in range(length)]
     want = forward(build(), stream)
-    assert want == imm_oracle(stream)
+    assert want == list(imm_product(stream))
     assert forward(build(), tuple(stream)) == want
     assert forward(build(), (tok for tok in stream)) == want
 
 
 # --- bounded memory -----------------------------------------------------------
-
-
-def imm_oracle(stream):
-    p = IDENTITY3
-    for base in range(0, len(stream), 9):
-        p = mat3_mul(p, tuple(stream[base : base + 9]))
-    return [Rational(e) for e in p]
 
 
 def program_cache_size(net):
@@ -515,7 +523,7 @@ def test_imm_forward_memory_bounded_in_stream_length(monkeypatch, build, forward
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert got == imm_oracle(stream)
+        assert got == list(imm_product(stream))
         cache_sizes.append(program_cache_size(net))
     assert cache_sizes[1] <= cache_sizes[0]
     # ten times the stream, yet the forward's peak allocation does not grow
