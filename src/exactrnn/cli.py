@@ -159,6 +159,9 @@ def cmd_report_depth(args) -> int:
     if args.trace:
         with open(args.trace) as handle:
             steps = parse_steps(handle.read())
+        dim, bound = max((step.A.rows for step in steps), default=0), verify.MAX_SCAN_DIM
+        if dim > bound:
+            raise ValueError(f"trace steps must have dimension in 1..{bound}, got {dim}")
         _, stats = lrnn_run_scan(steps)
         rows.append(f"{len(steps)},{stats.depth},{max(len(steps) - 1, 0)}")
     else:

@@ -10,11 +10,13 @@ are ``apply_matrix_program``). The scaled add of a zero entry compiles to
 eight identity ops, which the step kernel skips, so a sparse matrix costs
 only its nonzeros' adds. Streamed through the block-delay router of
 ``rwkv_gadgets`` (``BlockNet``), such programs drive the same
-automaton-tracking network as the coordinate overwrites do (``WfaNet``)
-and an iterated 3x3 product network (``DnetImmNet``), with symmetric steps
-only. Two router primitives are also constructed explicitly: a
-cyclic position counter driven by two alternating steps, and an exact
-token buffer that overwrites one matrix column per step.
+automaton-tracking network as the coordinate overwrites do
+(``WfaNet``, ``wfa_forward``) and an iterated 3x3 product network
+(``DnetImmNet``) that runs through the overwrites' forward
+(``imm_forward``), with symmetric steps only. Two router primitives are
+also constructed explicitly: a cyclic position counter driven by two
+alternating steps, and an exact token buffer that overwrites one matrix
+column per step.
 """
 
 from __future__ import annotations
@@ -26,16 +28,7 @@ from .automata import Wfa
 from .kernels import mat3_chain, nonzeros, radd, rmul, run_hsteps, sdot, vec_mat
 from .linalg import RMatrix, RVector
 from .rational import Rational
-from .rwkv_gadgets import (
-    PAD,
-    BlockMemo,
-    BlockNet,
-    WfaNet,
-    imm_entries,
-    imm_tokens,
-    stream_blocks,
-    wfa_forward,
-)
+from .rwkv_gadgets import PAD, BlockMemo, BlockNet, WfaNet, imm_entries, imm_forward, wfa_forward
 
 _ZERO = Rational(0)
 _ONE = Rational(1)
@@ -485,13 +478,14 @@ class DnetImmNet(BlockNet):
         """The padded 702-op program of the full superblock ``prev_block``."""
         return self._programs(tuple(prev_block))
 
-    def final_readouts(self, prev_block, block, nums, dens) -> list:
+    def final_readouts(self, prev_block, block, index, nums, dens) -> list:
         """Nine row-major product entries read from the row ``nums``/``dens``
         after the final superblock ``block`` (oldest token first, possibly
-        partial). The completion of entry j is T (Pi e_j), with T the
-        remaining steps of ``prev_block``'s program and Pi the final
-        block's product; since row . T u = (row T) . u, the row is finished
-        in place through T once and then multiplied by Pi."""
+        partial; its ``index`` is not needed). The completion of entry j is
+        T (Pi e_j), with T the remaining steps of ``prev_block``'s program
+        and Pi the final block's product; since row . T u = (row T) . u,
+        the row is finished in place through T once and then multiplied by
+        Pi."""
         tau = len(block)
         if tau % 9 != 0:
             raise ValueError("final readout only at a matrix boundary")
@@ -507,13 +501,5 @@ def build_dnet_imm() -> DnetImmNet:
 
 
 def dnet_imm_forward(net: DnetImmNet, stream) -> list:
-    """Nine row-major entries of the product of the streamed matrices: the
-    stream is checked once (``imm_tokens``); each superblock runs one op
-    per token of its predecessor's program in place on the row, with one
-    ``run_hsteps`` call; then ``net.final_readouts`` reads the entries
-    from the row, the final superblock and the one before it."""
-    tokens, _ = imm_tokens(stream)
-    nums, dens = list(net.initial_row.nums), list(net.initial_row.dens)
-    for index, prev, block in stream_blocks(tokens, net.block_len):
-        run_hsteps(net.block_program(prev, index), 0, len(block), nums, dens)
-    return net.final_readouts(prev, block, nums, dens)
+    """Nine row-major entries of the product of the streamed matrices."""
+    return imm_forward(net, stream)

@@ -20,10 +20,10 @@ or column held as two int lists. The forward passes run each program
 through them, so their work per token does not grow with the window and
 their memory does not grow with the stream; ``BlockNet.block_transition``
 runs the basis rows through an op range, one token's op or a whole
-block. The 3x3-product forwards check a stream's tokens once
-(``imm_tokens``); the rwkv-imm forward then walks the stream in place,
-nine tokens at a time, and compiles each block with the helper that its
-``block_program`` calls, fed the stream's own tokens when all are ints.
+block. Both 3x3-product nets run through one forward, ``imm_forward``: it
+checks a stream's tokens once (``imm_tokens``), walks the stream in place
+one block at a time, runs each block's ``block_program`` through the
+step class's row kernel, and ends with the net's ``final_readouts``.
 The program is the only form a net compiles, holds or runs.
 The steps as values (``OverwriteSpec``, ``HStep``) are its spec-level
 view, built only by ``BlockNet.block_steps``: a ``BlockNet`` specifies
@@ -57,7 +57,6 @@ PAD = None  # pre-sequence padding pseudo-symbol
 
 _ONE = Rational(1)
 _INT_ONLY = {int}
-_UNIT_DENS = (1,) * 9
 
 
 @dataclass(frozen=True)
@@ -345,46 +344,61 @@ def wfa_forward(net, word) -> list:
     return out
 
 
-def imm_tokens(stream) -> tuple:
-    """The tokens of a matrix stream, checked, and whether every token is
-    of type int: ``ValueError`` on a token that is not an int or a
-    Rational, or on a length that is not a positive multiple of 9. The
-    check tests each distinct token type once; only a stream holding a
-    type that fails it is walked token by token, to name the first bad
-    token."""
+def imm_forward(net, stream) -> list:
+    """Nine row-major entries of the product of the streamed matrices,
+    from a 3x3-product net: the stream is checked once (``imm_tokens``)
+    and walked in place, ``block_len`` tokens at a time. Each block runs
+    the ops of ``block_program``, compiled from the previous block (the
+    PAD block before the first), in place on the row with one call of the
+    step class's row kernel; the last block is read out by
+    ``net.final_readouts``."""
+    tokens = imm_tokens(stream)
+    run, m = net.step.run_rows, net.block_len
+    nums, dens = list(net.initial_row.nums), list(net.initial_row.dens)
+    block = (PAD,) * m
+    for index, start in enumerate(range(0, len(tokens), m)):
+        prev, block = block, tokens[start : start + m]
+        run(net.block_program(prev, index), 0, len(block), nums, dens)
+    return net.final_readouts(prev, block, index, nums, dens)
+
+
+def imm_tokens(stream):
+    """The tokens of a matrix stream, checked: ``ValueError`` on a token
+    that is not an int or a Rational, or on a length that is not a
+    positive multiple of 9. The check tests each distinct token type once;
+    only a stream holding a type that fails it is walked token by token,
+    to name the first bad token."""
     tokens = stream if isinstance(stream, (list, tuple)) else list(stream)
-    types = set(map(type, tokens))
-    if not all(issubclass(cls, (int, Rational)) for cls in types):
+    if not all(issubclass(cls, (int, Rational)) for cls in set(map(type, tokens))):
         for tok in tokens:
             if not isinstance(tok, (int, Rational)):
                 raise ValueError(f"matrix token must be an int or a Rational, not {tok!r}")
     if not tokens or len(tokens) % 9 != 0:
         raise ValueError("stream length must be a positive multiple of 9")
-    return tokens, types == _INT_ONLY
+    return tokens
+
+
+def imm_entry(tok, k) -> tuple:
+    """The entry ``(num, den)`` of matrix token ``tok`` at row-major
+    position ``k`` (mod 9) of its matrix; a PAD token stands for the
+    identity matrix's entry there."""
+    if type(tok) is int:
+        return tok, 1
+    if tok is PAD:
+        return int(k % 9 % 4 == 0), 1
+    if isinstance(tok, Rational):
+        return tok.num, tok.den
+    return int(tok), 1
 
 
 def imm_entries(tokens_oldest_first) -> tuple:
-    """Parallel num and den lists of matrix tokens; a PAD token stands for
-    its entry of the identity matrix. Tokens that are all of type int are
-    copied as they are, with no per-token dispatch."""
+    """Parallel num and den lists of matrix tokens (``imm_entry``). Tokens
+    that are all of type int are copied as they are, with no per-token
+    dispatch."""
     if set(map(type, tokens_oldest_first)) == _INT_ONLY:
         return list(tokens_oldest_first), [1] * len(tokens_oldest_first)
-    nums = []
-    dens = []
-    for k, tok in enumerate(tokens_oldest_first):
-        if type(tok) is int:
-            nums.append(tok)
-            dens.append(1)
-        elif tok is PAD:
-            nums.append(1 if k % 9 % 4 == 0 else 0)
-            dens.append(1)
-        elif isinstance(tok, Rational):
-            nums.append(tok.num)
-            dens.append(tok.den)
-        else:
-            nums.append(int(tok))
-            dens.append(1)
-    return nums, dens
+    entries = [imm_entry(tok, k) for k, tok in enumerate(tokens_oldest_first)]
+    return [num for num, _ in entries], [den for _, den in entries]
 
 
 # ---------------------------------------------------------------------------
@@ -550,31 +564,36 @@ COLUMN_TABLE_SIZE = 1024
 
 
 @lru_cache(maxsize=COLUMN_TABLE_SIZE)
-def _column_ops(src, j, n0, d0, n1, d1, n2, d2) -> tuple:
+def _column_ops(src, j, t0, t1, t2) -> tuple:
     """The three finished overwrite ops of ``RwkvImmNet`` that read column
-    j = (n0/d0, n1/d1, n2/d2) of the previous matrix, with the active half
-    at ``src``: op i writes entry (i, j) of the product into the other
-    half, and its support is that column's nonzeros at row i of the active
-    half. With {-1, 0, 1} entries there are 2 * 3 * 27 = 162 keys; the
-    fixed bound keeps the table's memory bounded on streams of distinct
-    large entries."""
-    column = [(k, n, d) for k, n, d in ((0, n0, d0), (1, n1, d1), (2, n2, d2)) if n != 0]
+    j of the previous matrix, given as its raw tokens (t0, t1, t2), with
+    the active half at ``src``: op i writes entry (i, j) of the product
+    into the other half, and its support is that column's nonzero entries
+    (``imm_entry``) at row i of the active half. Equal tokens hash alike,
+    so 1, True and Rational(1) share a key. With {-1, 0, 1} entries there
+    are 2 * 3 * 27 = 162 keys; the fixed bound keeps the table's memory
+    bounded on streams of distinct large entries."""
+    column = []
+    for k, tok in enumerate((t0, t1, t2)):
+        num, den = imm_entry(tok, 3 * k + j)
+        if num != 0:
+            column.append((k, num, den))
     dst = 9 - src + j
     return tuple(
         (dst + 3 * i, tuple([(src + 3 * i + k, n, d) for k, n, d in column])) for i in (0, 1, 2)
     )
 
 
-def _block_ops(src, an, ad) -> tuple:
+def _block_ops(src, t) -> tuple:
     """The nine overwrite ops that multiply the active half at ``src`` by
-    the 3x3 matrix of row-major entries ``an[k] / ad[k]``, k < 9: op 3i+j
-    writes entry (i, j) of the product into the other half, and its
-    coefficient vector is column j of the matrix placed at row i of the
-    active half, so its support holds at most three entries. Three
-    ``_column_ops`` lookups, one per column."""
-    c0 = _column_ops(src, 0, an[0], ad[0], an[3], ad[3], an[6], ad[6])
-    c1 = _column_ops(src, 1, an[1], ad[1], an[4], ad[4], an[7], ad[7])
-    c2 = _column_ops(src, 2, an[2], ad[2], an[5], ad[5], an[8], ad[8])
+    the 3x3 matrix of row-major tokens ``t[k]``, k < 9: op 3i+j writes
+    entry (i, j) of the product into the other half, and its coefficient
+    vector is column j of the matrix placed at row i of the active half,
+    so its support holds at most three entries. Three ``_column_ops``
+    lookups, one per column."""
+    c0 = _column_ops(src, 0, t[0], t[3], t[6])
+    c1 = _column_ops(src, 1, t[1], t[4], t[7])
+    c2 = _column_ops(src, 2, t[2], t[5], t[8])
     return c0[0], c1[0], c2[0], c0[1], c1[1], c2[1], c0[2], c1[2], c2[2]
 
 
@@ -586,18 +605,15 @@ class RwkvImmNet(BlockNet):
     compute (active half) . B(A^(L-1)) into the inactive half, where B is
     the block-diagonal embedding of the previous block's matrix and padding
     acts as the identity matrix. The halves alternate with block parity.
-    The router key is (t mod 18, last 18 tokens). A block's nine overwrite
-    ops are compiled by ``_block_ops`` from the previous block's entries:
-    three lookups, one per column of the previous matrix, in a
-    module-level table (``_column_ops``, an LRU cache of
-    ``COLUMN_TABLE_SIZE`` = 1024 columns) that returns that column's three
-    finished ops. {-1, 0, 1} entries make only 162 distinct columns.
-    ``block_program`` (the router spec and the final readouts) and
-    ``rwkv_imm_forward`` share that one compile; the forward feeds it the
-    stream's own tokens at each block boundary when every token is an
-    int, and ``imm_entries`` of the block otherwise. Outputs exist only at
-    the final position, where nine completion readouts fold in the final
-    block's matrix.
+    The router key is (t mod 18, last 18 tokens). ``block_program``, the
+    only compile of a block (for the router spec, ``imm_forward`` and the
+    final readouts alike), builds its nine overwrite ops from the previous
+    block's raw tokens: three lookups, one per column of the previous
+    matrix, in a module-level table (``_column_ops``, an LRU cache of
+    ``COLUMN_TABLE_SIZE`` = 1024 columns keyed by the column's tokens)
+    that returns that column's three finished ops. {-1, 0, 1} entries make
+    only 162 distinct columns. Outputs exist only at the final position,
+    where nine completion readouts fold in the final block's matrix.
     """
 
     step = OverwriteSpec
@@ -611,13 +627,14 @@ class RwkvImmNet(BlockNet):
     def block_program(self, prev_block, index) -> tuple:
         """The nine overwrite ops of block ``index``, which multiply the
         half at 9 (index mod 2) by the matrix of ``prev_block``."""
-        return _block_ops(9 * (index % 2), *imm_entries(prev_block))
+        return _block_ops(9 * (index % 2), prev_block)
 
-    def final_readouts(self, block, index, nums, dens) -> list:
+    def final_readouts(self, prev_block, block, index, nums, dens) -> list:
         """Nine row-major product entries read from the row ``nums``/``dens``
-        after the final block ``block`` (block ``index``): its dot products
-        with the coefficient vectors of the overwrites that the next block
-        would stream, which fold the final block's matrix in."""
+        after the final block ``block`` (block ``index``; ``prev_block`` is
+        not needed): its dot products with the coefficient vectors of the
+        overwrites that the next block would stream, which fold the final
+        block's matrix in."""
         if len(block) != 9:
             raise ValueError("final readout only at a block boundary")
         return [
@@ -631,23 +648,5 @@ def build_rwkv_imm() -> RwkvImmNet:
 
 
 def rwkv_imm_forward(net: RwkvImmNet, stream) -> list:
-    """Nine row-major entries of the product of the streamed matrices.
-
-    The stream is checked once (``imm_tokens``) and walked in place, nine
-    tokens at a time. Each block's nine ops run on the row with one
-    ``run_overwrites`` call; they are ``block_program``'s, compiled by
-    ``_block_ops`` from the previous block's tokens, which are already its
-    entries when every token of the stream is an int. The final block is
-    read out by ``net.final_readouts``."""
-    tokens, all_int = imm_tokens(stream)
-    nums, dens = list(net.initial_row.nums), list(net.initial_row.dens)
-    ops = net.block_program((PAD,) * 9, 0)
-    src = 9
-    for start in range(9, len(tokens), 9):
-        run_overwrites(ops, 0, 9, nums, dens)
-        prev = tokens[start - 9 : start]
-        ops = _block_ops(src, prev, _UNIT_DENS) if all_int else _block_ops(src, *imm_entries(prev))
-        src = 9 - src
-    run_overwrites(ops, 0, 9, nums, dens)
-    last = len(tokens) - 9
-    return net.final_readouts(tokens[last:], last // 9, nums, dens)
+    """Nine row-major entries of the product of the streamed matrices."""
+    return imm_forward(net, stream)

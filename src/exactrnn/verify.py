@@ -29,8 +29,10 @@ budget (peak RSS, CPython 3.11, x86-64):
   word (6614 tokens at most): memory grows faster than the word, and one
   dnet-wfa trial at n = 20 and 8192 tokens peaked at 113 MB;
 - ``scan-depth --dim`` <= ``MAX_SCAN_DIM`` = 64, which also bounds
-  ``report depth --dim``: d x d steps and states, 95 MB at ``--len`` 64,
-  linear in the length (in n for ``report depth``);
+  ``report depth --dim`` and the step dimension of a ``report depth
+  --trace`` dump, checked before any scan: d x d steps and states, 95 MB
+  at ``--len`` 64, linear in the length (in n, or in the dump's step
+  count, for ``report depth``);
 - ``cm-rnn --nodes`` <= 16384: up to 18 tokens per node, and a network
   state per token, 225 MB.
 """

@@ -6,7 +6,9 @@ run them on a row held as two int lists (``kernels.run_overwrites``,
 ``kernels.run_hsteps``). Checked here for all four nets: running a block's
 program in place equals folding the step actions over ``block_steps``, bit
 for bit, and ``block_steps`` equals the steps built directly from the
-block's matrix, so the router spec is unchanged. Also checked: imm streams
+block's matrix, so the router spec is unchanged, also when equal tokens
+of different types (1, True, Rational(1)) share an rwkv-imm column table
+key. Also checked: imm streams
 the forwards must reject and the token each error names, bool tokens and
 mixed token types, entries (non-integer, about 10^4 bits) that reach the
 kernels' non-unit-denominator branches, in a compiled superblock or in a
@@ -24,7 +26,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from exactrnn import rwkv_gadgets
 from exactrnn.delta_gadgets import (
     SUPERBLOCK_TOKENS,
     DnetImmNet,
@@ -57,13 +58,16 @@ from oracles import frac_matmul, imm_matrices
 TOKEN_KINDS = {
     "unit": (-1, 0, 1),
     "rational": (-1, 0, 1, Rational(2, 3), Rational(-5, 4), Rational(7, 9)),
+    # equal tokens of different types, which share a column table key
+    "aliased": (1, True, Rational(1), 0, False, Rational(0), -1, Rational(-1)),
 }
 ROW_VALUES = (0, 1, -2, Rational(1, 2), Rational(-3, 5), Rational(4, 7))
 
 
 def draw_block(kind, seed, length):
     """``length`` tokens of one kind: {-1, 0, 1}, with non-integer
-    Rationals mixed in, or the PAD block."""
+    Rationals mixed in, as equal ints, bools and Rationals, or the PAD
+    block."""
     if kind == "pad":
         return (PAD,) * length
     rng = random.Random(seed)
@@ -127,12 +131,13 @@ def assert_supports_match(steps, vector):
         assert step.support == nonzeros(v.nums, v.dens)
 
 
-BLOCK_KINDS = st.sampled_from(("unit", "rational", "pad"))
+BLOCK_KINDS = st.sampled_from(("unit", "rational", "aliased", "pad"))
 
 
 @settings(max_examples=40, deadline=None)
 @given(BLOCK_KINDS, st.integers(0, 3), st.integers(), st.integers(0, 9))
 @example(kind="pad", index=1, seed=0, split=4)
+@example(kind="aliased", index=0, seed=0, split=5)
 def test_rwkv_imm_block_program(kind, index, seed, split):
     net = build_rwkv_imm()
     prev = draw_block(kind, seed, 9)
@@ -141,6 +146,8 @@ def test_rwkv_imm_block_program(kind, index, seed, split):
     assert_supports_match(steps, lambda s: s.c)
     program = net.block_program(prev, index)
     assert [s.op for s in steps] == list(program)
+    # a bool key's entries reach the program as ints
+    assert {type(x) for _, support in program for entry in support for x in entry} <= {int}
     assert_program_runs_like_steps(
         program, steps, draw_row(seed, 18), run_overwrites, apply_overwrite_row, split
     )
@@ -336,8 +343,9 @@ RWKV_IMM_STREAMS = {
 
 @pytest.mark.parametrize("kind", list(RWKV_IMM_STREAMS))
 def test_rwkv_imm_forward_runs_the_router_spec_programs(monkeypatch, kind):
-    # the forward compiles each block's ops from the stream itself; they
-    # must be block_program's, which the router spec and the readout use
+    # the forward runs each block's ops through the step class's row
+    # kernel; they must be block_program's, which the router spec and the
+    # readout use
     length, draw = RWKV_IMM_STREAMS[kind]
     rng = random.Random(71)
     stream = [draw(rng) for _ in range(length)]
@@ -347,7 +355,7 @@ def test_rwkv_imm_forward_runs_the_router_spec_programs(monkeypatch, kind):
         runs.append((ops, start, stop))
         return run_overwrites(ops, start, stop, nums, dens)
 
-    monkeypatch.setattr(rwkv_gadgets, "run_overwrites", recorded)
+    monkeypatch.setattr(OverwriteSpec, "run_rows", staticmethod(recorded))
     net = build_rwkv_imm()
     before = _column_ops.cache_info()
     assert rwkv_imm_forward(net, stream) == frac_product(stream)
@@ -427,10 +435,7 @@ def transition_readouts(net, stream) -> list:
     row = net.initial_row
     for index, prev, block in stream_blocks(stream, net.block_len):
         row = row_apply(row, net.block_transition(prev, index, 0, len(block)))
-    nums, dens = list(row.nums), list(row.dens)
-    if isinstance(net, DnetImmNet):
-        return net.final_readouts(prev, block, nums, dens)
-    return net.final_readouts(block, index, nums, dens)
+    return net.final_readouts(prev, block, index, list(row.nums), list(row.dens))
 
 
 @IMM_FORWARDS

@@ -9,6 +9,8 @@ import tracemalloc
 import pytest
 
 from exactrnn.cli import main
+from exactrnn.linalg import RMatrix
+from exactrnn.lrnn import LinStep, dump_steps
 from exactrnn.verify import REGISTRY
 
 
@@ -159,6 +161,9 @@ def test_report_depth_from_trace_file(tmp_path, capsys):
     ("A 1/1 ; B 1/1\nA 1/0 ; B 1/1\n", "zero denominator"),
     ("A 1/1 ; B 1/1\n\nA 1/1 ; B 1/1\n", "malformed step line"),
     ("A 1/ ; B 0/1\n", "no denominator"),
+    # wider than MAX_SCAN_DIM = 64, as --dim is: a dense combine costs d^3
+    pytest.param(dump_steps([LinStep(RMatrix.identity(65), RMatrix.zeros(65, 65))] * 2),
+                 "dimension in 1..64, got 65", id="dim-65"),
 ])
 def test_report_depth_rejects_bad_trace(tmp_path, capsys, dump, message):
     trace = tmp_path / "trace.txt"

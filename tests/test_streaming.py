@@ -470,6 +470,9 @@ def test_dnet_imm_final_readout_finishes_the_row_once(monkeypatch):
     def no_column_steps(u, step):
         raise AssertionError("column step in the readout")
 
+    # the forward runs blocks through the step class's kernel, the
+    # readout through the module's
+    monkeypatch.setattr(HStep, "run_rows", staticmethod(counted))
     monkeypatch.setattr(delta_gadgets, "run_hsteps", counted)
     monkeypatch.setattr(delta_gadgets, "apply_h_col", no_column_steps)
     rng = random.Random(22)
