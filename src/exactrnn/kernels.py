@@ -5,11 +5,11 @@ All rational arithmetic in the package funnels through this module,
 matrices are passed as parallel lists of Python ints: ``nums[i] /
 dens[i]``, matrices flat row-major. Every function returns canonical
 entries: gcd(|num|, den) = 1 and den > 0, with zero represented as 0/1,
-except the two fraction-free kernels:
+except the fraction-free kernels:
 ``common_den`` puts a vector over one shared denominator, and
-``int_mat_mul`` multiplies integer rows by integer columns, so that a
-running product over one denominator is normalized only where a caller
-needs a canonical value (Bareiss 1968).
+``int_mat_vec`` and ``int_mat_mul`` multiply integer rows by an integer
+column or columns, so that a running product over one denominator is
+normalized only where a caller needs a canonical value (Bareiss 1968).
 
 ``compile_int_affine`` turns an all-integer ``sparse_affine`` program into
 generated straight-line Python, one line per op, for callers that run it
@@ -79,11 +79,18 @@ def common_den(nums, dens):
     return [n * (den // d) for n, d in zip(nums, dens)], den
 
 
+def int_mat_vec(rows, col) -> list:
+    """Integer matrix (a list of rows) times one integer column, as a list:
+    entry i is rows[i] . col. No denominators and no normalization (see
+    ``common_den``)."""
+    return [sum(map(mul, row, col)) for row in rows]
+
+
 def int_mat_mul(rows, cols) -> list:
     """Product of integer matrices given as a list of rows and a list of
-    columns, as a list of rows: entry (i, j) is rows[i] . cols[j]. No
-    denominators and no normalization (see ``common_den``)."""
-    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
+    columns, as a list of rows: entry (i, j) is rows[i] . cols[j], one
+    ``int_mat_vec`` per row."""
+    return [int_mat_vec(cols, row) for row in rows]
 
 
 def nonzeros(nums, dens) -> tuple:
@@ -116,25 +123,35 @@ def sdot(support, xn, xd):
     return rnorm(sn, sd)
 
 
-def vec_mat(xn, xd, mn, md, rows, cols):
-    """Row vector (len rows) times flat row-major matrix (rows x cols)."""
+def vec_rows(xn, xd, rows_n, rows_d, cols, stride=0):
+    """Row vector (len rows) times a rows x cols matrix: the combination of
+    the matrix's rows weighted by the vector's entries. Row i starts at
+    offset i * stride of its lists ``rows_n[i]`` (nums) and ``rows_d[i]``
+    (dens): stride 0 for rows held as lists of their own, stride cols for
+    a flat row-major matrix given as the same list for every row."""
     outn = [0] * cols
     outd = [1] * cols
+    rows = range(len(rows_n))
     for j in range(cols):
         sn, sd = 0, 1
         k = j
-        for i in range(rows):
-            p = xn[i] * mn[k]
+        for i in rows:
+            p = xn[i] * rows_n[i][k]
             if p != 0:
-                q = xd[i] * md[k]
+                q = xd[i] * rows_d[i][k]
                 if q == 1:
                     sn = sn + p if sd == 1 else sn + p * sd
                 else:
                     sn = sn * q + (p if sd == 1 else p * sd)
                     sd *= q
-            k += cols
+            k += stride
         outn[j], outd[j] = rnorm(sn, sd)
     return outn, outd
+
+
+def vec_mat(xn, xd, mn, md, rows, cols):
+    """Row vector (len rows) times flat row-major matrix (rows x cols)."""
+    return vec_rows(xn, xd, [mn] * rows, [md] * rows, cols, cols)
 
 
 def mat_vec(mn, md, rows, cols, xn, xd):

@@ -33,21 +33,25 @@ block. The four step actions (``apply_overwrite_row``/``_col`` here,
 ``apply_h_row``/``_col`` in ``delta_gadgets``) read and write only the
 support, reject a vector of the wrong length with ``ValueError``, and are
 the references the kernels are tested against. ``WfaNet`` tracks any
-weighted finite automaton's prefix values with either family;
-``RwkvImmNet`` accumulates a product of streamed 3x3 matrices in an
-18-coordinate state by ping-ponging between two halves.
+weighted finite automaton's prefix values with either family; it
+finishes each block's positions chunkwise, from one backward sweep of the
+n columns of the block's remaining steps, taken in segments of at most
+``SEGMENT_LEN`` positions, so that what a block holds is bounded by the
+segment and not by the block. ``RwkvImmNet`` accumulates a product of
+streamed 3x3 matrices in an 18-coordinate state by ping-ponging between
+two halves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import repeat
+from itertools import islice, repeat
 
 from .automata import Wfa
 from .kernels import (
-    common_den, int_mat_mul, nonzeros, radd, rmul, rnorm, run_overwrite_cols, run_overwrites, sdot,
-    vdot, vec_mat
+    common_den, int_mat_mul, int_mat_vec, nonzeros, radd, rmul, rnorm, run_overwrite_cols,
+    run_overwrites, sdot, vdot, vec_rows
 )
 from .linalg import RMatrix, RVector
 from .lrnn import RwkvStep
@@ -405,6 +409,13 @@ def imm_entries(tokens_oldest_first) -> tuple:
 # Weighted-automaton tracking network
 
 
+# Positions of a block whose completions one backward sweep finishes
+# together: a block of more positions is swept in segments of at most this
+# many, so the completions held at once, and the column copies kept at
+# segment ends, stay bounded however large the automaton.
+SEGMENT_LEN = 128
+
+
 class WfaNet(BlockNet):
     """Tracks alpha . M[w_1..w_t] . omega at every position, over either
     step family.
@@ -414,18 +425,20 @@ class WfaNet(BlockNet):
     block L-1's product P into the ops of per-token steps (of class
     ``step``) mapping [x | s] to [xP | xP] (a temp coordinate, if any, ends
     at zero), streamed through block L. The completion at position tau is
-    T_tau [v | 0]: v is the current block's product so far applied to
-    omega, and T_tau = steps[tau] ... steps[m-1] is block L-1's remaining
-    steps as column actions, run in place by the step class's column
-    kernel (``step.run_cols``). Since [v | 0] is zero past coordinate n,
-    only the first n columns of T_tau matter. Each block takes the cheaper
-    of two ways to finish its L tokens: build those columns once,
-    backwards, in n (m-1) column steps, or replay the m - tau remaining
-    steps at every position, in L m - L (L+1)/2 column steps (m (m-1)/2 on
-    a full block). The block's product is kept fraction-free, as integer
-    rows over one common denominator (see ``block_completions``), from each
-    symbol's matrix and omega, which the net puts over one denominator
-    once, when it is built.
+    T_tau [v_tau | 0]: v_tau is the current block's product so far applied
+    to omega, and T_tau = steps[tau] ... steps[m-1] is block L-1's
+    remaining steps as column actions, run in place by the step class's
+    column kernel (``step.run_cols``). Since [v_tau | 0] is zero past
+    coordinate n, the completion is the combination, weighted by v_tau,
+    of the n columns T_tau e_j. Each block takes the cheaper of two ways
+    to finish its L tokens: sweep those n columns backwards from T_m = I,
+    in n (m-1) column steps when the block is one segment (see
+    ``block_completions``), or replay the m - tau remaining steps on
+    [v_tau | 0] at every position, in L m - L (L+1)/2 column steps
+    (m (m-1)/2 on a full block). The block's product is kept
+    fraction-free, as integer rows over one common denominator, from each
+    symbol's matrix and the symbol's column A omega, which the net puts
+    over one denominator once, when it is built.
 
     ``build_rwkv_wfa``: coordinate overwrites (``factor_apply_ops``;
     ``OverwriteSpec`` runs columns with ``kernels.run_overwrite_cols``), 2n
@@ -433,8 +446,8 @@ class WfaNet(BlockNet):
     way, and it replays. ``build_dnet_wfa``: symmetric steps
     (``apply_matrix_ops``; ``HStep`` runs rows and columns with
     ``kernels.run_hsteps``, as their column action is their row action),
-    8n^2+5n+1 steps, scratch width n+1 (scratch half and temp); it builds
-    suffix columns on every block but a short final one.
+    8n^2+5n+1 steps, scratch width n+1 (scratch half and temp); it sweeps
+    the columns on every block but a short final one.
     """
 
     def __init__(self, wfa: Wfa, compile_ops, step, scratch: int, block_len: int):
@@ -449,17 +462,16 @@ class WfaNet(BlockNet):
         self._programs = BlockMemo(self._compile_block)
         # (block, product) of the last block streamed to its end
         self._product = None
-        # each symbol's matrix as (int rows, int columns, den), and omega
-        # as a one-column int matrix and its den: the completions' product
-        # runs on these
+        # each symbol's matrix A as (int rows, int columns, den), and A
+        # omega as (ints, den): the completions' product runs on these
         n = self.n
+        omega, omega_den = common_den(wfa.omega.nums, wfa.omega.dens)
         self._int_matrices = {}
         for sym, a in wfa.matrices.items():
             ints, den = common_den(a.nums, a.dens)
             rows = [ints[i * n : i * n + n] for i in range(n)]
-            self._int_matrices[sym] = rows, [ints[j::n] for j in range(n)], den
-        ints, den = common_den(wfa.omega.nums, wfa.omega.dens)
-        self._int_omega = [ints], den
+            cols = [ints[j::n] for j in range(n)]
+            self._int_matrices[sym] = rows, cols, den, int_mat_vec(rows, omega), den * omega_den
 
     def _compile_block(self, block) -> tuple:
         """The program for ``block``'s product."""
@@ -477,61 +489,98 @@ class WfaNet(BlockNet):
         return self._programs(tuple(prev_block))
 
     def block_completions(self, block, program):
-        """The block's product so far is kept fraction-free: integer rows
-        over one common denominator D, advanced by one integer product per
-        token (D times the token's matrix den), with no gcd inside the
-        block. Then v = P omega, as ints over D times omega's den, is
-        finished by T_tau: from suffix columns (``vec_mat`` normalizes
-        each entry of the completion) or by replaying the remaining column
-        steps on v's n canonical entries, whichever costs the block's L
-        tokens fewer column steps (see the class docstring). A full
-        block's product is normalized once, to the canonical ``RMatrix``
-        held for the next block's compile; it is recorded before the last
-        yield, since a consumer need not resume the generator after it.
-        Unknown symbols, PAD included, raise ``ValueError``."""
-        m, n, dim, length = len(program), self.n, self.dim, len(block)
+        """The completions T_tau [v_tau | 0] at tau = 1..L, in order, from
+        the values of ``_omega_values``.
+
+        On a block that sweeps, the n columns T_tau e_j are the only
+        columns held: one backward sweep from T_m = I runs each column one
+        step per position, and each completion is formed straight from
+        them, as v_tau's combination of the columns (``kernels.vec_rows``
+        normalizes each entry), with no per-position copy (Yang et al.
+        2024, the delta rule's backward suffix products). The positions
+        are taken in segments of at most ``SEGMENT_LEN``. The first sweep
+        runs from T_m down to the first segment's end and keeps a copy of
+        the columns at the end of each segment; each segment is then swept
+        down to its start from its copy (a checkpointed reversal, Griewank
+        & Walther 2000), so a block spends at most 2n (m-1) column steps,
+        and n (m-1) when it is one segment. On a block that replays, v_tau's
+        n canonical entries take the remaining column steps. Unknown
+        symbols, PAD included, raise ``ValueError``: on a block that
+        sweeps, before the first completion of the symbol's segment.
+        """
+        m, n, length = len(program), self.n, len(block)
+        values = self._omega_values(block, m)
         replay_cost = length * m - length * (length + 1) // 2
-        suffix = self._suffix_columns(program) if n * (m - 1) < replay_cost else None
-        reverse = program[::-1]  # a column takes the remaining steps newest first
-        run_cols = self.step.run_cols
-        omega, omega_den = self._int_omega
+        if n * (m - 1) < replay_cost:
+            return self._swept_completions(program, values, length)
+        return self._replayed_completions(program, values)
+
+    def _omega_values(self, block, m):
+        """v_tau = P_{tau-1} (A_tau omega) at tau = 1..len(block), as n ints
+        over one den, for a program of length ``m``.
+
+        The block's product so far, P_tau, is kept fraction-free: integer
+        rows over one common denominator D, advanced by one integer
+        product per token (D times the token's matrix den), with no gcd
+        inside the block, and only when a later token or the held product
+        needs it. v_tau is then n dot products with the symbol's integer
+        column A omega. A full block's product is normalized once, to the
+        canonical ``RMatrix`` held for the next block's compile; it is
+        recorded before the last value, since a consumer need not resume
+        the completions after the last one."""
+        n, length = self.n, len(block)
+        prows = None
         for tau, sym in enumerate(block, start=1):
             self.wfa.matrix(sym)  # ValueError on an unknown symbol
-            arows, acols, aden = self._int_matrices[sym]
-            if tau == 1:
+            arows, acols, aden, aw, awden = self._int_matrices[sym]
+            if prows is None:
+                value = aw, awden
                 prows, den = arows, aden
             else:
-                prows, den = int_mat_mul(prows, acols), den * aden
+                value = int_mat_vec(prows, aw), den * awden
+                if tau < length or tau == m:
+                    prows, den = int_mat_mul(prows, acols), den * aden
             if tau == m:
                 held = [rnorm(x, den) for row in prows for x in row]
                 held_nums, held_dens = [x for x, _ in held], [d for _, d in held]
                 self._product = (block, RMatrix._raw(n, n, held_nums, held_dens))
-            vn = [x for (x,) in int_mat_mul(prows, omega)]
-            vden = den * omega_den
-            if suffix is not None:
-                yield vec_mat(vn, [vden] * n, *suffix[tau], n, dim)
-            else:
-                un, ud = [0] * dim, [1] * dim
-                for i, x in enumerate(vn):
-                    un[i], ud[i] = rnorm(x, vden)
-                run_cols(reverse, 0, m - tau, un, ud)
-                yield un, ud
+            yield value
 
-    def _suffix_columns(self, program) -> list:
-        """At index tau = 1..m, the n x dim matrix (flat nums, dens) whose
-        row j is T_tau e_j, built backwards from T_m = I: n (m-1) column
-        steps per block (Yang et al. 2024, the delta rule's backward suffix
-        products)."""
+    def _replayed_completions(self, program, values):
+        m, dim, run_cols = len(program), self.dim, self.step.run_cols
+        reverse = program[::-1]  # a column takes the remaining steps newest first
+        for tau, (vn, vden) in enumerate(values, start=1):
+            un, ud = [0] * dim, [1] * dim
+            for i, x in enumerate(vn):
+                un[i], ud[i] = rnorm(x, vden)
+            run_cols(reverse, 0, m - tau, un, ud)
+            yield un, ud
+
+    def _swept_completions(self, program, values, length):
         m, n, dim, run_cols = len(program), self.n, self.dim, self.step.run_cols
+        reverse = program[::-1]  # a column takes the remaining steps newest first
         nums = [[int(i == j) for i in range(dim)] for j in range(n)]
         dens = [[1] * dim for _ in range(n)]
-        suffix = [None] * (m + 1)
-        for tau in range(m, 0, -1):
-            if tau < m:
-                for j in range(n):
-                    run_cols(program, tau, tau + 1, nums[j], dens[j])
-            suffix[tau] = [x for col in nums for x in col], [x for col in dens for x in col]
-        return suffix
+        # (lo, hi, a copy of the columns T_hi e_j) for each segment lo..hi,
+        # the first segment's last
+        segments = []
+        at = m
+        for lo in reversed(range(1, length + 1, SEGMENT_LEN)):
+            hi = min(lo + SEGMENT_LEN - 1, length)
+            for col_nums, col_dens in zip(nums, dens):
+                run_cols(reverse, m - at, m - hi, col_nums, col_dens)
+            at = hi
+            segments.append((lo, hi, [col[:] for col in nums], [col[:] for col in dens]))
+        while segments:
+            lo, hi, nums, dens = segments.pop()
+            segment = list(islice(values, hi - lo + 1))
+            for tau in range(hi, lo - 1, -1):
+                if tau < hi:  # op tau is the step of position tau + 1
+                    for col_nums, col_dens in zip(nums, dens):
+                        run_cols(program, tau, tau + 1, col_nums, col_dens)
+                vn, vden = segment[tau - lo]
+                segment[tau - lo] = vec_rows(vn, [vden] * n, nums, dens, dim)
+            yield from segment
 
     def spec_completion(self, recent, tau, program):
         """The same completion from the window: tau matrix-vector products

@@ -23,11 +23,11 @@ budget (peak RSS, CPython 3.11, x86-64):
 - ``dwfa-pd --states`` <= 1024: three dense n x n symbol matrices, 70 MB;
 - ``rwkv-wfa --states`` and ``dnet-wfa --states`` <= 20: dnet-wfa's default
   word has 2(8n^2 + 5n + 1) tokens, and the run and the oracle each hold a
-  prefix value per token whose bits grow with the prefix, 106 MB at n = 20
-  (30 and 55 MB at n = 12 and 16);
+  prefix value per token whose bits grow with the prefix, 51 MB at n = 20
+  (26 and 38 MB at n = 12 and 16);
 - ``rwkv-wfa --len`` and ``dnet-wfa --len`` <= 8192, above every default
   word (6614 tokens at most): memory grows faster than the word, and one
-  dnet-wfa trial at n = 20 and 8192 tokens peaked at 113 MB;
+  dnet-wfa trial at n = 20 and 8192 tokens peaked at 60 MB;
 - ``scan-depth --dim`` <= ``MAX_SCAN_DIM`` = 64, which also bounds
   ``report depth --dim`` and the step dimension of a ``report depth
   --trace`` dump, checked before any scan: d x d steps and states, 95 MB

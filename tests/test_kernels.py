@@ -95,6 +95,24 @@ def test_int_mat_mul_rows_by_columns():
     assert kernels.int_mat_mul([[1, 2], [3, 4]], [[5, 7], [6, 8]]) == [[19, 22], [43, 50]]
     # one column: a matrix-vector product
     assert kernels.int_mat_mul([[1, 2], [3, 4]], [[1, -1]]) == [[-1], [-1]]
+    assert kernels.int_mat_vec([[1, 2], [3, 4]], [1, -1]) == [-1, -1]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 5), st.integers())
+def test_vec_rows_on_own_rows_equals_vec_mat(rows, cols, seed):
+    # the same rows held as lists of their own (stride 0) and as one flat
+    # row-major matrix give the same canonical combination
+    rng = random.Random(seed)
+    xn, xd = rand_rat_list(rng, rows)
+    mn, md = rand_rat_list(rng, rows * cols)
+    flat = kernels.vec_mat(xn, xd, mn, md, rows, cols)
+    own_n = [mn[i * cols : i * cols + cols] for i in range(rows)]
+    own_d = [md[i * cols : i * cols + cols] for i in range(rows)]
+    assert kernels.vec_rows(xn, xd, own_n, own_d, cols) == flat
+    want = [sum((Fraction(a, b) * Fraction(mn[i * cols + j], md[i * cols + j])
+                 for i, (a, b) in enumerate(zip(xn, xd))), Fraction(0)) for j in range(cols)]
+    assert flat == ([w.numerator for w in want], [w.denominator for w in want])
 
 
 # --- mat3_chain ---------------------------------------------------------------

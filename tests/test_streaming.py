@@ -4,7 +4,8 @@
 router; ``net.router.query_at(t, tokens)`` is the specification it must
 match at every position, also for automata with non-dyadic entries. Also
 checked here: the column steps an automaton net's completions cost per
-block, either automaton forward on either family's net, forwards that neither query the router nor build step values (nor,
+block, in one segment or several (``rwkv_gadgets.SEGMENT_LEN``, patched
+down to split small blocks), either automaton forward on either family's net, forwards that neither query the router nor build step values (nor,
 for the 3x3-product nets, a matrix or vector value per token; nor, for the
 automaton nets, a rational matrix product), memory that does not grow
 with the stream, 3x3-product streams given as tuples or one-pass iterators,
@@ -206,8 +207,8 @@ CANCELLING_WFA = wfa_of([[[2]], [[_R(1, 2)]]], [1], [_R(5, 6)])
 @WFA_FORWARDS
 @settings(max_examples=10, deadline=None)
 @given(mixed_den_wfas(), st.integers(0, 2), st.integers(0, 10**6), st.integers())
-# two full blocks (dnet: suffix columns) then a one-token block (dnet:
-# replay); rwkv replays on every block
+# two full blocks (dnet: one backward column sweep each) then a one-token
+# block (dnet: replay); rwkv replays on every block
 @example(wfa=NON_DYADIC_WFA, blocks=2, cut=1, seed=0)
 @example(wfa=NON_DYADIC_WFA, blocks=1, cut=0, seed=1)
 @example(wfa=CANCELLING_WFA, blocks=2, cut=5, seed=2)
@@ -259,8 +260,9 @@ def completion_column_steps(compile_ops, step, scratch, block_len, extra=0, n_st
 def test_dnet_wfa_completions_build_suffix_columns_once_per_block():
     n, m = 2, 43
     steps = completion_column_steps(apply_matrix_ops, HStep, n + 1, m)
-    # n (m-1) per block; replaying the remaining steps would take m (m-1)/2
-    assert steps <= 2 * n * (m - 1)
+    # n (m-1) per one-segment block; replaying the remaining steps would
+    # take m (m-1)/2
+    assert steps == 2 * n * (m - 1)
 
 
 def test_wfa_completions_choose_per_block_length():
@@ -282,6 +284,58 @@ def test_rwkv_wfa_completions_replay_remaining_steps():
     # a one-token block tells the two apart: m-1 to replay, n (m-1) to build
     steps = completion_column_steps(*family, n, m, 1)
     assert steps == 2 * m * (m - 1) // 2 + m - 1
+
+
+def segmented_sweep_steps(n, m, segment):
+    """Column steps of one swept block of m positions in segments of at
+    most ``segment``: the first sweep runs every column from T_m down to
+    T_1, and each later segment is swept again from its end."""
+    later = [min(lo + segment - 1, m) - lo for lo in range(1 + segment, m + 1, segment)]
+    return n * (m - 1) + n * sum(later)
+
+
+@pytest.mark.parametrize("segment", [1, 2, 5])
+def test_multi_segment_block_column_steps_within_budget(monkeypatch, segment):
+    monkeypatch.setattr(rwkv_gadgets, "SEGMENT_LEN", segment)
+    n, m = 2, 43
+    steps = completion_column_steps(apply_matrix_ops, HStep, n + 1, m)
+    per_block = segmented_sweep_steps(n, m, segment)
+    assert steps == 2 * per_block
+    # one-position segments are never swept again
+    assert n * (m - 1) <= per_block <= 2 * n * (m - 1)
+    assert (per_block == n * (m - 1)) == (segment == 1)
+
+
+def test_four_state_dnet_block_is_two_segments():
+    # unpatched: m = 149 positions take two segments of at most 128, and the
+    # second is swept again from its copy, 20 steps per column
+    n = 4
+    m = 8 * n * n + 5 * n + 1
+    assert m == 149 and rwkv_gadgets.SEGMENT_LEN < m <= 2 * rwkv_gadgets.SEGMENT_LEN
+    steps = completion_column_steps(apply_matrix_ops, HStep, n + 1, m, n_states=n)
+    assert steps == 2 * segmented_sweep_steps(n, m, rwkv_gadgets.SEGMENT_LEN)
+    assert steps == 2 * (n * (m - 1) + n * 20) <= 2 * 2 * n * (m - 1)
+    rng = random.Random(40)
+    wfa = random_wfa(rng, n, 2)
+    word = [rng.choice(wfa.alphabet) for _ in range(2 * m + 3)]
+    assert dnet_wfa_forward(build_dnet_wfa(wfa), word) == wfa_prefix_values(wfa, word)
+    assert_stream_equals_spec(lambda: build_dnet_wfa(wfa), word)
+
+
+@WFA_FORWARDS
+@pytest.mark.parametrize("segment", [1, 2, 5])
+def test_multi_segment_forward_and_stream_equal_spec(monkeypatch, build, forward, segment):
+    # every bound splits a dnet block of m-1 or more positions into several
+    # segments (rwkv replays, so its completions take no segments)
+    monkeypatch.setattr(rwkv_gadgets, "SEGMENT_LEN", segment)
+    rng = random.Random(41 + segment)
+    for n_states in (1, 2, 3, 4):
+        wfa = random_wfa(rng, n_states, 2)
+        m = build(wfa).block_len
+        for length in (1, m - 1, m, 2 * m + 3):
+            word = [rng.choice(wfa.alphabet) for _ in range(length)]
+            assert forward(build(wfa), word) == wfa_prefix_values(wfa, word), (n_states, length)
+            assert_stream_equals_spec(lambda: build(wfa), word)
 
 
 @pytest.mark.parametrize("forward", [dnet_wfa_forward, rwkv_wfa_forward], ids=["dnet", "rwkv"])
